@@ -1,15 +1,15 @@
 """``repro.analysis`` — static contract analysis (``repro-lint``).
 
-The three simulation kernels are pinned bit-identical by the differential
+The simulation kernels are pinned bit-identical by the differential
 oracle at *test* time; this package enforces the underlying contracts at
 *lint* time, before anything runs:
 
-* ``counter_contract`` — one counter-name universe across all four lanes
-  (scalar, frozen reference, vector, native C) plus the C↔ctypes ABI.
+* ``counter_contract`` — one counter-name universe across all three lanes
+  (scalar, frozen reference, native C) plus the C↔ctypes ABI.
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
 * ``hook_contract`` — class-level hook-override discipline and the
-  vector/native eligibility partition.
+  structural/dynamic hook partition behind native eligibility.
 * ``protocol_constants`` — wire/schema constants defined exactly once.
 * ``native_gate`` — ``_core.c`` stays ``-Wall -Wextra -Werror`` clean.
 

@@ -29,7 +29,7 @@ from .tree import SourceTree
 FAMILIES = {
     "counter-contract": (
         counter_contract.check,
-        "counter-name universe identical across scalar/reference/vector/native"
+        "counter-name universe identical across scalar/reference/native"
         " lanes, C slot enum and SimParams ABI vs ctypes, golden manifest",
     ),
     "determinism": (
@@ -40,7 +40,7 @@ FAMILIES = {
     "hook-contract": (
         hook_contract.check,
         "hook namespace partition, _HOOK_FLAGS hoisting table, class-level"
-        " override discipline, supports_native defers to supports_vector",
+        " override discipline, supports_native defers to dynamic_hook_free",
     ),
     "protocol-constant": (
         protocol_constants.check,

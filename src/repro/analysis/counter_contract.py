@@ -1,7 +1,7 @@
-"""Counter-contract checker (rule family 1): the three-kernel name universe.
+"""Counter-contract checker (rule family 1): the three-lane name universe.
 
 The reproduction's core guarantee is that the scalar pipeline, the frozen
-seed reference, the numpy vector kernel and the compiled native kernel emit
+seed reference and the compiled native kernel emit
 **identical counter name sets** (and values — values are the differential
 oracle's job; names are checkable statically).  This rule extracts the
 counter-name universe of each lane without running any simulation:
@@ -10,9 +10,6 @@ counter-name universe of each lane without running any simulation:
   dicts, cache/issue-class f-string templates).  The frozen seed copy is the
   anchor every other lane is compared against.
 * **scalar** — ``coresim/pipeline.py`` + ``branch.py`` + ``caches.py``.
-* **vector** — ``coresim/vector.py``.  Three counters are exempt by
-  construction (:data:`VECTOR_EXEMPT`): they can only be produced by bug
-  models that override dynamic hooks, which are never vector-eligible.
 * **native** — the slot-name tables in ``coresim/native/kernel.py``, plus a
   light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
   the ``SimParams`` struct layout against the ctypes marshalling.
@@ -53,22 +50,11 @@ SCALAR_PATHS = (
     "src/repro/coresim/branch.py",
     "src/repro/coresim/caches.py",
 )
-VECTOR_PATH = "src/repro/coresim/vector.py"
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
 COUNTERS_PATH = "src/repro/coresim/counters.py"
 ISA_PATH = "src/repro/workloads/isa.py"
 MANIFEST_PATH = "tests/data/counter_manifest.json"
-
-#: Counters only hook-overriding (never vector-eligible) bug models produce.
-#: The vector lane legitimately never emits them; every other lane must.
-VECTOR_EXEMPT = frozenset(
-    {
-        "dispatch.serializing_stalls",
-        "dispatch.serialized_instructions",
-        "bug.extra_delay_cycles",
-    }
-)
 
 RULE = "counter-contract"
 
@@ -539,7 +525,6 @@ def check(tree: SourceTree) -> "list[Finding]":
     findings: list[Finding] = []
     reference = extract_lane_names(tree, (REFERENCE_PATH,), op_classes)
     scalar = extract_lane_names(tree, SCALAR_PATHS, op_classes)
-    vector = extract_lane_names(tree, (VECTOR_PATH,), op_classes)
     derived = extract_derived_names(tree)
 
     if len(reference) < 30:
@@ -554,18 +539,6 @@ def check(tree: SourceTree) -> "list[Finding]":
         return findings
 
     findings.extend(_compare_lanes("scalar", SCALAR_PATHS[0], scalar, reference))
-    findings.extend(
-        _compare_lanes("vector", VECTOR_PATH, vector | VECTOR_EXEMPT, reference)
-    )
-    for name in sorted(vector & VECTOR_EXEMPT):
-        findings.append(
-            _fail(
-                VECTOR_PATH,
-                0,
-                f"lane 'vector' emits {name!r}, which only hook-overriding "
-                "(never vector-eligible) bug models can produce",
-            )
-        )
 
     try:
         lazy, always = extract_native_slots(tree, op_classes)

@@ -1,16 +1,16 @@
 """Hook-override eligibility lint (rule family 3).
 
-The scalar pipeline skips unoverridden hooks entirely, and the vector and
-native kernels refuse bug models that override any *dynamic* hook — both
+The scalar pipeline skips unoverridden hooks entirely, and the native
+kernel refuses bug models that override any *dynamic* hook — both
 decisions are made by **class-level** comparison against
 :class:`~repro.coresim.hooks.CoreBugModel`.  That mechanism is sound only
 while three invariants hold, all of which this rule checks statically:
 
-* The hook namespace is partitioned: ``VECTOR_SAFE_HOOKS`` (structural,
-  evaluated once) and ``_DYNAMIC_HOOKS`` (per-cycle) in ``vector.py``
-  together cover exactly the hook methods ``CoreBugModel`` defines, with no
-  overlap and nothing left over.  A hook added to ``hooks.py`` but not
-  classified would silently run on kernels that never call it.
+* The hook namespace is partitioned: ``STRUCTURAL_HOOKS`` (evaluated once)
+  and ``DYNAMIC_HOOKS`` (per-cycle) in ``hooks.py`` together cover exactly
+  the hook methods ``CoreBugModel`` defines, with no overlap and nothing
+  left over.  A hook added to ``CoreBugModel`` but not classified would
+  silently run on a kernel that never calls it.
 * The scalar pipeline's ``_HOOK_FLAGS`` hoisting table covers exactly the
   dynamic hooks it dispatches per cycle (everything dynamic except
   ``cache_extra_latency``, which the cache model reads at construction).
@@ -18,11 +18,11 @@ while three invariants hold, all of which this rule checks statically:
   monkeypatches them onto a class (``SomeBug.serialize = ...``): both defeat
   class-level override detection, so the fast path would skip a hook the
   model believes is active — precisely the silent-divergence failure mode
-  the three-kernel oracle exists to prevent.
+  the differential oracle exists to prevent.
 
 It also pins the eligibility chain itself: ``native/kernel.py`` must derive
-``supports_native`` from ``supports_vector`` so the two lanes can never
-disagree about which bug models are hook-free.
+``supports_native`` from ``dynamic_hook_free`` in ``hooks.py``, the one
+predicate over the classification tables.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ from .findings import Finding
 from .tree import SourceTree
 
 HOOKS_PATH = "src/repro/coresim/hooks.py"
-VECTOR_PATH = "src/repro/coresim/vector.py"
 PIPELINE_PATH = "src/repro/coresim/pipeline.py"
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 
 RULE = "hook-contract"
+
+#: The predicate in ``hooks.py`` that ``supports_native`` must defer to.
+PREDICATE = "dynamic_hook_free"
 
 
 def _fail(path: str, line: int, message: str) -> Finding:
@@ -100,48 +102,48 @@ def _hook_flag_names(module: ast.Module) -> "set[str] | None":
 
 
 def check_partition(tree: SourceTree) -> "list[Finding]":
-    """Hook-namespace partition checks across hooks/vector/pipeline."""
+    """Hook-namespace partition checks across hooks/pipeline."""
     findings: list[Finding] = []
     try:
         hooks = hook_methods(tree)
     except (ValueError, OSError, SyntaxError) as exc:
         return [_fail(HOOKS_PATH, 0, f"cannot extract CoreBugModel hooks: {exc}")]
 
-    vector_module = tree.parse(VECTOR_PATH)
-    safe = _string_collection(vector_module, "VECTOR_SAFE_HOOKS")
-    dynamic = _string_collection(vector_module, "_DYNAMIC_HOOKS")
-    if safe is None or dynamic is None:
+    hooks_module = tree.parse(HOOKS_PATH)
+    structural = _string_collection(hooks_module, "STRUCTURAL_HOOKS")
+    dynamic = _string_collection(hooks_module, "DYNAMIC_HOOKS")
+    if structural is None or dynamic is None:
         return [
             _fail(
-                VECTOR_PATH,
+                HOOKS_PATH,
                 0,
-                "VECTOR_SAFE_HOOKS/_DYNAMIC_HOOKS classification tables not found",
+                "STRUCTURAL_HOOKS/DYNAMIC_HOOKS classification tables not found",
             )
         ]
 
-    for name in sorted(safe & dynamic):
+    for name in sorted(structural & dynamic):
         findings.append(
             _fail(
-                VECTOR_PATH,
+                HOOKS_PATH,
                 0,
-                f"hook {name!r} classified both vector-safe and dynamic",
+                f"hook {name!r} classified both structural and dynamic",
             )
         )
-    for name in sorted(hooks - (safe | dynamic)):
+    for name in sorted(hooks - (structural | dynamic)):
         findings.append(
             _fail(
-                VECTOR_PATH,
+                HOOKS_PATH,
                 0,
                 f"CoreBugModel hook {name!r} is unclassified — add it to "
-                "VECTOR_SAFE_HOOKS or _DYNAMIC_HOOKS in vector.py",
+                "STRUCTURAL_HOOKS or DYNAMIC_HOOKS in hooks.py",
             )
         )
-    for name in sorted((safe | dynamic) - hooks):
+    for name in sorted((structural | dynamic) - hooks):
         findings.append(
             _fail(
-                VECTOR_PATH,
+                HOOKS_PATH,
                 0,
-                f"vector.py classifies {name!r} but CoreBugModel defines no "
+                f"hooks.py classifies {name!r} but CoreBugModel defines no "
                 "such hook",
             )
         )
@@ -173,7 +175,7 @@ def check_partition(tree: SourceTree) -> "list[Finding]":
 
 
 def check_native_defers(tree: SourceTree) -> "list[Finding]":
-    """``supports_native`` must be derived from ``supports_vector``."""
+    """``supports_native`` must be derived from the ``hooks.py`` predicate."""
     module = tree.parse(NATIVE_KERNEL_PATH)
     for node in ast.walk(module):
         if isinstance(node, ast.FunctionDef) and node.name == "supports_native":
@@ -187,14 +189,14 @@ def check_native_defers(tree: SourceTree) -> "list[Finding]":
                         if isinstance(func, ast.Attribute)
                         else None
                     )
-                    if name == "supports_vector":
+                    if name == PREDICATE:
                         return []
             return [
                 _fail(
                     NATIVE_KERNEL_PATH,
                     node.lineno,
-                    "supports_native does not defer to supports_vector — the "
-                    "two lanes can disagree about hook-free bug models",
+                    f"supports_native does not defer to {PREDICATE} — native "
+                    "eligibility can drift from the hook classification",
                 )
             ]
     return [_fail(NATIVE_KERNEL_PATH, 0, "supports_native not found")]

@@ -36,12 +36,6 @@ against:
   (served from the resident overlay, ``executed == 0`` asserted).  The
   headline numbers are warm p50/p99 per-verdict latency and verdicts/sec,
   recorded (not gated) by the perf ratchet.
-* ``batch``    — batched same-config sweeps: N probes of one design run
-  through the numpy lockstep **vector kernel**
-  (:func:`repro.coresim.simulate_trace_batch`) versus the same N probes
-  looped through the scalar kernel.  Counter equivalence is asserted on
-  every pair, the ``kernel`` column names what was measured, and the
-  aggregate scalar/vector ratio is the headline the perf ratchet tracks.
 * ``native``   — single-thread throughput of the compiled C **native
   kernel** (:mod:`repro.coresim.native`) versus the scalar kernel on the
   standard probe workload, with the active compiler name/version recorded.
@@ -67,12 +61,11 @@ from typing import Sequence
 import numpy as np
 
 from ..bugs.core_bugs import SerializeOpcode
-from ..coresim import simulate_trace, simulate_trace_batch
+from ..coresim import simulate_trace
 from ..coresim._reference import reference_simulate_trace
 from ..detect.probe import Probe, build_probes
 from ..runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
 from ..uarch import core_microarch
-from ..workloads import TraceGenerator, build_program, decode_trace, workload
 from ..workloads.isa import Opcode
 
 #: Output schema version; bump when the JSON layout changes.
@@ -90,7 +83,8 @@ from ..workloads.isa import Opcode
 #: v7: new ``mixes`` section (multi-program mix build + memory-design sweep
 #:     throughput, per-mix LLC MPKI on the reference design, digest-stability
 #:     asserted on every build).
-SCHEMA_VERSION = 7
+#: v8: ``batch`` section removed with the numpy vector kernel it timed.
+SCHEMA_VERSION = 8
 
 #: Default output file, kept at the repo root by CI so the perf trajectory
 #: of the project lives beside the code that produced it.
@@ -135,7 +129,11 @@ def _assert_equivalent(reference, optimized, context: str) -> None:
 
 
 def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
-    """Single-thread throughput: optimized pipeline vs frozen seed pipeline."""
+    """Single-thread throughput: optimized pipeline vs frozen seed pipeline.
+
+    The optimized side is pinned to the scalar kernel, so ``REPRO_KERNEL``
+    cannot swap the C loop into the row labelled ``scalar``.
+    """
     presets = QUICK_PRESETS if quick else STANDARD_PRESETS
     repeats = 1 if quick else 3
     per_preset = {}
@@ -155,7 +153,9 @@ def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
                 ref_elapsed += time.perf_counter() - start
                 decoded = probe.decoded
                 start = time.perf_counter()
-                optimized = simulate_trace(config, decoded, step_cycles=STEP_CYCLES)
+                optimized = simulate_trace(
+                    config, decoded, step_cycles=STEP_CYCLES, kernel="scalar"
+                )
                 opt_elapsed += time.perf_counter() - start
                 _assert_equivalent(
                     reference, optimized, f"{preset}/{probe.name}"
@@ -178,82 +178,6 @@ def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
         "aggregate_speedup": round(total_ref / total_opt, 3),
         "seed_instr_per_sec": round(len(presets) * instructions / total_ref),
         "optimized_instr_per_sec": round(len(presets) * instructions / total_opt),
-        "counter_equivalence_checked": True,
-    }
-
-
-#: Batched-sweep sizing: probes per same-config sweep.
-BATCH_SWEEP_PROBES = 192
-BATCH_SWEEP_PROBES_QUICK = 48
-
-#: Instructions per sweep probe (the smoke-scale probe length).
-BATCH_PROBE_LENGTH = 3_000
-
-
-def _sweep_traces(quick: bool):
-    """Deterministic same-length probe set for the batched sweeps."""
-    count = BATCH_SWEEP_PROBES_QUICK if quick else BATCH_SWEEP_PROBES
-    program = build_program(workload("403.gcc"), seed=11)
-    return [
-        decode_trace(
-            TraceGenerator(program, seed=1000 + i).generate(BATCH_PROBE_LENGTH)
-        )
-        for i in range(count)
-    ]
-
-
-def bench_batch(quick: bool) -> dict:
-    """Batched same-config sweeps: vector lockstep kernel vs scalar loop.
-
-    Every (probe, preset) pair is asserted counter-bit-identical between
-    the kernels, so the reported ratio cannot come from computing something
-    different.  Static per-trace decode is primed once outside the timed
-    regions (both kernels reuse it identically across presets).
-    """
-    presets = QUICK_PRESETS if quick else STANDARD_PRESETS
-    traces = _sweep_traces(quick)
-    instructions = sum(len(t) for t in traces)
-    # prime digests/static decode shared across every sweep below
-    from ..coresim.vector import _static_for
-
-    for trace in traces:
-        trace.digest
-        _static_for(trace)
-    per_preset = {}
-    total_scalar = 0.0
-    total_vector = 0.0
-    for preset in presets:
-        config = core_microarch(preset)
-        start = time.perf_counter()
-        scalar = [
-            simulate_trace(config, t, step_cycles=STEP_CYCLES, kernel="scalar")
-            for t in traces
-        ]
-        scalar_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        vector = simulate_trace_batch(
-            config, traces, step_cycles=STEP_CYCLES, kernel="vector"
-        )
-        vector_elapsed = time.perf_counter() - start
-        for index, (a, b) in enumerate(zip(scalar, vector)):
-            _assert_equivalent(a, b, f"batch:{preset}/probe{index}")
-        total_scalar += scalar_elapsed
-        total_vector += vector_elapsed
-        per_preset[preset] = {
-            "scalar_seconds": round(scalar_elapsed, 4),
-            "vector_seconds": round(vector_elapsed, 4),
-            "speedup": round(scalar_elapsed / vector_elapsed, 3),
-            "vector_instr_per_sec": round(instructions / vector_elapsed),
-        }
-    return {
-        "kernel": "vector",
-        "probes": len(traces),
-        "lanes": len(traces),
-        "instructions_per_sweep": instructions,
-        "presets": per_preset,
-        "aggregate_speedup": round(total_scalar / total_vector, 3),
-        "scalar_instr_per_sec": round(len(presets) * instructions / total_scalar),
-        "vector_instr_per_sec": round(len(presets) * instructions / total_vector),
         "counter_equivalence_checked": True,
     }
 
@@ -628,7 +552,7 @@ def bench_serve(quick: bool) -> dict:
         # is a full request→verdict round trip over the socket (streamed
         # frames inside one big batch would arrive buffered back-to-back and
         # undercount).  The simulation work is identical either way — every
-        # item is its own lockstep batch.
+        # item is its own batch.
         latencies = []
         executed = 0
         start = time.perf_counter()
@@ -752,7 +676,6 @@ def run_benchmarks(
         "quick": quick,
         "single": bench_single(probes, quick),
         "native": bench_native(probes, quick),
-        "batch": bench_batch(quick),
         "engine": bench_engine(probes, jobs, quick, backend=backend),
         "cluster": bench_cluster(probes, quick),
         "store": bench_store(probes, quick),
@@ -803,7 +726,6 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
 
     single = report["single"]
-    batch = report["batch"]
     engine = report["engine"]["schedulers"]
     store = report["store"]
     print(f"repro-bench ({'quick' if args.quick else 'full'}) -> {args.output}")
@@ -822,11 +744,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print("  native: unavailable (no C compiler; scalar fallback measured "
               "nothing)")
-    print(
-        f"  batch[vector@{batch['lanes']} lanes]: {batch['aggregate_speedup']}x "
-        f"vs scalar sweeps ({batch['vector_instr_per_sec']:,} instr/s, "
-        f"counter-equivalent)"
-    )
     for name, row in engine.items():
         print(
             f"  engine[{name}@{row['backend']}]: {row['jobs_per_sec']} jobs/s, "

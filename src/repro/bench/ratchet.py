@@ -11,8 +11,8 @@ The schema-v5 ``native.aggregate_speedup`` column (compiled C kernel vs
 scalar) is gated the same way with its own static floor
 (:data:`NATIVE_FLOOR`) whenever the reports carry it — reports from
 compiler-less hosts record ``available: false`` and the native gate simply
-does not apply.  The ``batch``, ``serve`` and (schema-v6) ``cluster``
-columns stay tracked-not-gated.
+does not apply.  The ``serve`` and (schema-v6) ``cluster`` columns stay
+tracked-not-gated.
 
 CI runners (especially 1-vCPU ones) are noisy, so the gate is deliberately
 forgiving: the *current* measurement is the **median** of N ``repro-bench``
@@ -62,22 +62,6 @@ def read_speedup(path: "str | Path") -> float:
     return float(report["single"]["aggregate_speedup"])
 
 
-def read_batch_speedup(path: "str | Path") -> "float | None":
-    """The ``batch.aggregate_speedup`` column (None for pre-v3 reports).
-
-    The vector-kernel batch column is *recorded and tracked*, not gated:
-    its ratio is far more sensitive to host cache/core topology than the
-    single-thread headline, so the ratchet reports its trajectory while
-    regressing only on the stable single-thread number.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    batch = report.get("batch")
-    if not batch:
-        return None
-    return float(batch["aggregate_speedup"])
-
-
 def read_native_speedup(path: "str | Path") -> "float | None":
     """The ``native.aggregate_speedup`` column, or None when absent.
 
@@ -118,9 +102,9 @@ def read_cluster_requeues(path: "str | Path") -> "tuple[int, int] | None":
 def read_serve_latency(path: "str | Path") -> "tuple[float, float] | None":
     """The ``serve`` warm (p50_ms, verdicts_per_sec) pair (None pre-v4).
 
-    Like the batch column, the serving-latency trajectory is *recorded and
-    tracked*, not gated: socket round-trip times on shared CI runners swing
-    far more than the single-thread headline.
+    The serving-latency trajectory is *recorded and tracked*, not gated:
+    socket round-trip times on shared CI runners swing far more than the
+    single-thread headline.
     """
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
@@ -209,7 +193,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     speedups = []
     natives = []
-    batches = []
     serve_p50s = []
     serve_rates = []
     cluster_requeues = []
@@ -220,10 +203,6 @@ def main(argv: "list[str] | None" = None) -> int:
         if native is not None:
             natives.append(native)
         native_note = f", native {native:g}x" if native is not None else ""
-        batch = read_batch_speedup(path)
-        if batch is not None:
-            batches.append(batch)
-        batch_note = f", batch(vector) {batch:g}x" if batch is not None else ""
         serve = read_serve_latency(path)
         serve_note = ""
         if serve is not None:
@@ -236,13 +215,8 @@ def main(argv: "list[str] | None" = None) -> int:
             cluster_requeues.append(cluster[0])
             cluster_note = f", cluster requeues {cluster[0]}"
         print(
-            f"  {path}: {speedup:g}x{native_note}{batch_note}{serve_note}"
+            f"  {path}: {speedup:g}x{native_note}{serve_note}"
             f"{cluster_note}"
-        )
-    if batches:
-        print(
-            f"  batch(vector) median {statistics.median(batches):g}x "
-            "(tracked, not gated)"
         )
     if serve_p50s:
         print(

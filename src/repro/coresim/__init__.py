@@ -11,12 +11,10 @@ from .simulator import (
     KERNEL_ENV_VAR,
     KERNELS,
     SimulationResult,
-    choose_kernel,
     resolve_kernel,
     simulate_trace,
     simulate_trace_batch,
 )
-from .vector import simulate_batch, supports_vector
 
 __all__ = [
     "BranchPredictor",
@@ -33,12 +31,9 @@ __all__ = [
     "SimulationResult",
     "simulate_trace",
     "simulate_trace_batch",
-    "simulate_batch",
-    "supports_vector",
     "native_available",
     "simulate_batch_native",
     "supports_native",
-    "choose_kernel",
     "resolve_kernel",
     "DEFAULT_STEP_CYCLES",
     "KERNEL_ENV_VAR",

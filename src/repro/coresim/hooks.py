@@ -16,6 +16,12 @@ are pure no-ops by definition.  Consequently hooks must be overridden at
 class level (not assigned as instance attributes), and a model must not rely
 on base-class hooks being *called*.  Overridden hooks keep their documented
 call guarantees exactly.
+
+Every hook is classified below as structural (:data:`STRUCTURAL_HOOKS`,
+evaluated once at construction) or dynamic (:data:`DYNAMIC_HOOKS`, consulted
+per cycle).  :func:`dynamic_hook_free` is the one kernel-eligibility rule:
+the native kernel honours structural hooks only, so a model overriding any
+dynamic hook runs on the scalar pipeline.
 """
 
 from __future__ import annotations
@@ -90,3 +96,36 @@ class CoreBugModel:
 
 #: Singleton bug-free model shared by default simulations.
 BUG_FREE = CoreBugModel()
+
+
+#: Hooks evaluated once at construction, never per cycle: a bug model may
+#: override these and still run on the native kernel.
+STRUCTURAL_HOOKS = frozenset(
+    {"on_simulation_start", "register_reduction", "bp_table_entries"}
+)
+
+#: Every hook the scalar pipeline may consult dynamically.
+DYNAMIC_HOOKS = (
+    "serialize",
+    "issue_only_if_oldest",
+    "oldest_blocks_others",
+    "extra_issue_delay",
+    "branch_extra_penalty",
+    "cache_extra_latency",
+)
+
+
+def dynamic_hook_free(bug: "CoreBugModel | None") -> bool:
+    """True if *bug* (or ``None``) leaves every dynamic hook at its default.
+
+    This is the same class-level override detection the scalar pipeline uses
+    for hook hoisting: such a model never perturbs per-cycle behaviour, so a
+    kernel only needs its structural hooks (evaluated once).
+    """
+    if bug is None:
+        return True
+    bug_type = type(bug)
+    for hook in DYNAMIC_HOOKS:
+        if getattr(bug_type, hook) is not getattr(CoreBugModel, hook):
+            return False
+    return True

@@ -1,6 +1,6 @@
 /* Native simulation kernel: a C port of the optimized scalar O3 cycle loop
  * (repro/coresim/pipeline.py) for bug models that override no dynamic hooks
- * (the same eligibility set as the numpy vector kernel).
+ * (dynamic_hook_free in repro/coresim/hooks.py).
  *
  * Bit-identity contract: every counter value, the final cycle count, and the
  * sampling boundaries must match the scalar pipeline exactly.  The Python

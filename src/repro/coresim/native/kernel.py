@@ -9,11 +9,10 @@ real :class:`~repro.coresim.counters.TimeSeriesSampler` so the resulting
 the scalar pipeline (same cycles, same counter name sets, same values —
 pinned by the differential oracle).
 
-Eligibility is exactly the vector kernel's (:func:`supports_native` delegates
-to :func:`~repro.coresim.vector.supports_vector`): bug models overriding any
-dynamic hook fall back to the scalar pipeline, structural hooks
-(``register_reduction``, ``bp_table_entries``, ``on_simulation_start``) are
-evaluated here in Python before the C call, in the same order the scalar
+Eligibility is :func:`~repro.coresim.hooks.dynamic_hook_free`: bug models
+overriding any dynamic hook fall back to the scalar pipeline, structural
+hooks (``register_reduction``, ``bp_table_entries``, ``on_simulation_start``)
+are evaluated here in Python before the C call, in the same order the scalar
 ``O3Pipeline.__init__`` evaluates them.
 """
 
@@ -28,9 +27,8 @@ from ...uarch.config import MicroarchConfig
 from ...workloads.decoded import DecodedTrace, decode_trace
 from ...workloads.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from ..counters import TimeSeriesSampler
-from ..hooks import BUG_FREE, CoreBugModel
+from ..hooks import BUG_FREE, CoreBugModel, dynamic_hook_free
 from ..pipeline import MAX_CYCLES_PER_INSTRUCTION, PipelineError
-from ..vector import _opclass_table, supports_vector
 from .build import load_library
 
 _NUM_CLASSES = len(OpClass)
@@ -131,10 +129,10 @@ class _SimParams(ctypes.Structure):
 def supports_native(bug: "CoreBugModel | None") -> bool:
     """True if *bug* (or ``None``) may run on the native kernel.
 
-    Identical to vector eligibility: only structural hooks are honoured, so
-    any dynamic-hook override falls back to the scalar pipeline.
+    Only structural hooks are honoured, so any dynamic-hook override falls
+    back to the scalar pipeline.
     """
-    return supports_vector(bug)
+    return dynamic_hook_free(bug)
 
 
 def native_available() -> bool:
@@ -164,6 +162,21 @@ def _configure(lib: ctypes.CDLL) -> None:
         _i64,         # out_scalars
     ]
     _configured_libs.add(id(lib))
+
+
+_OPCLASS_BY_OPCODE = None
+
+
+def _opclass_table() -> np.ndarray:
+    global _OPCLASS_BY_OPCODE
+    if _OPCLASS_BY_OPCODE is None:
+        from ...workloads.decoded import _OPCODE_TO_CLASS_INT
+
+        table = np.zeros(max(int(op) for op in _OPCODE_TO_CLASS_INT) + 1, np.int8)
+        for opcode, op_class in _OPCODE_TO_CLASS_INT.items():
+            table[int(opcode)] = op_class
+        _OPCLASS_BY_OPCODE = table
+    return _OPCLASS_BY_OPCODE
 
 
 class _NativeTrace:
@@ -220,8 +233,7 @@ def _build_native_trace(decoded: DecodedTrace) -> _NativeTrace:
     return t
 
 
-#: Bounded digest-keyed memo of marshalled traces (mirrors ``_STATIC_MEMO``
-#: in :mod:`repro.coresim.vector`).
+#: Bounded digest-keyed memo of marshalled traces.
 _TRACE_MEMO: "dict[str, _NativeTrace]" = {}
 _TRACE_MEMO_MAX = 256
 

@@ -5,27 +5,19 @@ experiments and the examples.  It wraps :class:`~repro.coresim.pipeline.O3Pipeli
 and packages the sampled counter time series plus whole-run aggregates into a
 :class:`SimulationResult`.
 
-Three counter-bit-identical kernels back it (see docs/PERFORMANCE.md):
+Two counter-bit-identical kernels back it (see docs/PERFORMANCE.md):
 
 * ``"scalar"`` — the per-trace :class:`O3Pipeline` cycle loop (the default);
-* ``"vector"`` — the numpy-batched lockstep kernel of
-  :mod:`repro.coresim.vector`, which simulates many probes of the same
-  design at once.  :func:`simulate_trace_batch` is its natural entry point;
-  ``simulate_trace(..., kernel="vector")`` runs a batch of one.
 * ``"native"`` — the compiled C cycle loop of :mod:`repro.coresim.native`,
   built lazily from the shipped source with whatever system compiler is
   found.  When no compiler exists (or the build fails) it degrades to the
   scalar kernel with a one-time warning, never an exception.
 
-``"auto"`` is a selection policy, not a fourth implementation: per request
-it picks the fastest eligible kernel (native when compiled and the bug model
-qualifies, else scalar — the vector kernel measured below parity on this
-class of host and is never auto-selected; see :func:`choose_kernel`).
-
 Kernel selection: the explicit ``kernel=`` argument wins, then the
 ``REPRO_KERNEL`` environment variable, then ``"scalar"``.  Bug models that
 override dynamic hooks always fall back to the scalar kernel regardless of
-the selection (the batched kernels cannot honour per-cycle hooks).
+the selection (the native kernel cannot honour per-cycle hooks; see
+:func:`~repro.coresim.hooks.dynamic_hook_free`).
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ DEFAULT_STEP_CYCLES = 2048
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 #: Kernel names understood by :func:`simulate_trace`.
-KERNELS = ("scalar", "vector", "native", "auto")
+KERNELS = ("scalar", "native")
 
 
 def resolve_kernel(kernel: "str | None" = None) -> str:
@@ -61,30 +53,6 @@ def resolve_kernel(kernel: "str | None" = None) -> str:
     if kernel not in KERNELS:
         raise ValueError(f"unknown simulation kernel {kernel!r}; available: {KERNELS}")
     return kernel
-
-
-def choose_kernel(bug: "CoreBugModel | None" = None, lanes: int = 1) -> str:
-    """The ``"auto"`` policy: concrete kernel for *lanes* jobs of one *bug*.
-
-    Preference order is native > scalar > vector:
-
-    * **native** whenever the bug model is hook-free and the compiled
-      library is available — it wins at every lane count (≥2x single-thread
-      floor, benchmarked far above it on this host).
-    * **scalar** otherwise.  The numpy vector kernel is *never* auto-chosen:
-      its honest aggregate on the 1-vCPU reference host was 0.886x at 192
-      lanes (``BENCH_simulation.json`` ``batch``), so no *lanes* value makes
-      it the expected winner; it remains available by explicit request.
-
-    *lanes* is part of the policy signature so future kernels with
-    batch-size crossover points slot in without call-site changes.
-    """
-    del lanes  # no current kernel has a batch-size crossover
-    from .native import native_available, supports_native
-
-    if supports_native(bug) and native_available():
-        return "native"
-    return "scalar"
 
 
 @dataclass
@@ -140,16 +108,13 @@ def simulate_trace(
         Functionally warm caches and branch predictors before the timed run,
         compensating for the scaled-down probe length (see DESIGN.md §2).
     kernel:
-        ``"scalar"``, ``"vector"``, ``"native"``, ``"auto"`` or ``None``
-        (use ``REPRO_KERNEL``, default scalar).  All kernels are
-        counter-bit-identical; bug models that override dynamic hooks
-        silently use the scalar kernel, and a missing/unbuildable native
-        library degrades to scalar with a one-time warning.
+        ``"scalar"``, ``"native"`` or ``None`` (use ``REPRO_KERNEL``,
+        default scalar).  Both kernels are counter-bit-identical; bug models
+        that override dynamic hooks silently use the scalar kernel, and a
+        missing/unbuildable native library degrades to scalar with a
+        one-time warning.
     """
-    resolved = resolve_kernel(kernel)
-    if resolved == "auto":
-        resolved = choose_kernel(bug, lanes=1)
-    if resolved == "native":
+    if resolve_kernel(kernel) == "native":
         from .native import NativeKernelUnavailable, native_available, supports_native
 
         if supports_native(bug) and native_available():
@@ -161,13 +126,6 @@ def simulate_trace(
                 )[0]
             except NativeKernelUnavailable:
                 pass  # config exceeds a kernel limit: scalar fallback
-    elif resolved == "vector":
-        from .vector import simulate_batch, supports_vector
-
-        if supports_vector(bug):
-            return simulate_batch(
-                config, [trace], bug=bug, step_cycles=step_cycles, warmup=warmup
-            )[0]
     pipeline = O3Pipeline(config, bug=bug, step_cycles=step_cycles)
     if warmup:
         pipeline.warmup(trace)
@@ -189,20 +147,15 @@ def simulate_trace_batch(
     warmup: bool = True,
     kernel: "str | None" = None,
 ) -> "list[SimulationResult]":
-    """Simulate many probes of one design, batching when the kernel allows.
+    """Simulate many probes of one design in one call.
 
-    With the ``vector`` kernel (and a vector-eligible bug model) all traces
-    advance in one numpy lockstep pass; with ``native`` (or ``auto``
-    resolving to it) each trace runs through the compiled C cycle loop —
-    the batched fast paths the runtime's same-config job grouping and
-    ``repro-bench`` exercise.  Otherwise this is exactly a loop over
-    :func:`simulate_trace`.  Results are identical every way, in input
-    order.
+    With the ``native`` kernel (and a native-eligible bug model) every trace
+    runs through the compiled C cycle loop in one call — the batched path
+    the runtime's same-config job grouping exercises.  Otherwise this is
+    exactly a loop over :func:`simulate_trace`.  Results are identical
+    either way, in input order.
     """
-    resolved = resolve_kernel(kernel)
-    if resolved == "auto":
-        resolved = choose_kernel(bug, lanes=len(traces))
-    if resolved == "native":
+    if resolve_kernel(kernel) == "native":
         from .native import NativeKernelUnavailable, native_available, supports_native
 
         if supports_native(bug) and native_available():
@@ -218,13 +171,6 @@ def simulate_trace_batch(
                 )
             except NativeKernelUnavailable:
                 pass  # config exceeds a kernel limit: scalar fallback
-    elif resolved == "vector":
-        from .vector import simulate_batch, supports_vector
-
-        if supports_vector(bug):
-            return simulate_batch(
-                config, list(traces), bug=bug, step_cycles=step_cycles, warmup=warmup
-            )
     return [
         simulate_trace(
             config,

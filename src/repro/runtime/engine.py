@@ -21,9 +21,8 @@ Where those jobs actually execute is a pluggable
 ``jobs=1`` (the default) maps to ``serial``; the ``REPRO_JOBS`` and
 ``REPRO_BACKEND`` environment variables supply defaults when neither
 argument is given.  Every backend produces bit-identical results: the
-simulators are deterministic functions of (config, bug, trace, step), each
-job is handed a deterministic content-derived seed, and a conformance suite
-pins serial ≡ local ≡ subprocess output.
+simulators are deterministic functions of (config, bug, trace, step), and a
+conformance suite pins serial ≡ local ≡ subprocess output.
 
 The engine keeps what is backend-independent — store consultation,
 batch-internal dedup, cost-aware LJF / uniform chunk planning
@@ -48,7 +47,7 @@ from .backends import (
     parse_backend,
     spec_for_jobs,
 )
-from .execution import GROUPING_KERNELS, _execute_unit, plan_batches, vector_group_key
+from .execution import _execute_unit, plan_batches
 from .job import SimulationJob
 from .stats import EngineStats
 from .store import ResultStore, StoredResult
@@ -59,11 +58,6 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 #: Hard ceiling on the per-chunk job count (bounds pickling latency and
 #: keeps progress callbacks responsive on long batches).
 MAX_CHUNK_SIZE = 32
-
-#: Per-chunk ceiling when a batching kernel (vector/native/auto) is active:
-#: chunks are the unit of batching inside workers, so same-config groups are
-#: kept much larger (job specs are small — traces ship separately by digest).
-VECTOR_CHUNK_SIZE = 256
 
 #: Scheduling strategies understood by :class:`JobEngine`.
 SCHEDULERS = ("ljf", "uniform")
@@ -210,15 +204,15 @@ class JobEngine:
             )
         self.chunk_size = chunk_size
         self.scheduler = scheduler
-        #: Simulation kernel driving chunk planning (``None``: REPRO_KERNEL,
-        #: resolved per batch).  With a batching kernel (vector, native or
-        #: auto), same-(config, bug, step) jobs are planned into contiguous
-        #: chunks so workers can run them as one batch unit apiece.
+        #: Simulation kernel (``None``: REPRO_KERNEL, resolved per batch).
+        #: With the native kernel, same-(config, bug, step) jobs within one
+        #: chunk (or one inline batch) run as a single batch unit (see
+        #: :func:`~repro.runtime.execution.plan_batches`).
         #: Parallel-backend workers resolve the
         #: kernel from *their* environment (the chunk wire format carries no
         #: kernel field), so an explicit argument is only honoured on inline
         #: backends — anything else is rejected here rather than silently
-        #: planning batches the workers would then execute one by one.
+        #: running the workers on a different kernel.
         self.kernel = kernel
         if kernel is not None:
             resolved = resolve_kernel(kernel)  # validates the name too
@@ -253,45 +247,6 @@ class JobEngine:
         spread = max(1, pending // (self.jobs * 4))
         return min(spread, MAX_CHUNK_SIZE)
 
-    def _plan_chunks_grouped(
-        self,
-        pending: list[tuple[int, SimulationJob]],
-        traces: Mapping,
-    ) -> list[list[tuple[int, SimulationJob]]]:
-        """Chunk planning for the batching kernels: group, then split.
-
-        Jobs sharing a :func:`vector_group_key` are laid out contiguously —
-        a chunk is the unit a worker batches, so scattering a sweep's jobs
-        across chunks would forfeit batched execution.  Groups are ordered
-        costliest-first (cost proxy as in LJF) and split only at the
-        batch chunk capacity; ungroupable jobs ride along in input order.
-        The plan is a deterministic function of the batch.
-        """
-        cap = self.chunk_size or VECTOR_CHUNK_SIZE
-        groups: dict[object, list[tuple[int, SimulationJob]]] = {}
-        for position, item in enumerate(pending):
-            key = vector_group_key(item[1])
-            groups.setdefault(key if key is not None else ("single", position), []).append(item)
-        ordered = sorted(
-            groups.values(),
-            key=lambda grp: (
-                -sum(_job_cost(job, traces) for _, job in grp),
-                grp[0][0],
-            ),
-        )
-        chunks: list[list[tuple[int, SimulationJob]]] = []
-        current: list[tuple[int, SimulationJob]] = []
-        for group in ordered:
-            for start in range(0, len(group), cap):
-                piece = group[start : start + cap]
-                if current and len(current) + len(piece) > cap:
-                    chunks.append(current)
-                    current = []
-                current.extend(piece)
-        if current:
-            chunks.append(current)
-        return chunks
-
     def _plan_chunks(
         self,
         pending: list[tuple[int, SimulationJob]],
@@ -303,13 +258,9 @@ class JobEngine:
         ``ljf`` performs longest-processing-time binning: jobs sorted by
         descending cost go to the least-loaded chunk with room, and chunks
         are returned costliest-first so the heaviest work starts earliest.
-        Both plans are deterministic functions of the batch.  When a
-        batching kernel (vector, native or auto) is selected, planning
-        switches to :meth:`_plan_chunks_grouped` so same-config sweeps stay
-        batchable.
+        Both plans are deterministic functions of the batch, whatever the
+        kernel.
         """
-        if resolve_kernel(self.kernel) in GROUPING_KERNELS:
-            return self._plan_chunks_grouped(pending, traces)
         chunk_size = self._pick_chunk_size(len(pending))
         if self.scheduler == "uniform":
             return _chunked(pending, chunk_size)
@@ -398,8 +349,8 @@ class JobEngine:
                 done = total - len(pending) - len(duplicates)
                 job_of_index = dict(pending)
                 # Unit planning groups same-(config, bug, step) jobs into
-                # batch units when a batching kernel is selected; with
-                # the scalar kernel every unit is one job (seed behaviour).
+                # batch units under the native kernel; with the scalar
+                # kernel every unit is one job.
                 for unit in plan_batches(pending, self.kernel):
                     try:
                         unit_results = _execute_unit(

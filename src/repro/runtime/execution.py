@@ -1,33 +1,28 @@
 """Job execution shared by every backend: inline, pool worker, remote worker.
 
 One :class:`~repro.runtime.job.SimulationJob` always executes the same way —
-deterministic RNG seeding from the job identity, dispatch on the study kind,
-RNG state restored afterwards — no matter which
+dispatch on the study kind into a deterministic simulator — no matter which
 :class:`~repro.runtime.backends.ExecutionBackend` is driving it.  This module
 is the single implementation all of them call, so serial, local-pool and
 remote execution cannot drift apart.
 
-When a batching kernel is selected (``vector``, ``native`` or ``auto`` —
-see :data:`GROUPING_KERNELS`), core-study jobs that share a
+When the ``native`` kernel is selected, core-study jobs that share a
 (config, bug, step) — the shape every sweep produces — are grouped into
 batch units by :func:`plan_batches` and executed through
 :func:`~repro.coresim.simulator.simulate_trace_batch`.  Results are
-bit-identical to per-job execution (every batched kernel is pinned
+bit-identical to per-job execution (the native kernel is pinned
 counter-identical to the scalar one), so store keys and stored content do
 not depend on the kernel or the grouping.
 """
 
 from __future__ import annotations
 
-import random
 import traceback
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ..coresim.native import supports_native
 from ..coresim.simulator import resolve_kernel, simulate_trace, simulate_trace_batch
-from ..coresim.vector import supports_vector
 from ..memsim.simulator import simulate_memory_trace
 from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
 from .store import StoredResult
@@ -41,35 +36,19 @@ def execute_job(
     *kernel* selects the core-study simulation kernel (``None`` defers to
     ``REPRO_KERNEL``); memory-study jobs ignore it.
     """
-    # The simulators are deterministic, but seed the global RNGs from the
-    # job identity anyway so any future stochastic component stays
-    # reproducible and identical across serial/parallel execution.
-    seed = job.seed()
-    # repro: allow(global-rng): sanctioned save/seed site pinning the streams
-    python_state = random.getstate()
-    numpy_state = np.random.get_state()  # repro: allow(global-rng): see above
-    random.seed(seed)  # repro: allow(global-rng): see above
-    np.random.seed(seed % 2**32)  # repro: allow(global-rng): see above
-    try:
-        if job.study == CORE_STUDY:
-            return StoredResult.from_core(
-                simulate_trace(
-                    job.config, trace, bug=job.bug, step_cycles=job.step, kernel=kernel
-                )
+    if job.study == CORE_STUDY:
+        return StoredResult.from_core(
+            simulate_trace(
+                job.config, trace, bug=job.bug, step_cycles=job.step, kernel=kernel
             )
-        if job.study == MEMORY_STUDY:
-            return StoredResult.from_memory(
-                simulate_memory_trace(
-                    job.config, trace, bug=job.bug, step_instructions=job.step
-                )
+        )
+    if job.study == MEMORY_STUDY:
+        return StoredResult.from_memory(
+            simulate_memory_trace(
+                job.config, trace, bug=job.bug, step_instructions=job.step
             )
-        raise ValueError(f"unknown study kind {job.study!r}")
-    finally:
-        # Leave the caller's RNG streams untouched (matters for the serial
-        # in-process path, where experiments draw from these RNGs too).
-        # repro: allow(global-rng): sanctioned restore of the saved streams
-        random.setstate(python_state)
-        np.random.set_state(numpy_state)  # repro: allow(global-rng): see above
+        )
+    raise ValueError(f"unknown study kind {job.study!r}")
 
 
 @dataclass
@@ -87,22 +66,14 @@ class ChunkFailure:
 ChunkOutcome = "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]"
 
 
-#: Kernels whose selection makes :func:`plan_batches` group same-design jobs.
-#: ``auto`` is included because it may resolve to the native kernel, which
-#: amortises trace marshalling and parameter setup across a batch.
-GROUPING_KERNELS = frozenset({"vector", "native", "auto"})
+def batch_group_key(job: SimulationJob) -> "tuple | None":
+    """Batching key for the native kernel, or ``None`` if the job can't batch.
 
-
-def vector_group_key(job: SimulationJob) -> "tuple | None":
-    """Batching key for the batched kernels, or ``None`` if the job can't batch.
-
-    Core-study jobs with a hook-free bug model group by (config, bug, step)
-    content; everything else (memory study, hook-overriding bugs) executes
-    singly on the scalar path.  Vector and native eligibility are the same
-    predicate (``supports_native`` delegates to ``supports_vector``), so one
-    key serves every batched kernel.
+    Core-study jobs with a native-eligible bug model group by
+    (config, bug, step) content; everything else (memory study,
+    hook-overriding bugs) executes singly on the scalar path.
     """
-    if job.study != CORE_STUDY or not supports_vector(job.bug):
+    if job.study != CORE_STUDY or not supports_native(job.bug):
         return None
     return (config_fingerprint(job.config), bug_fingerprint(job.bug), job.step)
 
@@ -112,20 +83,19 @@ def plan_batches(
 ) -> "list[list[tuple[int, SimulationJob]]]":
     """Split *chunk* into execution units: singles, or same-group batches.
 
-    With the scalar kernel every job is its own unit (exactly the historic
-    behaviour).  With a kernel in :data:`GROUPING_KERNELS`, jobs sharing a
-    :func:`vector_group_key` merge into one unit, anchored at the position
-    of the group's first job, and execute as one
+    With the scalar kernel every job is its own unit.  With the native
+    kernel, jobs sharing a :func:`batch_group_key` merge into one unit,
+    anchored at the position of the group's first job, and execute as one
     :func:`~repro.coresim.simulator.simulate_trace_batch` call.  Planning
     is a pure function of the chunk, so every backend produces the same
     units.
     """
-    if resolve_kernel(kernel) not in GROUPING_KERNELS:
+    if resolve_kernel(kernel) != "native":
         return [[item] for item in chunk]
     units: list[list[tuple[int, SimulationJob]]] = []
     group_unit: dict[tuple, list[tuple[int, SimulationJob]]] = {}
     for index, job in chunk:
-        key = vector_group_key(job)
+        key = batch_group_key(job)
         if key is None:
             units.append([(index, job)])
             continue
@@ -154,24 +124,13 @@ def _execute_unit(
         index, job = unit[0]
         return [(index, execute_job(job, traces[job.trace_id], kernel=kernel))]
     first = unit[0][1]
-    seed = first.seed()
-    # repro: allow(global-rng): sanctioned save/seed site — mirrors execute_job
-    python_state = random.getstate()
-    numpy_state = np.random.get_state()  # repro: allow(global-rng): see above
-    random.seed(seed)  # repro: allow(global-rng): see above
-    np.random.seed(seed % 2**32)  # repro: allow(global-rng): see above
-    try:
-        results = simulate_trace_batch(
-            first.config,
-            [traces[job.trace_id] for _, job in unit],
-            bug=first.bug,
-            step_cycles=first.step,
-            kernel=kernel,
-        )
-    finally:
-        # repro: allow(global-rng): sanctioned restore of the saved streams
-        random.setstate(python_state)
-        np.random.set_state(numpy_state)  # repro: allow(global-rng): see above
+    results = simulate_trace_batch(
+        first.config,
+        [traces[job.trace_id] for _, job in unit],
+        bug=first.bug,
+        step_cycles=first.step,
+        kernel=kernel,
+    )
     return [
         (index, StoredResult.from_core(result))
         for (index, _job), result in zip(unit, results)

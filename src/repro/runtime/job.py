@@ -148,10 +148,6 @@ class SimulationJob:
             ]
         )
 
-    def seed(self) -> int:
-        """Deterministic per-job seed derived from the job identity."""
-        return int.from_bytes(bytes.fromhex(self.key()[:16]), "big")
-
     def describe(self) -> str:
         """Short human-readable identity for logs and error messages."""
         bug_name = getattr(self.bug, "name", BUG_FREE_FINGERPRINT) if self.bug else BUG_FREE_FINGERPRINT

@@ -10,7 +10,7 @@ runs at interactive latency:
   refuses schema mismatches instead of serving wrong verdicts.
 * :mod:`~repro.serve.session` — the warm request path: dedup probe jobs
   against an in-memory overlay plus the persistent result store, run the
-  misses through the lockstep batch planner, score with the resident model.
+  misses through the batch planner, score with the resident model.
 * :mod:`~repro.serve.server` — ``repro-serve``, a long-running socket
   daemon speaking the runtime's length-prefixed pickle frame protocol
   (:mod:`repro.runtime.framing`), one serving thread per connection.

@@ -44,6 +44,7 @@ import sys
 import threading
 import time
 
+from ..coresim.simulator import KERNELS
 from ..runtime import ResultStore
 from ..runtime.framing import (
     ERROR,
@@ -435,10 +436,9 @@ def main(argv: "list[str] | None" = None) -> int:
                      help="write the bound port to this file (for scripts/CI)")
     run.add_argument("--store", default=None,
                      help="persistent result store backing the warm path")
-    run.add_argument("--kernel", default=None,
-                     choices=["scalar", "vector", "native", "auto"],
+    run.add_argument("--kernel", default=None, choices=KERNELS,
                      help="simulation kernel for probe batches "
-                          "(default: REPRO_KERNEL, else auto)")
+                          "(default: REPRO_KERNEL, else native)")
     run.set_defaults(func=_cmd_run)
 
     args = parser.parse_args(argv)

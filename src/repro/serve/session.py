@@ -15,14 +15,15 @@ after the socket layer peels the frames off:
   :func:`~repro.runtime.execution.plan_batches` into a single batch unit
   through :func:`~repro.coresim.simulator.simulate_trace_batch`.  Unless a
   kernel was chosen explicitly (constructor argument or ``REPRO_KERNEL``),
-  the session defaults to ``"auto"``, so the compiled native kernel serves
-  the warm path whenever it is available; every kernel executes the same
-  plan bit-identically.
+  the session defaults to ``"native"``, so the compiled kernel serves the
+  warm path whenever it is available and the bug model is eligible (else
+  the scalar fallback runs); both kernels execute the same plan
+  bit-identically.
 
 Sessions are shared by every connection thread of the daemon.  Simulation
-and store mutation run under one lock (the simulators save/restore global
-RNG state, and the store's incremental entry count is not thread-safe);
-scoring is pure and runs outside it.  Verdicts are yielded per request item
+and store mutation run under one lock (it guards the in-memory overlay and
+the session/store counters, whose read-modify-write updates are not
+thread-safe); scoring is pure and runs outside it.  Verdicts are yielded per request item
 as they complete, so the server can stream them back immediately.
 """
 
@@ -94,10 +95,11 @@ class ServingSession:
         self.model = model
         self.store = store
         if kernel is None and not os.environ.get(KERNEL_ENV_VAR, "").strip():
-            # No explicit choice anywhere: let the auto policy pick the
-            # native kernel when it is compiled and eligible.  An explicit
-            # REPRO_KERNEL (even "scalar") is always honoured.
-            kernel = "auto"
+            # No explicit choice anywhere: serve with the native kernel (it
+            # falls back to scalar when uncompiled or the bug is
+            # ineligible).  An explicit REPRO_KERNEL (even "scalar") is
+            # always honoured.
+            kernel = "native"
         self.kernel = kernel
         self.stats = SessionStats()
         self._registry = TraceRegistry()
@@ -151,7 +153,7 @@ class ServingSession:
     # -- the request path ------------------------------------------------------
 
     def _simulate_item(self, config, bug) -> tuple[dict, int, int]:
-        """Simulate one item's probes, dedup-first, lockstep-batched misses.
+        """Simulate one item's probes, dedup-first, batched misses.
 
         Returns ``(series_by_probe, executed, store_hits)``.
         """
@@ -170,8 +172,8 @@ class ServingSession:
                 pending.append((index, job))
                 pending_names[index] = (probe_name, key)
             executed = len(pending)
-            # All of an item's misses share (config, bug, step), so with a
-            # batching kernel plan_batches folds them into one batch unit;
+            # All of an item's misses share (config, bug, step), so with the
+            # native kernel plan_batches folds them into one batch unit;
             # with the scalar kernel the same plan runs job-by-job.
             for unit in plan_batches(pending, self.kernel):
                 for index, stored in _execute_unit(
@@ -205,7 +207,7 @@ class ServingSession:
         """Serve a probe batch, yielding per-item verdicts as they complete.
 
         *items* yields ``(config, bug-or-None)`` pairs.  Within an item the
-        store-missing probes execute as one lockstep batch; across items the
+        store-missing probes execute as one batch; across items the
         generator streams, so the first verdict leaves the daemon while
         later items are still simulating.
         """

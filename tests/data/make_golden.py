@@ -16,7 +16,7 @@ Two files are produced:
 One digest per microarchitecture preset, computed from the **frozen seed
 pipeline** (``repro.coresim._reference``) on the deterministic golden trace
 below, bug-free.  ``tests/test_differential.py`` then checks the live
-kernels (scalar, vector and native) against these digests in seconds, so
+kernels (scalar and native) against these digests in seconds, so
 oracle drift is caught without ever executing the slow reference pipeline
 in CI.  Before writing, this script verifies every live kernel against the
 freshly computed reference digests, so a drifted kernel cannot be pinned.
@@ -68,7 +68,7 @@ def main() -> int:
     from repro.coresim._reference import reference_simulate_trace
     from repro.uarch import all_core_microarches
 
-    kernels = ["scalar", "vector"]
+    kernels = ["scalar"]
     if native_available():
         kernels.append("native")
     else:

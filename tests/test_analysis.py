@@ -3,7 +3,7 @@
 Layout mirrors the rule families: for every rule there is at least one
 fixture proving it **fires** and one proving a pragma or allowlist entry
 **suppresses** it.  The counter-contract section additionally mutates a
-counter name in each of the four kernel lanes (via the in-memory overlay —
+counter name in each of the three kernel lanes (via the in-memory overlay —
 the repository on disk is never touched) and asserts the checker pins the
 exact mutated name.  Finally, the linter must exit 0 on the real repository.
 """
@@ -208,7 +208,6 @@ class TestCounterContract:
         "path,lane",
         [
             ("src/repro/coresim/pipeline.py", "scalar"),
-            ("src/repro/coresim/vector.py", "vector"),
             ("src/repro/coresim/native/kernel.py", "native"),
         ],
     )
@@ -231,7 +230,7 @@ class TestCounterContract:
             '"commit.idle_cyclez"',
         )
         messages = [f.message for f in counter_findings(overlay)]
-        for lane in ("scalar", "vector", "native"):
+        for lane in ("scalar", "native"):
             assert any(
                 f"lane '{lane}'" in m and "commit.idle_cyclez" in m
                 for m in messages
@@ -254,32 +253,19 @@ class TestCounterContract:
         assert any("rob_size" in m for m in messages), messages
         assert any("rob_sizz" in m for m in messages), messages
 
-    def test_vector_gaining_bug_counter_flagged(self):
-        # The three bug-only counters are exempt *because* vector never emits
-        # them; a vector emission site must trip the exemption check.
-        text = (REPO_ROOT / "src/repro/coresim/vector.py").read_text("utf-8")
-        overlay = {
-            "src/repro/coresim/vector.py": text
-            + '\n_SMUGGLED = "bug.extra_delay_cycles"\n'
-        }
-        messages = [f.message for f in counter_findings(overlay)]
-        assert any(
-            "bug.extra_delay_cycles" in m and "vector" in m for m in messages
-        ), messages
-
     def test_manifest_kernel_skew_detected(self):
         manifest = json.loads(
             (REPO_ROOT / "tests/data/counter_manifest.json").read_text("utf-8")
         )
-        manifest["kernels"]["vector"] = [
-            n for n in manifest["kernels"]["vector"] if n != "commit.instructions"
+        manifest["kernels"]["native"] = [
+            n for n in manifest["kernels"]["native"] if n != "commit.instructions"
         ]
         overlay = {
             "tests/data/counter_manifest.json": json.dumps(manifest)
         }
         messages = [f.message for f in counter_findings(overlay)]
         assert any(
-            "'vector'" in m and "'commit.instructions'" in m for m in messages
+            "'native'" in m and "'commit.instructions'" in m for m in messages
         ), messages
 
     def test_manifest_unknown_name_detected(self):
@@ -316,6 +302,31 @@ class TestHookContract:
         findings = hook_contract.check(tree_with(overlay))
         assert any(
             "brand_new_hook" in f.message and "unclassified" in f.message
+            for f in findings
+        )
+
+    def test_overlapping_classification_fires(self):
+        overlay = _mutate(
+            "src/repro/coresim/hooks.py",
+            '{"on_simulation_start", "register_reduction", "bp_table_entries"}',
+            '{"on_simulation_start", "register_reduction", "bp_table_entries",'
+            ' "serialize"}',
+        )
+        findings = hook_contract.check(tree_with(overlay))
+        assert any(
+            "'serialize'" in f.message and "both structural and dynamic" in f.message
+            for f in findings
+        )
+
+    def test_phantom_hook_fires(self):
+        overlay = _mutate(
+            "src/repro/coresim/hooks.py",
+            '    "cache_extra_latency",\n)',
+            '    "cache_extra_latency",\n    "retired_hook",\n)',
+        )
+        findings = hook_contract.check(tree_with(overlay))
+        assert any(
+            "'retired_hook'" in f.message and "defines no such hook" in f.message
             for f in findings
         )
 
@@ -376,11 +387,11 @@ class TestHookContract:
     def test_supports_native_must_defer(self):
         overlay = _mutate(
             "src/repro/coresim/native/kernel.py",
-            "return supports_vector(bug)",
+            "return dynamic_hook_free(bug)",
             "return True",
         )
         findings = hook_contract.check_native_defers(tree_with(overlay))
-        assert findings and "supports_vector" in findings[0].message
+        assert findings and "dynamic_hook_free" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

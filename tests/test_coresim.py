@@ -159,8 +159,8 @@ class TestPipeline:
 class TestHookOverrideDetection:
     """Regression tests for the class-level hook-override contract.
 
-    The pipeline (and the vector kernel's eligibility check) detect
-    overridden hooks once, at construction, by comparing class attributes
+    The pipeline (and native-kernel eligibility, ``dynamic_hook_free``)
+    detect overridden hooks once, at construction, by comparing class attributes
     against :class:`CoreBugModel`.  A hook attached to the subclass *after*
     class creation — a pattern bug prototypes use — must still be detected:
     silently taking the BUG_FREE fast path would drop the injected bug.
@@ -196,20 +196,20 @@ class TestHookOverrideDetection:
             "post-creation serialize override silently took the fast path"
         )
 
-    def test_late_override_excluded_from_vector_kernel(self):
-        from repro.coresim import supports_vector
+    def test_late_override_excluded_from_native_kernel(self):
+        from repro.coresim.hooks import dynamic_hook_free
 
         class LateDelay(CoreBugModel):
             name = "late-delay"
 
-        assert supports_vector(LateDelay())  # nothing overridden yet
+        assert dynamic_hook_free(LateDelay())  # nothing overridden yet
         LateDelay.extra_issue_delay = lambda self, uop, context: 1
-        assert not supports_vector(LateDelay()), (
-            "vector eligibility must see post-creation hook overrides"
+        assert not dynamic_hook_free(LateDelay()), (
+            "native eligibility must see post-creation hook overrides"
         )
 
-    def test_structural_hooks_keep_vector_eligibility(self):
-        from repro.coresim import supports_vector
+    def test_structural_hooks_keep_native_eligibility(self):
+        from repro.coresim.hooks import dynamic_hook_free
 
         class Structural(CoreBugModel):
             name = "structural"
@@ -220,4 +220,4 @@ class TestHookOverrideDetection:
             def bp_table_entries(self, configured):
                 return configured // 2
 
-        assert supports_vector(Structural())
+        assert dynamic_hook_free(Structural())

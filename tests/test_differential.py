@@ -1,10 +1,9 @@
 """Differential-testing oracle for the simulation kernels.
 
-Four implementations of the core model must agree bit-for-bit on every
+Three implementations of the core model must agree bit-for-bit on every
 sampled counter: the frozen seed pipeline (``coresim/_reference``), the
-optimized scalar pipeline (PR 2), the numpy-batched lockstep vector
-kernel (``coresim/vector``) and the compiled C native kernel
-(``coresim/native``).  This suite grows the hand-picked equivalence
+optimized scalar pipeline (``coresim/pipeline``) and the compiled C native
+kernel (``coresim/native``).  This suite grows the hand-picked equivalence
 matrix of ``test_perf_equivalence.py`` into a *generator*: seeded random
 (synthetic trace, preset mutation, bug x severity) triples hammer the
 corners no hand-written case covers.
@@ -45,18 +44,16 @@ from repro.bugs.core_bugs import (
 from repro.bugs.registry import core_bug_suite
 from repro.coresim import (
     KERNELS,
-    choose_kernel,
     native_available,
     resolve_kernel,
     simulate_trace,
     simulate_trace_batch,
-    supports_native,
-    supports_vector,
 )
 from repro.coresim._reference import reference_simulate_trace
-from repro.coresim.vector import simulate_batch
+from repro.coresim.hooks import dynamic_hook_free
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
-from repro.uarch import all_core_microarches, core_microarch
+from repro.runtime.execution import plan_batches
+from repro.uarch import all_core_microarches, core_microarch, memory_microarch
 from repro.workloads import (
     MicroOp,
     Opcode,
@@ -173,7 +170,7 @@ def _mutate_preset(rng: random.Random, config):
 
 
 def _random_bug(rng: random.Random):
-    """None, a structural (vector-eligible) bug, or a hook bug x severity."""
+    """None, a structural (native-eligible) bug, or a hook bug x severity."""
     roll = rng.random()
     if roll < 0.25:
         return None
@@ -230,7 +227,7 @@ def _fuzz_cases():
 
 
 class TestDifferentialFuzz:
-    """reference == scalar == vector == native over seeded random triples."""
+    """reference == scalar == native over seeded random triples."""
 
     def test_seed_is_reported(self, capsys):
         print(f"[differential] REPRO_FUZZ_SEED={FUZZ_SEED}")
@@ -243,10 +240,6 @@ class TestDifferentialFuzz:
             f"seed={FUZZ_SEED} case={case} config={config.name} "
             f"bug={getattr(bug, 'name', None)} step={step} warmup={warmup} "
             f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
-        )
-        vector_results = simulate_trace_batch(
-            config, traces, bug=bug, step_cycles=step, warmup=warmup,
-            kernel="vector",
         )
         # kernel="native" always runs: ineligible bugs (and compiler-less
         # hosts) fall back to scalar, so the comparison stays meaningful —
@@ -265,9 +258,6 @@ class TestDifferentialFuzz:
             )
             _assert_identical(reference, scalar, f"{context} lane={lane} ref-vs-scalar")
             _assert_identical(
-                scalar, vector_results[lane], f"{context} lane={lane} scalar-vs-vector"
-            )
-            _assert_identical(
                 scalar, native_results[lane], f"{context} lane={lane} scalar-vs-native"
             )
 
@@ -277,45 +267,37 @@ class TestDifferentialFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Vector kernel unit behaviour
+# Kernel selection
 # ---------------------------------------------------------------------------
 
 
-class TestVectorKernel:
-    def test_supports_vector_classification(self):
-        assert supports_vector(None)
-        assert supports_vector(RegisterReduction(8))
-        assert supports_vector(BPTableReduction(512))
-        assert not supports_vector(SerializeOpcode(Opcode.XOR))
-        assert not supports_vector(L2LatencyBug(10))
-        assert not supports_vector(MispredictPenalty(9))
+class TestKernelSelection:
+    def test_native_eligibility_classification(self):
+        assert dynamic_hook_free(None)
+        assert dynamic_hook_free(RegisterReduction(8))
+        assert dynamic_hook_free(BPTableReduction(512))
+        assert not dynamic_hook_free(SerializeOpcode(Opcode.XOR))
+        assert not dynamic_hook_free(L2LatencyBug(10))
+        assert not dynamic_hook_free(MispredictPenalty(9))
 
     def test_kernel_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert resolve_kernel(None) == "scalar"
-        assert resolve_kernel("vector") == "vector"
         assert resolve_kernel("native") == "native"
-        assert resolve_kernel("auto") == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        assert resolve_kernel(None) == "vector"
-        assert resolve_kernel("scalar") == "scalar"
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert resolve_kernel(None) == "native"
+        assert resolve_kernel("scalar") == "scalar"
+        for retired in ("vector", "auto"):
+            monkeypatch.setenv("REPRO_KERNEL", retired)
+            with pytest.raises(ValueError, match="unknown simulation kernel"):
+                resolve_kernel(None)
         with pytest.raises(ValueError):
             resolve_kernel("simd")
-        assert set(KERNELS) == {"scalar", "vector", "native", "auto"}
-
-    def test_auto_policy_never_picks_vector(self):
-        """auto resolves to native (eligible + built) or scalar, never vector."""
-        for bug in (None, RegisterReduction(8), SerializeOpcode(Opcode.XOR)):
-            for lanes in (1, 8, 192):
-                picked = choose_kernel(bug, lanes=lanes)
-                assert picked in ("native", "scalar")
-                if not (supports_native(bug) and native_available()):
-                    assert picked == "scalar"
+        assert KERNELS == ("scalar", "native")
 
     def test_hook_bug_falls_back_to_scalar(self, monkeypatch):
-        """kernel=vector with an ineligible bug must still be exact."""
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        """kernel=native with an ineligible bug must still be exact."""
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         program = build_program(workload("403.gcc"), seed=3)
         trace = decode_trace(TraceGenerator(program, seed=4).generate(600))
         config = core_microarch("Skylake")
@@ -325,43 +307,6 @@ class TestVectorKernel:
             config, trace, bug=bug, step_cycles=256, kernel="scalar"
         )
         _assert_identical(scalar, env_result, "hook-bug fallback")
-
-    def test_ragged_batch_with_straggler_fallback(self):
-        """Mixed trace lengths drive compaction and the scalar hand-off."""
-        program = build_program(workload("403.gcc"), seed=7)
-        traces = [
-            decode_trace(TraceGenerator(program, seed=100 + i).generate(150))
-            for i in range(36)
-        ]
-        traces.append(
-            decode_trace(TraceGenerator(program, seed=999).generate(2500))
-        )
-        config = core_microarch("Cedarview")
-        vec = simulate_trace_batch(config, traces, step_cycles=256, kernel="vector")
-        for trace, got in zip(traces, vec):
-            want = simulate_trace(config, trace, step_cycles=256, kernel="scalar")
-            _assert_identical(want, got, "ragged+fallback")
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_batch(core_microarch("K8"), [decode_trace([])], step_cycles=64)
-
-    def test_batch_of_one_matches_scalar(self, gcc_trace, skylake):
-        trace = decode_trace(gcc_trace[:700])
-        scalar = simulate_trace(skylake, trace, step_cycles=256, kernel="scalar")
-        vector = simulate_trace(skylake, trace, step_cycles=256, kernel="vector")
-        _assert_identical(scalar, vector, "batch-of-one")
-
-    def test_sub_batch_split_matches_unsplit(self, gcc_program):
-        traces = [
-            decode_trace(TraceGenerator(gcc_program, seed=60 + i).generate(300))
-            for i in range(9)
-        ]
-        config = core_microarch("K8")
-        whole = simulate_batch(config, traces, step_cycles=256)
-        split = simulate_batch(config, traces, step_cycles=256, max_lanes=4)
-        for a, b in zip(whole, split):
-            _assert_identical(a, b, "sub-batch split")
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +348,6 @@ class TestGoldenDigests:
                 f"{config.name}: scalar kernel drifted from the pinned oracle "
                 "(regenerate via tests/data/make_golden.py ONLY for a "
                 "deliberate semantic change)"
-            )
-
-    def test_vector_kernel_matches_golden(self, golden, make_golden):
-        trace = make_golden.golden_trace()
-        for config in all_core_microarches():
-            result = simulate_trace_batch(
-                config,
-                [trace],
-                step_cycles=make_golden.STEP_CYCLES,
-                kernel="vector",
-            )[0]
-            digest = make_golden.series_digest(result)
-            assert digest == golden["digests"][config.name], (
-                f"{config.name}: vector kernel drifted from the pinned oracle"
             )
 
     def test_native_kernel_matches_golden(self, golden, make_golden):
@@ -463,50 +394,6 @@ class TestCrossKernelEngine:
         ]
         return registry, ids
 
-    def test_vector_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        scalar = JobEngine(jobs=1).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        vector = JobEngine(jobs=1).run(jobs, registry.traces)
-        for a, b in zip(scalar, vector):
-            assert a.cycles == b.cycles
-            assert set(a.counters) == set(b.counters)
-            for name in a.counters:
-                assert np.array_equal(a.counters[name], b.counters[name]), name
-
-    def test_scalar_store_replays_under_vector(
-        self, synthetic_registry, tmp_path, monkeypatch
-    ):
-        """Content digests must not depend on the kernel: a store filled by
-        the scalar kernel serves a REPRO_KERNEL=vector run with executed=0."""
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        store = ResultStore(tmp_path / "store")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        filler = JobEngine(jobs=1, store=store)
-        filler.run(jobs, registry.traces)
-        assert filler.stats.executed == len(jobs)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        replayer = JobEngine(jobs=1, store=store)
-        replayer.run(jobs, registry.traces)
-        assert replayer.stats.executed == 0
-        assert replayer.stats.store_hits == len(jobs)
-
-    def test_vector_store_replays_under_scalar(
-        self, synthetic_registry, tmp_path, monkeypatch
-    ):
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        replayer = JobEngine(jobs=1, store=store)
-        replayer.run(jobs, registry.traces)
-        assert replayer.stats.executed == 0
-
     def test_native_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
@@ -523,7 +410,7 @@ class TestCrossKernelEngine:
     def test_scalar_store_replays_under_native(
         self, synthetic_registry, tmp_path, monkeypatch
     ):
-        """Store keys stay kernel-independent for the native kernel too: a
+        """Content digests must not depend on the kernel: a
         scalar-filled store serves a REPRO_KERNEL=native run with executed=0,
         and the native-filled store replays under scalar the same way."""
         registry, ids = synthetic_registry
@@ -569,37 +456,48 @@ class TestCrossKernelEngine:
         store = ResultStore(tmp_path / "store")
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         scalar = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         replayer = JobEngine(jobs=1, store=store)
-        vector = replayer.run(jobs, registry.traces)
+        replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0  # digests are kernel-independent
-        # and a fresh vector run over the same jobs is bit-identical
+        # and a fresh native run over the same jobs is bit-identical
         fresh = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, fresh):
             assert a.cycles == b.cycles
             for name in a.counters:
                 assert np.array_equal(a.counters[name], b.counters[name]), name
-        del vector
 
-    def test_grouped_planning_keeps_sweeps_contiguous(
-        self, synthetic_registry, monkeypatch
-    ):
-        from repro.runtime.execution import vector_group_key
+    def test_plan_batches_groups_only_under_native(self, synthetic_registry):
+        """Under native, same-(config, bug, step) core jobs form one unit
+        anchored at the group's first index; hook-overriding and memory
+        jobs stay single.  Under scalar every job is its own unit."""
+        _registry, (a, b, *_rest) = synthetic_registry
+        skylake, k8 = core_microarch("Skylake"), core_microarch("K8")
+        serialize = SerializeOpcode(Opcode.XOR)
 
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        engine = JobEngine(jobs=2)
-        plan = engine._plan_chunks(list(enumerate(jobs)), registry.traces)
-        # every job appears exactly once
-        seen = sorted(i for chunk in plan for i, _ in chunk)
-        assert seen == list(range(len(jobs)))
-        # within each chunk, batchable groups are contiguous runs
-        for chunk in plan:
-            keys = [vector_group_key(job) for _, job in chunk]
-            compact = [k for k, prev in zip(keys, [object()] + keys) if k != prev]
-            groupable = [k for k in compact if k is not None]
-            assert len(groupable) == len(set(groupable)), "group split apart"
+        def core(config, bug, trace_id):
+            return SimulationJob(study="core", config=config, bug=bug,
+                                 trace_id=trace_id, step=256)
+
+        chunk = list(enumerate([
+            core(skylake, None, a),                      # 0: group A
+            core(k8, None, a),                           # 1: group B
+            core(skylake, serialize, a),                 # 2: hook bug
+            core(skylake, None, b),                      # 3: group A
+            SimulationJob(study="memory", config=memory_microarch("Skylake-mem"),
+                          bug=None, trace_id=a, step=256),  # 4: memory study
+            core(k8, None, b),                           # 5: group B
+            core(skylake, serialize, b),                 # 6: hook bug
+            core(skylake, RegisterReduction(16), a),     # 7: group C
+        ]))
+
+        def indices(units):
+            return [[index for index, _job in unit] for unit in units]
+
+        assert indices(plan_batches(chunk, "native")) == [
+            [0, 3], [1, 5], [2], [4], [6], [7]
+        ]
+        assert indices(plan_batches(chunk, "scalar")) == [[i] for i in range(8)]
 
     def test_engine_kernel_argument_validated(self):
         with pytest.raises(ValueError):
@@ -611,10 +509,10 @@ class TestCrossKernelEngine:
         planning batches the workers would execute job by job."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            JobEngine(jobs=2, kernel="vector")
+            JobEngine(jobs=2, kernel="native")
         # consistent environment + argument is fine
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        JobEngine(jobs=2, kernel="vector").close()
+        monkeypatch.setenv("REPRO_KERNEL", "native")
+        JobEngine(jobs=2, kernel="native").close()
         # inline backends honour the argument alone
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        JobEngine(jobs=1, kernel="vector").close()
+        JobEngine(jobs=1, kernel="native").close()

@@ -4,7 +4,7 @@ The bit-identity of the native kernel against the scalar/reference oracle
 is hammered by ``tests/test_differential.py`` (fuzz + golden digests);
 this file covers what the differential suite cannot: the build cache, the
 compiler-discovery/override knobs, the graceful degradation when no
-compiler exists or the compile fails, and the ``auto`` selection policy.
+compiler exists or the compile fails, and the eligibility rule.
 
 Tests that re-point ``REPRO_NATIVE_CC``/``REPRO_NATIVE_CACHE`` reset the
 build layer's memoised state around themselves so the rest of the session
@@ -18,7 +18,8 @@ import pytest
 
 from repro.bugs.core_bugs import RegisterReduction, SerializeOpcode
 from repro.bugs.registry import core_bug_suite
-from repro.coresim import choose_kernel, simulate_trace
+from repro.coresim import simulate_trace
+from repro.coresim.hooks import dynamic_hook_free
 from repro.coresim.native import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
@@ -29,7 +30,6 @@ from repro.coresim.native import (
     supports_native,
 )
 from repro.coresim.native import build as native_build
-from repro.coresim.vector import supports_vector
 from repro.uarch import core_microarch
 from repro.workloads import (
     Opcode,
@@ -68,11 +68,11 @@ def short_trace():
 
 
 class TestEligibility:
-    def test_supports_native_mirrors_supports_vector(self):
+    def test_supports_native_is_dynamic_hook_free(self):
         assert supports_native(None)
         for _, variants in sorted(core_bug_suite().items()):
             for bug in variants:
-                assert supports_native(bug) == supports_vector(bug), bug.name
+                assert supports_native(bug) == dynamic_hook_free(bug), bug.name
 
     def test_ineligible_bug_raises_unavailable(self, short_trace):
         if not native_available():
@@ -149,18 +149,6 @@ class TestFallback:
         cache = tmp_path / "cache"
         assert not cache.exists() or not list(cache.glob("*.so"))
 
-    def test_auto_resolves_to_scalar_without_compiler(
-        self, fresh_build_state, monkeypatch, short_trace
-    ):
-        monkeypatch.setenv(COMPILER_ENV_VAR, "/nonexistent/compiler-xyz")
-        assert choose_kernel(None) == "scalar"
-        config = core_microarch("K8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # availability probe may warn
-            auto = simulate_trace(config, short_trace, step_cycles=256, kernel="auto")
-        scalar = simulate_trace(config, short_trace, step_cycles=256, kernel="scalar")
-        _assert_identical(scalar, auto, "auto->scalar without compiler")
-
 
 class TestBuildCache:
     def test_build_cache_reused_across_loads(
@@ -202,19 +190,3 @@ class TestBuildCache:
     def test_empty_override_disables(self, fresh_build_state, monkeypatch):
         monkeypatch.setenv(COMPILER_ENV_VAR, "   ")
         assert find_compiler() is None
-
-
-class TestAutoPolicy:
-    def test_auto_prefers_native_when_available(self):
-        if not native_available():
-            pytest.skip("no C compiler on this host")
-        assert choose_kernel(None) == "native"
-        assert choose_kernel(RegisterReduction(8)) == "native"
-        # hook-overriding bugs always take the scalar path
-        assert choose_kernel(SerializeOpcode(Opcode.XOR)) == "scalar"
-
-    def test_auto_kernel_end_to_end(self, short_trace):
-        config = core_microarch("Broadwell")
-        auto = simulate_trace(config, short_trace, step_cycles=256, kernel="auto")
-        scalar = simulate_trace(config, short_trace, step_cycles=256, kernel="scalar")
-        _assert_identical(scalar, auto, "auto end-to-end")
