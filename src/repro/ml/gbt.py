@@ -15,7 +15,7 @@ import numpy as np
 from .base import FitResult, Regressor, validate_training_inputs
 from .metrics import mean_squared_error
 from .preprocessing import flatten_windows
-from .tree import RegressionTree
+from .tree import RegressionTree, descend
 
 
 class GradientBoostedTrees(Regressor):
@@ -47,6 +47,7 @@ class GradientBoostedTrees(Regressor):
         self.name = f"GBT-{n_estimators}"
         self._trees: list[RegressionTree] = []
         self._base_prediction = 0.0
+        self._forest: Optional[_Forest] = None
 
     def fit(
         self,
@@ -65,6 +66,7 @@ class GradientBoostedTrees(Regressor):
         y_validation = np.asarray(y_val, dtype=float) if has_val else None
 
         self._trees = []
+        self._forest = None
         self._base_prediction = float(y.mean())
         predictions = np.full(len(y), self._base_prediction)
         val_predictions = (
@@ -106,6 +108,8 @@ class GradientBoostedTrees(Regressor):
                         self._trees = self._trees[:best_round]
                         break
 
+        # Early stopping keeps no tree when no validation loss was finite.
+        self._forest = _Forest(self._trees) if self._trees else None
         final_pred = self.predict(X)
         train_loss = mean_squared_error(y, final_pred)
         val_loss = (
@@ -121,14 +125,40 @@ class GradientBoostedTrees(Regressor):
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        if self._forest is None:
             raise RuntimeError("model has not been fitted")
         X = flatten_windows(X)
-        prediction = np.full(len(X), self._base_prediction)
-        for tree in self._trees:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
+        leaves = self._forest.leaf_values(X)
+        # Sequential accumulation adds the trees left to right, as a loop of
+        # ``prediction += learning_rate * tree.predict(X)`` would; np.sum
+        # would add pairwise and round differently.
+        terms = np.vstack([np.full((1, len(X)), self._base_prediction),
+                           self.learning_rate * leaves])
+        return np.cumsum(terms, axis=0)[-1]
 
     @property
     def n_trees_fitted(self) -> int:
         return len(self._trees)
+
+
+class _Forest:
+    """The kept trees' node arrays concatenated and walked all at once.
+
+    Each tree's child indices are shifted by its offset in the concatenated
+    arrays, so one gather per step advances every tree on every row.
+    """
+
+    def __init__(self, trees: list[RegressionTree]) -> None:
+        offsets = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
+        self.feature = np.concatenate([tree.feature for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
+        self.right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
+        self.value = np.concatenate([tree.value for tree in trees])
+        self.roots = offsets[:, None]
+        self.depth = max(tree.depth for tree in trees)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(T, n)`` leaf value of every tree for every row of ``X``."""
+        roots = np.repeat(self.roots, len(X), axis=1)
+        return self.value[descend(self, X, roots, self.depth)]

@@ -2,29 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves have ``value`` set and no children."""
+def descend(nodes, X: np.ndarray, node: np.ndarray, steps: int) -> np.ndarray:
+    """Move each row's entries of *node* *steps* levels down *nodes*.
 
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    *nodes* has ``feature``, ``threshold``, ``left`` and ``right`` arrays
+    indexed by node; ``node[..., i]`` is a node reached by row ``i`` of
+    ``X``.  A row goes left when its feature value is ``<=`` the threshold.
+    """
+    rows = np.arange(len(X))
+    for _ in range(steps):
+        node = np.where(X[rows, nodes.feature[node]] <= nodes.threshold[node],
+                        nodes.left[node], nodes.right[node])
+    return node
 
 
 class RegressionTree:
-    """Exact-split CART regression tree minimising squared error."""
+    """Exact-split CART regression tree minimising squared error.
+
+    A fitted tree is five flat node arrays in preorder (``feature``,
+    ``threshold``, ``left``, ``right``, ``value``).  A leaf points both
+    children at itself, so :meth:`predict` walks every row the same fixed
+    number of steps and rows that reach a leaf early stay on it.
+    """
 
     def __init__(
         self,
@@ -37,7 +39,13 @@ class RegressionTree:
         self.max_depth = max_depth
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.min_samples_split = max(2, min_samples_split)
-        self._root: _Node | None = None
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.value: np.ndarray | None = None
+        #: Depth of the deepest leaf: the steps :meth:`predict` takes.
+        self.depth = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         X = np.asarray(X, dtype=float)
@@ -46,84 +54,92 @@ class RegressionTree:
             raise ValueError("X must be 2-D")
         if len(X) != len(y) or len(X) == 0:
             raise ValueError("X and y must be non-empty and the same length")
-        self._root = self._build(X, y, depth=0)
+        nodes: list[list] = []
+        self.depth = 0
+        self._build(X, y, 0, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=float)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self.value is None:
             raise RuntimeError("tree has not been fitted")
         X = np.asarray(X, dtype=float)
-        return np.array([self._predict_one(row) for row in X])
-
-    def _predict_one(self, row: np.ndarray) -> float:
-        node = self._root
-        while node is not None and not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value if node is not None else 0.0
+        root = np.zeros(len(X), dtype=np.intp)
+        return self.value[descend(self, X, root, self.depth)]
 
     # -- construction -----------------------------------------------------------
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node_value = float(y.mean())
+    def _build(self, X: np.ndarray, y: np.ndarray, depth: int,
+               nodes: list[list]) -> int:
+        """Append the subtree for ``(X, y)`` to *nodes*; return its root index."""
+        index = len(nodes)
+        nodes.append([0, 0.0, index, index, float(y.mean())])
+        self.depth = max(self.depth, depth)
         if (
             depth >= self.max_depth
             or len(y) < self.min_samples_split
             or np.ptp(y) < 1e-12
         ):
-            return _Node(value=node_value)
+            return index
 
         feature, threshold = self._best_split(X, y)
         if feature < 0:
-            return _Node(value=node_value)
+            return index
 
         mask = X[:, feature] <= threshold
-        left = self._build(X[mask], y[mask], depth + 1)
-        right = self._build(X[~mask], y[~mask], depth + 1)
-        return _Node(value=node_value, feature=feature, threshold=threshold,
-                     left=left, right=right)
+        left = self._build(X[mask], y[mask], depth + 1, nodes)
+        right = self._build(X[~mask], y[~mask], depth + 1, nodes)
+        nodes[index][:4] = [feature, threshold, left, right]
+        return index
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float]:
-        """Return the (feature, threshold) minimising weighted child variance."""
+        """Return the (feature, threshold) minimising weighted child variance.
+
+        Every feature is searched at once: column ``f`` of each ``(n - 1, F)``
+        array below is the split-point scan of feature ``f``.  A column-wise
+        stable sort and cumulative sum give each column the permutation and
+        the sums a 1-D search of that feature alone would.  The winner is the
+        first feature with the lowest SSE; a feature whose best SSE is NaN
+        never wins, and ``(-1, 0.0)`` means no split is valid.
+        """
         n_samples, n_features = X.shape
-        best_feature = -1
-        best_threshold = 0.0
-        best_score = np.inf
         min_leaf = self.min_samples_leaf
+        columns = np.arange(n_features)
+        order = np.argsort(X, axis=0, kind="stable")
+        x_sorted = X[order, columns]
+        left_n = np.arange(1, n_samples, dtype=float)[:, None]
+        right_n = n_samples - left_n
+        # Disallow splits between equal feature values and tiny leaves.
+        valid = x_sorted[:-1] != x_sorted[1:]
+        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            return -1, 0.0
 
-        for feature in range(n_features):
-            order = np.argsort(X[:, feature], kind="stable")
-            x_sorted = X[order, feature]
-            y_sorted = y[order]
-            if x_sorted[0] == x_sorted[-1]:
-                continue
-            # Prefix sums for O(1) variance evaluation of every split point.
-            cumsum = np.cumsum(y_sorted)
-            cumsum_sq = np.cumsum(y_sorted ** 2)
-            total_sum = cumsum[-1]
-            total_sq = cumsum_sq[-1]
-            counts = np.arange(1, n_samples + 1, dtype=float)
+        # Prefix sums for O(1) variance evaluation of every split point.
+        y_sorted = y[order]
+        cumsum = np.cumsum(y_sorted, axis=0)
+        cumsum_sq = np.cumsum(y_sorted ** 2, axis=0)
+        left_sum = cumsum[:-1]
+        left_sq = cumsum_sq[:-1]
+        right_sum = cumsum[-1] - left_sum
+        right_sq = cumsum_sq[-1] - left_sq
 
-            left_sum = cumsum[:-1]
-            left_sq = cumsum_sq[:-1]
-            left_n = counts[:-1]
-            right_n = n_samples - left_n
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-
-            sse = (left_sq - left_sum ** 2 / left_n) + (
-                right_sq - right_sum ** 2 / right_n
-            )
-            # Disallow splits between equal feature values and tiny leaves.
-            valid = (x_sorted[:-1] != x_sorted[1:])
-            valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
-            if not np.any(valid):
-                continue
-            sse = np.where(valid, sse, np.inf)
-            index = int(np.argmin(sse))
-            if sse[index] < best_score:
-                best_score = float(sse[index])
-                best_feature = feature
-                best_threshold = float(
-                    0.5 * (x_sorted[index] + x_sorted[index + 1])
-                )
-        return best_feature, best_threshold
+        sse = (left_sq - left_sum ** 2 / left_n) + (
+            right_sq - right_sum ** 2 / right_n
+        )
+        sse = np.where(valid, sse, np.inf)
+        index = np.argmin(sse, axis=0)
+        best = sse[index, columns]
+        best[np.isnan(best)] = np.inf
+        feature = int(np.argmin(best))
+        if not best[feature] < np.inf:
+            return -1, 0.0
+        split = index[feature]
+        return feature, float(
+            0.5 * (x_sorted[split, feature] + x_sorted[split + 1, feature])
+        )

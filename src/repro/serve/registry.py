@@ -47,8 +47,9 @@ from ..detect.stage1 import ProbeModel
 from ..detect.stage2 import RuleBasedClassifier
 from ..runtime import SimulationJob, trace_digest
 
-#: On-disk registry format; bump on incompatible layout changes.
-REGISTRY_FORMAT_VERSION = 1
+#: On-disk registry format; bump on incompatible layout changes.  Format 2:
+#: fitted GBT trees are node arrays plus a packed forest, not ``_Node`` objects.
+REGISTRY_FORMAT_VERSION = 2
 
 
 class RegistryError(RuntimeError):

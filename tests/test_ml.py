@@ -1,9 +1,22 @@
-"""Tests for the from-scratch ML engines and metrics."""
+"""Tests for the from-scratch ML engines and metrics.
+
+``TestReferenceFuzz`` checks the array-backed CART tree and gradient
+boosting bit-for-bit against the frozen object-tree copy in
+``tests/ml_reference.py`` over seeded random inputs.  The seed comes from
+``REPRO_FUZZ_SEED`` (CI rotates it per run) and every assertion message names
+it, so a failure replays locally with::
+
+    REPRO_FUZZ_SEED=<seed> python -m pytest tests/test_ml.py
+"""
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ml_reference import GradientBoostedTrees as ReferenceGBT
+from ml_reference import RegressionTree as ReferenceTree
 
 from repro.ml import (
     Adam,
@@ -23,6 +36,16 @@ from repro.ml import (
     pearson_correlation,
     r_squared,
 )
+
+
+#: Default fuzz seed (deterministic local runs); CI rotates via the env var.
+DEFAULT_FUZZ_SEED = 20261018
+
+FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "") or DEFAULT_FUZZ_SEED)
+
+#: Seeded random cases per engine in the reference fuzz.
+TREE_FUZZ_CASES = 240
+GBT_FUZZ_CASES = 60
 
 
 def _linear_data(n=300, f=8, noise=0.02, seed=0):
@@ -138,8 +161,17 @@ class TestEngines:
     def test_gbt_early_stopping(self):
         X, y = _linear_data(n=200)
         model = GradientBoostedTrees(n_estimators=300, early_stopping_rounds=10)
-        model.fit(X[:150], y[:150], X[150:], y[150:])
-        assert model.n_trees_fitted <= 300
+        result = model.fit(X[:150], y[:150], X[150:], y[150:])
+        # Stopping fired (fewer rounds than asked) and dropped the rounds
+        # after the best validation loss (fewer trees kept than fitted).
+        assert model.n_trees_fitted < len(result.history) < 300
+        reference = ReferenceGBT(n_estimators=300, early_stopping_rounds=10)
+        reference.fit(X[:150], y[:150], X[150:], y[150:])
+        assert len(reference._trees) == model.n_trees_fitted
+        kept_sum = np.full(len(X), reference._base_prediction)
+        for tree in reference._trees:
+            kept_sum += reference.learning_rate * tree.predict(X)
+        assert model.predict(X).tobytes() == kept_sum.tobytes()
 
     @pytest.mark.parametrize("factory", [
         lambda: MLPRegressor(hidden_layers=1, hidden_size=32, max_epochs=80, patience=30),
@@ -161,6 +193,121 @@ class TestEngines:
     def test_empty_training_data_rejected(self):
         with pytest.raises(ValueError):
             GradientBoostedTrees(n_estimators=5).fit(np.zeros((0, 3)), np.zeros(0))
+
+
+def _fuzz_features(rng, n, n_features):
+    """Random features: some columns rounded into ties, sometimes one constant."""
+    X = rng.normal(size=(n, n_features)) * rng.choice([1e-3, 1.0, 1e3])
+    tied = rng.random(n_features) < 0.5
+    X[:, tied] = np.round(X[:, tied] * rng.integers(1, 4))
+    if rng.random() < 0.5:
+        X[:, rng.integers(n_features)] = rng.normal()
+    return X
+
+
+def _fuzz_targets(rng, X):
+    """Noisy targets driven by one feature, sometimes rounded or constant."""
+    y = X[:, rng.integers(X.shape[1])] * rng.normal() + rng.normal(size=len(X))
+    if rng.random() < 0.3:
+        y = np.round(y)
+    if rng.random() < 0.05:
+        y = np.full(len(X), 1.5)
+    return y
+
+
+def _assert_same_predictions(got, expected, context):
+    assert got.dtype == expected.dtype and got.shape == expected.shape, context
+    assert got.tobytes() == expected.tobytes(), context
+
+
+class TestReferenceFuzz:
+    """Array-backed tree and GBT == the frozen object-tree reference, bit for bit."""
+
+    def test_tree_matches_reference(self):
+        for case in range(TREE_FUZZ_CASES):
+            rng = np.random.default_rng([FUZZ_SEED, 0, case])
+            n, n_features = int(rng.integers(1, 91)), int(rng.integers(1, 28))
+            X = _fuzz_features(rng, n, n_features)
+            y = _fuzz_targets(rng, X)
+            params = dict(
+                max_depth=int(rng.integers(1, 6)),
+                min_samples_leaf=int(rng.integers(1, 4)),
+                min_samples_split=int(rng.integers(2, 7)),
+            )
+            context = (f"seed={FUZZ_SEED} tree case={case} n={n} "
+                       f"features={n_features} {params} "
+                       f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})")
+            tree = RegressionTree(**params).fit(X, y)
+            expected = ReferenceTree(**params).fit(X, y)
+            # Rows sitting exactly on every threshold pin the ``<=`` side.
+            on_threshold = np.tile(tree.threshold[:, None], (1, n_features))
+            unseen = _fuzz_features(rng, int(rng.integers(0, 30)), n_features)
+            for name, rows in (("train", X), ("one-row", X[:1]), ("no-rows", X[:0]),
+                               ("thresholds", on_threshold), ("unseen", unseen)):
+                _assert_same_predictions(tree.predict(rows), expected.predict(rows),
+                                         f"{context} predict={name}")
+
+    def test_overflowing_sse_gives_a_single_leaf(self):
+        # Squares of ~1e160 overflow, every candidate SSE is NaN, and the
+        # reference skips every feature: the tree is one leaf.
+        rng = np.random.default_rng([FUZZ_SEED, 1])
+        context = f"seed={FUZZ_SEED} (replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
+        X = _fuzz_features(rng, 40, 6)
+        y = 1e160 * (1.0 + rng.random(40)) * rng.choice([-1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = RegressionTree(max_depth=3).fit(X, y)
+            expected = ReferenceTree(max_depth=3).fit(X, y)
+        assert expected._root.is_leaf, context
+        assert len(tree.value) == 1, context
+        _assert_same_predictions(tree.predict(X), expected.predict(X), context)
+
+    def test_gbt_keeping_no_tree_stays_unfitted(self):
+        # A NaN validation loss never improves, so early stopping keeps no
+        # tree and the fit's own final predict raises, as in the reference.
+        X, y = _linear_data(n=40, f=3)
+        for cls in (GradientBoostedTrees, ReferenceGBT):
+            model = cls(n_estimators=20, early_stopping_rounds=3)
+            with pytest.raises(RuntimeError, match="not been fitted"):
+                model.fit(X[:30], y[:30], X[30:], np.full(10, np.nan))
+
+    def test_gbt_matches_reference(self):
+        stopped = 0
+        for case in range(GBT_FUZZ_CASES):
+            rng = np.random.default_rng([FUZZ_SEED, 2, case])
+            n, n_features = int(rng.integers(1, 91)), int(rng.integers(1, 28))
+            X = _fuzz_features(rng, n, n_features)
+            y = _fuzz_targets(rng, X)
+            params = dict(
+                n_estimators=int(rng.integers(1, 41)),
+                learning_rate=float(rng.choice([0.08, 0.3, 1.0])),
+                max_depth=int(rng.integers(1, 6)),
+                subsample=float(rng.choice([0.5, 0.8, 1.0])),
+                min_samples_leaf=int(rng.integers(1, 4)),
+                early_stopping_rounds=int(rng.integers(1, 8)),
+                seed=int(rng.integers(1 << 16)),
+            )
+            n_val = int(rng.integers(1, n // 3 + 1)) if case % 2 and n >= 3 else 0
+            data = ((X[n_val:], y[n_val:], X[:n_val], y[:n_val]) if n_val
+                    else (X, y))
+            context = (f"seed={FUZZ_SEED} gbt case={case} n={n} "
+                       f"features={n_features} validation={n_val} {params} "
+                       f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})")
+            model = GradientBoostedTrees(**params)
+            expected = ReferenceGBT(**params)
+            got, want = model.fit(*data), expected.fit(*data)
+            assert got.history == want.history, context
+            assert got.train_loss == want.train_loss, context
+            assert got.val_loss == want.val_loss, context
+            assert got.epochs_run == want.epochs_run, context
+            assert model.n_trees_fitted == expected.n_trees_fitted, context
+            stopped += len(want.history) < params["n_estimators"]
+            unseen = _fuzz_features(rng, int(rng.integers(0, 30)), n_features)
+            for name, rows in (("all", X), ("one-row", X[:1]), ("no-rows", X[:0]),
+                               ("unseen", unseen)):
+                _assert_same_predictions(model.predict(rows), expected.predict(rows),
+                                         f"{context} predict={name}")
+        assert stopped >= 3, (
+            f"seed={FUZZ_SEED}: early stopping fired in only {stopped} GBT cases")
 
 
 class TestEngineFactory:

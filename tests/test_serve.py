@@ -162,11 +162,14 @@ def test_load_rejects_wrong_payload_type(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_unknown_format_version(model_path, tmp_path):
+@pytest.mark.parametrize("version", [REGISTRY_FORMAT_VERSION - 1,
+                                     REGISTRY_FORMAT_VERSION + 1],
+                         ids=["older", "newer"])
+def test_load_rejects_unknown_format_version(model_path, tmp_path, version):
     with open(model_path, "rb") as handle:
         record = pickle.load(handle)
-    record["format"] = REGISTRY_FORMAT_VERSION + 1
-    path = tmp_path / "future.pkl"
+    record["format"] = version
+    path = tmp_path / "other-format.pkl"
     with open(path, "wb") as handle:
         pickle.dump(record, handle)
     with pytest.raises(RegistryError, match="format"):
