@@ -33,15 +33,20 @@ import pytest
 from repro.bugs.core_bugs import (
     BPTableReduction,
     DependencyDelay,
+    IfOldestIssueOnly,
     IQPressureDelay,
+    IssueOnlyIfOldest,
     L2LatencyBug,
     LongBranchDelay,
     MispredictPenalty,
+    OpcodeUsesRegisterDelay,
     RegisterReduction,
+    ROBPressureDelay,
     SerializeOpcode,
     StoresToLineDelay,
+    StoresToRegisterDelay,
 )
-from repro.bugs.registry import core_bug_suite
+from repro.bugs.registry import CORE_BUG_TYPES, core_bug_suite
 from repro.coresim import (
     KERNELS,
     native_available,
@@ -194,36 +199,132 @@ def _random_bug(rng: random.Random):
     )
 
 
-def _fuzz_cases():
-    """The seeded (config, bug, step, traces) scenarios for this run."""
-    rng = random.Random(FUZZ_SEED)
-    presets = all_core_microarches()
-    programs = [
+_FUZZ_BUG_OPCODES = [
+    Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.MUL, Opcode.FADD,
+    Opcode.LOAD, Opcode.STORE, Opcode.BRANCH,
+]
+
+#: One randomised-severity constructor per core bug type (opcode X/Y,
+#: threshold N, register R, delay T drawn past the registry's choices).
+_SEVERITY_FACTORIES = {
+    "Serialized": lambda rng: SerializeOpcode(rng.choice(_FUZZ_BUG_OPCODES)),
+    "IssueXOnlyIfOldest": lambda rng: IssueOnlyIfOldest(
+        rng.choice(_FUZZ_BUG_OPCODES)
+    ),
+    "IfOldestIssueOnlyX": lambda rng: IfOldestIssueOnly(
+        rng.choice(_FUZZ_BUG_OPCODES)
+    ),
+    "IfXDependsOnYDelayT": lambda rng: DependencyDelay(
+        rng.choice(_FUZZ_BUG_OPCODES), rng.choice(_FUZZ_BUG_OPCODES),
+        rng.choice([1, 3, 9, 27]),
+    ),
+    "IQPressureDelay": lambda rng: IQPressureDelay(
+        rng.choice([1, 4, 8, 16, 64]), rng.choice([1, 2, 10])
+    ),
+    "ROBPressureDelay": lambda rng: ROBPressureDelay(
+        rng.choice([2, 8, 24, 96]), rng.choice([1, 4, 8])
+    ),
+    "MispredictDelay": lambda rng: MispredictPenalty(rng.choice([1, 5, 15, 45])),
+    "NStoresToLineDelay": lambda rng: StoresToLineDelay(
+        rng.choice([0, 1, 2, 6]), rng.choice([1, 4, 12])
+    ),
+    "NStoresToRegisterDelay": lambda rng: StoresToRegisterDelay(
+        rng.choice([1, 2, 5, 16]), rng.choice([1, 6]),
+        mode=rng.choice(["after", "every"]),
+    ),
+    "L2LatencyIncrease": lambda rng: L2LatencyBug(rng.choice([1, 5, 25, 100])),
+    "RegisterReduction": lambda rng: RegisterReduction(
+        rng.choice([4, 16, 32, 64, 200])
+    ),
+    "LongBranchDelay": lambda rng: LongBranchDelay(
+        rng.choice([0, 64, 1024, 8192]), rng.choice([4, 16])
+    ),
+    "IfXUsesRegNDelayT": lambda rng: OpcodeUsesRegisterDelay(
+        rng.choice(_FUZZ_BUG_OPCODES), rng.randrange(0, 32), rng.choice([1, 8, 20])
+    ),
+    "BPTableReduction": lambda rng: BPTableReduction(
+        rng.choice([1024, 3072, 3968, 1 << 20])
+    ),
+}
+
+
+def _roster_bug(rng: random.Random, bug_type: str):
+    """A registry variant of *bug_type* or a randomised severity of it."""
+    if rng.random() < 0.5:
+        return rng.choice(core_bug_suite()[bug_type])
+    return _SEVERITY_FACTORIES[bug_type](rng)
+
+
+def _fuzz_programs(rng: random.Random):
+    return [
         build_program(workload("403.gcc"), seed=rng.randrange(1 << 16)),
         build_program(workload("458.sjeng"), seed=rng.randrange(1 << 16)),
     ]
-    scenarios = []
-    for case in range(FUZZ_SCENARIOS):
-        config = _mutate_preset(rng, rng.choice(presets))
-        bug = _random_bug(rng)
-        step = rng.choice([64, 256, 512])
-        warmup = rng.random() < 0.8
-        traces = []
-        for _ in range(FUZZ_TRACES_PER_SCENARIO):
-            if rng.random() < 0.5:
-                traces.append(
-                    decode_trace(
-                        TraceGenerator(
-                            rng.choice(programs), seed=rng.randrange(1 << 16)
-                        ).generate(rng.randrange(150, 900))
-                    )
+
+
+def _scenario(rng: random.Random, programs, draw_bug):
+    """One seeded (config, bug, step, warmup, traces) scenario."""
+    config = _mutate_preset(rng, rng.choice(all_core_microarches()))
+    bug = draw_bug(rng)
+    step = rng.choice([64, 256, 512])
+    warmup = rng.random() < 0.8
+    traces = []
+    for _ in range(FUZZ_TRACES_PER_SCENARIO):
+        if rng.random() < 0.5:
+            traces.append(
+                decode_trace(
+                    TraceGenerator(
+                        rng.choice(programs), seed=rng.randrange(1 << 16)
+                    ).generate(rng.randrange(150, 900))
                 )
-            else:
-                traces.append(
-                    decode_trace(_random_uops(rng, rng.randrange(120, 700)))
-                )
-        scenarios.append((case, config, bug, step, warmup, traces))
-    return scenarios
+            )
+        else:
+            traces.append(
+                decode_trace(_random_uops(rng, rng.randrange(120, 700)))
+            )
+    return config, bug, step, warmup, traces
+
+
+def _fuzz_cases():
+    """The seeded mixed scenarios for this run (ids stable per seed)."""
+    rng = random.Random(FUZZ_SEED)
+    programs = _fuzz_programs(rng)
+    return [
+        (case, *_scenario(rng, programs, _random_bug))
+        for case in range(FUZZ_SCENARIOS)
+    ]
+
+
+def _roster_cases():
+    """One seeded scenario per core bug type, so every run fuzzes all 14."""
+    rng = random.Random(f"roster-{FUZZ_SEED}")
+    programs = _fuzz_programs(rng)
+    return [
+        (bug_type, *_scenario(rng, programs, lambda r, t=bug_type: _roster_bug(r, t)))
+        for bug_type in CORE_BUG_TYPES
+    ]
+
+
+def _check_kernels_agree(config, bug, step, warmup, traces, context):
+    """reference == scalar == native on every trace of one scenario."""
+    # kernel="native" always runs: a compiler-less host falls back to
+    # scalar, so the comparison stays meaningful either way.
+    native_results = simulate_trace_batch(
+        config, traces, bug=bug, step_cycles=step, warmup=warmup,
+        kernel="native",
+    )
+    for lane, trace in enumerate(traces):
+        scalar = simulate_trace(
+            config, trace, bug=bug, step_cycles=step, warmup=warmup,
+            kernel="scalar",
+        )
+        reference = reference_simulate_trace(
+            config, list(trace), bug=bug, step_cycles=step, warmup=warmup
+        )
+        _assert_identical(reference, scalar, f"{context} lane={lane} ref-vs-scalar")
+        _assert_identical(
+            scalar, native_results[lane], f"{context} lane={lane} scalar-vs-native"
+        )
 
 
 class TestDifferentialFuzz:
@@ -241,25 +342,27 @@ class TestDifferentialFuzz:
             f"bug={getattr(bug, 'name', None)} step={step} warmup={warmup} "
             f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
         )
-        # kernel="native" always runs: ineligible bugs (and compiler-less
-        # hosts) fall back to scalar, so the comparison stays meaningful —
-        # on eligible cases it exercises the compiled C loop end to end.
-        native_results = simulate_trace_batch(
-            config, traces, bug=bug, step_cycles=step, warmup=warmup,
-            kernel="native",
+        _check_kernels_agree(config, bug, step, warmup, traces, context)
+
+    @pytest.mark.parametrize("bug_type,config,bug,step,warmup,traces",
+                             _roster_cases(), ids=list(CORE_BUG_TYPES))
+    def test_every_bug_type(self, bug_type, config, bug, step, warmup, traces):
+        context = (
+            f"seed={FUZZ_SEED} type={bug_type} config={config.name} "
+            f"bug={bug.name} step={step} warmup={warmup} "
+            f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
         )
-        for lane, trace in enumerate(traces):
-            scalar = simulate_trace(
-                config, trace, bug=bug, step_cycles=step, warmup=warmup,
-                kernel="scalar",
-            )
-            reference = reference_simulate_trace(
-                config, list(trace), bug=bug, step_cycles=step, warmup=warmup
-            )
-            _assert_identical(reference, scalar, f"{context} lane={lane} ref-vs-scalar")
-            _assert_identical(
-                scalar, native_results[lane], f"{context} lane={lane} scalar-vs-native"
-            )
+        _check_kernels_agree(config, bug, step, warmup, traces, context)
+
+    def test_roster_covers_every_core_bug_type(self):
+        """A new bug type cannot ship without joining the fuzz roster."""
+        assert set(_SEVERITY_FACTORIES) == set(CORE_BUG_TYPES)
+        assert set(core_bug_suite()) == set(CORE_BUG_TYPES)
+        rng = random.Random(0)
+        for bug_type, factory in _SEVERITY_FACTORIES.items():
+            assert factory(rng).info.bug_type == bug_type
+            for variant in core_bug_suite()[bug_type]:
+                assert variant.info.bug_type == bug_type
 
     def test_case_count_meets_floor(self):
         # The tier-1 contract: at least 50 differential cases per run.
