@@ -8,8 +8,6 @@ oracle at *test* time; this package enforces the underlying contracts at
   (scalar, frozen reference, native C) plus the C↔ctypes ABI.
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
-* ``hook_contract`` — class-level hook-override discipline and the
-  structural/dynamic hook partition behind native eligibility.
 * ``protocol_constants`` — wire/schema constants defined exactly once.
 * ``native_gate`` — ``_core.c`` stays ``-Wall -Wextra -Werror`` clean.
 

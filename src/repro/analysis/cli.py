@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import counter_contract, determinism, hook_contract, native_gate
+from . import counter_contract, determinism, native_gate
 from . import protocol_constants
 from .findings import ALLOWLIST_NAME, Allowlist, Finding, apply_suppressions, scan_pragmas
 from .tree import SourceTree
@@ -36,11 +36,6 @@ FAMILIES = {
         determinism.check,
         "global RNG streams, wall-clock reads, id()-keyed hashing, and"
         " unordered-set iteration reaching ordered consumers",
-    ),
-    "hook-contract": (
-        hook_contract.check,
-        "hook namespace partition, _HOOK_FLAGS hoisting table, class-level"
-        " override discipline, supports_native defers to dynamic_hook_free",
     ),
     "protocol-constant": (
         protocol_constants.check,

@@ -1,10 +1,12 @@
 """The 14 core performance-bug types of Section IV-C.
 
-Each bug is a :class:`~repro.coresim.hooks.CoreBugModel` subclass whose hooks
-perturb the out-of-order pipeline exactly where the paper describes.  Every
-type is parameterised (opcode X/Y, threshold N, register R, delay T) so that
-multiple variants with different severities can be instantiated, mirroring the
-paper's configurable-impact bug suite.
+Each bug is a :class:`~repro.coresim.hooks.CoreBugModel` subclass.  Its
+``compile`` method gives the :class:`~repro.coresim.hooks.BugRecord` the
+scalar and native kernels read; its hooks state the same bug per uop for
+the frozen seed pipeline, and the differential fuzz holds the two equal.
+Every type is parameterised (opcode X/Y, threshold N, register R, delay T)
+so that multiple variants with different severities can be instantiated,
+mirroring the paper's configurable-impact bug suite.
 
 Bug numbering follows the paper:
 
@@ -26,9 +28,34 @@ Bug numbering follows the paper:
 
 from __future__ import annotations
 
-from ..coresim.hooks import CoreBugModel, DispatchContext
+import numpy as np
+
+from ..coresim.hooks import BugRecord, CoreBugModel, DispatchContext
 from ..workloads.isa import MicroOp, Opcode
 from .base import BugInfo
+
+
+def _opcode_is(trace, opcode: Opcode) -> np.ndarray:
+    """Per-uop mask: the uop's opcode is *opcode*."""
+    return trace.columns["opcode"] == int(opcode)
+
+
+def _running_count(keys: np.ndarray) -> np.ndarray:
+    """1-based count of each key's occurrences so far, in sequence order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    position = np.arange(len(keys))
+    run_start = np.ones(len(keys), dtype=bool)
+    run_start[1:] = ordered[1:] != ordered[:-1]
+    first = np.maximum.accumulate(np.where(run_start, position, 0))
+    count = np.empty(len(keys), dtype=np.int64)
+    count[order] = position - first + 1
+    return count
+
+
+def _delay_where(mask: np.ndarray, delay: int) -> np.ndarray:
+    """Per-uop delay column: *delay* where *mask* holds, else 0."""
+    return np.where(mask, delay, 0).astype(np.int64)
 
 
 class CoreBug(CoreBugModel):
@@ -59,6 +86,9 @@ class SerializeOpcode(CoreBug):
         )
         self.opcode = opcode
 
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(serialize=_opcode_is(trace, self.opcode))
+
     def serialize(self, uop: MicroOp) -> bool:
         return uop.opcode is self.opcode
 
@@ -75,6 +105,9 @@ class IssueOnlyIfOldest(CoreBug):
             description=f"{opcode.name} may only issue when oldest in the IQ",
         )
         self.opcode = opcode
+
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(issue_only_if_oldest=_opcode_is(trace, self.opcode))
 
     def issue_only_if_oldest(self, uop: MicroOp) -> bool:
         return uop.opcode is self.opcode
@@ -93,6 +126,9 @@ class IfOldestIssueOnly(CoreBug):
             "no other instruction may issue",
         )
         self.opcode = opcode
+
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(oldest_blocks_others=_opcode_is(trace, self.opcode))
 
     def oldest_blocks_others(self, uop: MicroOp) -> bool:
         return uop.opcode is self.opcode
@@ -113,6 +149,11 @@ class DependencyDelay(CoreBug):
         self.opcode = opcode
         self.producer = producer
         self.delay = delay
+
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(
+            dependency=(int(self.opcode), int(self.producer), self.delay)
+        )
 
     def extra_issue_delay(self, uop: MicroOp, context: DispatchContext) -> int:
         if uop.opcode is self.opcode and self.producer in context.producer_opcodes:
@@ -135,6 +176,9 @@ class IQPressureDelay(CoreBug):
         self.threshold = threshold
         self.delay = delay
 
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(iq_free_below=self.threshold, iq_delay=self.delay)
+
     def extra_issue_delay(self, uop: MicroOp, context: DispatchContext) -> int:
         return self.delay if context.iq_free < self.threshold else 0
 
@@ -154,6 +198,9 @@ class ROBPressureDelay(CoreBug):
         self.threshold = threshold
         self.delay = delay
 
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(rob_free_below=self.threshold, rob_delay=self.delay)
+
     def extra_issue_delay(self, uop: MicroOp, context: DispatchContext) -> int:
         return self.delay if context.rob_free < self.threshold else 0
 
@@ -170,6 +217,9 @@ class MispredictPenalty(CoreBug):
             description=f"Each mispredicted branch costs an extra {delay} cycles",
         )
         self.delay = delay
+
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(mispredict_penalty=self.delay)
 
     def branch_extra_penalty(self, uop: MicroOp, mispredicted: bool) -> int:
         return self.delay if mispredicted else 0
@@ -191,6 +241,16 @@ class StoresToLineDelay(CoreBug):
         self.delay = delay
         self.line_size = line_size
         self._counts: dict[int, int] = {}
+
+    def compile(self, trace) -> BugRecord:
+        columns = trace.columns
+        stores = np.flatnonzero(
+            _opcode_is(trace, Opcode.STORE) & (columns["has_address"] != 0)
+        )
+        lines = columns["address"][stores].astype(np.int64) // self.line_size
+        late = np.zeros(len(trace), dtype=bool)
+        late[stores[_running_count(lines) > self.threshold]] = True
+        return BugRecord(extra_delay=_delay_where(late, self.delay))
 
     def on_simulation_start(self, config) -> None:
         self._counts = {}
@@ -228,6 +288,18 @@ class StoresToRegisterDelay(CoreBug):
         self.mode = mode
         self._counts: dict[int, int] = {}
 
+    def compile(self, trace) -> BugRecord:
+        columns = trace.columns
+        writes = np.flatnonzero(columns["has_dest"] != 0)
+        count = _running_count(columns["dest"][writes].astype(np.int64))
+        if self.mode == "after":
+            hit = count > self.threshold
+        else:
+            hit = count % self.threshold == 0
+        late = np.zeros(len(trace), dtype=bool)
+        late[writes[hit]] = True
+        return BugRecord(extra_delay=_delay_where(late, self.delay))
+
     def on_simulation_start(self, config) -> None:
         self._counts = {}
 
@@ -253,6 +325,9 @@ class L2LatencyBug(CoreBug):
             description=f"L2 cache latency increased by {extra} cycles",
         )
         self.extra = extra
+
+    def compile(self, trace) -> BugRecord:
+        return BugRecord(l2_extra_latency=self.extra)
 
     def cache_extra_latency(self, level: int) -> int:
         return self.extra if level == 2 else 0
@@ -290,6 +365,20 @@ class LongBranchDelay(CoreBug):
         self.distance_bytes = distance_bytes
         self.delay = delay
 
+    def compile(self, trace) -> BugRecord:
+        columns = trace.columns
+        opcode = columns["opcode"]
+        branch = (
+            (opcode == int(Opcode.BRANCH))
+            | (opcode == int(Opcode.CALL))
+            | (opcode == int(Opcode.RET))
+        )
+        span = np.abs(
+            columns["target"].astype(np.int64) - columns["pc"].astype(np.int64)
+        )
+        far = branch & (columns["has_target"] != 0) & (span > self.distance_bytes)
+        return BugRecord(extra_delay=_delay_where(far, self.delay))
+
     def extra_issue_delay(self, uop: MicroOp, context: DispatchContext) -> int:
         if not uop.is_branch or uop.target is None:
             return 0
@@ -313,6 +402,18 @@ class OpcodeUsesRegisterDelay(CoreBug):
         self.opcode = opcode
         self.register = register
         self.delay = delay
+
+    def compile(self, trace) -> BugRecord:
+        columns = trace.columns
+        register = self.register
+        touches = (columns["has_dest"] != 0) & (
+            columns["dest"].astype(np.int64) == register
+        )
+        offsets = columns["srcs_offset"].astype(np.int64)
+        owner = np.repeat(np.arange(len(trace)), np.diff(offsets))
+        touches[owner[columns["srcs_flat"].astype(np.int64) == register]] = True
+        hit = _opcode_is(trace, self.opcode) & touches
+        return BugRecord(extra_delay=_delay_where(hit, self.delay))
 
     def extra_issue_delay(self, uop: MicroOp, context: DispatchContext) -> int:
         if uop.opcode is not self.opcode:

@@ -3,9 +3,9 @@
 from .branch import BranchPredictor
 from .caches import Cache, CacheHierarchy
 from .counters import CounterTimeSeries, TimeSeriesSampler, derived_counters
-from .hooks import BUG_FREE, CoreBugModel, DispatchContext
+from .hooks import BUG_FREE, BugRecord, CoreBugModel, DispatchContext
 from .pipeline import O3Pipeline, PipelineError
-from .native import native_available, simulate_batch_native, supports_native
+from .native import native_available, simulate_batch_native
 from .simulator import (
     DEFAULT_STEP_CYCLES,
     KERNEL_ENV_VAR,
@@ -23,6 +23,7 @@ __all__ = [
     "CounterTimeSeries",
     "TimeSeriesSampler",
     "derived_counters",
+    "BugRecord",
     "CoreBugModel",
     "DispatchContext",
     "BUG_FREE",
@@ -33,7 +34,6 @@ __all__ = [
     "simulate_trace_batch",
     "native_available",
     "simulate_batch_native",
-    "supports_native",
     "resolve_kernel",
     "DEFAULT_STEP_CYCLES",
     "KERNEL_ENV_VAR",

@@ -10,7 +10,6 @@ methodology's counters observe.
 from __future__ import annotations
 
 from ..uarch.config import CacheConfig, MicroarchConfig
-from .hooks import CoreBugModel
 
 
 class Cache:
@@ -91,72 +90,55 @@ class CacheHierarchy:
     #: Main-memory access time in nanoseconds (converted to cycles per design).
     MEMORY_LATENCY_NS = 60.0
 
-    def __init__(self, config: MicroarchConfig, bug: CoreBugModel) -> None:
+    def __init__(self, config: MicroarchConfig) -> None:
         self.config = config
-        self.bug = bug
         self.levels: list[Cache] = [Cache("l1d", config.l1), Cache("l2", config.l2)]
         if config.l3 is not None:
             self.levels.append(Cache("l3", config.l3))
         self.memory_latency = max(
             30, int(round(self.MEMORY_LATENCY_NS * config.clock_ghz))
         )
-        # Hot-path hoist: when the bug model leaves ``cache_extra_latency``
-        # unoverridden it is a pure zero, so per-level hit latencies are
-        # constants and the hook is never called (see docs/PERFORMANCE.md).
-        if type(bug).cache_extra_latency is CoreBugModel.cache_extra_latency:
-            self._static_latency: list[int] | None = [
-                cache.config.latency for cache in self.levels
-            ]
-        else:
-            self._static_latency = None
+        #: Hit latency per level; a bug record's L2 extra latency adds to [1].
+        self.latency = [cache.config.latency for cache in self.levels]
         self._outer_levels = self.levels[1:]
 
     def access(self, address: int) -> int:
         """Access *address* and return the total latency in core cycles."""
-        latency = 0
         hit_level = 0
-        static = self._static_latency
-        if static is not None:
-            # Hot path: `Cache.lookup` inlined for the L1 probe (the
-            # overwhelmingly common hit case), outer levels via the method.
-            l1 = self.levels[0]
-            l1._tick += 1
-            line = address >> l1.line_shift
-            set_index = line % l1.num_sets
-            tag = line // l1.num_sets
-            cache_set = l1._sets[set_index]
-            l1.accesses += 1
-            latency = static[0]
-            if tag in cache_set:
-                cache_set[tag] = l1._tick
-                return latency
-            l1.misses += 1
-            if len(cache_set) >= l1.associativity:
-                victim = min(cache_set, key=cache_set.get)
-                del cache_set[victim]
+        static = self.latency
+        # Hot path: `Cache.lookup` inlined for the L1 probe (the
+        # overwhelmingly common hit case), outer levels via the method.
+        l1 = self.levels[0]
+        l1._tick += 1
+        line = address >> l1.line_shift
+        set_index = line % l1.num_sets
+        tag = line // l1.num_sets
+        cache_set = l1._sets[set_index]
+        l1.accesses += 1
+        latency = static[0]
+        if tag in cache_set:
             cache_set[tag] = l1._tick
-            index = 1
-            for cache in self._outer_levels:
-                latency += static[index]
-                index += 1
-                if cache.lookup(address):
-                    hit_level = index
-                    break
-        else:
-            for index, cache in enumerate(self.levels, start=1):
-                latency += cache.config.latency + self.bug.cache_extra_latency(index)
-                if cache.lookup(address):
-                    hit_level = index
-                    break
+            return latency
+        l1.misses += 1
+        if len(cache_set) >= l1.associativity:
+            victim = min(cache_set, key=cache_set.get)
+            del cache_set[victim]
+        cache_set[tag] = l1._tick
+        index = 1
+        for cache in self._outer_levels:
+            latency += static[index]
+            index += 1
+            if cache.lookup(address):
+                hit_level = index
+                break
         if hit_level == 0:
             latency += self.memory_latency
-        if hit_level != 1:
-            # Next-line prefetch on an L1 miss: all modern cores covered by
-            # Table II ship hardware prefetchers; modelling one keeps the
-            # scaled-down probes from being artificially memory bound.
-            next_line = address + self.levels[0].config.line_size
-            for cache in self.levels:
-                cache.fill(next_line)
+        # Next-line prefetch on an L1 miss: all modern cores covered by
+        # Table II ship hardware prefetchers; modelling one keeps the
+        # scaled-down probes from being artificially memory bound.
+        next_line = address + self.levels[0].config.line_size
+        for cache in self.levels:
+            cache.fill(next_line)
         return latency
 
     def stats(self) -> dict[str, int]:

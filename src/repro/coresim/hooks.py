@@ -1,32 +1,32 @@
-"""Bug-injection hook interface for the out-of-order core model.
+"""Bug-injection interface for the out-of-order core model.
 
-The paper injects 14 classes of performance bugs into gem5's O3 pipeline.  In
-this reproduction every injection point in :mod:`repro.coresim.pipeline` calls
-into a :class:`CoreBugModel`; the bug-free simulator uses the no-op base class
-and :mod:`repro.bugs.core_bugs` provides one subclass per bug type.
+The paper injects 14 classes of performance bugs into gem5's O3 pipeline.
+In this reproduction a bug is a :class:`CoreBugModel`, and
+:mod:`repro.bugs.core_bugs` provides one subclass per bug type.  A model
+speaks to the simulators in two ways:
 
-A hook object may keep internal state (e.g. per-cache-line store counts) —
-the pipeline guarantees that dispatch-time hooks are invoked exactly once per
-dynamic instruction, in program order.
+* **Structural hooks** — :meth:`~CoreBugModel.on_simulation_start`,
+  :meth:`~CoreBugModel.register_reduction` and
+  :meth:`~CoreBugModel.bp_table_entries` — run once when a simulation
+  starts, in every kernel.
+* **The bug record.**  :meth:`CoreBugModel.compile` turns the model, for
+  one decoded trace, into a :class:`BugRecord`: per-uop flag and delay
+  columns plus a few scalars.  The scalar pipeline and the native kernel
+  read only this record (see docs/PERFORMANCE.md).
 
-Fast-path contract (see docs/PERFORMANCE.md): the pipeline detects, once at
-construction, which hooks a bug model overrides (class-level comparison
-against :class:`CoreBugModel`) and never calls the unoverridden ones — they
-are pure no-ops by definition.  Consequently hooks must be overridden at
-class level (not assigned as instance attributes), and a model must not rely
-on base-class hooks being *called*.  Overridden hooks keep their documented
-call guarantees exactly.
-
-Every hook is classified below as structural (:data:`STRUCTURAL_HOOKS`,
-evaluated once at construction) or dynamic (:data:`DYNAMIC_HOOKS`, consulted
-per cycle).  :func:`dynamic_hook_free` is the one kernel-eligibility rule:
-the native kernel honours structural hooks only, so a model overriding any
-dynamic hook runs on the scalar pipeline.
+The per-cycle hooks (``serialize`` … ``cache_extra_latency``) are the
+input of the frozen seed pipeline in :mod:`repro.coresim._reference`, the
+differential oracle, and of nothing else.  The seed pipeline calls the
+dispatch-time hooks exactly once per dynamic instruction, in program
+order, which is why the trace-prefix bugs reduce to precomputed columns;
+the differential fuzz proves every bug type's record equal to its hooks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..workloads.isa import MicroOp, Opcode
 
@@ -40,20 +40,60 @@ class DispatchContext:
     producer_opcodes: tuple[Opcode, ...]
 
 
+@dataclass(frozen=True)
+class BugRecord:
+    """What one bug does to one trace, in the form the kernels read.
+
+    Column fields hold one entry per uop of the trace, or ``None`` when the
+    bug leaves that behaviour alone.  Every extra issue delay applies at
+    dispatch and sums: ``extra_delay[i]``, plus ``iq_delay`` when fewer than
+    ``iq_free_below`` IQ slots are free, plus ``rob_delay`` likewise for the
+    ROB, plus the ``dependency`` delay when the uop has opcode ``consumer``
+    and an in-flight producer with opcode ``producer``.
+    """
+
+    #: Per-uop flags: serialising / may issue only when oldest in the IQ /
+    #: while oldest in the IQ, nothing else may issue.
+    serialize: "np.ndarray | None" = None
+    issue_only_if_oldest: "np.ndarray | None" = None
+    oldest_blocks_others: "np.ndarray | None" = None
+    #: Per-uop extra issue delay that depends only on the trace prefix.
+    extra_delay: "np.ndarray | None" = None
+    iq_free_below: int = 0
+    iq_delay: int = 0
+    rob_free_below: int = 0
+    rob_delay: int = 0
+    #: ``(consumer opcode, producer opcode, delay)`` as ints, or ``None``.
+    dependency: "tuple[int, int, int] | None" = None
+    #: Extra front-end redirect cycles after a mispredicted branch resolves.
+    mispredict_penalty: int = 0
+    #: Extra L2 hit latency in cycles.
+    l2_extra_latency: int = 0
+
+
+#: The record of the bug-free design.
+NO_BUG = BugRecord()
+
+
 class CoreBugModel:
     """No-op bug model: the bug-free pipeline behaviour.
 
-    Subclasses override the hooks relevant to the bug they model.  All hooks
-    must be deterministic functions of their arguments plus internal state.
+    Subclasses override :meth:`compile` plus the hooks of the bug they
+    model.  Hooks must be deterministic functions of their arguments plus
+    internal state.
     """
 
     #: Human-readable identifier, overridden by concrete bugs.
     name: str = "bug-free"
 
-    def on_simulation_start(self, config) -> None:
-        """Called once before simulation; may reset internal state."""
+    def compile(self, trace) -> BugRecord:
+        """The :class:`BugRecord` of this bug on *trace* (a ``DecodedTrace``)."""
+        return NO_BUG
 
     # -- structural hooks --------------------------------------------------
+
+    def on_simulation_start(self, config) -> None:
+        """Called once before simulation; may reset internal state."""
 
     def register_reduction(self) -> int:
         """Number of physical registers removed from the free pool (bug 11)."""
@@ -63,11 +103,11 @@ class CoreBugModel:
         """Effective branch-predictor table size (bug 14)."""
         return configured
 
+    # -- per-cycle hooks (input of the seed pipeline only) -------------------
+
     def cache_extra_latency(self, level: int) -> int:
         """Extra hit latency, in cycles, for cache *level* (1-based; bug 10)."""
         return 0
-
-    # -- scheduling hooks ---------------------------------------------------
 
     def serialize(self, uop: MicroOp) -> bool:
         """True if *uop* must be treated as a serialising instruction (bug 1)."""
@@ -85,47 +125,14 @@ class CoreBugModel:
         """Extra cycles *uop* must wait before becoming issue-eligible.
 
         Called exactly once per dynamic instruction at dispatch, in program
-        order.  Covers bugs 4, 5, 6, 8, 9 and 13.
+        order.  Covers bugs 4, 5, 6, 8, 9, 12 and 13.
         """
         return 0
 
     def branch_extra_penalty(self, uop: MicroOp, mispredicted: bool) -> int:
-        """Extra front-end redirect penalty for *uop* (bugs 7 and 12)."""
+        """Extra front-end redirect penalty for *uop* (bug 7)."""
         return 0
 
 
 #: Singleton bug-free model shared by default simulations.
 BUG_FREE = CoreBugModel()
-
-
-#: Hooks evaluated once at construction, never per cycle: a bug model may
-#: override these and still run on the native kernel.
-STRUCTURAL_HOOKS = frozenset(
-    {"on_simulation_start", "register_reduction", "bp_table_entries"}
-)
-
-#: Every hook the scalar pipeline may consult dynamically.
-DYNAMIC_HOOKS = (
-    "serialize",
-    "issue_only_if_oldest",
-    "oldest_blocks_others",
-    "extra_issue_delay",
-    "branch_extra_penalty",
-    "cache_extra_latency",
-)
-
-
-def dynamic_hook_free(bug: "CoreBugModel | None") -> bool:
-    """True if *bug* (or ``None``) leaves every dynamic hook at its default.
-
-    This is the same class-level override detection the scalar pipeline uses
-    for hook hoisting: such a model never perturbs per-cycle behaviour, so a
-    kernel only needs its structural hooks (evaluated once).
-    """
-    if bug is None:
-        return True
-    bug_type = type(bug)
-    for hook in DYNAMIC_HOOKS:
-        if getattr(bug_type, hook) is not getattr(CoreBugModel, hook):
-            return False
-    return True

@@ -17,7 +17,6 @@ from .kernel import (
     NativeKernelUnavailable,
     native_available,
     simulate_batch_native,
-    supports_native,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "load_library",
     "native_available",
     "simulate_batch_native",
-    "supports_native",
 ]

@@ -1,6 +1,5 @@
 /* Native simulation kernel: a C port of the optimized scalar O3 cycle loop
- * (repro/coresim/pipeline.py) for bug models that override no dynamic hooks
- * (dynamic_hook_free in repro/coresim/hooks.py).
+ * (repro/coresim/pipeline.py), for every core bug model.
  *
  * Bit-identity contract: every counter value, the final cycle count, and the
  * sampling boundaries must match the scalar pipeline exactly.  The Python
@@ -8,18 +7,15 @@
  * emitted cumulative counter rows through the real TimeSeriesSampler, so any
  * divergence here is caught by the differential oracle.
  *
- * Hook-free simplifications (proved against pipeline.py for eligible bugs):
- *   - serialize() is always None: no serializing stalls, dispatch_reason 1
- *     is unreachable.
- *   - issue_only_if_oldest() is always False: no oldest-tracking, the issue
- *     stage never restricts to the ROB head.
- *   - extra_issue_delay() is always 0: min_issue == dispatch_cycle + 1, so a
- *     uop whose operands complete at writeback is always heap-pushable
- *     immediately (writeback cycle >= dispatch + 1) and the ready_at
- *     calendar is never populated from writeback.  Only the wake_next list
- *     (same-cycle dispatch of ready uops) remains.
- *   - branch_extra_penalty() is always 0: redirect penalty is the base 4.
- *   - cache_extra_latency() is always 0.
+ * Bugs arrive as data, the BugRecord of repro/coresim/hooks.py: one flag
+ * byte per uop (serialising, issue-only-if-oldest, oldest-blocks-others,
+ * dependency consumer/producer opcode), one extra-delay column, and the
+ * SimParams scalars below (IQ/ROB free-slot thresholds and delays, the
+ * dependency delay, the redirect penalty, per-level cache latencies).
+ * Extra issue delays wake uops through a calendar ring; uops dispatched
+ * ready for the next cycle bypass it through the wake buffer.  As in the
+ * scalar pipeline, dispatch stops behind a serialising uop until it
+ * completes, so the issue stage never sees a younger one.
  *
  * Structural consequences used throughout: seq == trace index, the ROB is
  * the contiguous index range [n_committed, n_dispatched), the fetch queue is
@@ -28,9 +24,15 @@
  * to "the last earlier store to this address has not committed yet", which a
  * setup pass precomputes per load. */
 
+#define _DEFAULT_SOURCE  /* MAP_ANONYMOUS under -std=c99 */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
+
+#ifndef MAP_ANONYMOUS
+#define MAP_ANONYMOUS MAP_ANON
+#endif
 
 typedef int64_t i64;
 typedef uint64_t u64;
@@ -52,9 +54,17 @@ enum {
     NUM_CLASSES
 };
 
-#define BASE_REDIRECT_PENALTY 4
 #define HISTORY_MASK 0xFFF
 #define MAX_LEVELS 3
+
+/* Per-uop bug flag bits (kernel.py packs them from the BugRecord). */
+enum {
+    F_SERIALIZE = 1,
+    F_ONLY_OLDEST = 2,
+    F_OLDEST_BLOCKS = 4,
+    F_DEP_CONSUMER = 8,
+    F_DEP_PRODUCER = 16
+};
 
 /* Counter slot layout.  Must match _SLOT_NAMES in kernel.py: slots 0..38 are
  * the lazily-created pipeline counters (emitted to Python only when their
@@ -77,13 +87,13 @@ enum {
     S_ISSUE_CONFLICTS,
     S_DISP_INSTR,
     S_DISP_STALL,
-    S_DISP_SERIALIZING,   /* always 0 for eligible bugs */
-    S_DISP_SERIALIZED,    /* always 0 for eligible bugs */
+    S_DISP_SERIALIZING,
+    S_DISP_SERIALIZED,
     S_DISP_ROBFULL,
     S_DISP_IQFULL,
     S_DISP_LSQFULL,
     S_RENAME_STALL,
-    S_BUG_DELAY,          /* always 0 for eligible bugs */
+    S_BUG_DELAY,
     S_FETCH_INSTR,
     S_FETCH_BR,
     S_FETCH_MISPRED,
@@ -133,12 +143,19 @@ typedef struct {
     i64 bp_table_entries;  /* post-bug, post-clamp */
     i64 btb_entries;
     i64 indirect_sets;
+    i64 redirect_penalty;  /* base 4 plus the bug's mispredict penalty */
+    i64 iq_free_below;     /* IQ pressure: delay when free slots < this */
+    i64 iq_delay;
+    i64 rob_free_below;    /* ROB pressure: delay when free slots < this */
+    i64 rob_delay;
+    i64 dep_delay;         /* consumer with an in-flight producer opcode */
+    i64 wake_span;         /* > largest extra issue delay + 1 */
     i64 latency_by_class[NUM_CLASSES];
     i64 cp_offset[NUM_CLASSES + 1];  /* class -> range in class_ports_flat */
     i64 cache_sets[MAX_LEVELS];
     i64 cache_assoc[MAX_LEVELS];
     i64 cache_line_shift[MAX_LEVELS];
-    i64 cache_latency[MAX_LEVELS];
+    i64 cache_latency[MAX_LEVELS];  /* L2 includes the bug's extra latency */
 } SimParams;
 
 /* Python-compatible modulo / floor division (operands may be negative). */
@@ -153,6 +170,22 @@ static inline i64 pyfloordiv(i64 a, i64 b) {
         q -= 1;
     }
     return q;
+}
+
+/* Zeroed arrays straight from mmap: untouched pages never become resident,
+ * and unmapping them leaves the host allocator's thresholds alone (a freed
+ * large calloc would raise glibc's mmap threshold, so the next run's arrays
+ * would come from the heap with every page resident). */
+static i64 *map_zeroed(i64 count) {
+    void *p = mmap(NULL, (size_t)count * sizeof(i64), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? NULL : (i64 *)p;
+}
+
+static void unmap(i64 *p, i64 count) {
+    if (p != NULL) {
+        munmap(p, (size_t)count * sizeof(i64));
+    }
 }
 
 /* ---------------------------------------------------------------------- */
@@ -556,6 +589,8 @@ static void emit_row(i64 *row, const i64 *C, i64 rob_occ, i64 iq_occ,
  * 2 allocation failure, 3 row-buffer overflow (cannot happen when the
  * caller sizes max_rows from max_cycles // step_cycles + 1). */
 int repro_simulate(const SimParams *P,
+                   const u8 *bug_flags,
+                   const i64 *extra_delay,
                    const u8 *op_class,
                    const u8 *has_dest,
                    const i32 *dest,
@@ -596,11 +631,18 @@ int repro_simulate(const SimParams *P,
     i32 *reg_producer = NULL;
     i64 *port_busy = NULL;
     i32 *last_store_ord = NULL;
+    i64 *min_issue = NULL;
+    u8 *issued = NULL;
+    i32 *cal_head = NULL;
+    i32 *cal_next = NULL;
     Hierarchy hier;
     Bp bp;
     StoreMap smap;
     i64 ring_size;
     i64 ring_mask;
+    i64 cal_size = 1;
+    i64 cal_mask;
+    int track_oldest = 0;
     i64 n_edges_max = srcs_offset[n];
     i64 edge_count = 0;
     i64 k;
@@ -631,6 +673,10 @@ int repro_simulate(const SimParams *P,
             ring_size <<= 1;
         }
         ring_mask = ring_size - 1;
+        while (cal_size < P->wake_span) {
+            cal_size <<= 1;
+        }
+        cal_mask = cal_size - 1;
     }
 
     pending = (i32 *)calloc((size_t)n, sizeof(i32));
@@ -646,15 +692,27 @@ int repro_simulate(const SimParams *P,
     reg_producer = (i32 *)malloc((size_t)P->num_regs * sizeof(i32));
     port_busy = (i64 *)calloc((size_t)P->num_ports, sizeof(i64));
     last_store_ord = (i32 *)malloc((size_t)n * sizeof(i32));
+    min_issue = (i64 *)malloc((size_t)n * sizeof(i64));
+    issued = (u8 *)calloc((size_t)n, sizeof(u8));
+    cal_head = (i32 *)malloc((size_t)cal_size * sizeof(i32));
+    cal_next = (i32 *)malloc((size_t)n * sizeof(i32));
     if (!pending || !completed || !cons_head || !edge_to || !edge_next ||
         !ring_head || !ring_next || !heap || !deferred || !wake_buf ||
-        !reg_producer || !port_busy || !last_store_ord) {
+        !reg_producer || !port_busy || !last_store_ord || !min_issue ||
+        !issued || !cal_head || !cal_next) {
         rc = 2;
         goto cleanup;
     }
     memset(cons_head, 0xFF, (size_t)n * sizeof(i32));        /* -1 */
     memset(ring_head, 0xFF, (size_t)ring_size * sizeof(i32)); /* -1 */
+    memset(cal_head, 0xFF, (size_t)cal_size * sizeof(i32));   /* -1 */
     memset(reg_producer, 0xFF, (size_t)P->num_regs * sizeof(i32));
+    for (k = 0; k < n; k++) {
+        if (bug_flags[k] & (F_ONLY_OLDEST | F_OLDEST_BLOCKS)) {
+            track_oldest = 1;
+            break;
+        }
+    }
 
     /* --- cache levels --- */
     hier.num_levels = P->num_levels;
@@ -666,8 +724,8 @@ int repro_simulate(const SimParams *P,
         c->assoc = P->cache_assoc[k];
         c->line_shift = P->cache_line_shift[k];
         c->latency = P->cache_latency[k];
-        c->tags = (i64 *)calloc((size_t)(c->num_sets * c->assoc), sizeof(i64));
-        c->ticks = (i64 *)calloc((size_t)(c->num_sets * c->assoc), sizeof(i64));
+        c->tags = map_zeroed(c->num_sets * c->assoc);
+        c->ticks = map_zeroed(c->num_sets * c->assoc);
         if (!c->tags || !c->ticks) {
             rc = 2;
             goto cleanup;
@@ -779,6 +837,9 @@ int repro_simulate(const SimParams *P,
         i64 n_dispatched = 0;
         i64 next_index = 0;
         i64 stores_committed = 0;
+        i64 oldest_ptr = 0;       /* oldest un-issued IQ entry when tracked */
+        i64 cal_count = 0;        /* uops waiting in the wake calendar */
+        i32 serialize_op = -1;
         i32 fetch_blocked_by = -1;
         i64 fetch_resume = 0;
         i64 rob_occ_sum = 0;
@@ -861,13 +922,23 @@ int repro_simulate(const SimParams *P,
                             i32 consumer = edge_to[e];
                             pending[consumer] -= 1;
                             if (pending[consumer] == 0) {
-                                heap_push(heap, &heap_size, consumer);
+                                if (min_issue[consumer] <= cycle) {
+                                    heap_push(heap, &heap_size, consumer);
+                                } else {
+                                    i64 cs = min_issue[consumer] & cal_mask;
+                                    cal_next[consumer] = cal_head[cs];
+                                    cal_head[cs] = consumer;
+                                    cal_count += 1;
+                                }
                             }
                             e = edge_next[e];
                         }
                         if (node == fetch_blocked_by) {
-                            fetch_resume = cycle + BASE_REDIRECT_PENALTY;
+                            fetch_resume = cycle + P->redirect_penalty;
                             fetch_blocked_by = -1;
+                        }
+                        if (node == serialize_op) {
+                            serialize_op = -1;
                         }
                         count += 1;
                         node = nxt;
@@ -877,27 +948,54 @@ int repro_simulate(const SimParams *P,
                 }
             }
 
-            /* wake uops that dispatched ready last cycle */
+            /* wake uops that dispatched ready last cycle, then the
+             * calendar's uops whose extra delay ends this cycle */
             for (k = 0; k < wake_count; k++) {
                 heap_push(heap, &heap_size, wake_buf[k]);
             }
             wake_count = 0;
+            if (cal_count > 0) {
+                i32 node = cal_head[cycle & cal_mask];
+                cal_head[cycle & cal_mask] = -1;
+                while (node >= 0) {
+                    heap_push(heap, &heap_size, node);
+                    cal_count -= 1;
+                    node = cal_next[node];
+                }
+            }
 
             /* issue */
             if (heap_size > 0) {
                 if (iq_count == 0) {
                     C[S_ISSUE_EMPTY] += 1;
                 } else {
-                    i64 issued = 0;
+                    i64 n_issued = 0;
                     u64 ports_used = 0;
                     i64 ndef = 0;
-                    while (heap_size > 0 && issued < width) {
-                        i32 op = heap_pop(heap, &heap_size);
+                    i64 oldest = -1;
+                    int restrict_oldest = 0;
+                    if (track_oldest) {
+                        while (issued[oldest_ptr]) {
+                            oldest_ptr += 1;
+                        }
+                        oldest = oldest_ptr;
+                        restrict_oldest = (bug_flags[oldest] & F_OLDEST_BLOCKS) != 0;
+                    }
+                    while (heap_size > 0 && n_issued < width) {
+                        i32 op = heap[0];
                         int cls = op_class[op];
                         int port = -1;
                         i64 latency;
                         i64 finish;
                         i64 fslot;
+                        if (restrict_oldest && op != oldest) {
+                            break;
+                        }
+                        heap_pop(heap, &heap_size);
+                        if ((bug_flags[op] & F_ONLY_OLDEST) && op != oldest) {
+                            deferred[ndef++] = op;
+                            continue;
+                        }
                         for (k = P->cp_offset[cls]; k < P->cp_offset[cls + 1]; k++) {
                             i32 cand = class_ports_flat[k];
                             if ((ports_used >> cand) & 1) {
@@ -935,19 +1033,20 @@ int repro_simulate(const SimParams *P,
                         fslot = finish & ring_mask;
                         ring_next[op] = ring_head[fslot];
                         ring_head[fslot] = op;
+                        issued[op] = 1;
                         inflight += 1;
-                        issued += 1;
+                        n_issued += 1;
                         C[S_ISSUE_CLASS0 + cls] += 1;
                     }
                     for (k = 0; k < ndef; k++) {
                         heap_push(heap, &heap_size, deferred[k]);
                     }
-                    if (issued == 0) {
+                    if (n_issued == 0) {
                         C[S_ISSUE_STALL] += 1;
                     } else {
-                        iq_count -= issued;
-                        C[S_ISSUE_INSTR] += issued;
-                        if (issued >= width) {
+                        iq_count -= n_issued;
+                        C[S_ISSUE_INSTR] += n_issued;
+                        if (n_issued >= width) {
                             C[S_ISSUE_MAXW] += 1;
                         }
                     }
@@ -966,6 +1065,14 @@ int repro_simulate(const SimParams *P,
                     int cls = op_class[op];
                     int is_mem = (cls == CLS_LOAD || cls == CLS_STORE);
                     i32 pend = 0;
+                    int dep_hit = 0;
+                    i64 rob_free = rob_size - (n_dispatched - n_committed);
+                    i64 extra = extra_delay[op];
+                    i64 ready_at = cycle + 1;
+                    if (serialize_op >= 0) {
+                        C[S_DISP_SERIALIZING] += 1;
+                        break;
+                    }
                     if (n_dispatched - n_committed >= rob_size) {
                         C[S_DISP_ROBFULL] += 1;
                         break;
@@ -992,6 +1099,9 @@ int repro_simulate(const SimParams *P,
                             edge_next[edge_count] = cons_head[producer];
                             cons_head[producer] = (i32)edge_count;
                             edge_count += 1;
+                            if (bug_flags[producer] & F_DEP_PRODUCER) {
+                                dep_hit = 1;
+                            }
                         }
                     }
                     pending[op] = pend;
@@ -999,9 +1109,34 @@ int repro_simulate(const SimParams *P,
                         free_regs -= 1;
                         reg_producer[dest[op]] = (i32)op;
                     }
+                    if (iq_size - iq_count < P->iq_free_below) {
+                        extra += P->iq_delay;
+                    }
+                    if (rob_free < P->rob_free_below) {
+                        extra += P->rob_delay;
+                    }
+                    if (dep_hit && (bug_flags[op] & F_DEP_CONSUMER)) {
+                        extra += P->dep_delay;
+                    }
+                    if (extra > 0) {
+                        ready_at += extra;
+                        C[S_BUG_DELAY] += extra;
+                    }
+                    min_issue[op] = ready_at;
+                    if (bug_flags[op] & F_SERIALIZE) {
+                        serialize_op = (i32)op;
+                        C[S_DISP_SERIALIZED] += 1;
+                    }
                     iq_count += 1;
                     if (pend == 0) {
-                        wake_buf[wake_count++] = (i32)op;
+                        if (ready_at == cycle + 1) {
+                            wake_buf[wake_count++] = (i32)op;
+                        } else {
+                            i64 cs = ready_at & cal_mask;
+                            cal_next[op] = cal_head[cs];
+                            cal_head[cs] = (i32)op;
+                            cal_count += 1;
+                        }
                     }
                     if (is_mem) {
                         lsq_occ += 1;
@@ -1080,7 +1215,9 @@ int repro_simulate(const SimParams *P,
                             i64 head = n_dispatched;
                             int hcls = op_class[head];
                             int h_is_mem = (hcls == CLS_LOAD || hcls == CLS_STORE);
-                            if (rob_len >= rob_size) {
+                            if (serialize_op >= 0) {
+                                dispatch_reason = 1;
+                            } else if (rob_len >= rob_size) {
                                 dispatch_reason = 2;
                             } else if (iq_count >= iq_size) {
                                 dispatch_reason = 3;
@@ -1092,11 +1229,19 @@ int repro_simulate(const SimParams *P,
                                 dispatch_reason = -1;
                             }
                         }
-                        if (dispatch_reason >= 0 && inflight > 0) {
+                        if (dispatch_reason >= 0 && (inflight > 0 || cal_count > 0)) {
                             i64 event = last_sample + step_cycles;
                             i64 c;
-                            for (c = cycle + 1; c <= cycle + ring_size; c++) {
+                            for (c = cycle + 1; inflight > 0 && c <= cycle + ring_size; c++) {
                                 if (ring_head[c & ring_mask] >= 0) {
+                                    if (c < event) {
+                                        event = c;
+                                    }
+                                    break;
+                                }
+                            }
+                            for (c = cycle + 1; cal_count > 0 && c <= cycle + cal_size; c++) {
+                                if (cal_head[c & cal_mask] >= 0) {
                                     if (c < event) {
                                         event = c;
                                     }
@@ -1121,7 +1266,9 @@ int repro_simulate(const SimParams *P,
                                     }
                                     if (dispatch_reason != 0) {
                                         C[S_DISP_STALL] += skipped;
-                                        if (dispatch_reason == 2) {
+                                        if (dispatch_reason == 1) {
+                                            C[S_DISP_SERIALIZING] += skipped;
+                                        } else if (dispatch_reason == 2) {
                                             C[S_DISP_ROBFULL] += skipped;
                                         } else if (dispatch_reason == 3) {
                                             C[S_DISP_IQFULL] += skipped;
@@ -1175,9 +1322,14 @@ cleanup:
     free(reg_producer);
     free(port_busy);
     free(last_store_ord);
+    free(min_issue);
+    free(issued);
+    free(cal_head);
+    free(cal_next);
     for (k = 0; k < MAX_LEVELS; k++) {
-        free(hier.levels[k].tags);
-        free(hier.levels[k].ticks);
+        CacheLevel *c = &hier.levels[k];
+        unmap(c->tags, c->num_sets * c->assoc);
+        unmap(c->ticks, c->num_sets * c->assoc);
     }
     free(bp.counters);
     free(bp.ind_target);

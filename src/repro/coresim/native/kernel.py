@@ -9,11 +9,13 @@ real :class:`~repro.coresim.counters.TimeSeriesSampler` so the resulting
 the scalar pipeline (same cycles, same counter name sets, same values —
 pinned by the differential oracle).
 
-Eligibility is :func:`~repro.coresim.hooks.dynamic_hook_free`: bug models
-overriding any dynamic hook fall back to the scalar pipeline, structural
-hooks (``register_reduction``, ``bp_table_entries``, ``on_simulation_start``)
-are evaluated here in Python before the C call, in the same order the scalar
-``O3Pipeline.__init__`` evaluates them.
+Every core bug model runs here.  Its structural hooks
+(``on_simulation_start``, ``register_reduction``, ``bp_table_entries``) are
+evaluated in Python before the C call, in the order the scalar
+``O3Pipeline.__init__`` evaluates them, and its
+:class:`~repro.coresim.hooks.BugRecord` goes in as one flag byte per uop,
+one extra-delay column and a few ``SimParams`` scalars.  Only a
+configuration past a kernel limit raises :class:`NativeKernelUnavailable`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from ...uarch.config import MicroarchConfig
 from ...workloads.decoded import DecodedTrace, decode_trace
 from ...workloads.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from ..counters import TimeSeriesSampler
-from ..hooks import BUG_FREE, CoreBugModel, dynamic_hook_free
-from ..pipeline import MAX_CYCLES_PER_INSTRUCTION, PipelineError
+from ..hooks import BUG_FREE, BugRecord, CoreBugModel
+from ..pipeline import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
 from .build import load_library
 
 _NUM_CLASSES = len(OpClass)
@@ -117,6 +119,13 @@ class _SimParams(ctypes.Structure):
         ("bp_table_entries", ctypes.c_int64),
         ("btb_entries", ctypes.c_int64),
         ("indirect_sets", ctypes.c_int64),
+        ("redirect_penalty", ctypes.c_int64),
+        ("iq_free_below", ctypes.c_int64),
+        ("iq_delay", ctypes.c_int64),
+        ("rob_free_below", ctypes.c_int64),
+        ("rob_delay", ctypes.c_int64),
+        ("dep_delay", ctypes.c_int64),
+        ("wake_span", ctypes.c_int64),
         ("latency_by_class", ctypes.c_int64 * _NUM_CLASSES),
         ("cp_offset", ctypes.c_int64 * (_NUM_CLASSES + 1)),
         ("cache_sets", ctypes.c_int64 * _MAX_LEVELS),
@@ -124,15 +133,6 @@ class _SimParams(ctypes.Structure):
         ("cache_line_shift", ctypes.c_int64 * _MAX_LEVELS),
         ("cache_latency", ctypes.c_int64 * _MAX_LEVELS),
     ]
-
-
-def supports_native(bug: "CoreBugModel | None") -> bool:
-    """True if *bug* (or ``None``) may run on the native kernel.
-
-    Only structural hooks are honoured, so any dynamic-hook override falls
-    back to the scalar pipeline.
-    """
-    return dynamic_hook_free(bug)
 
 
 def native_available() -> bool:
@@ -154,6 +154,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_simulate.restype = ctypes.c_int
     lib.repro_simulate.argtypes = [
         ctypes.POINTER(_SimParams),
+        _u8, _i64,    # bug_flags, extra_delay
         _u8, _u8, _i32, _u8, _i64, _i8, _i64, _i64, _u8, _u8,  # trace columns
         _i32, _i32,   # srcs_flat, srcs_offset
         _i32,         # class_ports_flat
@@ -272,13 +273,39 @@ def _row_to_cumulative(row: "list[int]", has_l3: bool) -> "dict[str, float]":
     return cumulative
 
 
+def _bug_columns(
+    record: BugRecord, decoded: DecodedTrace, n: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The record's per-uop flag byte (``F_*`` bits of ``_core.c``) and
+    extra-delay column."""
+    flags = np.zeros(n, dtype=np.uint8)
+    for bit, column in (
+        (1, record.serialize),
+        (2, record.issue_only_if_oldest),
+        (4, record.oldest_blocks_others),
+    ):
+        if column is not None:
+            flags |= np.where(column, bit, 0).astype(np.uint8)
+    if record.dependency is not None:
+        consumer, producer, _delay = record.dependency
+        opcode = decoded.columns["opcode"]
+        flags |= np.where(opcode == consumer, 8, 0).astype(np.uint8)
+        flags |= np.where(opcode == producer, 16, 0).astype(np.uint8)
+    extra = record.extra_delay
+    if extra is None:
+        extra = np.zeros(n, dtype=np.int64)
+    return flags, np.ascontiguousarray(extra, dtype=np.int64)
+
+
 def _fill_params(
     config: MicroarchConfig,
     bug: CoreBugModel,
+    record: BugRecord,
     native: _NativeTrace,
+    extra: np.ndarray,
     step_cycles: int,
     warmup: bool,
-) -> "tuple[_SimParams, np.ndarray, int]":
+) -> "tuple[_SimParams, np.ndarray]":
     """SimParams + flat class->ports array for one run.
 
     Structural bug hooks are evaluated here in the scalar pipeline's
@@ -312,6 +339,20 @@ def _fill_params(
     params.bp_table_entries = max(4, bug.bp_table_entries(config.bp_table_entries))
     params.btb_entries = config.btb_entries
     params.indirect_sets = max(4, config.indirect_predictor_sets)
+    params.redirect_penalty = BASE_REDIRECT_PENALTY + record.mispredict_penalty
+    params.iq_free_below = record.iq_free_below
+    params.iq_delay = record.iq_delay
+    params.rob_free_below = record.rob_free_below
+    params.rob_delay = record.rob_delay
+    params.dep_delay = record.dependency[2] if record.dependency else 0
+    params.wake_span = 2 + max(0, int(extra.max())) + sum(
+        max(0, delay) for delay in (params.iq_delay, params.rob_delay, params.dep_delay)
+    )
+    if params.wake_span > params.max_cycles:
+        raise NativeKernelUnavailable(
+            f"an extra issue delay of {params.wake_span} cycles exceeds the "
+            "native kernel's wake calendar"
+        )
 
     latency_of = {
         OpClass.INT_ALU: 1,
@@ -344,7 +385,8 @@ def _fill_params(
         params.cache_assoc[index] = level.associativity
         params.cache_line_shift[index] = level.line_size.bit_length() - 1
         params.cache_latency[index] = level.latency
-    return params, class_ports_flat, len(levels)
+    params.cache_latency[1] += record.l2_extra_latency
+    return params, class_ports_flat
 
 
 def _simulate_one(
@@ -360,8 +402,10 @@ def _simulate_one(
     native = _native_trace_for(decoded)
     if native.n == 0:
         raise ValueError("cannot simulate an empty trace")
-    params, class_ports_flat, num_levels = _fill_params(
-        config, bug, native, step_cycles, warmup
+    record = bug.compile(decoded)
+    flags, extra = _bug_columns(record, decoded, native.n)
+    params, class_ports_flat = _fill_params(
+        config, bug, record, native, extra, step_cycles, warmup
     )
     max_rows = params.max_cycles // step_cycles + 2
     out_rows = np.zeros((max_rows + 1, NUM_SLOTS), dtype=np.int64)
@@ -369,6 +413,8 @@ def _simulate_one(
 
     rc = lib.repro_simulate(
         ctypes.byref(params),
+        _ptr(flags, ctypes.c_uint8),
+        _ptr(extra, ctypes.c_int64),
         _ptr(native.op_class, ctypes.c_uint8),
         _ptr(native.has_dest, ctypes.c_uint8),
         _ptr(native.dest, ctypes.c_int32),
@@ -429,10 +475,6 @@ def simulate_batch_native(
         raise NativeKernelUnavailable("native kernel library unavailable")
     _configure(lib)
     bug = bug if bug is not None else BUG_FREE
-    if not supports_native(bug):
-        raise NativeKernelUnavailable(
-            f"bug model {bug.name!r} overrides dynamic hooks"
-        )
     results = []
     for trace in traces:
         bug.on_simulation_start(config)

@@ -13,11 +13,13 @@ redirect penalty), stores complete in one cycle after their D-cache lookup,
 and the instruction cache is assumed perfect.  None of these affect the
 counter↔IPC correlation structure the methodology relies on.
 
-Every bug-injection point calls into a
-:class:`~repro.coresim.hooks.CoreBugModel`.
+A bug enters as the :class:`~repro.coresim.hooks.BugRecord` its model
+compiles for the trace (per-uop flag and delay columns plus scalars), read
+at the same points where the seed pipeline calls the per-cycle hooks; the
+structural hooks run once at construction.
 
-Performance structure (see docs/PERFORMANCE.md).  This is the hot path of
-every experiment, so the implementation deviates from the textbook seed
+Performance structure (see docs/PERFORMANCE.md).  This is the fallback of
+the native kernel, so the implementation deviates from the textbook seed
 version (frozen in :mod:`repro.coresim._reference`) in five ways that are
 pinned counter-bit-identical by ``tests/test_perf_equivalence.py``:
 
@@ -28,9 +30,9 @@ pinned counter-bit-identical by ``tests/test_perf_equivalence.py``:
   number plus a wake-up calendar, so each cycle touches only issue-eligible
   instructions instead of scanning the whole IQ, and issued entries leave via
   tombstones instead of rebuilding the queue list every cycle;
-* bug hooks that a model does not override are detected once at construction
-  (class-level comparison against :class:`CoreBugModel`) and skipped entirely
-  — the ``BUG_FREE`` fast path pays for no hook dispatch at all;
+* bugs are data: the pipeline indexes the record's columns by sequence
+  number and never calls into the bug model per cycle, and the bug-free
+  record (every column ``None``) skips every bug branch;
 * all five stages are inlined into one cycle loop in :meth:`run` whose
   mutable state and counters live in local variables, synced back to the
   instance only at sampling boundaries;
@@ -50,7 +52,7 @@ from ..workloads.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from .branch import BranchPredictor
 from .caches import CacheHierarchy
 from .counters import CounterTimeSeries, TimeSeriesSampler
-from .hooks import BUG_FREE, CoreBugModel, DispatchContext
+from .hooks import BUG_FREE, CoreBugModel
 
 #: Base front-end redirect penalty (cycles) after a mispredicted branch resolves.
 BASE_REDIRECT_PENALTY = 4
@@ -69,17 +71,6 @@ _BRANCH = int(OpClass.BRANCH)
 
 #: Counter names for per-class issue counts, indexed by int(OpClass).
 _ISSUE_CLASS_NAMES = [f"issue.class.{op_class.name}" for op_class in OpClass]
-
-#: Hooks whose calls are skipped when a bug model leaves them unoverridden.
-#: (name, attribute set on the pipeline).  See docs/PERFORMANCE.md for the
-#: contract this imposes on bug models.
-_HOOK_FLAGS = (
-    ("serialize", "_hook_serialize"),
-    ("issue_only_if_oldest", "_hook_issue_only_if_oldest"),
-    ("oldest_blocks_others", "_hook_oldest_blocks"),
-    ("extra_issue_delay", "_hook_extra_delay"),
-    ("branch_extra_penalty", "_hook_branch_penalty"),
-)
 
 
 class _InflightOp:
@@ -133,6 +124,11 @@ class PipelineError(RuntimeError):
     """Raised when the pipeline deadlocks or exceeds its cycle budget."""
 
 
+def _column(values) -> "list | None":
+    """A bug-record column as a plain list (fast per-uop indexing)."""
+    return None if values is None else values.tolist()
+
+
 class O3Pipeline:
     """Executes one dynamic trace on one microarchitecture configuration."""
 
@@ -147,16 +143,7 @@ class O3Pipeline:
         self.step_cycles = step_cycles
         self.bug.on_simulation_start(config)
 
-        # Hoist bug-hook dispatch: a hook left at the CoreBugModel default is
-        # a pure no-op and is never called (the BUG_FREE fast path).
-        bug_type = type(self.bug)
-        for hook_name, flag in _HOOK_FLAGS:
-            overridden = getattr(bug_type, hook_name) is not getattr(
-                CoreBugModel, hook_name
-            )
-            setattr(self, flag, overridden)
-
-        self.caches = CacheHierarchy(config, self.bug)
+        self.caches = CacheHierarchy(config)
         self.branch_predictor = BranchPredictor(config, self.bug)
 
         # Physical register pool: architectural state plus rename registers,
@@ -187,13 +174,12 @@ class O3Pipeline:
         # Pipeline structures.  The issue queue is a count plus a ready heap
         # (seq-ordered) and a wake-up calendar; `_iq_order` (a seq-ordered
         # deque with lazy tombstone removal) is maintained only when an
-        # oldest-sensitive bug hook needs the oldest un-issued entry.
+        # oldest-sensitive bug needs the oldest un-issued entry.
         self._fetch_queue: deque[_InflightOp] = deque()
         self._rob: deque[_InflightOp] = deque()
         self._iq_count = 0
         self._ready: list[tuple[int, _InflightOp]] = []
         self._ready_at: dict[int, list[_InflightOp]] = {}
-        self._track_oldest = self._hook_oldest_blocks or self._hook_issue_only_if_oldest
         self._iq_order: deque[_InflightOp] = deque()
         self._lsq_occupancy = 0
         self._reg_producer: dict[int, _InflightOp] = {}
@@ -334,11 +320,14 @@ class O3Pipeline:
         ``_materialise`` blocks at sampling boundaries, on abort, and at the
         end of the run.
         """
-        ops = decode_trace(trace).pipeline_ops
+        decoded = decode_trace(trace)
+        ops = decoded.pipeline_ops
         total = len(ops)
         if total == 0:
             raise ValueError("cannot simulate an empty trace")
         sampler = TimeSeriesSampler(self.step_cycles)
+        record = self.bug.compile(decoded)
+        self.caches.latency[1] = self.config.l2.latency + record.l2_extra_latency
 
         # -- invariants hoisted out of the loop --------------------------------
         config = self.config
@@ -348,14 +337,23 @@ class O3Pipeline:
         lsq_size = config.lsq_size
         capacity = config.fetch_buffer
         step_cycles = self.step_cycles
-        bug = self.bug
-        hook_serialize = self._hook_serialize
-        hook_only_oldest = self._hook_issue_only_if_oldest
-        hook_oldest_blocks = self._hook_oldest_blocks
-        hook_extra_delay = self._hook_extra_delay
-        hook_branch_penalty = self._hook_branch_penalty
-        track_oldest = self._track_oldest
-        fast_forward_ok = not hook_oldest_blocks
+        # Bug record: columns as lists indexed by seq (== trace index).
+        serialize = _column(record.serialize)
+        only_oldest = _column(record.issue_only_if_oldest)
+        oldest_blocks = _column(record.oldest_blocks_others)
+        extra_delay = _column(record.extra_delay)
+        iq_free_below, iq_delay = record.iq_free_below, record.iq_delay
+        rob_free_below, rob_delay = record.rob_free_below, record.rob_delay
+        dependency = record.dependency
+        dep_consumer, dep_producer, dep_delay = dependency or (None, None, 0)
+        delayed = (
+            extra_delay is not None
+            or iq_free_below > 0
+            or rob_free_below > 0
+            or dependency is not None
+        )
+        redirect_penalty = BASE_REDIRECT_PENALTY + record.mispredict_penalty
+        track_oldest = only_oldest is not None or oldest_blocks is not None
         latency_by_class = self._latency
         class_ports = self._class_ports
         port_busy = self._port_busy_until
@@ -538,10 +536,7 @@ class O3Pipeline:
                                         waiters.append(consumer)
                         op.consumers = []
                     if op.blocks_fetch and fetch_blocked_by is op:
-                        penalty = BASE_REDIRECT_PENALTY
-                        if hook_branch_penalty:
-                            penalty += bug.branch_extra_penalty(op.uop, True)
-                        fetch_resume = cycle + penalty
+                        fetch_resume = cycle + redirect_penalty
                         fetch_blocked_by = None
                     if serialize_op is op:
                         serialize_op = None
@@ -559,7 +554,7 @@ class O3Pipeline:
                         heappush(ready, (op.seq, op))
 
             # ------------------------------------------------------------ issue
-            if ready or track_oldest:
+            if ready:
                 if iq_count == 0:
                     c_issue_empty += 1
                 else:
@@ -569,11 +564,9 @@ class O3Pipeline:
                         while iq_order[0].issued:
                             iq_order.popleft()
                         oldest = iq_order[0]
-                        if hook_oldest_blocks:
-                            restrict_to_oldest = bug.oldest_blocks_others(oldest.uop)
-                    if not ready or (
-                        restrict_to_oldest and ready[0][1] is not oldest
-                    ):
+                        if oldest_blocks is not None:
+                            restrict_to_oldest = oldest_blocks[oldest.seq]
+                    if restrict_to_oldest and ready[0][1] is not oldest:
                         # Nothing issue-eligible this cycle (the seed scan
                         # would visit every IQ entry and issue nothing).
                         c_issue_stall += 1
@@ -588,22 +581,17 @@ class O3Pipeline:
                                 break
                             heappop(ready)
                             if (
-                                hook_only_oldest
+                                only_oldest is not None
                                 and op is not oldest
-                                and bug.issue_only_if_oldest(op.uop)
+                                and only_oldest[op.seq]
                             ):
                                 if deferred is None:
                                     deferred = []
                                 deferred.append(entry)
                                 continue
-                            if serialize_op is not None and op is not serialize_op:
-                                # A serialising instruction blocks younger
-                                # instructions until it has itself issued.
-                                if op.seq > serialize_op.seq:
-                                    if deferred is None:
-                                        deferred = []
-                                    deferred.append(entry)
-                                    continue
+                            # No younger-than-serialising check: dispatch
+                            # stops behind a serialising uop until it
+                            # completes, so the IQ never holds a younger one.
                             op_class = op.op_class
                             port = -1
                             for candidate in class_ports[op_class]:
@@ -690,48 +678,40 @@ class O3Pipeline:
                     fetch_queue.popleft()
                     dispatched += 1
 
-                    # Rename: link sources to in-flight producers.  The
-                    # producer opcode list is only assembled when an
-                    # extra-delay hook will consume it.
+                    # Rename: link sources to in-flight producers, noting
+                    # a dependency bug's producer opcode among them.
                     pending = 0
-                    if hook_extra_delay:
-                        producer_opcodes = []
-                        for src in op.srcs:
-                            producer = reg_producer.get(src)
-                            if producer is not None and not producer.completed:
-                                pending += 1
-                                producer.consumers.append(op)
-                                producer_opcodes.append(producer.uop.opcode)
-                    else:
-                        for src in op.srcs:
-                            producer = reg_producer.get(src)
-                            if producer is not None and not producer.completed:
-                                pending += 1
-                                producer.consumers.append(op)
+                    dep_hit = False
+                    for src in op.srcs:
+                        producer = reg_producer.get(src)
+                        if producer is not None and not producer.completed:
+                            pending += 1
+                            producer.consumers.append(op)
+                            if (
+                                dependency is not None
+                                and producer.uop.opcode == dep_producer
+                            ):
+                                dep_hit = True
                     op.pending = pending
                     if op.has_dest:
                         free_regs -= 1
                         reg_producer[op.dest] = op
 
-                    if hook_extra_delay:
-                        extra = bug.extra_issue_delay(
-                            op.uop,
-                            DispatchContext(
-                                iq_free=iq_size - iq_count,
-                                rob_free=rob_size - len(rob),
-                                producer_opcodes=tuple(producer_opcodes),
-                            ),
-                        )
+                    min_issue = cycle + 1
+                    if delayed:
+                        extra = 0 if extra_delay is None else extra_delay[op.seq]
+                        if iq_size - iq_count < iq_free_below:
+                            extra += iq_delay
+                        if rob_size - len(rob) < rob_free_below:
+                            extra += rob_delay
+                        if dep_hit and op.uop.opcode == dep_consumer:
+                            extra += dep_delay
                         if extra > 0:
-                            min_issue = cycle + 1 + extra
+                            min_issue += extra
                             c_bug_delay += extra
-                        else:
-                            min_issue = cycle + 1
-                    else:
-                        min_issue = cycle + 1
                     op.min_issue_cycle = min_issue
 
-                    if hook_serialize and bug.serialize(op.uop):
+                    if serialize is not None and serialize[op.seq]:
                         serialize_op = op
                         c_disp_serialized += 1
 
@@ -864,13 +844,11 @@ class O3Pipeline:
             # there in one step, batch-applying the per-cycle stall counters
             # every skipped cycle would have accumulated (the blocking state
             # is constant across the window, so the same counters fire every
-            # cycle).  Disabled while an oldest-blocks-others bug is injected
-            # and the IQ is non-empty (the seed consults that hook every such
-            # cycle).
+            # cycle).  Bug flags are per uop, so they cannot change inside the
+            # window either.
             if (
                 not ready
                 and not wake_next
-                and (iq_count == 0 or fast_forward_ok)
                 and (not rob or not rob[0].completed)
             ):
                 blocked = fetch_blocked_by is not None

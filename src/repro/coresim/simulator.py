@@ -5,19 +5,19 @@ experiments and the examples.  It wraps :class:`~repro.coresim.pipeline.O3Pipeli
 and packages the sampled counter time series plus whole-run aggregates into a
 :class:`SimulationResult`.
 
-Two counter-bit-identical kernels back it (see docs/PERFORMANCE.md):
+Two counter-bit-identical kernels back it (see docs/PERFORMANCE.md), and
+both read a bug as the :class:`~repro.coresim.hooks.BugRecord` its model
+compiles for the trace:
 
-* ``"scalar"`` — the per-trace :class:`O3Pipeline` cycle loop (the default);
-* ``"native"`` — the compiled C cycle loop of :mod:`repro.coresim.native`,
-  built lazily from the shipped source with whatever system compiler is
-  found.  When no compiler exists (or the build fails) it degrades to the
-  scalar kernel with a one-time warning, never an exception.
+* ``"native"`` — the compiled C cycle loop of :mod:`repro.coresim.native`
+  (the default), built lazily from the shipped source with whatever system
+  compiler is found;
+* ``"scalar"`` — the per-trace :class:`O3Pipeline` cycle loop, the fallback
+  when no compiler exists or the build fails (with a one-time warning,
+  never an exception) and for configurations past a native kernel limit.
 
 Kernel selection: the explicit ``kernel=`` argument wins, then the
-``REPRO_KERNEL`` environment variable, then ``"scalar"``.  Bug models that
-override dynamic hooks always fall back to the scalar kernel regardless of
-the selection (the native kernel cannot honour per-cycle hooks; see
-:func:`~repro.coresim.hooks.dynamic_hook_free`).
+``REPRO_KERNEL`` environment variable, then ``"native"``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ KERNELS = ("scalar", "native")
 
 
 def resolve_kernel(kernel: "str | None" = None) -> str:
-    """The effective kernel name: argument, else ``REPRO_KERNEL``, else scalar."""
+    """The effective kernel name: argument, else ``REPRO_KERNEL``, else native."""
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR, "").strip() or "scalar"
+        kernel = os.environ.get(KERNEL_ENV_VAR, "").strip() or "native"
     if kernel not in KERNELS:
         raise ValueError(f"unknown simulation kernel {kernel!r}; available: {KERNELS}")
     return kernel
@@ -108,35 +108,15 @@ def simulate_trace(
         Functionally warm caches and branch predictors before the timed run,
         compensating for the scaled-down probe length (see DESIGN.md §2).
     kernel:
-        ``"scalar"``, ``"native"`` or ``None`` (use ``REPRO_KERNEL``,
-        default scalar).  Both kernels are counter-bit-identical; bug models
-        that override dynamic hooks silently use the scalar kernel, and a
+        ``"native"``, ``"scalar"`` or ``None`` (use ``REPRO_KERNEL``,
+        default native).  Both kernels are counter-bit-identical; a
         missing/unbuildable native library degrades to scalar with a
         one-time warning.
     """
-    if resolve_kernel(kernel) == "native":
-        from .native import NativeKernelUnavailable, native_available, supports_native
-
-        if supports_native(bug) and native_available():
-            from .native import simulate_batch_native
-
-            try:
-                return simulate_batch_native(
-                    config, [trace], bug=bug, step_cycles=step_cycles, warmup=warmup
-                )[0]
-            except NativeKernelUnavailable:
-                pass  # config exceeds a kernel limit: scalar fallback
-    pipeline = O3Pipeline(config, bug=bug, step_cycles=step_cycles)
-    if warmup:
-        pipeline.warmup(trace)
-    series = pipeline.run(trace)
-    return SimulationResult(
-        config_name=config.name,
-        bug_name=pipeline.bug.name,
-        instructions=pipeline.committed,
-        cycles=pipeline.cycle,
-        series=series,
-    )
+    return simulate_trace_batch(
+        config, [trace], bug=bug, step_cycles=step_cycles, warmup=warmup,
+        kernel=kernel,
+    )[0]
 
 
 def simulate_trace_batch(
@@ -149,16 +129,16 @@ def simulate_trace_batch(
 ) -> "list[SimulationResult]":
     """Simulate many probes of one design in one call.
 
-    With the ``native`` kernel (and a native-eligible bug model) every trace
-    runs through the compiled C cycle loop in one call — the batched path
-    the runtime's same-config job grouping exercises.  Otherwise this is
-    exactly a loop over :func:`simulate_trace`.  Results are identical
-    either way, in input order.
+    With the ``native`` kernel every trace runs through the compiled C
+    cycle loop in one call — the batched path the runtime's same-config job
+    grouping exercises.  Otherwise each trace runs through the scalar
+    :class:`O3Pipeline`.  Results are identical either way, in input order.
     """
     if resolve_kernel(kernel) == "native":
-        from .native import NativeKernelUnavailable, native_available, supports_native
+        # Looked up at call time, not bound at import.
+        from .native import NativeKernelUnavailable, native_available
 
-        if supports_native(bug) and native_available():
+        if native_available():
             from .native import simulate_batch_native
 
             try:
@@ -171,14 +151,19 @@ def simulate_trace_batch(
                 )
             except NativeKernelUnavailable:
                 pass  # config exceeds a kernel limit: scalar fallback
-    return [
-        simulate_trace(
-            config,
-            trace,
-            bug=bug,
-            step_cycles=step_cycles,
-            warmup=warmup,
-            kernel="scalar",
+    results = []
+    for trace in traces:
+        pipeline = O3Pipeline(config, bug=bug, step_cycles=step_cycles)
+        if warmup:
+            pipeline.warmup(trace)
+        series = pipeline.run(trace)
+        results.append(
+            SimulationResult(
+                config_name=config.name,
+                bug_name=pipeline.bug.name,
+                instructions=pipeline.committed,
+                cycles=pipeline.cycle,
+                series=series,
+            )
         )
-        for trace in traces
-    ]
+    return results

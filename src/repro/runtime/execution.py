@@ -6,9 +6,9 @@ dispatch on the study kind into a deterministic simulator — no matter which
 is the single implementation all of them call, so serial, local-pool and
 remote execution cannot drift apart.
 
-When the ``native`` kernel is selected, core-study jobs that share a
-(config, bug, step) — the shape every sweep produces — are grouped into
-batch units by :func:`plan_batches` and executed through
+When the ``native`` kernel is selected (the default), core-study jobs that
+share a (config, bug, step) — the shape every sweep produces — are grouped
+into batch units by :func:`plan_batches` and executed through
 :func:`~repro.coresim.simulator.simulate_trace_batch`.  Results are
 bit-identical to per-job execution (the native kernel is pinned
 counter-identical to the scalar one), so store keys and stored content do
@@ -21,7 +21,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..coresim.native import supports_native
 from ..coresim.simulator import resolve_kernel, simulate_trace, simulate_trace_batch
 from ..memsim.simulator import simulate_memory_trace
 from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
@@ -69,11 +68,10 @@ ChunkOutcome = "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]"
 def batch_group_key(job: SimulationJob) -> "tuple | None":
     """Batching key for the native kernel, or ``None`` if the job can't batch.
 
-    Core-study jobs with a native-eligible bug model group by
-    (config, bug, step) content; everything else (memory study,
-    hook-overriding bugs) executes singly on the scalar path.
+    Core-study jobs group by (config, bug, step) content; memory-study jobs
+    execute singly.
     """
-    if job.study != CORE_STUDY or not supports_native(job.bug):
+    if job.study != CORE_STUDY:
         return None
     return (config_fingerprint(job.config), bug_fingerprint(job.bug), job.step)
 

@@ -32,7 +32,6 @@ from .registry import (
     save_model,
     train_model,
 )
-from .server import DetectionServer
 from .session import ServingSession
 
 __all__ = [
@@ -48,3 +47,13 @@ __all__ = [
     "save_model",
     "train_model",
 ]
+
+
+def __getattr__(name: str):
+    # Loaded on first use, so ``python -m repro.serve.server`` does not find
+    # its own module already imported by this package.
+    if name == "DetectionServer":
+        from .server import DetectionServer
+
+        return DetectionServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

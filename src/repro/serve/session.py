@@ -13,12 +13,10 @@ after the socket layer peels the frames off:
 * the batched warm path: per request item, all store-missing probe jobs
   share one (config, bug, step) and are grouped by
   :func:`~repro.runtime.execution.plan_batches` into a single batch unit
-  through :func:`~repro.coresim.simulator.simulate_trace_batch`.  Unless a
-  kernel was chosen explicitly (constructor argument or ``REPRO_KERNEL``),
-  the session defaults to ``"native"``, so the compiled kernel serves the
-  warm path whenever it is available and the bug model is eligible (else
-  the scalar fallback runs); both kernels execute the same plan
-  bit-identically.
+  through :func:`~repro.coresim.simulator.simulate_trace_batch` on the
+  kernel :func:`~repro.coresim.simulator.resolve_kernel` picks (the
+  constructor argument, else ``REPRO_KERNEL``, else ``"native"``); both
+  kernels execute the same plan bit-identically.
 
 Sessions are shared by every connection thread of the daemon.  Simulation
 and store mutation run under one lock (it guards the in-memory overlay and
@@ -29,13 +27,12 @@ as they complete, so the server can stream them back immediately.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..coresim.simulator import KERNEL_ENV_VAR
+from ..coresim.simulator import resolve_kernel
 from ..runtime import ResultStore, SimulationJob, TraceRegistry
 from ..runtime.execution import _execute_unit, plan_batches
 from ..runtime.store import StoredResult
@@ -94,13 +91,7 @@ class ServingSession:
     ) -> None:
         self.model = model
         self.store = store
-        if kernel is None and not os.environ.get(KERNEL_ENV_VAR, "").strip():
-            # No explicit choice anywhere: serve with the native kernel (it
-            # falls back to scalar when uncompiled or the bug is
-            # ineligible).  An explicit REPRO_KERNEL (even "scalar") is
-            # always honoured.
-            kernel = "native"
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         self.stats = SessionStats()
         self._registry = TraceRegistry()
         #: probe name -> trace digest, computed once — serving never re-hashes.

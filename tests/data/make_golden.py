@@ -7,9 +7,11 @@ Two files are produced:
 
 ``counter_manifest.json``
     The authoritative **counter-name universe** per kernel: the union, over
-    every microarchitecture preset, of the counter names each kernel
-    actually sampled on the golden trace.  ``repro-lint``'s counter-contract
-    checker compares this observed universe against the statically extracted
+    every microarchitecture preset plus one variant of each core bug type
+    on :data:`BUG_PRESET`, of the counter names each kernel actually sampled
+    on the golden trace.  The bug runs are what reach the serialising and
+    extra-delay counters.  ``repro-lint``'s counter-contract checker
+    compares this observed universe against the statically extracted
     emission sites, closing the loop between what the code *says* it counts
     and what a run *actually* produced.
 
@@ -40,6 +42,10 @@ STEP_CYCLES = 256
 #: every preset, short enough to regenerate in under a minute.
 TRACE_LENGTH = 1800
 
+#: Preset that runs the first registry variant of every core bug type for
+#: the counter manifest (the digests stay bug-free).
+BUG_PRESET = "Skylake"
+
 
 def golden_trace():
     """The deterministic golden trace (shared by script and tests)."""
@@ -63,10 +69,36 @@ def series_digest(result) -> str:
     return hasher.hexdigest()
 
 
-def main() -> int:
-    from repro.coresim import native_available, simulate_trace
+def _observe(observed, config, trace, bug, kernels) -> str:
+    """Reference digest of one run; records every kernel's counter names and
+    refuses a live kernel that diverges from the reference."""
+    from repro.coresim import simulate_trace
     from repro.coresim._reference import reference_simulate_trace
-    from repro.uarch import all_core_microarches
+
+    result = reference_simulate_trace(
+        config, list(trace), bug=bug, step_cycles=STEP_CYCLES
+    )
+    digest = series_digest(result)
+    observed["reference"].update(result.series.counters)
+    for kernel in kernels:
+        live_result = simulate_trace(
+            config, trace, bug=bug, step_cycles=STEP_CYCLES, kernel=kernel
+        )
+        observed[kernel].update(live_result.series.counters)
+        live = series_digest(live_result)
+        if live != digest:
+            raise SystemExit(
+                f"{config.name} bug={getattr(bug, 'name', None)}: {kernel} "
+                f"kernel diverges from the reference (got {live}); fix the "
+                "kernel before pinning"
+            )
+    return digest
+
+
+def main() -> int:
+    from repro.bugs.registry import core_bug_suite
+    from repro.coresim import native_available
+    from repro.uarch import all_core_microarches, core_microarch
 
     kernels = ["scalar"]
     if native_available():
@@ -77,24 +109,12 @@ def main() -> int:
     digests = {}
     observed: "dict[str, set]" = {name: set() for name in ["reference", *kernels]}
     for config in all_core_microarches():
-        result = reference_simulate_trace(
-            config, list(trace), step_cycles=STEP_CYCLES
-        )
-        digests[config.name] = series_digest(result)
-        observed["reference"].update(result.series.counters)
-        # refuse to pin digests a live kernel cannot reproduce
-        for kernel in kernels:
-            live_result = simulate_trace(
-                config, trace, step_cycles=STEP_CYCLES, kernel=kernel
-            )
-            observed[kernel].update(live_result.series.counters)
-            live = series_digest(live_result)
-            if live != digests[config.name]:
-                raise SystemExit(
-                    f"{config.name}: {kernel} kernel diverges from the "
-                    f"reference (got {live}); fix the kernel before pinning"
-                )
+        digests[config.name] = _observe(observed, config, trace, None, kernels)
         print(f"{config.name:14s} {digests[config.name]}")
+    bug_config = core_microarch(BUG_PRESET)
+    for bug_type, (bug, *_rest) in core_bug_suite().items():
+        _observe(observed, bug_config, trace, bug, kernels)
+        print(f"{BUG_PRESET:14s} {bug_type}")
     payload = {
         "comment": (
             "Golden counter-series digests of the frozen seed pipeline "
@@ -115,7 +135,8 @@ def main() -> int:
     manifest = {
         "comment": (
             "Observed counter-name universe per kernel (union over every "
-            "preset, bug-free golden trace). Consumed by repro-lint's "
+            "preset bug-free plus one variant of each core bug type on "
+            f"{BUG_PRESET}, golden trace). Consumed by repro-lint's "
             "counter-contract checker. Regenerate via make_golden.py."
         ),
         "step_cycles": STEP_CYCLES,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import counter_contract, determinism, hook_contract
+from repro.analysis import counter_contract, determinism
 from repro.analysis import native_gate, protocol_constants
 from repro.analysis.cli import FAMILIES, main, run_lint
 from repro.analysis.findings import (
@@ -280,118 +280,6 @@ class TestCounterContract:
             "no static emission site" in m and "commit.phantom" in m
             for m in messages
         ), messages
-
-
-# ---------------------------------------------------------------------------
-# hook-contract
-# ---------------------------------------------------------------------------
-
-
-class TestHookContract:
-    def test_clean_on_repository(self):
-        assert hook_contract.check(tree_with()) == []
-
-    def test_unclassified_hook_fires(self):
-        overlay = _mutate(
-            "src/repro/coresim/hooks.py",
-            "    def serialize(self, uop: MicroOp) -> bool:",
-            "    def brand_new_hook(self, uop) -> int:\n"
-            "        return 0\n\n"
-            "    def serialize(self, uop: MicroOp) -> bool:",
-        )
-        findings = hook_contract.check(tree_with(overlay))
-        assert any(
-            "brand_new_hook" in f.message and "unclassified" in f.message
-            for f in findings
-        )
-
-    def test_overlapping_classification_fires(self):
-        overlay = _mutate(
-            "src/repro/coresim/hooks.py",
-            '{"on_simulation_start", "register_reduction", "bp_table_entries"}',
-            '{"on_simulation_start", "register_reduction", "bp_table_entries",'
-            ' "serialize"}',
-        )
-        findings = hook_contract.check(tree_with(overlay))
-        assert any(
-            "'serialize'" in f.message and "both structural and dynamic" in f.message
-            for f in findings
-        )
-
-    def test_phantom_hook_fires(self):
-        overlay = _mutate(
-            "src/repro/coresim/hooks.py",
-            '    "cache_extra_latency",\n)',
-            '    "cache_extra_latency",\n    "retired_hook",\n)',
-        )
-        findings = hook_contract.check(tree_with(overlay))
-        assert any(
-            "'retired_hook'" in f.message and "defines no such hook" in f.message
-            for f in findings
-        )
-
-    def test_hook_flag_removal_fires(self):
-        overlay = _mutate(
-            "src/repro/coresim/pipeline.py",
-            '    ("serialize", "_hook_serialize"),\n',
-            "",
-        )
-        findings = hook_contract.check(tree_with(overlay))
-        assert any(
-            "'serialize'" in f.message and "_HOOK_FLAGS" in f.message
-            for f in findings
-        )
-
-    def test_instance_level_hook_binding_fires(self):
-        path = "src/repro/synthetic_bug.py"
-        source = (
-            "from repro.coresim.hooks import CoreBugModel\n\n"
-            "class SneakyBug(CoreBugModel):\n"
-            "    def __init__(self):\n"
-            "        self.serialize = lambda uop: True\n"
-        )
-        findings = hook_contract.check_overrides(tree_with({path: source}))
-        assert any(
-            f.rule == "hook-contract" and "self.serialize" in f.message
-            for f in findings
-        )
-
-    def test_monkeypatched_hook_fires(self):
-        path = "src/repro/synthetic_bug.py"
-        source = (
-            "from repro.coresim.hooks import CoreBugModel\n\n"
-            "CoreBugModel.serialize = lambda self, uop: True\n"
-        )
-        findings = hook_contract.check_overrides(tree_with({path: source}))
-        assert any("monkeypatched" in f.message for f in findings)
-
-    def test_setattr_hook_fires(self):
-        path = "src/repro/synthetic_bug.py"
-        source = (
-            "from repro.coresim.hooks import CoreBugModel\n\n"
-            'setattr(CoreBugModel, "serialize", lambda self, uop: True)\n'
-        )
-        findings = hook_contract.check_overrides(tree_with({path: source}))
-        assert any("setattr" in f.message for f in findings)
-
-    def test_class_level_override_is_fine(self):
-        path = "src/repro/synthetic_bug.py"
-        source = (
-            "from repro.coresim.hooks import CoreBugModel\n\n"
-            "class HonestBug(CoreBugModel):\n"
-            "    def serialize(self, uop):\n"
-            "        return True\n"
-        )
-        assert hook_contract.check_overrides(tree_with({path: source})) == []
-
-    def test_supports_native_must_defer(self):
-        overlay = _mutate(
-            "src/repro/coresim/native/kernel.py",
-            "return dynamic_hook_free(bug)",
-            "return True",
-        )
-        findings = hook_contract.check_native_defers(tree_with(overlay))
-        assert findings and "dynamic_hook_free" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bugs.core_bugs import L2LatencyBug
 from repro.coresim import (
     BranchPredictor,
+    BugRecord,
     Cache,
     CacheHierarchy,
     CoreBugModel,
@@ -37,12 +39,10 @@ class TestCache:
         assert cache.lookup(base + stride) is False
 
     def test_hierarchy_latency_and_bug_hook(self, skylake):
-        class L2Bug(CoreBugModel):
-            def cache_extra_latency(self, level):
-                return 7 if level == 2 else 0
-
-        clean = CacheHierarchy(skylake, CoreBugModel())
-        buggy = CacheHierarchy(skylake, L2Bug())
+        """A bug record's L2 extra latency adds to the L2 leg of a miss."""
+        clean = CacheHierarchy(skylake)
+        buggy = CacheHierarchy(skylake)
+        buggy.latency[1] += L2LatencyBug(7).compile(None).l2_extra_latency
         address = 0x5000_0000
         assert buggy.access(address) == clean.access(address) + 7
 
@@ -157,13 +157,11 @@ class TestPipeline:
 
 
 class TestHookOverrideDetection:
-    """Regression tests for the class-level hook-override contract.
+    """The kernels read a bug through ``compile``, nothing else.
 
-    The pipeline (and native-kernel eligibility, ``dynamic_hook_free``)
-    detect overridden hooks once, at construction, by comparing class attributes
-    against :class:`CoreBugModel`.  A hook attached to the subclass *after*
-    class creation — a pattern bug prototypes use — must still be detected:
-    silently taking the BUG_FREE fast path would drop the injected bug.
+    ``compile`` is an ordinary method call, so a record attached to a bug
+    class after its creation is honoured; the per-cycle hooks are the seed
+    pipeline's input only.
     """
 
     def test_hook_assigned_after_class_creation_is_called(self, skylake, gcc_trace):
@@ -172,15 +170,14 @@ class TestHookOverrideDetection:
 
         calls = []
 
-        def serialize(self, uop):
-            calls.append(uop.opcode)
-            return False
+        def compile(self, trace):
+            calls.append(len(trace))
+            return BugRecord()
 
-        LateBug.serialize = serialize  # attached post class creation
+        LateBug.compile = compile  # attached post class creation
         pipeline = O3Pipeline(skylake, bug=LateBug(), step_cycles=256)
-        assert pipeline._hook_serialize, "late class-level override not detected"
         pipeline.run(gcc_trace[:400])
-        assert calls, "late-attached hook was never invoked"
+        assert calls == [400], "late-attached compile was never invoked"
 
     def test_late_override_changes_timing(self, skylake, gcc_trace):
         from repro.workloads import decode_trace
@@ -188,28 +185,40 @@ class TestHookOverrideDetection:
         class LateSerialize(CoreBugModel):
             name = "late-serialize"
 
-        LateSerialize.serialize = lambda self, uop: uop.opcode is Opcode.ADD
-        trace = decode_trace(gcc_trace[:800])
-        bugged = simulate_trace(skylake, trace, bug=LateSerialize(), step_cycles=256)
-        clean = simulate_trace(skylake, trace, step_cycles=256)
-        assert bugged.cycles > clean.cycles, (
-            "post-creation serialize override silently took the fast path"
+        LateSerialize.compile = lambda self, trace: BugRecord(
+            serialize=trace.columns["opcode"] == int(Opcode.ADD)
         )
+        trace = decode_trace(gcc_trace[:800])
+        for kernel in ("scalar", "native"):
+            bugged = simulate_trace(
+                skylake, trace, bug=LateSerialize(), step_cycles=256, kernel=kernel
+            )
+            clean = simulate_trace(skylake, trace, step_cycles=256, kernel=kernel)
+            assert bugged.cycles > clean.cycles, (
+                f"post-creation compile override ignored by the {kernel} kernel"
+            )
 
-    def test_late_override_excluded_from_native_kernel(self):
-        from repro.coresim.hooks import dynamic_hook_free
+    def test_late_override_excluded_from_native_kernel(self, skylake, gcc_trace):
+        from repro.coresim._reference import reference_simulate_trace
 
         class LateDelay(CoreBugModel):
             name = "late-delay"
 
-        assert dynamic_hook_free(LateDelay())  # nothing overridden yet
         LateDelay.extra_issue_delay = lambda self, uop, context: 1
-        assert not dynamic_hook_free(LateDelay()), (
-            "native eligibility must see post-creation hook overrides"
+        trace = gcc_trace[:600]
+        clean = simulate_trace(skylake, trace, step_cycles=256)
+        for kernel in ("scalar", "native"):
+            hooked = simulate_trace(
+                skylake, trace, bug=LateDelay(), step_cycles=256, kernel=kernel
+            )
+            assert hooked.cycles == clean.cycles, kernel
+        seed = reference_simulate_trace(
+            skylake, list(trace), bug=LateDelay(), step_cycles=256
         )
+        assert seed.cycles > clean.cycles, "the seed pipeline reads the hooks"
 
-    def test_structural_hooks_keep_native_eligibility(self):
-        from repro.coresim.hooks import dynamic_hook_free
+    def test_structural_hooks_keep_native_eligibility(self, skylake, gcc_trace):
+        from repro.coresim.native import native_available, simulate_batch_native
 
         class Structural(CoreBugModel):
             name = "structural"
@@ -220,4 +229,14 @@ class TestHookOverrideDetection:
             def bp_table_entries(self, configured):
                 return configured // 2
 
-        assert dynamic_hook_free(Structural())
+        if not native_available():
+            pytest.skip("no C compiler on this host")
+        trace = gcc_trace[:800]
+        native = simulate_batch_native(
+            skylake, [trace], bug=Structural(), step_cycles=256
+        )[0]
+        scalar = simulate_trace(
+            skylake, trace, bug=Structural(), step_cycles=256, kernel="scalar"
+        )
+        clean = simulate_trace(skylake, trace, step_cycles=256, kernel="scalar")
+        assert native.cycles == scalar.cycles != clean.cycles

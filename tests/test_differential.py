@@ -55,9 +55,8 @@ from repro.coresim import (
     simulate_trace_batch,
 )
 from repro.coresim._reference import reference_simulate_trace
-from repro.coresim.hooks import dynamic_hook_free
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
-from repro.runtime.execution import plan_batches
+from repro.runtime.execution import batch_group_key, plan_batches
 from repro.uarch import all_core_microarches, core_microarch, memory_microarch
 from repro.workloads import (
     MicroOp,
@@ -175,7 +174,11 @@ def _mutate_preset(rng: random.Random, config):
 
 
 def _random_bug(rng: random.Random):
-    """None, a structural (native-eligible) bug, or a hook bug x severity."""
+    """None, a structural bug, or a per-uop/pipeline-state bug x severity.
+
+    The mixed scenarios keep this draw so their case ids stay stable per
+    seed; :func:`_roster_cases` covers every bug type.
+    """
     roll = rng.random()
     if roll < 0.25:
         return None
@@ -376,20 +379,24 @@ class TestDifferentialFuzz:
 
 class TestKernelSelection:
     def test_native_eligibility_classification(self):
-        assert dynamic_hook_free(None)
-        assert dynamic_hook_free(RegisterReduction(8))
-        assert dynamic_hook_free(BPTableReduction(512))
-        assert not dynamic_hook_free(SerializeOpcode(Opcode.XOR))
-        assert not dynamic_hook_free(L2LatencyBug(10))
-        assert not dynamic_hook_free(MispredictPenalty(9))
+        """Every core job, any bug type, batches onto the native kernel;
+        only memory-study jobs run singly."""
+        config = core_microarch("Skylake")
+        for bug in [None] + [b for v in core_bug_suite().values() for b in v]:
+            job = SimulationJob(study="core", config=config, bug=bug,
+                                trace_id="t", step=256)
+            assert batch_group_key(job) is not None, getattr(bug, "name", bug)
+        memory = SimulationJob(study="memory", config=memory_microarch("Skylake-mem"),
+                               bug=None, trace_id="t", step=256)
+        assert batch_group_key(memory) is None
 
     def test_kernel_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(None) == "scalar"
-        assert resolve_kernel("native") == "native"
-        monkeypatch.setenv("REPRO_KERNEL", "native")
         assert resolve_kernel(None) == "native"
         assert resolve_kernel("scalar") == "scalar"
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert resolve_kernel(None) == "scalar"
+        assert resolve_kernel("native") == "native"
         for retired in ("vector", "auto"):
             monkeypatch.setenv("REPRO_KERNEL", retired)
             with pytest.raises(ValueError, match="unknown simulation kernel"):
@@ -397,19 +404,6 @@ class TestKernelSelection:
         with pytest.raises(ValueError):
             resolve_kernel("simd")
         assert KERNELS == ("scalar", "native")
-
-    def test_hook_bug_falls_back_to_scalar(self, monkeypatch):
-        """kernel=native with an ineligible bug must still be exact."""
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        program = build_program(workload("403.gcc"), seed=3)
-        trace = decode_trace(TraceGenerator(program, seed=4).generate(600))
-        config = core_microarch("Skylake")
-        bug = SerializeOpcode(Opcode.XOR)
-        env_result = simulate_trace(config, trace, bug=bug, step_cycles=256)
-        scalar = simulate_trace(
-            config, trace, bug=bug, step_cycles=256, kernel="scalar"
-        )
-        _assert_identical(scalar, env_result, "hook-bug fallback")
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +494,9 @@ class TestCrossKernelEngine:
     def test_native_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         scalar = JobEngine(jobs=1).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "native")
+        monkeypatch.delenv("REPRO_KERNEL")  # the default: native
         native = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, native):
             assert a.cycles == b.cycles
@@ -519,7 +513,7 @@ class TestCrossKernelEngine:
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
         store = ResultStore(tmp_path / "store")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         filler = JobEngine(jobs=1, store=store)
         filler.run(jobs, registry.traces)
         assert filler.stats.executed == len(jobs)
@@ -537,7 +531,7 @@ class TestCrossKernelEngine:
         store = ResultStore(tmp_path / "store")
         monkeypatch.setenv("REPRO_KERNEL", "native")
         JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         replayer = JobEngine(jobs=1, store=store)
         replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0
@@ -557,7 +551,7 @@ class TestCrossKernelEngine:
             for tid in ids
         ]
         store = ResultStore(tmp_path / "store")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         scalar = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
         monkeypatch.setenv("REPRO_KERNEL", "native")
         replayer = JobEngine(jobs=1, store=store)
@@ -572,7 +566,7 @@ class TestCrossKernelEngine:
 
     def test_plan_batches_groups_only_under_native(self, synthetic_registry):
         """Under native, same-(config, bug, step) core jobs form one unit
-        anchored at the group's first index; hook-overriding and memory
+        anchored at the group's first index, whatever the bug type; memory
         jobs stay single.  Under scalar every job is its own unit."""
         _registry, (a, b, *_rest) = synthetic_registry
         skylake, k8 = core_microarch("Skylake"), core_microarch("K8")
@@ -585,20 +579,20 @@ class TestCrossKernelEngine:
         chunk = list(enumerate([
             core(skylake, None, a),                      # 0: group A
             core(k8, None, a),                           # 1: group B
-            core(skylake, serialize, a),                 # 2: hook bug
+            core(skylake, serialize, a),                 # 2: group C
             core(skylake, None, b),                      # 3: group A
             SimulationJob(study="memory", config=memory_microarch("Skylake-mem"),
                           bug=None, trace_id=a, step=256),  # 4: memory study
             core(k8, None, b),                           # 5: group B
-            core(skylake, serialize, b),                 # 6: hook bug
-            core(skylake, RegisterReduction(16), a),     # 7: group C
+            core(skylake, serialize, b),                 # 6: group C
+            core(skylake, RegisterReduction(16), a),     # 7: group D
         ]))
 
         def indices(units):
             return [[index for index, _job in unit] for unit in units]
 
         assert indices(plan_batches(chunk, "native")) == [
-            [0, 3], [1, 5], [2], [4], [6], [7]
+            [0, 3], [1, 5], [2, 6], [4], [7]
         ]
         assert indices(plan_batches(chunk, "scalar")) == [[i] for i in range(8)]
 
@@ -612,10 +606,10 @@ class TestCrossKernelEngine:
         planning batches the workers would execute job by job."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            JobEngine(jobs=2, kernel="native")
+            JobEngine(jobs=2, kernel="scalar")
         # consistent environment + argument is fine
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        JobEngine(jobs=2, kernel="native").close()
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        JobEngine(jobs=2, kernel="scalar").close()
         # inline backends honour the argument alone
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        JobEngine(jobs=1, kernel="native").close()
+        JobEngine(jobs=1, kernel="scalar").close()

@@ -4,22 +4,21 @@ The bit-identity of the native kernel against the scalar/reference oracle
 is hammered by ``tests/test_differential.py`` (fuzz + golden digests);
 this file covers what the differential suite cannot: the build cache, the
 compiler-discovery/override knobs, the graceful degradation when no
-compiler exists or the compile fails, and the eligibility rule.
+compiler exists or the compile fails, and the kernel limits.
 
 Tests that re-point ``REPRO_NATIVE_CC``/``REPRO_NATIVE_CACHE`` reset the
 build layer's memoised state around themselves so the rest of the session
 keeps its already-loaded library.
 """
 
+import dataclasses
 import shutil
 import warnings
 
 import pytest
 
 from repro.bugs.core_bugs import RegisterReduction, SerializeOpcode
-from repro.bugs.registry import core_bug_suite
 from repro.coresim import simulate_trace
-from repro.coresim.hooks import dynamic_hook_free
 from repro.coresim.native import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
@@ -27,10 +26,10 @@ from repro.coresim.native import (
     find_compiler,
     native_available,
     simulate_batch_native,
-    supports_native,
 )
 from repro.coresim.native import build as native_build
 from repro.uarch import core_microarch
+from repro.uarch.ports import PortOrganization
 from repro.workloads import (
     Opcode,
     TraceGenerator,
@@ -68,22 +67,24 @@ def short_trace():
 
 
 class TestEligibility:
-    def test_supports_native_is_dynamic_hook_free(self):
-        assert supports_native(None)
-        for _, variants in sorted(core_bug_suite().items()):
-            for bug in variants:
-                assert supports_native(bug) == dynamic_hook_free(bug), bug.name
-
     def test_ineligible_bug_raises_unavailable(self, short_trace):
+        """Every bug model runs natively; only a configuration past a kernel
+        limit raises, and simulate_trace then falls back to scalar."""
         if not native_available():
             pytest.skip("no C compiler on this host")
-        with pytest.raises(NativeKernelUnavailable):
-            simulate_batch_native(
-                core_microarch("K8"),
-                [short_trace],
-                bug=SerializeOpcode(Opcode.XOR),
-                step_cycles=256,
-            )
+        bug = SerializeOpcode(Opcode.XOR)
+        k8 = core_microarch("K8")
+        ports = k8.ports.ports * (64 // len(k8.ports.ports) + 1)
+        wide = dataclasses.replace(k8, ports=PortOrganization.from_unit_lists(
+            [list(port.units) for port in ports]
+        ))
+        with pytest.raises(NativeKernelUnavailable, match="63-port"):
+            simulate_batch_native(wide, [short_trace], bug=bug, step_cycles=256)
+        fallback = simulate_trace(wide, short_trace, bug=bug, step_cycles=256)
+        scalar = simulate_trace(
+            wide, short_trace, bug=bug, step_cycles=256, kernel="scalar"
+        )
+        _assert_identical(scalar, fallback, "kernel-limit fallback")
 
     def test_empty_trace_rejected(self):
         if not native_available():
@@ -99,7 +100,7 @@ class TestDirectIdentity:
         if not native_available():
             pytest.skip("no C compiler on this host")
         config = core_microarch("Cedarview")
-        for bug in (None, RegisterReduction(16)):
+        for bug in (None, RegisterReduction(16), SerializeOpcode(Opcode.XOR)):
             native = simulate_batch_native(
                 config, [short_trace], bug=bug, step_cycles=256
             )[0]

