@@ -367,12 +367,7 @@ class LongBranchDelay(CoreBug):
 
     def compile(self, trace) -> BugRecord:
         columns = trace.columns
-        opcode = columns["opcode"]
-        branch = (
-            (opcode == int(Opcode.BRANCH))
-            | (opcode == int(Opcode.CALL))
-            | (opcode == int(Opcode.RET))
-        )
+        branch = np.isin(columns["opcode"], [Opcode.BRANCH, Opcode.CALL, Opcode.RET])
         span = np.abs(
             columns["target"].astype(np.int64) - columns["pc"].astype(np.int64)
         )

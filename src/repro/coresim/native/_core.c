@@ -12,10 +12,10 @@
  * dependency consumer/producer opcode), one extra-delay column, and the
  * SimParams scalars below (IQ/ROB free-slot thresholds and delays, the
  * dependency delay, the redirect penalty, per-level cache latencies).
- * Extra issue delays wake uops through a calendar ring; uops dispatched
- * ready for the next cycle bypass it through the wake buffer.  As in the
- * scalar pipeline, dispatch stops behind a serialising uop until it
- * completes, so the issue stage never sees a younger one.
+ * Uops whose operands are ready wake through a calendar ring at their
+ * dispatch cycle + 1 + extra delay.  As in the scalar pipeline, dispatch
+ * stops behind a serialising uop until it completes, so the issue stage
+ * never sees a younger one.
  *
  * Structural consequences used throughout: seq == trace index, the ROB is
  * the contiguous index range [n_committed, n_dispatched), the fetch queue is
@@ -627,7 +627,6 @@ int repro_simulate(const SimParams *P,
     i32 *ring_next = NULL;
     i32 *heap = NULL;
     i32 *deferred = NULL;
-    i32 *wake_buf = NULL;
     i32 *reg_producer = NULL;
     i64 *port_busy = NULL;
     i32 *last_store_ord = NULL;
@@ -688,7 +687,6 @@ int repro_simulate(const SimParams *P,
     ring_next = (i32 *)malloc((size_t)n * sizeof(i32));
     heap = (i32 *)malloc((size_t)n * sizeof(i32));
     deferred = (i32 *)malloc((size_t)(width > 0 ? n : 1) * sizeof(i32));
-    wake_buf = (i32 *)malloc((size_t)width * sizeof(i32));
     reg_producer = (i32 *)malloc((size_t)P->num_regs * sizeof(i32));
     port_busy = (i64 *)calloc((size_t)P->num_ports, sizeof(i64));
     last_store_ord = (i32 *)malloc((size_t)n * sizeof(i32));
@@ -697,7 +695,7 @@ int repro_simulate(const SimParams *P,
     cal_head = (i32 *)malloc((size_t)cal_size * sizeof(i32));
     cal_next = (i32 *)malloc((size_t)n * sizeof(i32));
     if (!pending || !completed || !cons_head || !edge_to || !edge_next ||
-        !ring_head || !ring_next || !heap || !deferred || !wake_buf ||
+        !ring_head || !ring_next || !heap || !deferred ||
         !reg_producer || !port_busy || !last_store_ord || !min_issue ||
         !issued || !cal_head || !cal_next) {
         rc = 2;
@@ -847,7 +845,6 @@ int repro_simulate(const SimParams *P,
         i64 lsq_occ_sum = 0;
         i64 last_sample = 0;
         i64 heap_size = 0;
-        i64 wake_count = 0;
         i64 inflight = 0;
         i64 nrows = 0;
 
@@ -948,12 +945,7 @@ int repro_simulate(const SimParams *P,
                 }
             }
 
-            /* wake uops that dispatched ready last cycle, then the
-             * calendar's uops whose extra delay ends this cycle */
-            for (k = 0; k < wake_count; k++) {
-                heap_push(heap, &heap_size, wake_buf[k]);
-            }
-            wake_count = 0;
+            /* wake the uops whose issue delay ends this cycle */
             if (cal_count > 0) {
                 i32 node = cal_head[cycle & cal_mask];
                 cal_head[cycle & cal_mask] = -1;
@@ -1129,14 +1121,10 @@ int repro_simulate(const SimParams *P,
                     }
                     iq_count += 1;
                     if (pend == 0) {
-                        if (ready_at == cycle + 1) {
-                            wake_buf[wake_count++] = (i32)op;
-                        } else {
-                            i64 cs = ready_at & cal_mask;
-                            cal_next[op] = cal_head[cs];
-                            cal_head[cs] = (i32)op;
-                            cal_count += 1;
-                        }
+                        i64 cs = ready_at & cal_mask;
+                        cal_next[op] = cal_head[cs];
+                        cal_head[cs] = (i32)op;
+                        cal_count += 1;
                     }
                     if (is_mem) {
                         lsq_occ += 1;
@@ -1205,7 +1193,7 @@ int repro_simulate(const SimParams *P,
                 }
 
                 /* idle / structural-stall fast-forward */
-                if (heap_size == 0 && wake_count == 0 &&
+                if (heap_size == 0 &&
                     (rob_len == 0 || !completed[n_committed])) {
                     int blocked = (fetch_blocked_by >= 0);
                     if (blocked || cycle + 1 < fetch_resume || next_index >= n ||
@@ -1318,7 +1306,6 @@ cleanup:
     free(ring_next);
     free(heap);
     free(deferred);
-    free(wake_buf);
     free(reg_producer);
     free(port_busy);
     free(last_store_ord);
