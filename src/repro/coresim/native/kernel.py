@@ -277,13 +277,18 @@ def _bug_columns(
     record: BugRecord, decoded: DecodedTrace, n: int
 ) -> "tuple[np.ndarray, np.ndarray]":
     """The record's per-uop flag byte (``F_*`` bits of ``_core.c``) and
-    extra-delay column."""
+    extra-delay column; the C loop indexes both by uop, so their lengths
+    are checked here."""
+    columns = (
+        record.serialize,
+        record.issue_only_if_oldest,
+        record.oldest_blocks_others,
+        record.extra_delay,
+    )
+    if any(column is not None and len(column) != n for column in columns):
+        raise ValueError(f"bug record columns must hold one entry per uop ({n})")
     flags = np.zeros(n, dtype=np.uint8)
-    for bit, column in (
-        (1, record.serialize),
-        (2, record.issue_only_if_oldest),
-        (4, record.oldest_blocks_others),
-    ):
+    for bit, column in zip((1, 2, 4), columns):
         if column is not None:
             flags |= np.where(column, bit, 0).astype(np.uint8)
     if record.dependency is not None:

@@ -55,9 +55,11 @@ from repro.coresim import (
     simulate_trace_batch,
 )
 from repro.coresim._reference import reference_simulate_trace
+from repro.coresim.native import NativeKernelUnavailable, simulate_batch_native
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
 from repro.runtime.execution import batch_group_key, plan_batches
 from repro.uarch import all_core_microarches, core_microarch, memory_microarch
+from repro.uarch.ports import PortOrganization
 from repro.workloads import (
     MicroOp,
     Opcode,
@@ -404,6 +406,27 @@ class TestKernelSelection:
         with pytest.raises(ValueError):
             resolve_kernel("simd")
         assert KERNELS == ("scalar", "native")
+
+    def test_hook_bug_falls_back_to_scalar(self, monkeypatch):
+        """A bug on a configuration past a native kernel limit (64 issue
+        ports, past the 63-port mask) runs on the scalar pipeline, exactly."""
+        monkeypatch.setenv("REPRO_KERNEL", "native")
+        program = build_program(workload("403.gcc"), seed=3)
+        trace = decode_trace(TraceGenerator(program, seed=4).generate(600))
+        skylake = core_microarch("Skylake")
+        units = [list(port.units) for port in skylake.ports.ports]
+        config = dataclasses.replace(
+            skylake, ports=PortOrganization.from_unit_lists((units * 64)[:64])
+        )
+        bug = SerializeOpcode(Opcode.XOR)
+        if native_available():
+            with pytest.raises(NativeKernelUnavailable, match="63-port"):
+                simulate_batch_native(config, [trace], bug=bug, step_cycles=256)
+        env_result = simulate_trace(config, trace, bug=bug, step_cycles=256)
+        scalar = simulate_trace(
+            config, trace, bug=bug, step_cycles=256, kernel="scalar"
+        )
+        _assert_identical(scalar, env_result, "kernel-limit fallback")
 
 
 # ---------------------------------------------------------------------------

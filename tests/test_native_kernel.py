@@ -11,14 +11,14 @@ build layer's memoised state around themselves so the rest of the session
 keeps its already-loaded library.
 """
 
-import dataclasses
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.bugs.core_bugs import RegisterReduction, SerializeOpcode
-from repro.coresim import simulate_trace
+from repro.coresim import BugRecord, CoreBugModel, simulate_trace
 from repro.coresim.native import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
@@ -29,7 +29,6 @@ from repro.coresim.native import (
 )
 from repro.coresim.native import build as native_build
 from repro.uarch import core_microarch
-from repro.uarch.ports import PortOrganization
 from repro.workloads import (
     Opcode,
     TraceGenerator,
@@ -40,8 +39,6 @@ from repro.workloads import (
 
 
 def _assert_identical(a, b, context):
-    import numpy as np
-
     assert a.cycles == b.cycles, context
     assert a.instructions == b.instructions, context
     assert set(a.series.counters) == set(b.series.counters), context
@@ -68,23 +65,16 @@ def short_trace():
 
 class TestEligibility:
     def test_ineligible_bug_raises_unavailable(self, short_trace):
-        """Every bug model runs natively; only a configuration past a kernel
-        limit raises, and simulate_trace then falls back to scalar."""
+        """Every bug model runs natively; only a request past a kernel limit
+        raises, here an extra delay longer than the whole cycle budget."""
         if not native_available():
             pytest.skip("no C compiler on this host")
-        bug = SerializeOpcode(Opcode.XOR)
-        k8 = core_microarch("K8")
-        ports = k8.ports.ports * (64 // len(k8.ports.ports) + 1)
-        wide = dataclasses.replace(k8, ports=PortOrganization.from_unit_lists(
-            [list(port.units) for port in ports]
-        ))
-        with pytest.raises(NativeKernelUnavailable, match="63-port"):
-            simulate_batch_native(wide, [short_trace], bug=bug, step_cycles=256)
-        fallback = simulate_trace(wide, short_trace, bug=bug, step_cycles=256)
-        scalar = simulate_trace(
-            wide, short_trace, bug=bug, step_cycles=256, kernel="scalar"
-        )
-        _assert_identical(scalar, fallback, "kernel-limit fallback")
+        bug = CoreBugModel()
+        bug.compile = lambda trace: BugRecord(iq_free_below=1 << 20, iq_delay=1 << 40)
+        with pytest.raises(NativeKernelUnavailable, match="wake calendar"):
+            simulate_batch_native(
+                core_microarch("K8"), [short_trace], bug=bug, step_cycles=256
+            )
 
     def test_empty_trace_rejected(self):
         if not native_available():
@@ -92,6 +82,19 @@ class TestEligibility:
         with pytest.raises(ValueError):
             simulate_batch_native(
                 core_microarch("K8"), [decode_trace([])], step_cycles=64
+            )
+
+
+    def test_record_column_length_checked(self, short_trace):
+        """The C loop indexes record columns by uop: a short one is refused
+        before any pointer is passed."""
+        if not native_available():
+            pytest.skip("no C compiler on this host")
+        bug = CoreBugModel()
+        bug.compile = lambda trace: BugRecord(extra_delay=np.zeros(3, np.int64))
+        with pytest.raises(ValueError, match="one entry per uop"):
+            simulate_batch_native(
+                core_microarch("K8"), [short_trace], bug=bug, step_cycles=256
             )
 
 
