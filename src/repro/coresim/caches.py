@@ -104,8 +104,7 @@ class CacheHierarchy:
 
     def access(self, address: int) -> int:
         """Access *address* and return the total latency in core cycles."""
-        hit_level = 0
-        static = self.latency
+        hit_latency = self.latency
         # Hot path: `Cache.lookup` inlined for the L1 probe (the
         # overwhelmingly common hit case), outer levels via the method.
         l1 = self.levels[0]
@@ -115,7 +114,7 @@ class CacheHierarchy:
         tag = line // l1.num_sets
         cache_set = l1._sets[set_index]
         l1.accesses += 1
-        latency = static[0]
+        latency = hit_latency[0]
         if tag in cache_set:
             cache_set[tag] = l1._tick
             return latency
@@ -124,14 +123,11 @@ class CacheHierarchy:
             victim = min(cache_set, key=cache_set.get)
             del cache_set[victim]
         cache_set[tag] = l1._tick
-        index = 1
-        for cache in self._outer_levels:
-            latency += static[index]
-            index += 1
+        for index, cache in enumerate(self._outer_levels, start=1):
+            latency += hit_latency[index]
             if cache.lookup(address):
-                hit_level = index
                 break
-        if hit_level == 0:
+        else:
             latency += self.memory_latency
         # Next-line prefetch on an L1 miss: all modern cores covered by
         # Table II ship hardware prefetchers; modelling one keeps the

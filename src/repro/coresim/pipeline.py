@@ -18,8 +18,8 @@ compiles for the trace (per-uop flag and delay columns plus scalars), read
 at the same points where the seed pipeline calls the per-cycle hooks; the
 structural hooks run once at construction.
 
-Performance structure (see docs/PERFORMANCE.md).  This is the fallback of
-the native kernel, so the implementation deviates from the textbook seed
+Performance structure (see docs/PERFORMANCE.md).  This loop is the scalar
+kernel, the native kernel's fallback; it deviates from the textbook seed
 version (frozen in :mod:`repro.coresim._reference`) in five ways that are
 pinned counter-bit-identical by ``tests/test_perf_equivalence.py``:
 
