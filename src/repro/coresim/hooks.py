@@ -40,7 +40,7 @@ class DispatchContext:
     producer_opcodes: tuple[Opcode, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BugRecord:
     """What one bug does to one trace, in the form the kernels read.
 
