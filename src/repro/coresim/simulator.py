@@ -135,7 +135,7 @@ def simulate_trace_batch(
     :class:`O3Pipeline`.  Results are identical either way, in input order.
     """
     if resolve_kernel(kernel) == "native":
-        # Looked up at call time, not bound at import.
+        # Looked up at call time, so a wrapper set on the package is honoured.
         from .native import NativeKernelUnavailable, native_available
 
         if native_available():
