@@ -13,15 +13,16 @@
   (``python -m repro.workloads.ingest``: lists format
   (ChampSim/gem5/k6-style), instruction count, digest and optional SimPoint
   probes for each trace in a directory);
-* ``repro-worker`` — the remote execution worker
+* ``repro-worker`` — the pool execution worker
   (``python -m repro.runtime.worker``): serves simulation chunks over the
-  stdio frame protocol for the ``subprocess:`` and ``ssh://`` backends
-  (see ``docs/RUNTIME.md``);
+  stdio frame protocol for the cluster scheduler behind the
+  ``subprocess:``, ``cluster:`` and ``ssh://`` backends (see
+  ``docs/RUNTIME.md``);
 * ``repro-store`` — result-store maintenance
   (``python -m repro.runtime.store_cli``: ``merge SRC... DST``, ``info``,
   ``reshard`` between the flat and ``shard=XX/`` layouts, ``gc --keep``
   roster-based pruning);
-* ``repro-cluster`` — operate the elastic ``cluster:N`` execution backend
+* ``repro-cluster`` — operate the cluster scheduler's worker pool
   (``python -m repro.cluster.cli``: ``health`` worker liveness probe,
   ``roster`` store-key keep-set for ``repro-store gc``, ``plan`` dry-run
   of the dispatch policies; see ``docs/RUNTIME.md``);

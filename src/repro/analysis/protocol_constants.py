@@ -1,6 +1,6 @@
 """Protocol-constant lint (rule family 4): single-definition wire constants.
 
-The serving daemon, the remote execution backend and the bench schema all
+The serving daemon, the worker-pool backends and the bench schema all
 interoperate across process (and potentially host) boundaries.  Their wire
 constants therefore have exactly one home each:
 

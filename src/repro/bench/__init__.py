@@ -5,7 +5,3 @@ experiment sits on — single-simulation throughput, job-engine batch
 throughput and warm-store replay — and emits ``BENCH_simulation.json`` so
 successive PRs leave a comparable perf trajectory.
 """
-
-from .perf import main, run_benchmarks
-
-__all__ = ["main", "run_benchmarks"]

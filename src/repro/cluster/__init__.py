@@ -1,10 +1,11 @@
 """``repro.cluster``: elastic scheduler-managed sweep execution.
 
 The execution half of the elastic sweep service (the serving half is
-:mod:`repro.serve`).  A :class:`ClusterBackend` — spec ``cluster:N`` —
-drives a pool of ``repro-worker`` processes through the shared frame
-protocol like ``subprocess:N`` does, but adds what a long sweep on shared
-machines actually needs:
+:mod:`repro.serve`).  A :class:`ClusterBackend` drives a pool of
+``repro-worker`` processes through the shared frame protocol; every
+worker-pool spec builds one — ``cluster:N``, ``subprocess:N`` (its
+defaults) and ``ssh://host:N,...`` (each slot's worker started over ssh on
+its own host).  It gives a long sweep on shared machines what it needs:
 
 * a poll-loop **scheduler** (:mod:`repro.cluster.scheduler`) that spawns
   workers lazily up to a ``parallelmax``, tracks a per-worker job context,
@@ -14,6 +15,8 @@ machines actually needs:
   workers are respawned with exponential backoff and their in-flight
   chunk is **requeued**, so a ``SIGKILL``-ed or hung worker never loses
   work (results persisted per chunk by the engine are never re-executed);
+  a chunk that keeps killing its workers fails the batch once its requeues
+  pass ``max_respawns``;
 * pluggable **sweep policies** (:mod:`repro.cluster.policies`): ``fifo``,
   ``ljf``, deadline-driven ``edd`` and ``suspend`` for priority-contended
   pools;

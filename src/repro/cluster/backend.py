@@ -1,4 +1,5 @@
-"""``ClusterBackend``: the scheduler-managed execution backend (``cluster:N``).
+"""``ClusterBackend``: the scheduler-managed worker pool (``cluster:N``,
+``subprocess:N``, ``ssh://``).
 
 The engine-facing face of :mod:`repro.cluster.scheduler`: an
 :class:`~repro.runtime.backends.base.ExecutionBackend` that plans nothing
@@ -15,14 +16,16 @@ Spec grammar (``REPRO_BACKEND``, ``JobEngine(backend=...)``,
     cluster[:N][,policy=fifo|ljf|edd|suspend][,heartbeat=S][,deadline=S]
               [,backoff=S][,respawns=K]
 
-``N`` is the ``parallelmax`` worker budget (default 2, like
-``subprocess``); the remaining options tune the dispatch policy and the
-liveness machinery (defaults: the canonical
-:data:`~repro.runtime.framing.HEARTBEAT_INTERVAL` /
-:data:`~repro.runtime.framing.LIVENESS_DEADLINE`).  Workers are the same
-``repro-worker`` processes ``subprocess:N`` spawns, so results are
-bit-identical to every other backend; what ``cluster`` adds is survival —
-worker death or hang requeues the chunk instead of failing the sweep.
+``N`` is the ``parallelmax`` worker budget (default 2); the remaining
+options tune the dispatch policy and the liveness machinery (defaults: the
+canonical :data:`~repro.runtime.framing.HEARTBEAT_INTERVAL` /
+:data:`~repro.runtime.framing.LIVENESS_DEADLINE`).  ``subprocess[:N]`` is
+the same backend with every default, and ``ssh://host:N,...`` the same
+with each slot's worker started over ``ssh`` on its own host
+(:func:`repro.runtime.backends.parse_backend`).  Workers are ``repro-worker``
+processes, so results are bit-identical to every other backend; what the
+scheduler adds is survival — worker death or hang requeues the chunk
+instead of failing the sweep.
 
 Fault injection for CI/tests: ``REPRO_CLUSTER_CHAOS=kill:<n>`` SIGKILLs
 the worker that received the *n*-th chunk dispatch (once per backend).
@@ -34,13 +37,13 @@ import os
 from typing import Iterator, Mapping, Set
 
 from ..runtime.backends.base import ExecutionBackend
-from ..runtime.backends.remote import local_worker_command
 from ..runtime.engine import _job_cost
 from ..runtime.framing import HEARTBEAT_INTERVAL, LIVENESS_DEADLINE
+from ..runtime.worker import local_worker_command
 from .policies import ChunkTicket, parse_policy
 from .scheduler import BACKOFF_BASE, MAX_RESPAWNS, ClusterScheduler
 
-#: Default ``parallelmax`` for a bare ``cluster`` spec.
+#: Default ``parallelmax`` for a bare ``cluster`` or ``subprocess`` spec.
 DEFAULT_CLUSTER_WORKERS = 2
 
 #: Environment variable enabling scheduler fault injection (``kill:<n>``).
@@ -66,10 +69,13 @@ def _chaos_from_env() -> "tuple[str, int] | None":
 
 
 class ClusterBackend(ExecutionBackend):
-    """Elastic scheduler-managed worker pool behind the backend seam."""
+    """Elastic scheduler-managed worker pool behind the backend seam.
+
+    *command_factory* maps a slot index to the command that starts that
+    slot's worker (default: a local ``repro-worker``).
+    """
 
     remote = True
-    persistent = True
 
     def __init__(
         self,
@@ -91,7 +97,7 @@ class ClusterBackend(ExecutionBackend):
         self.spec = spec if spec is not None else f"cluster:{workers}"
         poll = min(0.1, max(0.01, heartbeat / 4))
         self.scheduler = ClusterScheduler(
-            command_factory if command_factory is not None else local_worker_command,
+            command_factory or (lambda _slot: local_worker_command()),
             parallelmax=workers,
             policy=policy_obj,
             stats=self.stats,
@@ -154,8 +160,7 @@ class ClusterBackend(ExecutionBackend):
 
     def known_trace_ids(self) -> Set[str]:
         # Trace distribution is per-worker (shipped once per worker by
-        # digest, exactly like the remote backend); the engine never
-        # attaches deltas.
+        # digest); the engine never attaches deltas.
         return self.scheduler.known_trace_ids()
 
     def submit(self, tag: int, chunk: list, trace_delta: Mapping) -> None:

@@ -25,48 +25,30 @@ spec — ``repro-experiments --backend cluster:4,policy=ljf`` or
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 import time
 
 from ..runtime.framing import (
-    ERROR,
     HEARTBEAT,
-    HELLO,
     PING,
     PONG,
     PROTOCOL_VERSION,
     ProtocolError,
-    SHUTDOWN,
-    check_hello,
     read_frame,
     write_frame,
 )
 
 
 def _cmd_health(args) -> int:
-    from ..runtime.backends.remote import local_worker_command
+    from ..runtime.worker import local_worker_command
+    from .scheduler import spawn_worker, stop_worker
 
     failures = 0
     for index in range(args.workers):
         label = f"worker#{index}"
-        process = subprocess.Popen(
-            local_worker_command(),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
+        process = None
         try:
-            write_frame(
-                process.stdin,
-                HELLO,
-                {"protocol": PROTOCOL_VERSION, "heartbeat": args.heartbeat},
-            )
-            kind, payload = read_frame(process.stdout)
-            if kind == ERROR:
-                raise ProtocolError(f"handshake rejected: {payload}")
-            if kind != HELLO:
-                raise ProtocolError(f"expected hello, got {kind!r}")
-            check_hello(payload, side=label)
+            process, payload = spawn_worker(local_worker_command(), args.heartbeat)
             write_frame(process.stdin, PING, index)
             saw_pong = saw_heartbeat = False
             # repro: allow(wall-clock): CLI health-probe timeout only
@@ -92,14 +74,8 @@ def _cmd_health(args) -> int:
             failures += 1
             print(f"{label}: FAILED — {exc}", file=sys.stderr)
         finally:
-            try:
-                if process.poll() is None:
-                    write_frame(process.stdin, SHUTDOWN, None)
-                    process.stdin.close()
-                process.wait(timeout=5)
-            except (OSError, ValueError, subprocess.TimeoutExpired):
-                process.kill()
-                process.wait()
+            if process is not None:
+                stop_worker(process)
     print(f"repro-cluster health: {args.workers - failures}/{args.workers} workers ok")
     return 1 if failures else 0
 

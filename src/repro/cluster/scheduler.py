@@ -20,10 +20,16 @@ Failure semantics: losing a worker never loses work — the chunk it held
 goes back to the queue (``chunks_requeued`` in
 :class:`~repro.runtime.stats.EngineStats`) and re-executes elsewhere, while
 results the engine already persisted stay persisted (the resumable-batch
-path).  Only when *every* slot has permanently failed with work still
-queued does :meth:`ClusterScheduler.drain` raise
-:class:`~repro.runtime.backends.base.BackendError`; one flapping host
-cannot fail a sweep a healthy host can finish.
+path).  :meth:`ClusterScheduler.drain` raises
+:class:`~repro.runtime.backends.base.BackendError`, naming the last loss
+or spawn failure, in two cases only:
+
+* *every* slot has permanently failed with work still queued — one
+  flapping host cannot fail a sweep a healthy host can finish;
+* one chunk keeps losing its worker and would be requeued more than
+  ``max_respawns`` times.  A chunk that kills every worker it reaches (a
+  job that sends its process ``SIGKILL``, a job the worker cannot
+  unpickle) would otherwise cycle through fresh workers forever.
 
 Chaos hook: ``REPRO_CLUSTER_CHAOS=kill:<n>`` (read by the backend) makes
 the scheduler ``SIGKILL`` its own worker right after the *n*-th chunk
@@ -39,6 +45,7 @@ file (``.repro-lint-allow``).
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import subprocess
 import threading
@@ -72,10 +79,64 @@ POLL_INTERVAL = 0.1
 #: First respawn delay; doubles per consecutive failed attempt.
 BACKOFF_BASE = 0.25
 
-#: Consecutive failed spawn attempts after which a slot is given up.
+#: Consecutive failed spawn attempts after which a slot is given up; also
+#: the number of times one chunk may be requeued before its batch fails.
 MAX_RESPAWNS = 5
 
 _NEW, _LIVE, _DEAD, _FAILED, _RETIRED = "new", "live", "dead", "failed", "retired"
+
+
+def spawn_worker(
+    command: "list[str]", heartbeat: float
+) -> "tuple[subprocess.Popen, dict]":
+    """Start one ``repro-worker`` and complete the versioned handshake.
+
+    The driver's hello asks for heartbeat frames every *heartbeat* seconds.
+    Returns ``(process, the worker's hello payload)``.  On failure —
+    ``OSError`` from the spawn or a broken pipe, :class:`ProtocolError` from
+    the handshake — the process is killed before the error propagates.
+    """
+    process = subprocess.Popen(
+        command,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        # stderr inherited: worker tracebacks reach the driver.
+    )
+    try:
+        write_frame(
+            process.stdin,
+            HELLO,
+            {"protocol": PROTOCOL_VERSION, "heartbeat": heartbeat},
+        )
+        kind, payload = read_frame(process.stdout)
+        if kind == ERROR:
+            raise ProtocolError(f"worker rejected handshake: {payload}")
+        if kind != HELLO:
+            raise ProtocolError(f"worker sent {kind!r} instead of a handshake")
+        check_hello(payload, side="worker")
+    except BaseException:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        with contextlib.suppress(OSError):  # unflushed hello to a dead pipe
+            process.stdin.close()
+        raise
+    return process, payload
+
+
+def stop_worker(process: subprocess.Popen) -> None:
+    """Ask a worker to shut down (shutdown frame), then make sure it is gone."""
+    try:
+        if process.poll() is None and process.stdin and not process.stdin.closed:
+            write_frame(process.stdin, SHUTDOWN, None)
+            process.stdin.close()
+    except (OSError, ValueError):  # already dead / pipe gone
+        pass
+    try:
+        process.wait(timeout=5)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+        process.kill()
+        process.wait()
 
 
 class _Incarnation:
@@ -170,8 +231,9 @@ class ClusterScheduler:
     Parameters
     ----------
     command_factory:
-        ``() -> list[str]`` producing the worker command for the next spawn
-        (every spawn calls it again, so respawns get fresh commands).
+        ``(slot_index) -> list[str]`` producing the worker command for the
+        next spawn into that slot (every spawn and respawn calls it, so a
+        slot tied to one host always goes back to that host).
     parallelmax:
         Worker slot budget; workers spawn lazily as queued work demands,
         and :meth:`resize` changes the budget mid-run (elastic grow/shrink).
@@ -185,6 +247,9 @@ class ClusterScheduler:
         Liveness tuning: requested worker heartbeat interval and the
         silence threshold (seconds) past which a worker is presumed dead.
         Defaults scale from the canonical framing constants.
+    max_respawns:
+        Consecutive failed spawns after which a slot is given up, and the
+        number of requeues after which a chunk fails its batch.
     chaos:
         Optional ``("kill", n)`` fault injection — see module docstring.
     """
@@ -228,6 +293,11 @@ class ClusterScheduler:
         #: One dict per dispatch, in dispatch order — the policy A/B record
         #: (``repro-bench`` asserts ordering invariants over it).
         self.dispatch_log: list[dict] = []
+        #: Why the last worker was lost or failed to spawn (for errors).
+        self._last_failure = ""
+        #: Set when a chunk used up its requeues; drain raises it.  Every
+        #: batch starts clear (begin_batch).
+        self._lost_chunk: "str | None" = None
         self._process_registry: dict[int, subprocess.Popen] = {}
         self._finalizer = weakref.finalize(
             self, _finalize_processes, self._process_registry
@@ -249,6 +319,7 @@ class ClusterScheduler:
         earlier (cancelled) batch is dropped on arrival instead of being
         mistaken for this batch's work."""
         self._epoch += 1
+        self._lost_chunk = None
 
     def submit(self, ticket: ChunkTicket) -> None:
         self._queued.append(ticket)
@@ -279,10 +350,11 @@ class ClusterScheduler:
             self._outstanding -= len(completed)
             self._check_liveness()
             self._shrink_to_budget()
+            # Completed chunks go out first, so the engine persists them
+            # even when this iteration also found the batch unfinishable.
+            yield from completed
             if self._outstanding > 0:
                 self._check_wedged()
-            for item in completed:
-                yield item
 
     def close(self) -> None:
         """Shut every worker down (idempotent); a later dispatch respawns."""
@@ -305,43 +377,15 @@ class ClusterScheduler:
 
     def _spawn_into(self, slot: _Slot) -> bool:
         """Spawn + handshake a worker for *slot*; schedule a retry on failure."""
-        now = time.monotonic()
+        label = f"{self.label}#{slot.index}"
         try:
-            process = subprocess.Popen(
-                self.command_factory(),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                # stderr inherited: worker tracebacks reach the driver.
+            process, _ = spawn_worker(
+                self.command_factory(slot.index), self.heartbeat
             )
-        except OSError as exc:
-            self._spawn_failed(slot, f"spawn failed: {exc}", now)
+        except (OSError, ProtocolError) as exc:
+            self._spawn_failed(slot, f"{label}: spawn failed: {exc}")
             return False
-        incarnation = _Incarnation(process, f"{self.label}#{slot.index}")
-        try:
-            write_frame(
-                process.stdin,
-                HELLO,
-                {"protocol": PROTOCOL_VERSION, "heartbeat": self.heartbeat},
-            )
-            frame = read_frame(process.stdout)
-            kind, payload = frame
-            if kind == ERROR:
-                raise ProtocolError(
-                    f"worker {incarnation.label} rejected handshake: {payload}"
-                )
-            if kind != HELLO:
-                raise ProtocolError(
-                    f"worker {incarnation.label} sent {kind!r} instead of a handshake"
-                )
-            check_hello(payload, side=f"worker {incarnation.label}")
-        except Exception as exc:
-            try:
-                process.kill()
-                process.wait()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            self._spawn_failed(slot, str(exc), now)
-            return False
+        incarnation = _Incarnation(process, label)
         incarnation.reader = threading.Thread(
             target=_read_worker,
             args=(incarnation, self._events),
@@ -361,8 +405,9 @@ class ClusterScheduler:
         slot.ever_live = True
         return True
 
-    def _spawn_failed(self, slot: _Slot, reason: str, now: float) -> None:
+    def _spawn_failed(self, slot: _Slot, reason: str) -> None:
         slot.incarnation = None
+        self._last_failure = reason
         slot.attempts += 1
         if slot.attempts > self.max_respawns:
             slot.state = _FAILED
@@ -374,7 +419,7 @@ class ClusterScheduler:
             return
         delay = self.backoff * (2 ** (slot.attempts - 1))
         slot.state = _DEAD
-        slot.next_spawn_at = now + delay
+        slot.next_spawn_at = time.monotonic() + delay
         print(
             f"[cluster] slot {slot.index} spawn failed ({reason}); "
             f"retry in {delay:.2f}s",
@@ -388,18 +433,7 @@ class ClusterScheduler:
             return
         self._by_gen.pop(incarnation.gen, None)
         self._process_registry.pop(incarnation.gen, None)
-        process = incarnation.process
-        try:
-            if process.poll() is None and process.stdin and not process.stdin.closed:
-                write_frame(process.stdin, SHUTDOWN, None)
-                process.stdin.close()
-        except (OSError, ValueError):
-            pass
-        try:
-            process.wait(timeout=5)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-            process.kill()
-            process.wait()
+        stop_worker(incarnation.process)
         if incarnation.reader is not None:
             incarnation.reader.join(timeout=5)
 
@@ -415,21 +449,26 @@ class ClusterScheduler:
             except OSError:  # pragma: no cover - already reaped
                 pass
         self.stats.workers_lost += 1
+        self._last_failure = reason
         ticket, slot.ticket = slot.ticket, None
+        outcome = ""
         if ticket is not None and slot.ticket_epoch == self._epoch:
-            ticket.requeues += 1
-            self.stats.chunks_requeued += 1
-            self._queued.append(ticket)
-            print(
-                f"[cluster] worker {self.label}#{slot.index} lost ({reason}); "
-                f"requeued chunk {ticket.tag}",
-                file=sys.stderr, flush=True,
-            )
-        else:
-            print(
-                f"[cluster] worker {self.label}#{slot.index} lost ({reason})",
-                file=sys.stderr, flush=True,
-            )
+            if ticket.requeues >= self.max_respawns:
+                self._lost_chunk = (
+                    f"chunk {ticket.tag} lost its worker {ticket.requeues + 1} "
+                    f"times (requeues capped at max_respawns="
+                    f"{self.max_respawns}); last loss: {reason}"
+                )
+                outcome = f"; chunk {ticket.tag} out of requeues"
+            else:
+                ticket.requeues += 1
+                self.stats.chunks_requeued += 1
+                self._queued.append(ticket)
+                outcome = f"; requeued chunk {ticket.tag}"
+        print(
+            f"[cluster] worker {self.label}#{slot.index} lost ({reason}){outcome}",
+            file=sys.stderr, flush=True,
+        )
         slot.attempts += 1
         if slot.attempts > self.max_respawns:
             slot.state = _FAILED
@@ -582,6 +621,8 @@ class ClusterScheduler:
     def _check_wedged(self) -> None:
         """Raise when outstanding work can never complete (only called with
         ``_outstanding > 0``)."""
+        if self._lost_chunk is not None:
+            raise BackendError(self._lost_chunk)
         in_flight = any(
             s.ticket is not None and s.ticket_epoch == self._epoch
             for s in self._slots
@@ -603,7 +644,8 @@ class ClusterScheduler:
         ):
             raise BackendError(
                 f"all {len(active)} cluster worker slots failed permanently "
-                f"(max_respawns={self.max_respawns} exceeded on each)"
+                f"(max_respawns={self.max_respawns} exceeded on each); "
+                f"last failure: {self._last_failure}"
             )
 
     # -- health reporting ------------------------------------------------------

@@ -9,10 +9,10 @@ Usage::
 
 ``--jobs N`` shards the underlying simulations across N local worker
 processes (sugar for ``--backend local:N``); ``--backend SPEC`` selects any
-execution backend — ``serial``, ``local:N``, ``subprocess:N`` (local
-``repro-worker`` processes over the stdio frame protocol) or
-``ssh://hostA:4,hostB:4`` (the same protocol over ssh; see
-``docs/RUNTIME.md``).  ``--store PATH`` persists every simulated counter
+execution backend — ``serial``, ``local:N``, ``subprocess:N`` /
+``cluster:N`` (local ``repro-worker`` processes over the stdio frame
+protocol, under the cluster scheduler) or ``ssh://hostA:4,hostB:4`` (the
+same scheduler, workers over ssh; see ``docs/RUNTIME.md``).  ``--store PATH`` persists every simulated counter
 series keyed by content
 hash, so a repeat invocation (same scale/experiments) performs zero new
 simulations.  ``--trace-dir DIR [--trace-format champsim|gem5|k6]`` swaps the
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: $REPRO_JOBS or 1 = serial)")
     parser.add_argument("--backend", default=None,
                         help="execution backend spec: serial, local:N, "
-                             "subprocess:N or ssh://host:N,host2:N "
+                             "subprocess:N, cluster:N or ssh://host:N,host2:N "
                              "(default: $REPRO_BACKEND; see docs/RUNTIME.md)")
     parser.add_argument("--store", default=None,
                         help="directory of a persistent simulation result store; "

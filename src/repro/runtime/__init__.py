@@ -8,9 +8,10 @@ the runtime that makes broad sweeps tractable:
   content-hash identity (:meth:`SimulationJob.key`),
 * :class:`JobEngine` — plans job batches into cost-balanced chunks and runs
   them on a pluggable :class:`ExecutionBackend`, selected by spec string:
-  ``serial`` (inline), ``local:N`` (persistent process pool),
-  ``subprocess:N`` (local ``repro-worker`` processes over a stdio frame
-  protocol) or ``ssh://hostA:4,hostB:4`` (the same protocol over ssh) —
+  ``serial`` (inline), ``local:N`` (persistent process pool), or a pool of
+  ``repro-worker`` processes speaking a stdio frame protocol under the
+  :mod:`repro.cluster` scheduler — ``subprocess:N`` / ``cluster:N`` locally,
+  ``ssh://hostA:4,hostB:4`` over ssh —
   with chunked dispatch, deterministic per-job seeds, progress callbacks,
   incremental result persistence and uniform worker-failure propagation
   (:class:`JobFailedError`).  ``jobs=N`` / ``REPRO_JOBS`` remain sugar for
@@ -32,7 +33,6 @@ from .backends import (
     ExecutionBackend,
     LocalBackend,
     ProtocolError,
-    RemoteBackend,
     SerialBackend,
     parse_backend,
     spec_for_jobs,
@@ -67,7 +67,6 @@ __all__ = [
     "JobFailedError",
     "LocalBackend",
     "ProtocolError",
-    "RemoteBackend",
     "ResultStore",
     "SerialBackend",
     "SimulationJob",

@@ -8,17 +8,20 @@ Spec                        Meaning
 ``serial``                  Inline in the calling process (default).
 ``local`` / ``local:N``     Persistent local process pool, N workers
                             (default: CPU count).
-``subprocess`` /            N local ``repro-worker`` processes over the stdio
-``subprocess:N``            frame protocol (default N=2) — the remote path,
-                            fully exercisable without a network.
-``cluster[:N][,opts]``      Elastic scheduler-managed ``repro-worker`` pool
-                            (:mod:`repro.cluster`): heartbeat liveness,
-                            respawn with backoff, chunk requeue, pluggable
-                            dispatch policies (``policy=fifo|ljf|edd|
-                            suspend``).
+``subprocess`` /            N local ``repro-worker`` processes (default N=2).
+``subprocess:N``
+``cluster[:N][,opts]``      The same N local workers, with the scheduler's
+                            options spelled out (``policy=fifo|ljf|edd|
+                            suspend``, liveness and respawn tuning).
 ``ssh://host:N,host2:M``    ``repro-worker`` over ``ssh`` on each host, N/M
                             worker processes per host (default 1).
 ==========================  ==================================================
+
+``subprocess``, ``cluster`` and ``ssh://`` are one backend:
+:class:`~repro.cluster.backend.ClusterBackend`, whose scheduler gives every
+worker heartbeat liveness, respawn with backoff and chunk requeue.  They
+differ only in the command that starts each worker slot and in the spec
+label reports print.
 
 ``JobEngine(jobs=N)`` remains sugar: ``jobs=1`` maps to ``serial`` and
 ``jobs=N`` to ``local:N``.  The ``REPRO_BACKEND`` environment variable
@@ -34,13 +37,7 @@ import warnings
 
 from .base import BACKEND_ENV_VAR, BackendError, ExecutionBackend
 from .local import LocalBackend
-from ..framing import PROTOCOL_VERSION
-from .remote import (
-    ProtocolError,
-    RemoteBackend,
-    local_worker_command,
-    ssh_worker_command,
-)
+from ..framing import PROTOCOL_VERSION, ProtocolError
 from .serial import SerialBackend
 
 __all__ = [
@@ -50,15 +47,11 @@ __all__ = [
     "ExecutionBackend",
     "LocalBackend",
     "ProtocolError",
-    "RemoteBackend",
     "SerialBackend",
     "default_backend_spec",
     "parse_backend",
     "spec_for_jobs",
 ]
-
-#: Default worker count for a bare ``subprocess`` spec.
-DEFAULT_SUBPROCESS_WORKERS = 2
 
 _GRAMMAR = (
     "expected 'serial', 'local[:N]', 'subprocess[:N]', "
@@ -127,27 +120,37 @@ def parse_backend(spec: "str | ExecutionBackend") -> ExecutionBackend:
     if text == "local" or text.startswith("local:"):
         _, _, body = text.partition(":")
         return LocalBackend(_count(text, body, default=os.cpu_count() or 1))
-    if text == "cluster" or text.startswith("cluster:"):
-        # Imported lazily: repro.cluster builds on the runtime (engine cost
-        # model, framing, this very module), so a top-level import here
-        # would be circular.
-        from ...cluster.backend import parse_cluster_spec
+    # Every worker-pool spec runs on the cluster scheduler.  Imported lazily:
+    # repro.cluster and the worker build on the runtime (engine cost model,
+    # framing, this very module), so top-level imports here would be
+    # circular.
+    from ...cluster.backend import (
+        DEFAULT_CLUSTER_WORKERS,
+        ClusterBackend,
+        parse_cluster_spec,
+    )
+    from ..worker import ssh_worker_command
 
+    if text == "cluster" or text.startswith("cluster:"):
         return parse_cluster_spec(text)
     if text == "subprocess" or text.startswith("subprocess:"):
         _, _, body = text.partition(":")
-        workers = _count(text, body, default=DEFAULT_SUBPROCESS_WORKERS)
-        return RemoteBackend(
-            [local_worker_command() for _ in range(workers)],
-            spec=f"subprocess:{workers}",
-        )
+        workers = _count(text, body, default=DEFAULT_CLUSTER_WORKERS)
+        return ClusterBackend(workers, spec=f"subprocess:{workers}")
     if text.startswith("ssh://"):
         hosts = _parse_hosts(text, text[len("ssh://"):])
-        commands = [
-            ssh_worker_command(host) for host, slots in hosts for _ in range(slots)
-        ]
+        # Slot i runs on slot_hosts[i], so every respawn of a slot goes back
+        # to its own host (slots past the list, after an elastic regrow,
+        # wrap around it).
+        slot_hosts = [host for host, slots in hosts for _ in range(slots)]
         canonical = ",".join(f"{host}:{slots}" for host, slots in hosts)
-        return RemoteBackend(commands, spec=f"ssh://{canonical}")
+        return ClusterBackend(
+            len(slot_hosts),
+            command_factory=lambda index: ssh_worker_command(
+                slot_hosts[index % len(slot_hosts)]
+            ),
+            spec=f"ssh://{canonical}",
+        )
     raise ValueError(f"unknown backend spec {spec!r}; {_GRAMMAR}")
 
 

@@ -14,7 +14,7 @@ chunk *execution* and trace *distribution* to a backend:
    *trace_delta* holds the traces the chunk references that
    ``known_trace_ids()`` did not include after ``start`` — i.e. what the
    engine believes the backend's workers still need pushed alongside the
-   chunk.  Backends that distribute traces themselves (the remote backend
+   chunk.  Backends that distribute traces themselves (the cluster backend
    ships each trace once per worker, keyed by content digest) report every
    trace as known and always receive empty deltas.
 3. ``drain()`` yields ``(tag, ChunkOutcome)`` pairs as chunks complete, in
@@ -28,9 +28,8 @@ chunk *execution* and trace *distribution* to a backend:
 
 Capability flags describe the backend to the engine: ``inline`` backends
 execute jobs in the calling process (the engine then bypasses chunking for
-per-job progress and persistence granularity), ``persistent`` backends keep
-workers alive across batches, ``remote`` backends cross a process or host
-boundary and therefore need every trace shipped by value.
+per-job progress and persistence granularity), ``remote`` backends cross a
+process or host boundary and therefore need every trace shipped by value.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ class ExecutionBackend(abc.ABC):
     slots: int = 1
     #: Executes jobs in the calling process (no pickling, per-job progress).
     inline: bool = False
-    #: Workers survive across ``run()`` batches until ``close()``.
-    persistent: bool = True
     #: Crosses a process/host boundary: traces must ship by value.
     remote: bool = False
 

@@ -22,7 +22,6 @@ class SerialBackend(ExecutionBackend):
     spec = "serial"
     slots = 1
     inline = True
-    persistent = False
 
     def __init__(self) -> None:
         super().__init__()

@@ -13,16 +13,16 @@ Where those jobs actually execute is a pluggable
 
     JobEngine(backend="serial")                  # inline (default)
     JobEngine(backend="local:8")                 # persistent process pool
-    JobEngine(backend="subprocess:4")            # repro-worker over stdio
-    JobEngine(backend="cluster:4,policy=ljf")    # elastic scheduler-managed pool
-    JobEngine(backend="ssh://hostA:4,hostB:4")   # repro-worker over ssh
+    JobEngine(backend="subprocess:4")            # repro-worker pool over stdio
+    JobEngine(backend="cluster:4,policy=ljf")    # the same, options spelled out
+    JobEngine(backend="ssh://hostA:4,hostB:4")   # the same, workers over ssh
     JobEngine(jobs=8)                            # sugar for "local:8"
 
 ``jobs=1`` (the default) maps to ``serial``; the ``REPRO_JOBS`` and
 ``REPRO_BACKEND`` environment variables supply defaults when neither
 argument is given.  Every backend produces bit-identical results: the
 simulators are deterministic functions of (config, bug, trace, step), and a
-conformance suite pins serial ≡ local ≡ subprocess output.
+conformance suite pins serial ≡ local ≡ subprocess ≡ cluster output.
 
 The engine keeps what is backend-independent — store consultation,
 batch-internal dedup, cost-aware LJF / uniform chunk planning
@@ -155,7 +155,8 @@ class JobEngine:
         serial).  Mutually exclusive with *backend*.
     backend:
         Backend spec string (``"serial"``, ``"local:8"``, ``"subprocess:4"``,
-        ``"ssh://hostA:4,hostB:4"`` — see :mod:`repro.runtime.backends`) or
+        ``"cluster:4"``, ``"ssh://hostA:4,hostB:4"`` — see
+        :mod:`repro.runtime.backends`) or
         an :class:`~repro.runtime.backends.ExecutionBackend` instance.
     store:
         Optional persistent :class:`ResultStore` consulted before every
@@ -399,7 +400,7 @@ class JobEngine:
             for tag, chunk in enumerate(chunks):
                 # Per-chunk trace delta: whatever this chunk references that
                 # the backend's workers do not already hold.  Backends that
-                # distribute traces themselves (remote) report everything as
+                # distribute traces themselves (cluster) report everything as
                 # known and receive empty deltas.
                 delta = {
                     tid: batch_traces[tid]

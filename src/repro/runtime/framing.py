@@ -2,7 +2,7 @@
 
 Every process boundary in the runtime speaks the same wire format: the
 ``repro-worker`` stdio protocol (:mod:`repro.runtime.worker` driven by
-:mod:`repro.runtime.backends.remote`) and the ``repro-serve`` detection
+:mod:`repro.cluster.scheduler`) and the ``repro-serve`` detection
 daemon (:mod:`repro.serve.server` driven by :mod:`repro.serve.client`).
 This module is the single implementation of that format — framing, the
 versioned hello handshake, and the error taxonomy — so a short-read or

@@ -19,19 +19,19 @@ class EngineStats:
     alternative schedulers and backends be compared from a progress callback:
     ``chunks`` (backend tasks dispatched), ``straggler_jobs`` (jobs in the
     chunk that finished last in the most recent parallel batch),
-    ``pool_creates``/``pool_reuses`` (worker-set lifecycle: pool or remote
-    worker creation vs reuse across batches), ``traces_shipped`` (traces
-    sent to workers at worker start-up — once per worker for remote
-    backends) and ``trace_deltas`` (trace copies attached to chunks as
-    deltas).
+    ``pool_creates``/``pool_reuses`` (worker-set lifecycle: pool or worker
+    set creation vs reuse across batches), ``traces_shipped`` (traces sent
+    to workers — once per worker for the worker-pool backends) and
+    ``trace_deltas`` (trace copies attached to chunks as deltas).
 
-    The liveness counters are owned by the elastic ``cluster`` backend
-    (:mod:`repro.cluster`): ``workers_spawned`` (worker processes started,
-    including respawns), ``workers_lost`` (workers that died or were killed
-    for missing their liveness deadline), ``workers_respawned`` (spawns
-    that replaced a previously-live worker) and ``chunks_requeued``
-    (in-flight chunks given back to the queue after their worker was lost).
-    They stay zero on the serial/local/subprocess backends.
+    The liveness counters are owned by the cluster scheduler
+    (:mod:`repro.cluster`, behind ``subprocess``, ``cluster`` and ``ssh://``
+    specs): ``workers_spawned`` (worker processes started, including
+    respawns), ``workers_lost`` (workers that died or were killed for
+    missing their liveness deadline), ``workers_respawned`` (spawns that
+    replaced a previously-live worker) and ``chunks_requeued`` (in-flight
+    chunks given back to the queue after their worker was lost).  They stay
+    zero on the serial and local backends.
     """
 
     batches: int = 0

@@ -1,10 +1,11 @@
 """``repro-worker``: serve simulation chunks over the stdio frame protocol.
 
-The executable half of the remote execution backends
-(:mod:`repro.runtime.backends.remote` and :mod:`repro.cluster`): a driver
-spawns this process — locally (``subprocess:N`` / ``cluster:N``) or via
-``ssh host repro-worker`` (``ssh://``) — and drives it through
-length-prefixed pickle frames on stdin/stdout.
+The executable half of the worker-pool backends (``subprocess:N``,
+``cluster:N`` and ``ssh://``, all driven by the :mod:`repro.cluster`
+scheduler): the driver spawns this process — locally
+(:func:`local_worker_command`) or via ``ssh host repro-worker``
+(:func:`ssh_worker_command`) — and drives it through length-prefixed
+pickle frames on stdin/stdout.
 
 Session shape::
 
@@ -63,6 +64,17 @@ from .framing import (
     write_frame,
 )
 from .execution import run_chunk_items
+
+
+def local_worker_command() -> list[str]:
+    """Spawn a worker under the driver's own interpreter (``subprocess:``,
+    ``cluster:``)."""
+    return [sys.executable, "-m", "repro.runtime.worker"]
+
+
+def ssh_worker_command(host: str) -> list[str]:
+    """Spawn a worker on *host* via the installed ``repro-worker`` script."""
+    return ["ssh", "-o", "BatchMode=yes", host, "repro-worker"]
 
 
 class _Heartbeat:

@@ -21,7 +21,6 @@ runs at interactive latency:
 See ``docs/SERVING.md`` for the protocol and operational story.
 """
 
-from .client import ServeClient
 from .registry import (
     ModelSchema,
     RegisteredModel,
@@ -50,10 +49,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Loaded on first use, so ``python -m repro.serve.server`` does not find
-    # its own module already imported by this package.
+    # Loaded on first use, so ``python -m repro.serve.server`` and
+    # ``python -m repro.serve.client`` do not find their own module already
+    # imported by this package.
     if name == "DetectionServer":
         from .server import DetectionServer
 
         return DetectionServer
+    if name == "ServeClient":
+        from .client import ServeClient
+
+        return ServeClient
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -87,6 +87,8 @@ class MicroarchConfig:
             raise ValueError("clock frequency must be positive")
         if self.width <= 0 or self.rob_size <= 0:
             raise ValueError("width and ROB size must be positive")
+        if self.btb_entries < 1:
+            raise ValueError("BTB must have at least one entry")
         # Fill derived structure sizes if the preset did not specify them.
         if self.iq_size <= 0:
             object.__setattr__(self, "iq_size", max(12, self.rob_size // 3))

@@ -301,7 +301,7 @@ class TestProtocolConstants:
 
     def test_import_from_wrong_module_fires(self):
         path = "src/repro/synthetic_proto.py"
-        source = "from repro.runtime.backends.remote import PROTOCOL_VERSION\n"
+        source = "from repro.runtime.worker import PROTOCOL_VERSION\n"
         findings = protocol_constants.check(tree_with({path: source}))
         assert any("canonical module" in f.message for f in findings)
 

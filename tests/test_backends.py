@@ -4,14 +4,17 @@ The conformance half pins the tentpole guarantee: ``serial``, ``local:N``
 and ``subprocess:N`` produce bit-identical :class:`StoredResult` payloads
 for the same batch, on synthetic *and* ingested traces.  The failure-mode
 half covers the ways workers die: job exceptions (kept as values), worker
-processes killed mid-chunk (transport failure, clean next batch), protocol
-version mismatches, truncated frame streams and ``KeyboardInterrupt``.
+processes killed mid-chunk (a pool failure, or a requeue on the cluster
+scheduler behind ``subprocess``/``cluster``, which fails the batch once
+one chunk has used up its requeues), chunks a worker cannot unpickle,
+protocol version mismatches, truncated frame streams and
+``KeyboardInterrupt``.
 """
 
 import io
 import os
-import signal
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -19,6 +22,9 @@ import numpy as np
 import pytest
 
 from repro.bugs.core_bugs import SerializeOpcode
+from repro.cluster import scheduler
+from repro.cluster.backend import ClusterBackend
+from repro.cluster.scheduler import spawn_worker
 from repro.coresim.hooks import CoreBugModel
 from repro.runtime import (
     BackendError,
@@ -26,15 +32,14 @@ from repro.runtime import (
     JobFailedError,
     LocalBackend,
     ProtocolError,
-    RemoteBackend,
     SerialBackend,
     SimulationJob,
     TraceRegistry,
     parse_backend,
     spec_for_jobs,
 )
-from repro.runtime.backends import remote
-from repro.runtime.backends.remote import (
+from repro.runtime.execution import ChunkFailure, run_chunk_items
+from repro.runtime.framing import (
     CHUNK,
     ERROR,
     HELLO,
@@ -42,46 +47,45 @@ from repro.runtime.backends.remote import (
     RESULT,
     SHUTDOWN,
     TRACES,
-    WorkerConnection,
     check_hello,
     read_frame,
     write_frame,
 )
-from repro.runtime.execution import ChunkFailure, run_chunk_items
-from repro.runtime.worker import serve
+from repro.runtime.worker import local_worker_command, serve
 from repro.uarch import core_microarch, memory_microarch
 from repro.workloads import TraceGenerator, build_program, workload
 from repro.workloads.ingest import discover_traces
 from repro.workloads.isa import Opcode
+from worker_bugs import ExplodingBug, WorkerKillerBug
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-#: Remote worker processes must be able to unpickle classes defined in this
-#: module, so its directory joins PYTHONPATH for spawned workers.
+#: Worker processes must be able to unpickle the bug classes in
+#: ``worker_bugs``, so this directory joins PYTHONPATH for spawned workers.
 TESTS_DIR = str(Path(__file__).resolve().parent)
 
 
-class ExplodingBug(CoreBugModel):
-    """Picklable bug model that fails as soon as simulation starts."""
+class DriverOnlyBug(CoreBugModel):
+    """Stands in for a bug class defined in a driver script's ``__main__``:
+    the driver pickles it by reference, and no worker can resolve it."""
 
-    name = "exploding"
-
-    def on_simulation_start(self, config) -> None:
-        raise RuntimeError("boom at simulation start")
+    name = "driver-only"
 
 
-class WorkerKillerBug(CoreBugModel):
-    """Kills the worker process outright: a transport failure, not a job one."""
-
-    name = "worker-killer"
-
-    def on_simulation_start(self, config) -> None:
-        os.kill(os.getpid(), signal.SIGKILL)
+#: Worker that completes the handshake and exits — lost before its first
+#: chunk.  It frames by hand so that it starts without importing repro.
+HANDSHAKE_THEN_QUIT_WORKER = r"""
+import pickle, struct, sys
+(length,) = struct.unpack(">Q", sys.stdin.buffer.read(8))
+sys.stdin.buffer.read(length)
+body = pickle.dumps(("hello", {"protocol": %d}))
+sys.stdout.buffer.write(struct.pack(">Q", len(body)) + body)
+""" % PROTOCOL_VERSION
 
 
 @pytest.fixture()
 def worker_env(monkeypatch):
-    """Let spawned repro-worker processes import this test module."""
+    """Let spawned repro-worker processes import ``worker_bugs``."""
     existing = os.environ.get("PYTHONPATH", "")
     monkeypatch.setenv(
         "PYTHONPATH",
@@ -184,11 +188,11 @@ class TestBackendConformance:
         jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
         engine = JobEngine(backend="subprocess:2", chunk_size=1)
         engine.run(jobs, registry.traces)
-        processes = [c.process for c in engine.backend._connections]
-        assert all(p.poll() is None for p in processes)
+        processes = list(engine.backend.scheduler._process_registry.values())
+        assert processes and all(p.poll() is None for p in processes)
         del engine
         gc.collect()
-        for process in processes:  # the backend finalizer reaps them
+        for process in processes:  # the scheduler finalizer reaps them
             process.wait(timeout=10)
 
     def test_jobs_sugar_still_selects_local_backend(self):
@@ -213,18 +217,18 @@ class TestBackendConformance:
     def test_dead_idle_worker_triggers_rebuild_on_next_batch(
         self, registry, tiny_trace
     ):
-        """A worker lost between batches (e.g. its transport failure was
-        cancelled away with a failed batch) must not shrink capacity
-        silently: the next start() health-checks and rebuilds."""
+        """A worker lost between batches must not shrink capacity silently:
+        the next batch notices the loss (its reader saw EOF, or the
+        dispatch write fails) and respawns the slot as work demands."""
         jobs = _core_jobs(registry, tiny_trace)
         with JobEngine(backend="subprocess:2", chunk_size=1) as engine:
             engine.run(jobs, registry.traces)
-            victim = engine.backend._connections[1].process
+            victim = engine.backend.scheduler._slots[1].incarnation.process
             victim.kill()
-            victim.wait()  # make sure poll() observes the death
+            victim.wait()
             results = engine.run(jobs, registry.traces)
             assert all(r.cycles > 0 for r in results)
-            assert engine.stats.pool_creates == 2  # rebuilt, not reused
+            assert engine.stats.workers_lost == 1
 
 
 # -- spec grammar ------------------------------------------------------------
@@ -237,19 +241,46 @@ class TestBackendSpecs:
         assert isinstance(local, LocalBackend)
         assert local.slots == 4 and local.spec == "local:4"
         sub = parse_backend("subprocess:3")
-        assert isinstance(sub, RemoteBackend)
-        assert sub.slots == 3 and sub.remote
-        assert parse_backend("subprocess").slots == 2  # documented default
+        assert isinstance(sub, ClusterBackend)
+        assert sub.slots == 3 and sub.remote and sub.spec == "subprocess:3"
+        assert sub.scheduler.command_factory(0) == local_worker_command()
+        assert parse_backend("subprocess").spec == "subprocess:2"  # default
 
     def test_parse_ssh_hosts(self):
         backend = parse_backend("ssh://hostA:2,hostB:3")
+        assert isinstance(backend, ClusterBackend)
         assert backend.slots == 5
         assert backend.spec == "ssh://hostA:2,hostB:3"
-        commands = [c.command for c in backend._connections]
+        commands = [backend.scheduler.command_factory(i) for i in range(5)]
         assert all(command[0] == "ssh" for command in commands)
-        assert sum("hostA" in command for command in commands) == 2
-        assert sum("hostB" in command for command in commands) == 3
+        assert [command[-2] for command in commands] == (
+            ["hostA"] * 2 + ["hostB"] * 3
+        )
         assert parse_backend("ssh://solo").slots == 1  # default one per host
+
+    def test_ssh_slot_respawns_on_its_own_host(self, registry, tiny_trace):
+        """Slot i's worker, and every respawn of it, runs on host i.  The
+        ssh command is recorded and swapped for a local worker that quits
+        after its handshake (no network), so slots keep respawning until
+        the requeue cap fails the batch."""
+        backend = parse_backend("ssh://hostA:1,hostB:2")
+        ssh_command = backend.scheduler.command_factory
+        spawned = []
+
+        def factory(index):
+            spawned.append((index, ssh_command(index)[-2]))
+            return [sys.executable, "-c", HANDSHAKE_THEN_QUIT_WORKER]
+
+        backend.scheduler.command_factory = factory
+        backend.scheduler.backoff = 0.01
+        jobs = _core_jobs(registry, tiny_trace)
+        with JobEngine(backend=backend, chunk_size=1) as engine:
+            with pytest.raises(BackendError, match="lost its worker 6 times"):
+                engine.run(jobs, registry.traces)
+        hosts = {0: "hostA", 1: "hostB", 2: "hostB"}
+        assert [index for index, _ in spawned[:3]] == [0, 1, 2]
+        assert len(spawned) > len(hosts)  # some slot respawned
+        assert all(host == hosts[index] for index, host in spawned)
 
     def test_backend_instance_passes_through(self):
         backend = SerialBackend()
@@ -257,7 +288,8 @@ class TestBackendSpecs:
         assert JobEngine(backend=backend).backend is backend
 
     @pytest.mark.parametrize("spec", [
-        "quantum", "local:x", "local:0", "subprocess:-1", "ssh://", "ssh://:4",
+        "quantum", "local:x", "local:0", "subprocess:-1", "subprocess:x",
+        "ssh://", "ssh://:4", "ssh://hostA:0",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -434,27 +466,83 @@ class TestWorkerDeath:
     def test_subprocess_worker_killed_mid_chunk(
         self, registry, tiny_trace, worker_env
     ):
-        trace_id = registry.register(tiny_trace)
-        killer = SimulationJob(study="core", config=core_microarch("Skylake"),
-                               bug=WorkerKillerBug(), trace_id=trace_id, step=256)
-        good = _core_jobs(registry, tiny_trace)
-        with JobEngine(backend="subprocess:2", chunk_size=1) as engine:
-            with pytest.raises(BackendError):
-                engine.run(good + [killer], registry.traces)
-            backend = engine.backend
-            assert not backend._live
-            assert all(c.process is None for c in backend._connections)
-            results = engine.run(good, registry.traces)
-            assert all(r.cycles > 0 for r in results)
-            assert engine.stats.pool_creates == 2
+        message = _fail_on_lost_chunk("subprocess:2", _killer(registry, tiny_trace),
+                                      registry, tiny_trace)
+        assert "last loss: subprocess:2#" in message
+
+    def test_cluster_worker_killed_mid_chunk(self, registry, tiny_trace, worker_env):
+        message = _fail_on_lost_chunk("cluster:1,backoff=0.01,respawns=1",
+                                      _killer(registry, tiny_trace),
+                                      registry, tiny_trace)
+        assert "last loss: cluster:1#0" in message
+
+    @pytest.mark.parametrize(
+        "spec", ["subprocess:2", "cluster:2,backoff=0.01,respawns=1"]
+    )
+    def test_unpicklable_chunk_fails_the_batch(
+        self, spec, registry, tiny_trace, monkeypatch
+    ):
+        """The bug class lives in the driver's ``__main__`` only: every
+        worker rejects the chunk frame it cannot unpickle and exits."""
+        monkeypatch.setattr(DriverOnlyBug, "__module__", "__main__")
+        monkeypatch.setattr(
+            sys.modules["__main__"], "DriverOnlyBug", DriverOnlyBug, raising=False
+        )
+        bad = SimulationJob(study="core", config=core_microarch("Skylake"),
+                            bug=DriverOnlyBug(),
+                            trace_id=registry.register(tiny_trace), step=256)
+        message = _fail_on_lost_chunk(spec, bad, registry, tiny_trace)
+        assert "bad frame" in message and "DriverOnlyBug" in message
+
+
+#: Bound on how long a batch whose chunk loses every worker it reaches may
+#: take to fail: at most max_respawns + 1 = 6 worker starts (~0.4 s each on
+#: a 2-vCPU VM) plus 0.25 s of backoff per loss, with slack for CI hosts.
+LOST_CHUNK_BOUND_S = 20.0
+
+
+def _killer(registry, trace):
+    return SimulationJob(study="core", config=core_microarch("Skylake"),
+                         bug=WorkerKillerBug(), trace_id=registry.register(trace),
+                         step=256)
+
+
+def _fail_on_lost_chunk(spec, bad_job, registry, trace):
+    """Run *bad_job* on *spec*: the batch must fail with a BackendError
+    naming the chunk once its requeues are used up, in bounded time, and
+    the engine's next batch must complete.  Returns the message."""
+    good = _core_jobs(registry, trace, configs=("Skylake",))[:1]
+    with JobEngine(backend=spec, chunk_size=1) as engine:
+        started = time.monotonic()
+        with pytest.raises(
+            BackendError, match=r"chunk \d+ lost its worker \d+ times .*; last loss: "
+        ) as excinfo:
+            engine.run([bad_job], registry.traces)
+        assert time.monotonic() - started < LOST_CHUNK_BOUND_S
+        pool = engine.backend.scheduler
+        # The engine tore the worker set down.
+        assert pool.live_workers() == 0 and not pool._process_registry
+        cap = pool.max_respawns
+        assert engine.stats.chunks_requeued == cap
+        assert engine.stats.workers_lost == cap + 1
+        message = str(excinfo.value)
+        assert f"lost its worker {cap + 1} times" in message
+        results = engine.run(good, registry.traces)
+        assert all(r.cycles > 0 for r in results)
+    return message
 
 
 class TestProtocolFailures:
     def test_version_mismatch_end_to_end(self, registry, tiny_trace, monkeypatch):
-        monkeypatch.setattr(remote, "PROTOCOL_VERSION", 999)
+        """The real worker rejects a driver speaking another version; with
+        every spawn rejected the slot fails permanently, naming why."""
+        monkeypatch.setattr(scheduler, "PROTOCOL_VERSION", 999)
         jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
-        with JobEngine(backend="subprocess:1", chunk_size=1) as engine:
-            with pytest.raises(ProtocolError, match="handshake|version"):
+        spec = "cluster:1,respawns=0"
+        with JobEngine(backend=spec, chunk_size=1) as engine:
+            with pytest.raises(
+                BackendError, match="last failure: .*rejected handshake.*version"
+            ):
                 engine.run(jobs, registry.traces)
 
     # A fake worker that exits early may already be gone when the driver
@@ -462,28 +550,20 @@ class TestProtocolFailures:
     # to the ProtocolError the read side raises.
 
     def test_garbage_worker_stream_is_oversized_frame(self):
-        connection = WorkerConnection(
-            [sys.executable, "-c", "print('garbage!')"], label="garbage"
-        )
         with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
-        assert connection.process is None
+            spawn_worker([sys.executable, "-c", "print('garbage!')"], 1.0)
 
     def test_truncated_worker_stream(self):
         code = (
             "import struct, sys; "
             "sys.stdout.buffer.write(struct.pack('>Q', 100) + b'xx')"
         )
-        connection = WorkerConnection([sys.executable, "-c", code], label="trunc")
         with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
+            spawn_worker([sys.executable, "-c", code], 1.0)
 
     def test_worker_that_exits_immediately(self):
-        connection = WorkerConnection(
-            [sys.executable, "-c", "pass"], label="quitter"
-        )
         with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
+            spawn_worker([sys.executable, "-c", "pass"], 1.0)
 
 
 class TestKeyboardInterrupt:
@@ -506,8 +586,8 @@ class TestKeyboardInterrupt:
             assert backend._pool is None
             assert not backend._futures
         else:
-            assert not backend._live
-            assert all(c.process is None for c in backend._connections)
+            assert backend.scheduler.live_workers() == 0
+            assert not backend.scheduler._process_registry
         # The engine is reusable: the next batch brings workers back up.
         engine.progress = None
         results = engine.run(jobs, registry.traces)

@@ -36,7 +36,7 @@ from repro.runtime import (
     TraceRegistry,
     parse_backend,
 )
-from repro.runtime.backends.remote import local_worker_command
+from repro.runtime.worker import local_worker_command
 from repro.uarch import core_microarch
 from repro.bugs.core_bugs import SerializeOpcode
 from repro.workloads import TraceGenerator, build_program, workload
@@ -218,7 +218,7 @@ class TestClusterLiveness:
         jobs, reference = serial_reference
         spawns = {"n": 0}
 
-        def factory():
+        def factory(_slot):
             spawns["n"] += 1
             if spawns["n"] == 1:
                 return [sys.executable, "-c", HANG_WORKER]
@@ -243,7 +243,7 @@ class TestClusterLiveness:
         raises instead of polling forever."""
         jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
         backend = ClusterBackend(
-            1, command_factory=lambda: [sys.executable, "-c", "raise SystemExit(0)"],
+            1, command_factory=lambda _slot: [sys.executable, "-c", "raise SystemExit(0)"],
             heartbeat=0.05, deadline=1.0, backoff=0.01, max_respawns=2,
         )
         with pytest.raises(BackendError, match="failed permanently"):

@@ -56,7 +56,13 @@ from repro.coresim import (
 )
 from repro.coresim._reference import reference_simulate_trace
 from repro.coresim.native import NativeKernelUnavailable, simulate_batch_native
-from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
+from repro.runtime import (
+    JobEngine,
+    LocalBackend,
+    ResultStore,
+    SimulationJob,
+    TraceRegistry,
+)
 from repro.runtime.execution import batch_group_key, plan_batches
 from repro.uarch import all_core_microarches, core_microarch, memory_microarch
 from repro.uarch.ports import PortOrganization
@@ -626,13 +632,16 @@ class TestCrossKernelEngine:
     def test_explicit_kernel_rejected_on_parallel_backend(self, monkeypatch):
         """Workers resolve the kernel from their environment, so an explicit
         kernel= that the environment contradicts must fail fast instead of
-        planning batches the workers would execute job by job."""
+        planning batches the workers would execute job by job.  A backend
+        instance, unlike a spec, is never swapped for serial (as specs are
+        under REPRO_NATIVE_SANITIZE), so the check runs in every
+        environment."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            JobEngine(jobs=2, kernel="scalar")
+            JobEngine(backend=LocalBackend(2), kernel="scalar")
         # consistent environment + argument is fine
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        JobEngine(jobs=2, kernel="scalar").close()
+        JobEngine(backend=LocalBackend(2), kernel="scalar").close()
         # inline backends honour the argument alone
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         JobEngine(jobs=1, kernel="scalar").close()

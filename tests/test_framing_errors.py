@@ -18,7 +18,6 @@ import pytest
 from repro.bugs.core_bugs import SerializeOpcode
 from repro.cluster.backend import ClusterBackend
 from repro.runtime import BackendError, JobEngine, SimulationJob, TraceRegistry
-from repro.runtime.backends.remote import local_worker_command
 from repro.runtime.framing import (
     ERROR,
     HEARTBEAT,
@@ -31,7 +30,7 @@ from repro.runtime.framing import (
     read_frame,
     write_frame,
 )
-from repro.runtime.worker import serve
+from repro.runtime.worker import local_worker_command, serve
 from repro.uarch import core_microarch
 from repro.workloads import TraceGenerator, build_program, workload
 from repro.workloads.isa import Opcode
@@ -258,7 +257,7 @@ class TestClusterConnectionIsolation:
         registry, jobs = registry_and_jobs
         spawns = {"n": 0}
 
-        def factory():
+        def factory(_slot):
             spawns["n"] += 1
             if spawns["n"] == 1:
                 return [sys.executable, "-c", TRUNCATING_WORKER]
@@ -282,7 +281,7 @@ class TestClusterConnectionIsolation:
         wedging."""
         registry, jobs = registry_and_jobs
         backend = ClusterBackend(
-            1, command_factory=lambda: [sys.executable, "-c", V1_WORKER],
+            1, command_factory=lambda _slot: [sys.executable, "-c", V1_WORKER],
             heartbeat=0.05, deadline=5.0, backoff=0.01, max_respawns=1,
         )
         with pytest.raises(BackendError, match="failed permanently"):

@@ -375,12 +375,14 @@ def _src_env() -> dict:
     return env
 
 
-def test_module_entry_point_imports_cleanly():
-    """``python -m repro.serve.server`` must not find its module already
-    imported by the package (runpy's RuntimeWarning, an error here)."""
+@pytest.mark.parametrize(
+    "module", ["repro.serve.server", "repro.serve.client", "repro.bench.perf"]
+)
+def test_module_entry_point_imports_cleanly(module):
+    """``python -m <module>`` must not find its module already imported by
+    the package (runpy's RuntimeWarning, an error here)."""
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m",
-         "repro.serve.server", "--help"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
         env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr

@@ -1,5 +1,7 @@
 """Tests for microarchitecture configurations, ports and presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.uarch import (
@@ -98,3 +100,9 @@ class TestPresets:
         cfg = core_microarch("Skylake")
         assert cfg.iq_size >= 12 and cfg.lsq_size >= 8
         assert cfg.num_phys_regs > cfg.rob_size
+
+    def test_empty_btb_rejected(self):
+        # An empty BTB has no entry for the replacement path to evict.
+        with pytest.raises(ValueError, match="BTB"):
+            dataclasses.replace(core_microarch("K8"), btb_entries=0)
+        assert dataclasses.replace(core_microarch("K8"), btb_entries=1).btb_entries == 1
