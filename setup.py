@@ -6,9 +6,10 @@
 * ``repro-experiments`` — the ``python -m repro.experiments.runner`` CLI
   (``--scale``, ``--only``, ``--jobs``, ``--backend``, ``--store``,
   ``--trace-dir``, ``--trace-format``, ``--mixes``);
-* ``repro-bench`` — the tracked perf-benchmark harness
-  (``python -m repro.bench.perf``: ``--quick``, ``--jobs``, ``--backend``,
-  ``--output``), which writes ``BENCH_simulation.json``;
+* ``repro-bench`` — the simulation-kernel benchmark gates
+  (``python -m repro.bench.perf``: ``--quick``, ``--output``), which
+  writes ``BENCH_simulation.json``; end-to-end numbers come from
+  ``perfbench/run.py``;
 * ``repro-ingest`` — on-disk trace inspection
   (``python -m repro.workloads.ingest``: lists format
   (ChampSim/gem5/k6-style), instruction count, digest and optional SimPoint
@@ -25,7 +26,7 @@
 * ``repro-cluster`` — operate the cluster scheduler's worker pool
   (``python -m repro.cluster.cli``: ``health`` worker liveness probe,
   ``roster`` store-key keep-set for ``repro-store gc``, ``plan`` dry-run
-  of the dispatch policies; see ``docs/RUNTIME.md``);
+  of the chunk plan for N worker slots; see ``docs/RUNTIME.md``);
 * ``repro-serve`` — the detection serving daemon
   (``python -m repro.serve.server``): ``train`` persists a detection model
   to a registry file, ``run`` serves it over a socket at interactive

@@ -1,7 +1,8 @@
-"""Tracked performance benchmarks for the simulation hot path.
+"""Gated performance benchmarks for the simulation kernels.
 
-``repro-bench`` (:mod:`repro.bench.perf`) times the three layers every
-experiment sits on — single-simulation throughput, job-engine batch
-throughput and warm-store replay — and emits ``BENCH_simulation.json`` so
-successive PRs leave a comparable perf trajectory.
+``repro-bench`` (:mod:`repro.bench.perf`) times the optimized scalar
+pipeline against the frozen seed pipeline and the compiled native kernel
+against the scalar one, and emits ``BENCH_simulation.json``;
+:mod:`repro.bench.ratchet` gates both speedups against the previous run.
+End-to-end numbers come from ``perfbench/run.py``.
 """

@@ -1,4 +1,4 @@
-"""Perf trajectory ratchet: fail CI on single-thread speedup regression.
+"""Perf trajectory ratchet: fail CI on a kernel speedup regression.
 
 ``repro-bench`` writes ``BENCH_simulation.json`` with a
 ``single.aggregate_speedup`` headline (optimized vs frozen seed pipeline,
@@ -11,8 +11,12 @@ The schema-v5 ``native.aggregate_speedup`` column (compiled C kernel vs
 scalar) is gated the same way with its own static floor
 (:data:`NATIVE_FLOOR`) whenever the reports carry it — reports from
 compiler-less hosts record ``available: false`` and the native gate simply
-does not apply.  The ``serve`` and (schema-v6) ``cluster`` columns stay
-tracked-not-gated.
+does not apply.
+
+:func:`evaluate` also gates lower-is-better metrics (``better="lower"``):
+the CI ``perf`` job holds each end-to-end metric of ``perfbench/run.py``
+to the previous ``main`` run with the direction and bound
+``BENCHMARK.json`` gives it.
 
 CI runners (especially 1-vCPU ones) are noisy, so the gate is deliberately
 forgiving: the *current* measurement is the **median** of N ``repro-bench``
@@ -80,40 +84,6 @@ def read_native_speedup(path: "str | Path") -> "float | None":
     return float(native["aggregate_speedup"])
 
 
-def read_cluster_requeues(path: "str | Path") -> "tuple[int, int] | None":
-    """The ``cluster`` (chunks_requeued, workers_respawned) totals (None pre-v6).
-
-    Tracked, not gated: on a healthy runner both totals are zero across
-    every policy, and a nonzero value in the trajectory flags flaky worker
-    infrastructure — but gating on it would make the ratchet fail on the
-    very runner flakiness the elastic backend exists to absorb.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    policies = report.get("cluster", {}).get("policies")
-    if not policies:
-        return None
-    return (
-        sum(int(row.get("chunks_requeued", 0)) for row in policies.values()),
-        sum(int(row.get("workers_respawned", 0)) for row in policies.values()),
-    )
-
-
-def read_serve_latency(path: "str | Path") -> "tuple[float, float] | None":
-    """The ``serve`` warm (p50_ms, verdicts_per_sec) pair (None pre-v4).
-
-    The serving-latency trajectory is *recorded and tracked*, not gated:
-    socket round-trip times on shared CI runners swing far more than the
-    single-thread headline.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    warm = report.get("serve", {}).get("warm")
-    if not warm:
-        return None
-    return float(warm["p50_ms"]), float(warm["verdicts_per_sec"])
-
-
 @dataclass
 class RatchetResult:
     """Outcome of one ratchet evaluation."""
@@ -126,34 +96,46 @@ class RatchetResult:
 
 
 def evaluate(
-    speedups: "list[float]",
+    values: "list[float]",
     previous: "float | None",
-    floor: float = DEFAULT_FLOOR,
+    floor: "float | None" = DEFAULT_FLOOR,
     tolerance: float = DEFAULT_TOLERANCE,
+    better: str = "higher",
 ) -> RatchetResult:
-    """Gate the median of *speedups* against the previous run (or the floor).
+    """Gate the median of *values* against the previous run (or the floor).
 
-    The static *floor* always applies as a backstop; on top of it, a known
-    *previous* speedup ratchets the threshold up to
-    ``previous * (1 - tolerance)``.
+    With ``better="higher"`` (a speedup, a detection rate) a known
+    *previous* value ratchets the threshold up to
+    ``previous * (1 - tolerance)`` and the static *floor* stays a
+    backstop.  With ``better="lower"`` (a time, a size) the threshold is
+    ``previous * (1 + tolerance)`` and *floor*, if given, is a static
+    maximum.  Either way the stricter of the two applies; ``floor=None``
+    gates on the previous value alone.
     """
-    if not speedups:
-        raise ValueError("need at least one speedup measurement")
+    if not values:
+        raise ValueError("need at least one measurement")
     if not 0 <= tolerance < 1:
         raise ValueError("tolerance must be in [0, 1)")
-    median = statistics.median(speedups)
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    higher = better == "higher"
+    median = statistics.median(values)
     threshold = floor
-    basis = f"static floor {floor:g}x"
+    basis = f"static floor {floor:g}" if floor is not None else ""
     if previous is not None:
-        ratchet = previous * (1 - tolerance)
-        if ratchet > threshold:
+        ratchet = previous * (1 - tolerance if higher else 1 + tolerance)
+        # The stricter of floor and ratchet wins.
+        if threshold is None or (ratchet > threshold) == higher:
             threshold = ratchet
-            basis = f"previous {previous:g}x - {tolerance:.0%} tolerance"
-    ok = median >= threshold
+            sign = "-" if higher else "+"
+            basis = f"previous {previous:g} {sign} {tolerance:.0%} tolerance"
+    if threshold is None:
+        raise ValueError("need a previous value or a floor to gate against")
+    ok = median >= threshold if higher else median <= threshold
     verdict = "ok" if ok else "REGRESSION"
     message = (
-        f"perf ratchet {verdict}: median speedup {median:g}x over "
-        f"{len(speedups)} run(s) vs threshold {threshold:g}x ({basis})"
+        f"perf ratchet {verdict}: median {median:g} over {len(values)} "
+        f"run(s) vs threshold {threshold:g}, {better} is better ({basis})"
     )
     return RatchetResult(
         ok=ok, median=median, previous=previous, threshold=threshold, message=message
@@ -193,9 +175,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     speedups = []
     natives = []
-    serve_p50s = []
-    serve_rates = []
-    cluster_requeues = []
     for path in args.reports:
         speedup = read_speedup(path)
         speedups.append(speedup)
@@ -203,32 +182,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if native is not None:
             natives.append(native)
         native_note = f", native {native:g}x" if native is not None else ""
-        serve = read_serve_latency(path)
-        serve_note = ""
-        if serve is not None:
-            serve_p50s.append(serve[0])
-            serve_rates.append(serve[1])
-            serve_note = f", serve {serve[0]:g}ms p50"
-        cluster = read_cluster_requeues(path)
-        cluster_note = ""
-        if cluster is not None:
-            cluster_requeues.append(cluster[0])
-            cluster_note = f", cluster requeues {cluster[0]}"
-        print(
-            f"  {path}: {speedup:g}x{native_note}{serve_note}"
-            f"{cluster_note}"
-        )
-    if serve_p50s:
-        print(
-            f"  serve warm median {statistics.median(serve_p50s):g}ms p50, "
-            f"{statistics.median(serve_rates):g} verdicts/s "
-            "(tracked, not gated)"
-        )
-    if cluster_requeues:
-        print(
-            f"  cluster requeues total {sum(cluster_requeues)} across "
-            f"{len(cluster_requeues)} run(s) (tracked, not gated)"
-        )
+        print(f"  {path}: {speedup:g}x{native_note}")
 
     previous = None
     prev_native = None

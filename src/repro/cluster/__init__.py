@@ -8,8 +8,10 @@ defaults) and ``ssh://host:N,...`` (each slot's worker started over ssh on
 its own host).  It gives a long sweep on shared machines what it needs:
 
 * a poll-loop **scheduler** (:mod:`repro.cluster.scheduler`) that spawns
-  workers lazily up to a ``parallelmax``, tracks a per-worker job context,
-  and grows/shrinks the pool elastically (:meth:`ClusterBackend.resize`);
+  workers lazily up to a ``parallelmax``, dispatches chunks in the order
+  the engine submits them (costliest first, a requeued chunk ahead of
+  them all), tracks a per-worker job context, and grows/shrinks the pool
+  elastically (:meth:`ClusterBackend.resize`);
 * **health probes** — workers emit heartbeat frames from a side thread
   (protocol v2), silence past a deadline marks the worker dead, dead
   workers are respawned with exponential backoff and their in-flight
@@ -17,9 +19,6 @@ its own host).  It gives a long sweep on shared machines what it needs:
   work (results persisted per chunk by the engine are never re-executed);
   a chunk that keeps killing its workers fails the batch once its requeues
   pass ``max_respawns``;
-* pluggable **sweep policies** (:mod:`repro.cluster.policies`): ``fifo``,
-  ``ljf``, deadline-driven ``edd`` and ``suspend`` for priority-contended
-  pools;
 * a **roster** builder (:mod:`repro.cluster.roster`) naming every store
   key a scale's sweeps can produce — the keep-set for ``repro-store gc``.
 
@@ -28,15 +27,11 @@ the liveness protocol, and ``repro-cluster --help`` for the CLI.
 """
 
 from .backend import ClusterBackend, parse_cluster_spec
-from .policies import POLICIES, ChunkTicket, SweepPolicy, parse_policy
-from .scheduler import ClusterScheduler
+from .scheduler import ChunkTicket, ClusterScheduler
 
 __all__ = [
-    "POLICIES",
     "ChunkTicket",
     "ClusterBackend",
     "ClusterScheduler",
-    "SweepPolicy",
     "parse_cluster_spec",
-    "parse_policy",
 ]

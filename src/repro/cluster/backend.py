@@ -4,21 +4,18 @@
 The engine-facing face of :mod:`repro.cluster.scheduler`: an
 :class:`~repro.runtime.backends.base.ExecutionBackend` that plans nothing
 itself — the engine still consults the store, dedups the batch and bins
-jobs into chunks — but hands every chunk to the
-:class:`~repro.cluster.scheduler.ClusterScheduler` as a
-:class:`~repro.cluster.policies.ChunkTicket` carrying the scheduling
-inputs: the engine's cost proxy, plus the priority/deadline set through
-:meth:`ClusterBackend.submit_context`.
+jobs into chunks, costliest first — but hands every chunk to the
+:class:`~repro.cluster.scheduler.ClusterScheduler`, which dispatches them
+in submission order.
 
 Spec grammar (``REPRO_BACKEND``, ``JobEngine(backend=...)``,
 ``repro-experiments --backend``)::
 
-    cluster[:N][,policy=fifo|ljf|edd|suspend][,heartbeat=S][,deadline=S]
-              [,backoff=S][,respawns=K]
+    cluster[:N][,heartbeat=S][,deadline=S][,backoff=S][,respawns=K]
 
 ``N`` is the ``parallelmax`` worker budget (default 2); the remaining
-options tune the dispatch policy and the liveness machinery (defaults: the
-canonical :data:`~repro.runtime.framing.HEARTBEAT_INTERVAL` /
+options tune the liveness machinery (defaults: the canonical
+:data:`~repro.runtime.framing.HEARTBEAT_INTERVAL` /
 :data:`~repro.runtime.framing.LIVENESS_DEADLINE`).  ``subprocess[:N]`` is
 the same backend with every default, and ``ssh://host:N,...`` the same
 with each slot's worker started over ``ssh`` on its own host
@@ -37,11 +34,9 @@ import os
 from typing import Iterator, Mapping, Set
 
 from ..runtime.backends.base import ExecutionBackend
-from ..runtime.engine import _job_cost
 from ..runtime.framing import HEARTBEAT_INTERVAL, LIVENESS_DEADLINE
 from ..runtime.worker import local_worker_command
-from .policies import ChunkTicket, parse_policy
-from .scheduler import BACKOFF_BASE, MAX_RESPAWNS, ClusterScheduler
+from .scheduler import BACKOFF_BASE, MAX_RESPAWNS, ChunkTicket, ClusterScheduler
 
 #: Default ``parallelmax`` for a bare ``cluster`` or ``subprocess`` spec.
 DEFAULT_CLUSTER_WORKERS = 2
@@ -80,7 +75,6 @@ class ClusterBackend(ExecutionBackend):
     def __init__(
         self,
         workers: int = DEFAULT_CLUSTER_WORKERS,
-        policy: str = "fifo",
         *,
         command_factory=None,
         heartbeat: float = HEARTBEAT_INTERVAL,
@@ -92,14 +86,12 @@ class ClusterBackend(ExecutionBackend):
         if workers < 1:
             raise ValueError("cluster backend needs at least one worker slot")
         super().__init__()
-        policy_obj = parse_policy(policy)
         self.slots = workers
         self.spec = spec if spec is not None else f"cluster:{workers}"
         poll = min(0.1, max(0.01, heartbeat / 4))
         self.scheduler = ClusterScheduler(
             command_factory or (lambda _slot: local_worker_command()),
             parallelmax=workers,
-            policy=policy_obj,
             stats=self.stats,
             heartbeat=heartbeat,
             deadline=deadline,
@@ -109,33 +101,8 @@ class ClusterBackend(ExecutionBackend):
             label=self.spec,
             chaos=_chaos_from_env(),
         )
-        self._seq = 0
-        self._priority = 0
-        self._deadline: "float | None" = None
 
-    # -- scheduling context ----------------------------------------------------
-
-    def submit_context(
-        self, priority: int = 0, deadline: "float | None" = None
-    ) -> "ClusterBackend":
-        """Set the priority/deadline stamped onto subsequent submits.
-
-        The engine's ``submit`` call carries no scheduling metadata, so
-        callers that want ``edd``/``suspend`` behaviour set the context
-        before running a batch::
-
-            backend.submit_context(priority=1)        # a high-priority sweep
-            backend.submit_context(deadline=30.0)     # due in 30s (edd)
-            backend.submit_context()                  # reset to defaults
-        """
-        self._priority = int(priority)
-        self._deadline = deadline if deadline is None else float(deadline)
-        return self
-
-    @property
-    def dispatch_log(self) -> "list[dict]":
-        """Per-dispatch scheduling record (see ``ClusterScheduler``)."""
-        return self.scheduler.dispatch_log
+    # -- elasticity and health -------------------------------------------------
 
     def resize(self, workers: int) -> None:
         """Elastically grow or shrink the worker budget mid-run."""
@@ -166,18 +133,7 @@ class ClusterBackend(ExecutionBackend):
     def submit(self, tag: int, chunk: list, trace_delta: Mapping) -> None:
         if trace_delta:  # pragma: no cover - engine never computes one here
             self.scheduler.update_traces(trace_delta)
-        cost = sum(_job_cost(job, self.scheduler._traces) for _, job in chunk)
-        self._seq += 1
-        self.scheduler.submit(
-            ChunkTicket(
-                seq=self._seq,
-                tag=tag,
-                chunk=chunk,
-                cost=cost,
-                priority=self._priority,
-                deadline=self._deadline,
-            )
-        )
+        self.scheduler.submit(ChunkTicket(tag=tag, chunk=chunk))
 
     def drain(self) -> Iterator[tuple]:
         return self.scheduler.drain()
@@ -216,7 +172,6 @@ def parse_cluster_spec(text: str) -> ClusterBackend:
             )
         options[key] = value
     kwargs: dict = {}
-    policy = options.pop("policy", "fifo")
     for key, cast in (
         ("heartbeat", float),
         ("deadline", float),
@@ -240,9 +195,6 @@ def parse_cluster_spec(text: str) -> ClusterBackend:
         unknown = ", ".join(sorted(options))
         raise ValueError(
             f"bad cluster spec {text!r}: unknown option(s) {unknown} "
-            "(known: policy, heartbeat, deadline, backoff, respawns)"
+            "(known: heartbeat, deadline, backoff, respawns)"
         )
-    canonical = f"cluster:{workers}"
-    if policy != "fifo":
-        canonical += f",policy={policy}"
-    return ClusterBackend(workers, policy, spec=canonical, **kwargs)
+    return ClusterBackend(workers, spec=f"cluster:{workers}", **kwargs)

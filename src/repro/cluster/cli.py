@@ -13,12 +13,13 @@ Subcommands::
         sweeps can produce (one key per line) — the keep-set for
         ``repro-store gc``.
 
-    repro-cluster plan --scale SCALE [--policy P] [--workers N]
-        Dry-run the chunk planner + dispatch policy over the scale's core
-        sweep and print the dispatch order (no simulation executed).
+    repro-cluster plan --scale SCALE [--workers N]
+        Dry-run the chunk planner over the scale's core sweep with N worker
+        slots and print the chunks in dispatch order (no worker started,
+        no simulation executed).
 
 Sweeps themselves run through the ordinary entry points with the backend
-spec — ``repro-experiments --backend cluster:4,policy=ljf`` or
+spec — ``repro-experiments --backend cluster:4`` or
 ``REPRO_BACKEND=cluster:4`` — this CLI covers the operational side.
 """
 
@@ -104,9 +105,7 @@ def _cmd_plan(args) -> int:
     from ..detect.dataset import SimulationCache
     from ..experiments.common import ExperimentContext
     from ..runtime.engine import JobEngine, _job_cost
-    from .policies import ChunkTicket, parse_policy
 
-    policy = parse_policy(args.policy)
     with ExperimentContext(scale=args.scale, jobs=1) as context:
         cache = SimulationCache(
             step_cycles=context.scale.step_cycles, engine=context.engine
@@ -118,35 +117,17 @@ def _cmd_plan(args) -> int:
             for probe in context.probes
         ]
         traces = dict(cache._registry.traces)
-        planner = JobEngine(jobs=1)
+    # An N-slot local pool starts no process before its first batch, so it
+    # sizes chunks exactly as an N-worker sweep does without spawning any.
+    with JobEngine(jobs=args.workers) as planner:
         chunks = planner._plan_chunks(list(enumerate(jobs)), traces)
-        planner.close()
-        tickets = [
-            ChunkTicket(
-                seq=seq + 1,
-                tag=seq,
-                chunk=chunk,
-                cost=sum(_job_cost(job, traces) for _, job in chunk),
-            )
-            for seq, chunk in enumerate(chunks)
-        ]
-    queued = list(tickets)
-    order = []
-    while queued:
-        ticket = policy.select(queued, [])
-        if ticket is None:
-            break
-        queued.remove(ticket)
-        order.append(ticket)
     print(
-        f"repro-cluster plan: scale={args.scale} policy={policy.name} "
-        f"workers={args.workers} -> {len(tickets)} chunks"
+        f"repro-cluster plan: scale={args.scale} workers={args.workers} "
+        f"-> {len(chunks)} chunks"
     )
-    for position, ticket in enumerate(order):
-        print(
-            f"  {position:3d}: chunk tag={ticket.tag} jobs={len(ticket.chunk)} "
-            f"cost={ticket.cost}"
-        )
+    for position, chunk in enumerate(chunks):
+        cost = sum(_job_cost(job, traces) for _, job in chunk)
+        print(f"  {position:3d}: jobs={len(chunk)} cost={cost}")
     return 0
 
 
@@ -179,13 +160,12 @@ def main(argv: "list[str] | None" = None) -> int:
     roster.set_defaults(func=_cmd_roster)
 
     plan = commands.add_parser(
-        "plan", help="dry-run chunk planning + dispatch policy (no simulation)"
+        "plan", help="dry-run chunk planning (no worker, no simulation)"
     )
     plan.add_argument("--scale", default="smoke",
                       choices=["smoke", "small", "full"])
-    plan.add_argument("--policy", default="ljf",
-                      choices=["fifo", "ljf", "edd", "suspend"])
-    plan.add_argument("--workers", type=int, default=2)
+    plan.add_argument("--workers", type=int, default=2,
+                      help="worker slots the chunks are sized for")
     plan.set_defaults(func=_cmd_plan)
 
     args = parser.parse_args(argv)

@@ -2,12 +2,13 @@
 
 Shape (after PrunScheduler in vusec/instrumentation-infra): a single
 scheduling thread owns a set of worker **slots** (bounded by
-``parallelmax``), a queue of :class:`~repro.cluster.policies.ChunkTicket`\\ s
-and one event queue.  Each iteration of the poll loop
+``parallelmax``), a queue of :class:`ChunkTicket`\\ s and one event queue.
+Each iteration of the poll loop
 
-1. dispatches queued tickets to idle live workers (the
-   :class:`~repro.cluster.policies.SweepPolicy` picks which), spawning a
-   new worker when every live one is busy and the slot budget allows;
+1. dispatches queued tickets to idle live workers in submission order — a
+   chunk requeued from a lost worker goes to the head of the queue —
+   spawning a new worker when every live one is busy and the slot budget
+   allows;
 2. waits briefly for worker events — results, worker exits, protocol
    errors — posted by one reader thread per worker connection;
 3. enforces **liveness**: every worker is asked (via the protocol-v2 hello)
@@ -37,10 +38,10 @@ dispatch — deterministic mid-sweep worker death for CI and tests, driving
 exactly the kill/respawn/requeue path a reclaimed cluster node would.
 
 Timing note: this module reads ``time.monotonic`` freely (liveness
-deadlines, backoff, dispatch-log timestamps).  None of it can reach a
-:class:`~repro.runtime.store.StoredResult` — workers compute results from
-(config, bug, trace, step) alone — so the determinism lint allowlists the
-file (``.repro-lint-allow``).
+deadlines, backoff).  None of it can reach a
+:class:`~repro.runtime.store.StoredResult` — workers compute results
+from (config, bug, trace, step) alone — so the determinism lint
+allowlists the file (``.repro-lint-allow``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ import threading
 import sys
 import time
 import weakref
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from ..runtime.backends.base import BackendError
@@ -71,7 +74,6 @@ from ..runtime.framing import (
     write_frame,
 )
 from ..runtime.stats import EngineStats
-from .policies import ChunkTicket, SweepPolicy
 
 #: How long one poll-loop iteration blocks waiting for worker events.
 POLL_INTERVAL = 0.1
@@ -84,6 +86,19 @@ BACKOFF_BASE = 0.25
 MAX_RESPAWNS = 5
 
 _NEW, _LIVE, _DEAD, _FAILED, _RETIRED = "new", "live", "dead", "failed", "retired"
+
+
+@dataclass
+class ChunkTicket:
+    """One planned chunk queued for dispatch.
+
+    ``requeues`` counts how many times the ticket was recovered from a dead
+    worker and put back at the head of the queue.
+    """
+
+    tag: int
+    chunk: list = field(repr=False)
+    requeues: int = 0
 
 
 def spawn_worker(
@@ -237,8 +252,6 @@ class ClusterScheduler:
     parallelmax:
         Worker slot budget; workers spawn lazily as queued work demands,
         and :meth:`resize` changes the budget mid-run (elastic grow/shrink).
-    policy:
-        The dispatch :class:`~repro.cluster.policies.SweepPolicy`.
     stats:
         The engine-shared :class:`EngineStats`; the scheduler owns the
         ``workers_spawned`` / ``workers_lost`` / ``workers_respawned`` /
@@ -258,7 +271,6 @@ class ClusterScheduler:
         self,
         command_factory,
         parallelmax: int,
-        policy: SweepPolicy,
         stats: "EngineStats | None" = None,
         *,
         heartbeat: float,
@@ -273,7 +285,6 @@ class ClusterScheduler:
             raise ValueError("parallelmax must be >= 1")
         self.command_factory = command_factory
         self.parallelmax = parallelmax
-        self.policy = policy
         self.stats = stats if stats is not None else EngineStats()
         self.heartbeat = heartbeat
         self.deadline = deadline
@@ -285,14 +296,11 @@ class ClusterScheduler:
         self._slots: list[_Slot] = []
         self._by_gen: dict[int, _Slot] = {}
         self._events: "queue.Queue" = queue.Queue()
-        self._queued: list[ChunkTicket] = []
+        self._queued: "deque[ChunkTicket]" = deque()
         self._traces: dict[str, object] = {}
         self._epoch = 0
         self._outstanding = 0
         self._dispatches = 0
-        #: One dict per dispatch, in dispatch order — the policy A/B record
-        #: (``repro-bench`` asserts ordering invariants over it).
-        self.dispatch_log: list[dict] = []
         #: Why the last worker was lost or failed to spawn (for errors).
         self._last_failure = ""
         #: Set when a chunk used up its requeues; drain raises it.  Every
@@ -463,7 +471,7 @@ class ClusterScheduler:
             else:
                 ticket.requeues += 1
                 self.stats.chunks_requeued += 1
-                self._queued.append(ticket)
+                self._queued.appendleft(ticket)
                 outcome = f"; requeued chunk {ticket.tag}"
         print(
             f"[cluster] worker {self.label}#{slot.index} lost ({reason}){outcome}",
@@ -502,16 +510,7 @@ class ClusterScheduler:
                     idle = [slot]
             if not idle:
                 return
-            running = [
-                s.ticket
-                for s in self._slots
-                if s.ticket is not None and s.ticket_epoch == self._epoch
-            ]
-            ticket = self.policy.select(self._queued, running)
-            if ticket is None:  # the policy is holding work back (suspend)
-                return
-            self._queued.remove(ticket)
-            self._dispatch(idle[0], ticket)
+            self._dispatch(idle[0], self._queued.popleft())
 
     def _dispatch(self, slot: _Slot, ticket: ChunkTicket) -> None:
         incarnation = slot.incarnation
@@ -519,17 +518,6 @@ class ClusterScheduler:
         slot.ticket = ticket
         slot.ticket_epoch = self._epoch
         self._dispatches += 1
-        self.dispatch_log.append(
-            {
-                "seq": ticket.seq,
-                "tag": ticket.tag,
-                "cost": ticket.cost,
-                "priority": ticket.priority,
-                "deadline": ticket.deadline,
-                "slot": slot.index,
-                "requeues": ticket.requeues,
-            }
-        )
         try:
             missing = {job.trace_id for _, job in ticket.chunk} - incarnation.shipped
             if missing:
@@ -660,5 +648,4 @@ class ClusterScheduler:
             "slots": states,
             "queued": len(self._queued),
             "dispatches": self._dispatches,
-            "policy": self.policy.name,
         }

@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         f"jobs={context.engine.jobs} simulations={stats.jobs} "
         f"executed={stats.executed} store_hits={stats.store_hits} "
         f"batches={stats.batches}\n"
-        f"[scheduler] {context.engine.scheduler} chunks={stats.chunks} "
+        f"[scheduler] chunks={stats.chunks} "
         f"pool_creates={stats.pool_creates} pool_reuses={stats.pool_reuses} "
         f"traces_shipped={stats.traces_shipped} trace_deltas={stats.trace_deltas} "
         f"straggler_jobs={stats.straggler_jobs} "

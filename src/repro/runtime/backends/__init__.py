@@ -11,8 +11,9 @@ Spec                        Meaning
 ``subprocess`` /            N local ``repro-worker`` processes (default N=2).
 ``subprocess:N``
 ``cluster[:N][,opts]``      The same N local workers, with the scheduler's
-                            options spelled out (``policy=fifo|ljf|edd|
-                            suspend``, liveness and respawn tuning).
+                            liveness and respawn tuning spelled out
+                            (``heartbeat``, ``deadline``, ``backoff``,
+                            ``respawns``).
 ``ssh://host:N,host2:M``    ``repro-worker`` over ``ssh`` on each host, N/M
                             worker processes per host (default 1).
 ==========================  ==================================================
@@ -55,7 +56,7 @@ __all__ = [
 
 _GRAMMAR = (
     "expected 'serial', 'local[:N]', 'subprocess[:N]', "
-    "'cluster[:N][,policy=P]' or 'ssh://host[:N],host2[:N]'"
+    "'cluster[:N][,key=value...]' or 'ssh://host[:N],host2[:N]'"
 )
 
 

@@ -2,7 +2,7 @@
 :class:`~repro.runtime.engine.JobEngine`.
 
 The engine keeps everything backend-independent — store consultation,
-batch-internal dedup, LJF/uniform chunk planning, stats, progress reporting
+batch-internal dedup, LJF chunk planning, stats, progress reporting
 and :class:`~repro.runtime.engine.JobFailedError` semantics — and delegates
 chunk *execution* and trace *distribution* to a backend:
 

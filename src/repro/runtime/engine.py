@@ -14,7 +14,7 @@ Where those jobs actually execute is a pluggable
     JobEngine(backend="serial")                  # inline (default)
     JobEngine(backend="local:8")                 # persistent process pool
     JobEngine(backend="subprocess:4")            # repro-worker pool over stdio
-    JobEngine(backend="cluster:4,policy=ljf")    # the same, options spelled out
+    JobEngine(backend="cluster:4,heartbeat=0.5") # the same, options spelled out
     JobEngine(backend="ssh://hostA:4,hostB:4")   # the same, workers over ssh
     JobEngine(jobs=8)                            # sugar for "local:8"
 
@@ -25,7 +25,7 @@ simulators are deterministic functions of (config, bug, trace, step), and a
 conformance suite pins serial ≡ local ≡ subprocess ≡ cluster output.
 
 The engine keeps what is backend-independent — store consultation,
-batch-internal dedup, cost-aware LJF / uniform chunk planning
+batch-internal dedup, cost-aware longest-job-first chunk planning
 (see docs/PERFORMANCE.md), :class:`EngineStats`, progress reporting and
 :class:`JobFailedError` semantics — and delegates chunk execution plus trace
 distribution to the backend (see ``docs/RUNTIME.md`` and
@@ -59,9 +59,6 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 #: keeps progress callbacks responsive on long batches).
 MAX_CHUNK_SIZE = 32
 
-#: Scheduling strategies understood by :class:`JobEngine`.
-SCHEDULERS = ("ljf", "uniform")
-
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS``, defaulting to serial execution."""
@@ -84,13 +81,6 @@ class JobFailedError(RuntimeError):
         )
         self.description = description
         self.remote_traceback = remote_traceback
-
-
-def _chunked(items: Sequence, chunk_size: int) -> list[list]:
-    """Split *items* into ordered chunks of at most *chunk_size* elements."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [list(items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
 def _job_cost(job: SimulationJob, traces: Mapping) -> int:
@@ -170,10 +160,10 @@ class JobEngine:
         (store hits report immediately).  A three-argument callback
         ``callback(done, total, stats)`` additionally receives the live
         :class:`EngineStats`, exposing chunking and worker-reuse behaviour.
-    scheduler:
-        ``"ljf"`` (default) bins pending jobs longest-first into
-        cost-balanced chunks and dispatches the costliest chunks first;
-        ``"uniform"`` chunks in input order like the seed engine.
+
+    Parallel batches are planned longest-job-first: pending jobs are binned
+    costliest-first into cost-balanced chunks, and the costliest chunks are
+    submitted first (:meth:`_plan_chunks`).
 
     The engine may be used as a context manager; ``close()`` shuts down the
     backend's worker set (each backend also installs its own finalizer, so
@@ -186,7 +176,6 @@ class JobEngine:
         store: ResultStore | None = None,
         chunk_size: int | None = None,
         progress: Callable | None = None,
-        scheduler: str = "ljf",
         backend: "str | ExecutionBackend | None" = None,
         kernel: "str | None" = None,
     ) -> None:
@@ -199,12 +188,7 @@ class JobEngine:
         self.store = store
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; available: {SCHEDULERS}"
-            )
         self.chunk_size = chunk_size
-        self.scheduler = scheduler
         #: Simulation kernel (``None``: REPRO_KERNEL, resolved per batch).
         #: With the native kernel, same-(config, bug, step) jobs within one
         #: chunk (or one inline batch) run as a single batch unit (see
@@ -253,18 +237,14 @@ class JobEngine:
         pending: list[tuple[int, SimulationJob]],
         traces: Mapping,
     ) -> list[list[tuple[int, SimulationJob]]]:
-        """Split *pending* into backend chunks according to the scheduler.
+        """Split *pending* into backend chunks, costliest chunk first.
 
-        ``uniform`` reproduces the seed behaviour (input order, fixed size).
-        ``ljf`` performs longest-processing-time binning: jobs sorted by
-        descending cost go to the least-loaded chunk with room, and chunks
-        are returned costliest-first so the heaviest work starts earliest.
-        Both plans are deterministic functions of the batch, whatever the
-        kernel.
+        Longest-processing-time binning: jobs sorted by descending cost go
+        to the least-loaded chunk with room, and chunks are returned
+        costliest-first so the heaviest work starts earliest.  The plan is a
+        deterministic function of the batch, whatever the kernel.
         """
         chunk_size = self._pick_chunk_size(len(pending))
-        if self.scheduler == "uniform":
-            return _chunked(pending, chunk_size)
         num_chunks = (len(pending) + chunk_size - 1) // chunk_size
         if num_chunks <= 1:
             return [list(pending)]

@@ -16,7 +16,7 @@ class EngineStats:
     """Counters describing what one :class:`JobEngine` actually did.
 
     Beyond the seed's batch/job/store counters, the scheduling fields let
-    alternative schedulers and backends be compared from a progress callback:
+    backends be compared from a progress callback:
     ``chunks`` (backend tasks dispatched), ``straggler_jobs`` (jobs in the
     chunk that finished last in the most recent parallel batch),
     ``pool_creates``/``pool_reuses`` (worker-set lifecycle: pool or worker

@@ -15,8 +15,8 @@ runs at interactive latency:
   daemon speaking the runtime's length-prefixed pickle frame protocol
   (:mod:`repro.runtime.framing`), one serving thread per connection.
 * :mod:`~repro.serve.client` — ``repro-client`` and the programmatic
-  :class:`~repro.serve.client.ServeClient` used by tests, CI and the
-  ``repro-bench`` serve section.
+  :class:`~repro.serve.client.ServeClient` used by tests, CI and
+  perfbench's ``serve-stream`` workload.
 
 See ``docs/SERVING.md`` for the protocol and operational story.
 """

@@ -10,22 +10,6 @@ MPKI-ordered multi-program mixes (:mod:`repro.workloads.mixes`).
 """
 
 from .decoded import DecodedTrace, as_uops, decode_trace
-from .ingest import (
-    TRACE_FORMATS,
-    IngestedTrace,
-    TraceFormat,
-    TraceIngestError,
-    densify_blocks,
-    discover_traces,
-    ingest_trace,
-    read_champsim,
-    read_gem5,
-    read_k6,
-    trace_format,
-    write_champsim,
-    write_gem5,
-    write_k6,
-)
 from .isa import (
     NUM_ARCH_REGS,
     NUM_FP_REGS,
@@ -48,6 +32,35 @@ from .mixes import (
 from .spec2006 import SPEC2006_BENCHMARKS, all_workloads, workload
 from .synth import StaticBlock, StaticInstr, SyntheticProgram, build_program
 from .trace import TraceGenerator, split_into_intervals
+
+#: Re-exported from :mod:`repro.workloads.ingest`, which loads on first use
+#: so ``python -m repro.workloads.ingest`` does not find its own module
+#: already imported by this package.
+_INGEST_NAMES = frozenset({
+    "TRACE_FORMATS",
+    "IngestedTrace",
+    "TraceFormat",
+    "TraceIngestError",
+    "densify_blocks",
+    "discover_traces",
+    "ingest_trace",
+    "read_champsim",
+    "read_gem5",
+    "read_k6",
+    "trace_format",
+    "write_champsim",
+    "write_gem5",
+    "write_k6",
+})
+
+
+def __getattr__(name: str):
+    if name in _INGEST_NAMES:
+        from . import ingest
+
+        return getattr(ingest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DecodedTrace",

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoded import DecodedTrace
-from .ingest import densify_blocks, ingest_trace
 from .isa import MicroOp
 from .memsynth import MEMSYNTH_WORKLOADS, memsynth_trace
 from .spec2006 import SPEC2006_BENCHMARKS, workload
@@ -157,6 +156,11 @@ def _component_uops(
             f"a memsynth archetype ({list(MEMSYNTH_WORKLOADS)}) and no trace "
             f"file of that name exists"
         )
+    # Imported on use, like every import of .ingest in this package, so
+    # ``python -m repro.workloads.ingest`` does not find its own module
+    # already imported.
+    from .ingest import ingest_trace
+
     return "ingested", list(ingest_trace(path).decoded.uops[:instructions])
 
 
@@ -233,6 +237,8 @@ def build_mix(
             progressed = True
         if not progressed:
             break  # every stream exhausted before the target length
+
+    from .ingest import densify_blocks
 
     num_blocks = densify_blocks(uops)
     components = [

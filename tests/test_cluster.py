@@ -1,11 +1,11 @@
-"""Cluster backend suite: conformance, chaos, liveness and sweep policies.
+"""Cluster backend suite: conformance, chaos, liveness and dispatch order.
 
 The conformance half extends the backend guarantee to ``cluster:N``:
 scheduler-managed workers produce :class:`StoredResult` payloads
 bit-identical to ``serial``.  The chaos half drives the survival story —
 ``REPRO_CLUSTER_CHAOS=kill:<n>`` SIGKILLs a worker mid-sweep and the sweep
 must still complete with nothing executed twice (store-hit accounting on
-replay).  The rest unit-tests the policy seam, the spec grammar and the
+replay).  The rest unit-tests the dispatch order, the spec grammar and the
 elastic resize path.
 """
 
@@ -20,14 +20,7 @@ from repro.cluster.backend import (
     _chaos_from_env,
     parse_cluster_spec,
 )
-from repro.cluster.policies import (
-    ChunkTicket,
-    EDDPolicy,
-    LJFPolicy,
-    SuspendPolicy,
-    SweepPolicy,
-    parse_policy,
-)
+from repro.cluster.scheduler import ChunkTicket, _Slot
 from repro.runtime import (
     BackendError,
     JobEngine,
@@ -101,21 +94,13 @@ def _assert_stored_equal(first, second):
             assert np.array_equal(a.counters[name], b.counters[name]), name
 
 
-def _ticket(seq, cost=1, priority=0, deadline=None):
-    return ChunkTicket(seq=seq, tag=seq, chunk=[], cost=cost,
-                       priority=priority, deadline=deadline)
-
-
 # -- conformance -------------------------------------------------------------
 
 
 class TestClusterConformance:
-    @pytest.mark.parametrize("policy", ["fifo", "ljf"])
-    def test_bit_identical_to_serial(
-        self, policy, registry, tiny_trace, serial_reference
-    ):
+    def test_bit_identical_to_serial(self, registry, tiny_trace, serial_reference):
         jobs, reference = serial_reference
-        spec = f"cluster:2,policy={policy},heartbeat=0.1"
+        spec = "cluster:2,heartbeat=0.1"
         with JobEngine(backend=spec, chunk_size=1) as engine:
             results = engine.run(jobs, registry.traces)
             assert engine.stats.workers_spawned >= 1
@@ -134,12 +119,12 @@ class TestClusterConformance:
             assert engine.stats.pool_reuses == 1
 
     def test_spec_roundtrip_through_parse_backend(self):
-        backend = parse_backend("cluster:3,policy=edd")
+        backend = parse_backend("cluster:3,heartbeat=0.5")
         try:
             assert isinstance(backend, ClusterBackend)
-            assert backend.spec == "cluster:3,policy=edd"
+            assert backend.spec == "cluster:3"
             assert backend.slots == 3
-            assert backend.scheduler.policy.name == "edd"
+            assert backend.scheduler.heartbeat == 0.5
         finally:
             backend.close()
 
@@ -264,57 +249,26 @@ class TestClusterLiveness:
             assert len(results) == len(jobs)
 
 
-# -- policy seam -------------------------------------------------------------
+# -- dispatch order ----------------------------------------------------------
 
 
-class TestSweepPolicies:
-    def test_fifo_picks_lowest_seq(self):
-        queued = [_ticket(3), _ticket(1), _ticket(2)]
-        assert SweepPolicy().select(queued, []).seq == 1
-
-    def test_ljf_picks_costliest_then_seq(self):
-        queued = [_ticket(1, cost=2), _ticket(2, cost=9), _ticket(3, cost=9)]
-        assert LJFPolicy().select(queued, []).seq == 2
-
-    def test_edd_orders_by_deadline_deadline_less_last(self):
-        queued = [_ticket(1), _ticket(2, deadline=5.0), _ticket(3, deadline=1.0)]
-        policy = EDDPolicy()
-        assert policy.select(queued, []).seq == 3
-        queued = [_ticket(1), _ticket(2, deadline=5.0)]
-        assert policy.select(queued, []).seq == 2
-        assert policy.select([_ticket(1)], []).seq == 1
-
-    def test_suspend_prefers_top_priority_band(self):
-        queued = [_ticket(1, priority=0), _ticket(2, priority=1)]
-        assert SuspendPolicy().select(queued, []).seq == 2
-
-    def test_suspend_stalls_while_higher_band_runs(self):
-        queued = [_ticket(2, priority=0)]
-        running = [_ticket(1, priority=1)]
-        assert SuspendPolicy().select(queued, running) is None
-        # Once the high-priority chunk finishes, the low band flows again.
-        assert SuspendPolicy().select(queued, []).seq == 2
-
-    def test_parse_policy(self):
-        assert parse_policy("ljf").name == "ljf"
-        instance = EDDPolicy()
-        assert parse_policy(instance) is instance
-        with pytest.raises(ValueError, match="unknown sweep policy"):
-            parse_policy("sjf")
-
-    def test_submit_context_stamps_tickets(self, registry, tiny_trace):
-        jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
+class TestDispatchOrder:
+    def test_submission_order_with_requeued_chunk_first(self):
+        """Chunks dispatch in the order the engine submitted them (its LJF
+        plan, costliest first); a chunk recovered from a lost worker goes
+        to the head of the queue."""
         backend = ClusterBackend(1, heartbeat=0.1)
         try:
-            backend.scheduler.update_traces(registry.traces)
-            backend.submit_context(priority=3, deadline=1.5)
-            backend.submit(0, [(0, jobs[0])], {})
-            backend.submit_context()  # reset
-            backend.submit(1, [(1, jobs[1])], {})
-            first, second = backend.scheduler._queued
-            assert (first.priority, first.deadline) == (3, 1.5)
-            assert (second.priority, second.deadline) == (0, None)
-            assert first.cost > 0
+            scheduler = backend.scheduler
+            for tag in range(3):
+                scheduler.submit(ChunkTicket(tag=tag, chunk=[]))
+            slot = _Slot(0)
+            slot.ticket = ChunkTicket(tag=7, chunk=[])
+            slot.ticket_epoch = scheduler._epoch
+            scheduler._slot_down(slot, "lost in a test")
+            assert [t.tag for t in scheduler._queued] == [7, 0, 1, 2]
+            assert slot.ticket is None
+            assert scheduler.stats.chunks_requeued == 1
         finally:
             backend.close()
 
@@ -328,19 +282,17 @@ class TestClusterSpec:
         try:
             assert backend.slots == 2
             assert backend.spec == "cluster:2"
-            assert backend.scheduler.policy.name == "fifo"
         finally:
             backend.close()
 
     def test_full_option_set(self):
         backend = parse_cluster_spec(
-            "cluster:4,policy=suspend,heartbeat=0.5,deadline=3,backoff=0.1,respawns=7"
+            "cluster:4,heartbeat=0.5,deadline=3,backoff=0.1,respawns=7"
         )
         try:
             assert backend.slots == 4
-            assert backend.spec == "cluster:4,policy=suspend"
+            assert backend.spec == "cluster:4"
             scheduler = backend.scheduler
-            assert scheduler.policy.name == "suspend"
             assert scheduler.heartbeat == 0.5
             assert scheduler.deadline == 3.0
             assert scheduler.backoff == 0.1
@@ -356,11 +308,16 @@ class TestClusterSpec:
         ("cluster:2,heartbeat=fast", "heartbeat must be a number"),
         ("cluster:2,respawns=many", "respawns must be an integer"),
         ("cluster:2,colour=red", "unknown option"),
-        ("cluster:2,policy=sjf", "unknown sweep policy"),
     ])
     def test_bad_specs_are_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
             parse_cluster_spec(spec)
+
+    def test_policy_key_is_rejected_by_name(self):
+        """There is one dispatch order, so a ``policy=`` key is an error
+        that names it, not a silently ignored option."""
+        with pytest.raises(ValueError, match=r"unknown option\(s\) policy \("):
+            parse_cluster_spec("cluster:2,policy=ljf")
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least one worker"):
@@ -394,16 +351,22 @@ class TestClusterCLI:
         assert len(keys) == len(set(keys)) > 0
         assert all(key == key.strip() and " " not in key for key in keys)
 
-    def test_plan_prints_policy_order_without_simulating(self, capsys):
+    def test_plan_sizes_chunks_for_n_slots_without_workers(
+        self, capsys, monkeypatch
+    ):
+        import repro.runtime.backends.local as local
         from repro.cluster.cli import main as cluster_main
 
-        assert cluster_main(["plan", "--scale", "smoke", "--policy", "ljf"]) == 0
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("repro-cluster plan started a worker pool")
+
+        monkeypatch.setattr(local, "ProcessPoolExecutor", no_pool)
+        assert cluster_main(["plan", "--scale", "smoke", "--workers", "4"]) == 0
         output = capsys.readouterr().out
-        assert "policy=ljf" in output
-        costs = [
-            int(line.rsplit("cost=", 1)[1])
-            for line in output.splitlines()
-            if "cost=" in line
-        ]
-        assert costs, "plan printed no chunks"
-        assert costs == sorted(costs, reverse=True)  # ljf order
+        # 60 smoke jobs over 4 slots: four chunks per slot, 3 jobs each
+        assert "workers=4 -> 20 chunks" in output
+        rows = [line for line in output.splitlines() if "cost=" in line]
+        assert len(rows) == 20
+        assert all("jobs=3 " in line for line in rows)
+        costs = [int(line.rsplit("cost=", 1)[1]) for line in rows]
+        assert costs == sorted(costs, reverse=True)  # costliest first

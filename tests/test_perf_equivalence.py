@@ -339,36 +339,6 @@ class TestSchedulers:
         costliest = max(pending, key=lambda item: _job_cost(item[1], registry.traces))
         assert any(chunk[0] == costliest for chunk in plan_a)
 
-    def test_uniform_scheduler_matches_seed_chunking(self):
-        from repro.runtime.engine import _chunked
-
-        engine = JobEngine(jobs=2, chunk_size=2, scheduler="uniform")
-        pending = list(enumerate(range(7)))
-        assert engine._plan_chunks(pending, {}) == _chunked(pending, 2)
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            JobEngine(jobs=1, scheduler="random")
-
-    def test_schedulers_produce_identical_results(self, gcc_program):
-        registry = TraceRegistry()
-        trace_id = registry.register(
-            decode_trace(TraceGenerator(gcc_program, seed=41).generate(1000))
-        )
-        jobs = [
-            SimulationJob(study="core", config=core_microarch(name), bug=None,
-                          trace_id=trace_id, step=256)
-            for name in ("Skylake", "K8", "Cedarview", "Broadwell")
-        ]
-        with JobEngine(jobs=2, chunk_size=1, scheduler="ljf") as ljf, \
-                JobEngine(jobs=2, chunk_size=1, scheduler="uniform") as uniform:
-            for a, b in zip(
-                ljf.run(jobs, registry.traces), uniform.run(jobs, registry.traces)
-            ):
-                assert a.cycles == b.cycles
-                for name in a.counters:
-                    assert np.array_equal(a.counters[name], b.counters[name])
-
 
 class TestProgressStats:
     def test_three_argument_progress_receives_stats(self, gcc_program):
@@ -411,8 +381,8 @@ class TestBenchHarness:
     def test_quick_report_shape_and_equivalence_gate(self, tmp_path):
         from repro.bench.perf import run_benchmarks
 
-        report = run_benchmarks(quick=True, jobs=2)
-        assert report["schema_version"] == 8
+        report = run_benchmarks(quick=True)
+        assert report["schema_version"] == 9
         assert report["single"]["counter_equivalence_checked"]
         assert report["single"]["kernel"] == "scalar"
         assert report["single"]["aggregate_speedup"] > 1.0
@@ -427,42 +397,10 @@ class TestBenchHarness:
             assert native["compiler"]["version"]
         else:
             assert native["reason"]
-        assert "batch" not in report
-        assert set(report["engine"]["schedulers"]) == {"ljf", "uniform"}
-        assert report["engine"]["backend"] == "local:2"
-        assert all(
-            row["backend"] == "local:2"
-            for row in report["engine"]["schedulers"].values()
-        )
-        assert report["store"]["warm_store_hits"] == report["store"]["jobs"]
-        assert report["store"]["cold_executed"] == report["store"]["jobs"]
-        # cluster section (v6): every policy A/B'd with asserted dispatch
-        # invariants and liveness metrics recorded for the ratchet
-        cluster = report["cluster"]
-        assert set(cluster["policies"]) == {"fifo", "ljf", "edd", "suspend"}
-        assert all(cluster["policy_checks"].values())
-        for row in cluster["policies"].values():
-            assert row["makespan_seconds"] > 0
-            assert row["chunks_requeued"] == 0  # healthy run: nothing lost
-            assert row["workers_spawned"] >= 1
-        assert cluster["policies"]["fifo"]["speedup_vs_fifo"] == 1.0
-        # serve section (v4): warm passes served entirely from the overlay,
-        # latency columns present for the ratchet to track
-        serve = report["serve"]
-        assert serve["warm"]["executed"] == 0
-        assert serve["cold"]["executed"] > 0
-        assert serve["warm"]["p50_ms"] > 0
-        assert serve["warm"]["p99_ms"] >= serve["warm"]["p50_ms"]
-        assert serve["warm"]["verdicts_per_sec"] > 0
-        # mixes section (v7): digest-stable builds, populated throughput and
-        # per-mix MPKI columns, quick subset ordered mix1 < mix7
-        mixes = report["mixes"]
-        assert mixes["digest_stability_checked"]
-        assert mixes["build_instr_per_sec"] > 0
-        assert mixes["sweep_instr_per_sec"] > 0
-        assert set(mixes["per_mix"]) == {"mix1", "mix4", "mix7"}
-        assert (mixes["per_mix"]["mix1"]["llc_mpki"]
-                < mixes["per_mix"]["mix7"]["llc_mpki"])
+        # v9: the two gated sections are the whole benchmark
+        assert {"single", "native"} <= set(report)
+        for gone in ("batch", "engine", "cluster", "store", "serve", "mixes"):
+            assert gone not in report
 
     def test_single_row_stays_scalar_under_native_env(self, monkeypatch):
         """The ``single`` row is labelled scalar and gated by the ratchet, so
@@ -510,19 +448,3 @@ class TestBenchHarness:
         # the gate itself: floor 2.0, ratcheted like the single headline
         assert evaluate([9.5], None, floor=NATIVE_FLOOR).ok
         assert not evaluate([1.5], None, floor=NATIVE_FLOOR).ok
-
-    def test_serve_latency_column_readable_by_ratchet(self, tmp_path):
-        import json
-
-        from repro.bench.ratchet import read_serve_latency
-
-        report = {
-            "single": {"aggregate_speedup": 3.1},
-            "serve": {"warm": {"p50_ms": 6.0, "verdicts_per_sec": 150.5}},
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(report))
-        assert read_serve_latency(path) == (6.0, 150.5)
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"single": {"aggregate_speedup": 3.0}}))
-        assert read_serve_latency(legacy) is None

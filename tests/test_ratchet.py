@@ -54,10 +54,57 @@ class TestEvaluate:
             evaluate([], previous=None)
         with pytest.raises(ValueError):
             evaluate([3.0], previous=None, tolerance=1.5)
+        with pytest.raises(ValueError, match="better"):
+            evaluate([3.0], previous=None, better="smaller")
+        with pytest.raises(ValueError, match="previous value or a floor"):
+            evaluate([3.0], previous=None, floor=None)
 
     def test_defaults_are_sane(self):
         assert 0 < DEFAULT_TOLERANCE < 1
         assert DEFAULT_FLOOR >= 1
+
+
+class TestLowerIsBetter:
+    """The direction perfbench's times and sizes are gated in
+    (``better: lower`` in BENCHMARK.json)."""
+
+    def test_previous_plus_tolerance_is_the_ceiling(self):
+        ok = evaluate([12.5], previous=10.0, floor=None, tolerance=0.25,
+                      better="lower")
+        assert ok.ok  # exactly at threshold passes
+        assert ok.threshold == pytest.approx(12.5)
+        bad = evaluate([12.6], previous=10.0, floor=None, tolerance=0.25,
+                       better="lower")
+        assert not bad.ok
+        assert "REGRESSION" in bad.message
+        assert "lower is better" in bad.message
+
+    def test_improvement_passes(self):
+        assert evaluate([4.0], previous=10.0, floor=None, tolerance=0.1,
+                        better="lower").ok
+
+    def test_median_gates(self):
+        result = evaluate([9.0, 30.0, 10.5], previous=10.0, floor=None,
+                          tolerance=0.1, better="lower")
+        assert result.median == 10.5
+        assert result.ok
+
+    def test_floor_is_a_static_maximum_and_the_stricter_bound_wins(self):
+        # previous 10 + 25% = 12.5, but the static maximum 11 is stricter
+        result = evaluate([12.0], previous=10.0, floor=11.0, tolerance=0.25,
+                          better="lower")
+        assert result.threshold == 11.0
+        assert not result.ok
+        # without a previous value the static maximum alone applies
+        assert evaluate([10.9], previous=None, floor=11.0,
+                        better="lower").ok
+
+    def test_higher_is_better_mirrors_it(self):
+        # the same numbers, the other direction: a detection rate that fell
+        assert not evaluate([0.85], previous=1.0, floor=None, tolerance=0.1,
+                            better="higher").ok
+        assert evaluate([0.9], previous=1.0, floor=None, tolerance=0.1,
+                        better="higher").ok
 
 
 class TestCli:
@@ -93,7 +140,7 @@ class TestCli:
         assert "previous artifact unusable" in capsys.readouterr().out
 
     def test_real_bench_report_is_readable(self, tmp_path):
-        # The ratchet consumes what repro-bench actually writes (schema v2).
+        # The ratchet consumes what repro-bench actually writes.
         from repro.bench.perf import SCHEMA_VERSION
 
         report = _write_report(

@@ -20,7 +20,6 @@ from repro.runtime import (
     default_jobs,
     trace_digest,
 )
-from repro.runtime.engine import _chunked
 from repro.runtime.store import StoredResult
 from repro.uarch import core_microarch, memory_microarch
 from repro.workloads import TraceGenerator, build_program, workload
@@ -150,14 +149,7 @@ class TestJobIdentity:
 
 
 class TestChunking:
-    def test_chunks_preserve_order_and_size(self):
-        chunks = _chunked(list(range(10)), 3)
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-        assert _chunked([], 4) == []
-
     def test_chunk_size_validation(self):
-        with pytest.raises(ValueError):
-            _chunked([1], 0)
         with pytest.raises(ValueError):
             JobEngine(jobs=2, chunk_size=0)
 

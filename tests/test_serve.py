@@ -375,9 +375,21 @@ def _src_env() -> dict:
     return env
 
 
-@pytest.mark.parametrize(
-    "module", ["repro.serve.server", "repro.serve.client", "repro.bench.perf"]
-)
+def _entry_point_modules() -> "list[str]":
+    """Every ``python -m`` target under ``src/repro``: package ``__main__``
+    files and modules with an ``if __name__ == "__main__"`` block."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    modules = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__main__":
+            modules.append(".".join(parts[:-1]))
+        elif 'if __name__ == "__main__"' in path.read_text(encoding="utf-8"):
+            modules.append(".".join(parts))
+    return modules
+
+
+@pytest.mark.parametrize("module", _entry_point_modules())
 def test_module_entry_point_imports_cleanly(module):
     """``python -m <module>`` must not find its module already imported by
     the package (runpy's RuntimeWarning, an error here)."""
