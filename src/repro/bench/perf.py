@@ -6,8 +6,9 @@ representative preset mix) and writes ``BENCH_simulation.json``, which the
 CI ``perf`` job ratchets against the previous ``main`` run
 (:mod:`repro.bench.ratchet`):
 
-* ``single``   — the optimized scalar :func:`repro.coresim.simulate_trace`
-  versus the frozen pre-PR seed pipeline
+* ``single``   — the optimized scalar
+  :func:`repro.coresim.simulate_batch_scalar` versus the frozen pre-PR seed
+  pipeline
   (:func:`repro.coresim._reference.reference_simulate_trace`).  The headline
   number is ``aggregate_speedup`` = total seed time / total optimized time.
 * ``native``   — the compiled C **native kernel**
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..coresim import simulate_trace
+from ..coresim import simulate_batch_scalar, simulate_trace
 from ..coresim._reference import reference_simulate_trace
 from ..detect.probe import Probe, build_probes
 from ..uarch import core_microarch
@@ -104,8 +105,8 @@ def _assert_equivalent(reference, optimized, context: str) -> None:
 def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
     """Single-thread throughput: optimized pipeline vs frozen seed pipeline.
 
-    The optimized side is pinned to the scalar kernel, so ``REPRO_KERNEL``
-    cannot swap the C loop into the row labelled ``scalar``.
+    The optimized side calls the scalar kernel directly, so the C loop can
+    never run in the row labelled ``scalar``.
     """
     presets = QUICK_PRESETS if quick else STANDARD_PRESETS
     repeats = 1 if quick else 3
@@ -126,9 +127,9 @@ def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
                 ref_elapsed += time.perf_counter() - start
                 decoded = probe.decoded
                 start = time.perf_counter()
-                optimized = simulate_trace(
-                    config, decoded, step_cycles=STEP_CYCLES, kernel="scalar"
-                )
+                optimized = simulate_batch_scalar(
+                    config, [decoded], step_cycles=STEP_CYCLES
+                )[0]
                 opt_elapsed += time.perf_counter() - start
                 _assert_equivalent(
                     reference, optimized, f"{preset}/{probe.name}"
@@ -158,11 +159,12 @@ def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
 def bench_native(probes: Sequence[Probe], quick: bool) -> dict:
     """Single-thread throughput: compiled native kernel vs scalar kernel.
 
-    Both sides run through :func:`repro.coresim.simulate_trace` with an
-    explicit ``kernel=`` so exactly the kernel dispatch users hit is what
-    gets timed.  The library build and the per-trace column marshalling are
-    primed outside the timed region (both are once-per-process/per-trace
-    costs every real workload amortises the same way).  Every timed pair is
+    The scalar side calls :func:`repro.coresim.simulate_batch_scalar`; the
+    native side runs :func:`repro.coresim.simulate_trace`, so exactly the
+    kernel dispatch users hit is what gets timed.  The library build and
+    the per-trace column marshalling are primed outside the timed region
+    (both are once-per-process/per-trace costs every real workload
+    amortises the same way).  Every timed pair is
     asserted counter-bit-identical, so the reported speedup cannot come
     from computing something different.
     """
@@ -193,14 +195,12 @@ def bench_native(probes: Sequence[Probe], quick: bool) -> dict:
             for probe in probes:
                 decoded = probe.decoded
                 start = time.perf_counter()
-                scalar = simulate_trace(
-                    config, decoded, step_cycles=STEP_CYCLES, kernel="scalar"
-                )
+                scalar = simulate_batch_scalar(
+                    config, [decoded], step_cycles=STEP_CYCLES
+                )[0]
                 scalar_elapsed += time.perf_counter() - start
                 start = time.perf_counter()
-                native = simulate_trace(
-                    config, decoded, step_cycles=STEP_CYCLES, kernel="native"
-                )
+                native = simulate_trace(config, decoded, step_cycles=STEP_CYCLES)
                 native_elapsed += time.perf_counter() - start
                 _assert_equivalent(scalar, native, f"native:{preset}/{probe.name}")
             scalar_best = min(scalar_best, scalar_elapsed)

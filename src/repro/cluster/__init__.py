@@ -1,6 +1,6 @@
-"""``repro.cluster``: elastic scheduler-managed sweep execution.
+"""``repro.cluster``: scheduler-managed sweep execution.
 
-The execution half of the elastic sweep service (the serving half is
+The execution half of the sweep service (the serving half is
 :mod:`repro.serve`).  A :class:`ClusterBackend` drives a pool of
 ``repro-worker`` processes through the shared frame protocol; every
 worker-pool spec builds one — ``cluster:N``, ``subprocess:N`` (its
@@ -10,8 +10,7 @@ its own host).  It gives a long sweep on shared machines what it needs:
 * a poll-loop **scheduler** (:mod:`repro.cluster.scheduler`) that spawns
   workers lazily up to a ``parallelmax``, dispatches chunks in the order
   the engine submits them (costliest first, a requeued chunk ahead of
-  them all), tracks a per-worker job context, and grows/shrinks the pool
-  elastically (:meth:`ClusterBackend.resize`);
+  them all) and tracks a per-worker job context;
 * **health probes** — workers emit heartbeat frames from a side thread
   (protocol v2), silence past a deadline marks the worker dead, dead
   workers are respawned with exponential backoff and their in-flight

@@ -64,7 +64,7 @@ def _chaos_from_env() -> "tuple[str, int] | None":
 
 
 class ClusterBackend(ExecutionBackend):
-    """Elastic scheduler-managed worker pool behind the backend seam.
+    """Scheduler-managed worker pool behind the backend seam.
 
     *command_factory* maps a slot index to the command that starts that
     slot's worker (default: a local ``repro-worker``).
@@ -102,12 +102,7 @@ class ClusterBackend(ExecutionBackend):
             chaos=_chaos_from_env(),
         )
 
-    # -- elasticity and health -------------------------------------------------
-
-    def resize(self, workers: int) -> None:
-        """Elastically grow or shrink the worker budget mid-run."""
-        self.scheduler.resize(workers)
-        self.slots = workers
+    # -- health ----------------------------------------------------------------
 
     def describe(self) -> dict:
         return self.scheduler.describe()

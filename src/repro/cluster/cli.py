@@ -1,4 +1,4 @@
-"""``repro-cluster``: operate the elastic cluster execution backend.
+"""``repro-cluster``: operate the cluster execution backend.
 
 Subcommands::
 

@@ -85,7 +85,7 @@ BACKOFF_BASE = 0.25
 #: the number of times one chunk may be requeued before its batch fails.
 MAX_RESPAWNS = 5
 
-_NEW, _LIVE, _DEAD, _FAILED, _RETIRED = "new", "live", "dead", "failed", "retired"
+_NEW, _LIVE, _DEAD, _FAILED = "new", "live", "dead", "failed"
 
 
 @dataclass
@@ -241,7 +241,7 @@ def _finalize_processes(registry: "dict[int, subprocess.Popen]") -> None:
 
 
 class ClusterScheduler:
-    """Elastic poll-loop scheduler over ``repro-worker`` connections.
+    """Poll-loop scheduler over ``repro-worker`` connections.
 
     Parameters
     ----------
@@ -250,8 +250,7 @@ class ClusterScheduler:
         next spawn into that slot (every spawn and respawn calls it, so a
         slot tied to one host always goes back to that host).
     parallelmax:
-        Worker slot budget; workers spawn lazily as queued work demands,
-        and :meth:`resize` changes the budget mid-run (elastic grow/shrink).
+        Worker slot budget; workers spawn lazily as queued work demands.
     stats:
         The engine-shared :class:`EngineStats`; the scheduler owns the
         ``workers_spawned`` / ``workers_lost`` / ``workers_respawned`` /
@@ -339,17 +338,6 @@ class ClusterScheduler:
         self._queued.clear()
         self._outstanding = 0
 
-    def resize(self, parallelmax: int) -> None:
-        """Change the slot budget; shrinking retires idle surplus workers.
-
-        Busy surplus workers finish their current chunk first — they retire
-        the moment they next go idle (checked every poll iteration).
-        """
-        if parallelmax < 1:
-            raise ValueError("parallelmax must be >= 1")
-        self.parallelmax = parallelmax
-        self._shrink_to_budget()
-
     def drain(self) -> Iterator[tuple]:
         """The poll loop: yield ``(tag, ChunkOutcome)`` until the batch drains."""
         while self._outstanding > 0:
@@ -357,7 +345,6 @@ class ClusterScheduler:
             completed = self._pump_events()
             self._outstanding -= len(completed)
             self._check_liveness()
-            self._shrink_to_budget()
             # Completed chunks go out first, so the engine persists them
             # even when this iteration also found the batch unfinishable.
             yield from completed
@@ -372,7 +359,6 @@ class ClusterScheduler:
         for slot in self._slots:
             if slot.incarnation is not None:
                 self._shutdown_incarnation(slot)
-            slot.state = _RETIRED
         self._slots = []
         self._by_gen = {}
         while True:
@@ -488,9 +474,6 @@ class ClusterScheduler:
 
     # -- the poll loop ---------------------------------------------------------
 
-    def _active_slots(self) -> "list[_Slot]":
-        return [s for s in self._slots if s.state not in (_RETIRED,)]
-
     def _dispatch_ready(self) -> None:
         """Hand queued tickets to idle workers, spawning/respawning as needed."""
         now = time.monotonic()
@@ -503,7 +486,7 @@ class ClusterScheduler:
                 self._spawn_into(slot)
         while self._queued:
             idle = [slot for slot in self._slots if slot.idle]
-            if not idle and len(self._active_slots()) < self.parallelmax:
+            if not idle and len(self._slots) < self.parallelmax:
                 slot = _Slot(len(self._slots))
                 self._slots.append(slot)
                 if self._spawn_into(slot):
@@ -591,21 +574,6 @@ class ClusterScheduler:
                     slot, f"no heartbeat for {silent:.1f}s (deadline {self.deadline}s)"
                 )
 
-    def _shrink_to_budget(self) -> None:
-        """Retire surplus idle workers when the budget shrank."""
-        surplus = len(self._active_slots()) - self.parallelmax
-        if surplus <= 0:
-            return
-        for slot in reversed(self._slots):
-            if surplus <= 0:
-                break
-            if slot.state in (_RETIRED,) or slot.ticket is not None:
-                continue
-            if slot.state == _LIVE:
-                self._shutdown_incarnation(slot)
-            slot.state = _RETIRED
-            surplus -= 1
-
     def _check_wedged(self) -> None:
         """Raise when outstanding work can never complete (only called with
         ``_outstanding > 0``)."""
@@ -623,15 +591,14 @@ class ClusterScheduler:
                 f"cluster scheduler wedged: {self._outstanding} chunks "
                 "outstanding with nothing queued or running"
             )
-        active = self._active_slots()
+        slots = self._slots
         if (
             self._queued
-            and active
-            and len(active) >= self.parallelmax
-            and all(s.state == _FAILED for s in active)
+            and len(slots) >= self.parallelmax
+            and all(s.state == _FAILED for s in slots)
         ):
             raise BackendError(
-                f"all {len(active)} cluster worker slots failed permanently "
+                f"all {len(slots)} cluster worker slots failed permanently "
                 f"(max_respawns={self.max_respawns} exceeded on each); "
                 f"last failure: {self._last_failure}"
             )

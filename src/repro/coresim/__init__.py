@@ -8,10 +8,8 @@ from .pipeline import O3Pipeline, PipelineError
 from .native import native_available, simulate_batch_native
 from .simulator import (
     DEFAULT_STEP_CYCLES,
-    KERNEL_ENV_VAR,
-    KERNELS,
     SimulationResult,
-    resolve_kernel,
+    simulate_batch_scalar,
     simulate_trace,
     simulate_trace_batch,
 )
@@ -32,10 +30,8 @@ __all__ = [
     "SimulationResult",
     "simulate_trace",
     "simulate_trace_batch",
+    "simulate_batch_scalar",
     "native_available",
     "simulate_batch_native",
-    "resolve_kernel",
     "DEFAULT_STEP_CYCLES",
-    "KERNEL_ENV_VAR",
-    "KERNELS",
 ]

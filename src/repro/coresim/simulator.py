@@ -7,22 +7,19 @@ and packages the sampled counter time series plus whole-run aggregates into a
 
 Two counter-bit-identical kernels back it (see docs/PERFORMANCE.md), and
 both read a bug as the :class:`~repro.coresim.hooks.BugRecord` its model
-compiles for the trace:
+compiles for the trace.  :func:`simulate_trace_batch` picks between them:
 
-* ``"native"`` — the compiled C cycle loop of :mod:`repro.coresim.native`
-  (the default), built lazily from the shipped source with whatever system
-  compiler is found;
-* ``"scalar"`` — the per-trace :class:`O3Pipeline` cycle loop, the fallback
-  when no compiler exists or the build fails (with a one-time warning,
-  never an exception) and for configurations past a native kernel limit.
-
-Kernel selection: the explicit ``kernel=`` argument wins, then the
-``REPRO_KERNEL`` environment variable, then ``"native"``.
+* the compiled C cycle loop of :mod:`repro.coresim.native`, built lazily
+  from the shipped source with whatever system compiler is found, runs
+  every request it can;
+* :func:`simulate_batch_scalar`, the per-trace :class:`O3Pipeline` cycle
+  loop, runs when no compiler exists or the build fails (with a one-time
+  warning, never an exception) and for configurations past a native kernel
+  limit.  Tests and ``repro-bench`` call it directly as native's reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,22 +35,6 @@ from .pipeline import O3Pipeline
 #: Default time-step size in cycles.  The paper uses 500 k cycles on ~10 M
 #: instruction SimPoints; probes here are scaled down proportionally.
 DEFAULT_STEP_CYCLES = 2048
-
-#: Environment variable naming the default simulation kernel.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Kernel names understood by :func:`simulate_trace`.
-KERNELS = ("scalar", "native")
-
-
-def resolve_kernel(kernel: "str | None" = None) -> str:
-    """The effective kernel name: argument, else ``REPRO_KERNEL``, else native."""
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR, "").strip() or "native"
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown simulation kernel {kernel!r}; available: {KERNELS}")
-    return kernel
-
 
 @dataclass
 class SimulationResult:
@@ -86,7 +67,6 @@ def simulate_trace(
     bug: CoreBugModel | None = None,
     step_cycles: int = DEFAULT_STEP_CYCLES,
     warmup: bool = True,
-    kernel: "str | None" = None,
 ) -> SimulationResult:
     """Simulate *trace* on *config*, optionally with an injected *bug*.
 
@@ -107,15 +87,9 @@ def simulate_trace(
     warmup:
         Functionally warm caches and branch predictors before the timed run,
         compensating for the scaled-down probe length (see DESIGN.md §2).
-    kernel:
-        ``"native"``, ``"scalar"`` or ``None`` (use ``REPRO_KERNEL``,
-        default native).  Both kernels are counter-bit-identical; a
-        missing/unbuildable native library degrades to scalar with a
-        one-time warning.
     """
     return simulate_trace_batch(
-        config, [trace], bug=bug, step_cycles=step_cycles, warmup=warmup,
-        kernel=kernel,
+        config, [trace], bug=bug, step_cycles=step_cycles, warmup=warmup
     )[0]
 
 
@@ -125,32 +99,37 @@ def simulate_trace_batch(
     bug: CoreBugModel | None = None,
     step_cycles: int = DEFAULT_STEP_CYCLES,
     warmup: bool = True,
-    kernel: "str | None" = None,
 ) -> "list[SimulationResult]":
     """Simulate many probes of one design in one call.
 
-    With the ``native`` kernel every trace runs through the compiled C
-    cycle loop in one call — the batched path the runtime's same-config job
-    grouping exercises.  Otherwise each trace runs through the scalar
-    :class:`O3Pipeline`.  Results are identical either way, in input order.
+    Every trace runs through the compiled C cycle loop in one call — the
+    batched path the runtime's same-config job grouping exercises — unless
+    the kernel is unavailable (no compiler, failed build) or *config* is
+    past one of its limits; then :func:`simulate_batch_scalar` runs them.
+    Results are identical either way, in input order.
     """
-    if resolve_kernel(kernel) == "native":
-        # Looked up at call time, so a wrapper set on the package is honoured.
-        from .native import NativeKernelUnavailable, native_available
+    # Looked up at call time, so a wrapper set on the package is honoured.
+    from .native import NativeKernelUnavailable, simulate_batch_native
 
-        if native_available():
-            from .native import simulate_batch_native
+    traces = list(traces)  # the fallback re-reads what native may consume
+    try:
+        return simulate_batch_native(
+            config, traces, bug=bug, step_cycles=step_cycles, warmup=warmup
+        )
+    except NativeKernelUnavailable:
+        return simulate_batch_scalar(
+            config, traces, bug=bug, step_cycles=step_cycles, warmup=warmup
+        )
 
-            try:
-                return simulate_batch_native(
-                    config,
-                    list(traces),
-                    bug=bug,
-                    step_cycles=step_cycles,
-                    warmup=warmup,
-                )
-            except NativeKernelUnavailable:
-                pass  # config exceeds a kernel limit: scalar fallback
+
+def simulate_batch_scalar(
+    config: MicroarchConfig,
+    traces: "Sequence[list[MicroOp] | DecodedTrace]",
+    bug: CoreBugModel | None = None,
+    step_cycles: int = DEFAULT_STEP_CYCLES,
+    warmup: bool = True,
+) -> "list[SimulationResult]":
+    """Simulate each of *traces* through the Python :class:`O3Pipeline`."""
     results = []
     for trace in traces:
         pipeline = O3Pipeline(config, bug=bug, step_cycles=step_cycles)

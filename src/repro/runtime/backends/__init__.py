@@ -141,15 +141,12 @@ def parse_backend(spec: "str | ExecutionBackend") -> ExecutionBackend:
     if text.startswith("ssh://"):
         hosts = _parse_hosts(text, text[len("ssh://"):])
         # Slot i runs on slot_hosts[i], so every respawn of a slot goes back
-        # to its own host (slots past the list, after an elastic regrow,
-        # wrap around it).
+        # to its own host.
         slot_hosts = [host for host, slots in hosts for _ in range(slots)]
         canonical = ",".join(f"{host}:{slots}" for host, slots in hosts)
         return ClusterBackend(
             len(slot_hosts),
-            command_factory=lambda index: ssh_worker_command(
-                slot_hosts[index % len(slot_hosts)]
-            ),
+            command_factory=lambda index: ssh_worker_command(slot_hosts[index]),
             spec=f"ssh://{canonical}",
         )
     raise ValueError(f"unknown backend spec {spec!r}; {_GRAMMAR}")

@@ -34,13 +34,11 @@ distribution to the backend (see ``docs/RUNTIME.md`` and
 
 from __future__ import annotations
 
-import inspect
 import os
 import traceback
 from heapq import heappop, heappush
 from typing import Callable, Mapping, Sequence
 
-from ..coresim.simulator import resolve_kernel
 from .backends import (
     ExecutionBackend,
     default_backend_spec,
@@ -99,26 +97,6 @@ def _job_cost(job: SimulationJob, traces: Mapping) -> int:
     return max(1, length * int(width))
 
 
-def _progress_arity(progress: Callable | None) -> int:
-    """How many positional arguments *progress* accepts (2 or 3)."""
-    if progress is None:
-        return 2
-    try:
-        parameters = inspect.signature(progress).parameters.values()
-    except (TypeError, ValueError):  # builtins, C callables
-        return 2
-    positional = [
-        p
-        for p in parameters
-        if p.kind
-        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    # Variadic callables (e.g. a `lambda *a:` wrapper around a seed-style
-    # two-argument callback) conservatively get the seed calling convention;
-    # only an explicit three-parameter signature opts into receiving stats.
-    return 3 if len(positional) >= 3 else 2
-
-
 def _resolve_backend(
     jobs: "int | None", backend: "str | ExecutionBackend | None"
 ) -> ExecutionBackend:
@@ -157,9 +135,8 @@ class JobEngine:
         per worker slot, capped at :data:`MAX_CHUNK_SIZE`.
     progress:
         Optional ``callback(done, total)`` invoked as batch jobs finish
-        (store hits report immediately).  A three-argument callback
-        ``callback(done, total, stats)`` additionally receives the live
-        :class:`EngineStats`, exposing chunking and worker-reuse behaviour.
+        (store hits report immediately).  The live :class:`EngineStats`
+        (chunking, worker reuse) are on :attr:`stats`.
 
     Parallel batches are planned longest-job-first: pending jobs are binned
     costliest-first into cost-balanced chunks, and the costliest chunks are
@@ -175,9 +152,8 @@ class JobEngine:
         jobs: int | None = None,
         store: ResultStore | None = None,
         chunk_size: int | None = None,
-        progress: Callable | None = None,
+        progress: Callable[[int, int], None] | None = None,
         backend: "str | ExecutionBackend | None" = None,
-        kernel: "str | None" = None,
     ) -> None:
         self.stats = EngineStats()
         self.backend = _resolve_backend(jobs, backend)
@@ -189,28 +165,7 @@ class JobEngine:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
-        #: Simulation kernel (``None``: REPRO_KERNEL, resolved per batch).
-        #: With the native kernel, same-(config, bug, step) jobs within one
-        #: chunk (or one inline batch) run as a single batch unit (see
-        #: :func:`~repro.runtime.execution.plan_batches`).
-        #: Parallel-backend workers resolve the
-        #: kernel from *their* environment (the chunk wire format carries no
-        #: kernel field), so an explicit argument is only honoured on inline
-        #: backends — anything else is rejected here rather than silently
-        #: running the workers on a different kernel.
-        self.kernel = kernel
-        if kernel is not None:
-            resolved = resolve_kernel(kernel)  # validates the name too
-            if not self.backend.inline and resolved != resolve_kernel(None):
-                raise ValueError(
-                    f"kernel={kernel!r} with the non-inline backend "
-                    f"{self.backend.spec!r}: parallel workers resolve the "
-                    "kernel from their environment, so set "
-                    f"REPRO_KERNEL={kernel} instead of (or in addition to) "
-                    "the argument"
-                )
         self.progress = progress
-        self._progress_args = _progress_arity(progress)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -242,7 +197,7 @@ class JobEngine:
         Longest-processing-time binning: jobs sorted by descending cost go
         to the least-loaded chunk with room, and chunks are returned
         costliest-first so the heaviest work starts earliest.  The plan is a
-        deterministic function of the batch, whatever the kernel.
+        deterministic function of the batch.
         """
         chunk_size = self._pick_chunk_size(len(pending))
         num_chunks = (len(pending) + chunk_size - 1) // chunk_size
@@ -269,10 +224,7 @@ class JobEngine:
 
     def _report(self, done: int, total: int) -> None:
         if self.progress is not None:
-            if self._progress_args >= 3:
-                self.progress(done, total, self.stats)
-            else:
-                self.progress(done, total)
+            self.progress(done, total)
 
     def _persist(self, job: SimulationJob, result: StoredResult) -> None:
         """Write one finished result to the store immediately (resumability)."""
@@ -329,15 +281,10 @@ class JobEngine:
             if self.backend.inline or (len(pending) == 1 and not self.backend.remote):
                 done = total - len(pending) - len(duplicates)
                 job_of_index = dict(pending)
-                # Unit planning groups same-(config, bug, step) jobs into
-                # batch units under the native kernel; with the scalar
-                # kernel every unit is one job.
-                for unit in plan_batches(pending, self.kernel):
+                for unit in plan_batches(pending):
                     try:
                         unit_results = _execute_unit(
-                            unit,
-                            {j.trace_id: traces[j.trace_id] for _, j in unit},
-                            kernel=self.kernel,
+                            unit, {j.trace_id: traces[j.trace_id] for _, j in unit}
                         )
                     except Exception as exc:
                         raise JobFailedError(

@@ -6,11 +6,10 @@ dispatch on the study kind into a deterministic simulator — no matter which
 is the single implementation all of them call, so serial, local-pool and
 remote execution cannot drift apart.
 
-When the ``native`` kernel is selected (the default), core-study jobs that
-share a (config, bug, step) — the shape every sweep produces — are grouped
-into batch units by :func:`plan_batches` and executed through
-:func:`~repro.coresim.simulator.simulate_trace_batch`.  Results are
-bit-identical to per-job execution (the native kernel is pinned
+Core-study jobs that share a (config, bug, step) — the shape every sweep
+produces — are grouped into batch units by :func:`plan_batches` and
+executed through :func:`~repro.coresim.simulator.simulate_trace_batch`.
+Results are bit-identical to per-job execution (the native kernel is pinned
 counter-identical to the scalar one), so store keys and stored content do
 not depend on the kernel or the grouping.
 """
@@ -21,25 +20,17 @@ import traceback
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..coresim.simulator import resolve_kernel, simulate_trace, simulate_trace_batch
+from ..coresim.simulator import simulate_trace, simulate_trace_batch
 from ..memsim.simulator import simulate_memory_trace
 from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
 from .store import StoredResult
 
 
-def execute_job(
-    job: SimulationJob, trace, kernel: "str | None" = None
-) -> StoredResult:
-    """Run one job to completion on *trace* (in-process or in a worker).
-
-    *kernel* selects the core-study simulation kernel (``None`` defers to
-    ``REPRO_KERNEL``); memory-study jobs ignore it.
-    """
+def execute_job(job: SimulationJob, trace) -> StoredResult:
+    """Run one job to completion on *trace* (in-process or in a worker)."""
     if job.study == CORE_STUDY:
         return StoredResult.from_core(
-            simulate_trace(
-                job.config, trace, bug=job.bug, step_cycles=job.step, kernel=kernel
-            )
+            simulate_trace(job.config, trace, bug=job.bug, step_cycles=job.step)
         )
     if job.study == MEMORY_STUDY:
         return StoredResult.from_memory(
@@ -66,7 +57,7 @@ ChunkOutcome = "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]"
 
 
 def batch_group_key(job: SimulationJob) -> "tuple | None":
-    """Batching key for the native kernel, or ``None`` if the job can't batch.
+    """Batching key of *job*, or ``None`` if the job can't batch.
 
     Core-study jobs group by (config, bug, step) content; memory-study jobs
     execute singly.
@@ -77,19 +68,16 @@ def batch_group_key(job: SimulationJob) -> "tuple | None":
 
 
 def plan_batches(
-    chunk: Sequence["tuple[int, SimulationJob]"], kernel: "str | None" = None
+    chunk: Sequence["tuple[int, SimulationJob]"],
 ) -> "list[list[tuple[int, SimulationJob]]]":
     """Split *chunk* into execution units: singles, or same-group batches.
 
-    With the scalar kernel every job is its own unit.  With the native
-    kernel, jobs sharing a :func:`batch_group_key` merge into one unit,
-    anchored at the position of the group's first job, and execute as one
+    Jobs sharing a :func:`batch_group_key` merge into one unit, anchored at
+    the position of the group's first job, and execute as one
     :func:`~repro.coresim.simulator.simulate_trace_batch` call.  Planning
     is a pure function of the chunk, so every backend produces the same
     units.
     """
-    if resolve_kernel(kernel) != "native":
-        return [[item] for item in chunk]
     units: list[list[tuple[int, SimulationJob]]] = []
     group_unit: dict[tuple, list[tuple[int, SimulationJob]]] = {}
     for index, job in chunk:
@@ -108,26 +96,18 @@ def plan_batches(
 
 
 def _execute_unit(
-    unit: "list[tuple[int, SimulationJob]]",
-    traces: Mapping,
-    kernel: "str | None" = None,
+    unit: "list[tuple[int, SimulationJob]]", traces: Mapping
 ) -> "list[tuple[int, StoredResult]]":
-    """Execute one planned unit (a single job or a same-group batch).
-
-    *kernel* is the selection the unit was planned under (``None`` defers to
-    ``REPRO_KERNEL``); it is forwarded to the simulator so batches run on
-    the kernel that justified grouping them.
-    """
+    """Execute one planned unit (a single job or a same-group batch)."""
     if len(unit) == 1:
         index, job = unit[0]
-        return [(index, execute_job(job, traces[job.trace_id], kernel=kernel))]
+        return [(index, execute_job(job, traces[job.trace_id]))]
     first = unit[0][1]
     results = simulate_trace_batch(
         first.config,
         [traces[job.trace_id] for _, job in unit],
         bug=first.bug,
         step_cycles=first.step,
-        kernel=kernel,
     )
     return [
         (index, StoredResult.from_core(result))
@@ -136,9 +116,7 @@ def _execute_unit(
 
 
 def run_chunk_items(
-    chunk: Sequence["tuple[int, SimulationJob]"],
-    traces: Mapping,
-    kernel: "str | None" = None,
+    chunk: Sequence["tuple[int, SimulationJob]"], traces: Mapping
 ) -> "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]":
     """Execute every ``(index, job)`` in *chunk* against the *traces* table.
 
@@ -149,9 +127,9 @@ def run_chunk_items(
     to the batch's first job.
     """
     results: list[tuple[int, StoredResult]] = []
-    for unit in plan_batches(chunk, kernel):
+    for unit in plan_batches(chunk):
         try:
-            results.extend(_execute_unit(unit, traces, kernel=kernel))
+            results.extend(_execute_unit(unit, traces))
         except Exception:
             return results, ChunkFailure(unit[0][1].describe(), traceback.format_exc())
     return results, None

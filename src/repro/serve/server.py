@@ -44,7 +44,6 @@ import sys
 import threading
 import time
 
-from ..coresim.simulator import KERNELS
 from ..runtime import ResultStore
 from ..runtime.framing import (
     ERROR,
@@ -218,9 +217,8 @@ class DetectionServer:
         store: "ResultStore | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        kernel: "str | None" = None,
     ) -> None:
-        self.session = ServingSession(model, store=store, kernel=kernel)
+        self.session = ServingSession(model, store=store)
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -231,6 +229,8 @@ class DetectionServer:
         self._connections_lock = threading.Lock()
         self._accept_thread: threading.Thread | None = None
         self._requests: dict[str, int] = {}
+        #: Connection threads count requests concurrently.
+        self._requests_lock = threading.Lock()
         self.connections_served = 0
 
     # -- introspection ---------------------------------------------------------
@@ -243,17 +243,20 @@ class DetectionServer:
         return round(time.time() - self.started_unix, 3)
 
     def count_request(self, kind: str) -> None:
-        self._requests[kind] = self._requests.get(kind, 0) + 1
+        with self._requests_lock:
+            self._requests[kind] = self._requests.get(kind, 0) + 1
 
     def health(self) -> dict:
         """The ``ping``/``stats`` payload: version, uptime, store/entry stats."""
         payload = self.session.snapshot()
+        with self._requests_lock:
+            requests = dict(self._requests)
         payload.update(
             protocol=PROTOCOL_VERSION,
             uptime_seconds=self.uptime(),
             pid=os.getpid(),
             connections=self.connections_served,
-            requests=dict(self._requests),
+            requests=requests,
         )
         return payload
 
@@ -374,9 +377,7 @@ def _cmd_train(args) -> int:
 def _cmd_run(args) -> int:
     model = load_model(args.registry)
     store = ResultStore(args.store) if args.store else None
-    server = DetectionServer(
-        model, store=store, host=args.host, port=args.port, kernel=args.kernel
-    )
+    server = DetectionServer(model, store=store, host=args.host, port=args.port)
 
     def _handle(_signum, _frame):
         server.request_shutdown()
@@ -436,9 +437,6 @@ def main(argv: "list[str] | None" = None) -> int:
                      help="write the bound port to this file (for scripts/CI)")
     run.add_argument("--store", default=None,
                      help="persistent result store backing the warm path")
-    run.add_argument("--kernel", default=None, choices=KERNELS,
-                     help="simulation kernel for probe batches "
-                          "(default: REPRO_KERNEL, else native)")
     run.set_defaults(func=_cmd_run)
 
     args = parser.parse_args(argv)

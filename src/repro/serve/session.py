@@ -13,15 +13,14 @@ after the socket layer peels the frames off:
 * the batched warm path: per request item, all store-missing probe jobs
   share one (config, bug, step) and are grouped by
   :func:`~repro.runtime.execution.plan_batches` into a single batch unit
-  through :func:`~repro.coresim.simulator.simulate_trace_batch` on the
-  kernel :func:`~repro.coresim.simulator.resolve_kernel` picks (the
-  constructor argument, else ``REPRO_KERNEL``, else ``"native"``); both
-  kernels execute the same plan bit-identically.
+  through :func:`~repro.coresim.simulator.simulate_trace_batch`.
 
 Sessions are shared by every connection thread of the daemon.  Simulation
 and store mutation run under one lock (it guards the in-memory overlay and
-the session/store counters, whose read-modify-write updates are not
-thread-safe); scoring is pure and runs outside it.  Verdicts are yielded per request item
+the simulation/store counters, whose read-modify-write updates are not
+thread-safe); scoring is pure and runs outside it, and the request and
+verdict counters have a lock of their own, so a scored verdict never waits
+for another connection's simulation.  Verdicts are yielded per request item
 as they complete, so the server can stream them back immediately.
 """
 
@@ -32,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..coresim.simulator import resolve_kernel
+from ..coresim.native import native_available
 from ..runtime import ResultStore, SimulationJob, TraceRegistry
 from ..runtime.execution import _execute_unit, plan_batches
 from ..runtime.store import StoredResult
@@ -87,11 +86,9 @@ class ServingSession:
         self,
         model: RegisteredModel,
         store: ResultStore | None = None,
-        kernel: "str | None" = None,
     ) -> None:
         self.model = model
         self.store = store
-        self.kernel = resolve_kernel(kernel)
         self.stats = SessionStats()
         self._registry = TraceRegistry()
         #: probe name -> trace digest, computed once — serving never re-hashes.
@@ -103,6 +100,7 @@ class ServingSession:
         #: served without touching disk, and a store-less daemon still dedups.
         self._memory: dict[str, StoredResult] = {}
         self._lock = threading.Lock()
+        self._count_lock = threading.Lock()
 
     # -- probe jobs ------------------------------------------------------------
 
@@ -163,13 +161,10 @@ class ServingSession:
                 pending.append((index, job))
                 pending_names[index] = (probe_name, key)
             executed = len(pending)
-            # All of an item's misses share (config, bug, step), so with the
-            # native kernel plan_batches folds them into one batch unit;
-            # with the scalar kernel the same plan runs job-by-job.
-            for unit in plan_batches(pending, self.kernel):
-                for index, stored in _execute_unit(
-                    unit, self._registry.traces, kernel=self.kernel
-                ):
+            # All of an item's misses share (config, bug, step), so
+            # plan_batches folds them into one batch unit.
+            for unit in plan_batches(pending):
+                for index, stored in _execute_unit(unit, self._registry.traces):
                     probe_name, key = pending_names[index]
                     results[probe_name] = stored
                     self._persist(key, stored)
@@ -185,7 +180,8 @@ class ServingSession:
         started = time.perf_counter()
         series_by_probe, executed, store_hits = self._simulate_item(config, bug)
         verdict = self.model.verdict(series_by_probe, config, bug)
-        self.stats.verdicts += 1
+        with self._count_lock:
+            self.stats.verdicts += 1
         return ItemVerdict(
             index=index,
             verdict=verdict,
@@ -202,7 +198,8 @@ class ServingSession:
         generator streams, so the first verdict leaves the daemon while
         later items are still simulating.
         """
-        self.stats.requests += 1
+        with self._count_lock:
+            self.stats.requests += 1
         for index, (config, bug) in enumerate(items):
             yield self.verdict_for(index, config, bug)
 
@@ -216,7 +213,7 @@ class ServingSession:
             "step_cycles": self.model.schema.step_cycles,
             "ml_engine": self.model.schema.ml_engine,
             "training_digest": self.model.provenance.get("training_digest"),
-            "kernel": self.kernel,
+            "kernel": "native" if native_available() else "scalar",
             "memory_entries": len(self._memory),
             "store_entries": len(self.store) if self.store is not None else None,
             "stats": self.stats.snapshot(),

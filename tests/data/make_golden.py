@@ -71,8 +71,8 @@ def series_digest(result) -> str:
 
 def _observe(observed, config, trace, bug, kernels) -> str:
     """Reference digest of one run; records every kernel's counter names and
-    refuses a live kernel that diverges from the reference."""
-    from repro.coresim import simulate_trace
+    refuses a live kernel that diverges from the reference.  *kernels* maps
+    each live kernel's name to its batch simulator."""
     from repro.coresim._reference import reference_simulate_trace
 
     result = reference_simulate_trace(
@@ -80,10 +80,8 @@ def _observe(observed, config, trace, bug, kernels) -> str:
     )
     digest = series_digest(result)
     observed["reference"].update(result.series.counters)
-    for kernel in kernels:
-        live_result = simulate_trace(
-            config, trace, bug=bug, step_cycles=STEP_CYCLES, kernel=kernel
-        )
+    for kernel, simulate in kernels.items():
+        live_result = simulate(config, [trace], bug=bug, step_cycles=STEP_CYCLES)[0]
         observed[kernel].update(live_result.series.counters)
         live = series_digest(live_result)
         if live != digest:
@@ -97,12 +95,16 @@ def _observe(observed, config, trace, bug, kernels) -> str:
 
 def main() -> int:
     from repro.bugs.registry import core_bug_suite
-    from repro.coresim import native_available
+    from repro.coresim import (
+        native_available,
+        simulate_batch_native,
+        simulate_batch_scalar,
+    )
     from repro.uarch import all_core_microarches, core_microarch
 
-    kernels = ["scalar"]
+    kernels = {"scalar": simulate_batch_scalar}
     if native_available():
-        kernels.append("native")
+        kernels["native"] = simulate_batch_native
     else:
         print("WARNING: no C compiler found; native kernel NOT verified")
     trace = golden_trace()
@@ -123,7 +125,7 @@ def main() -> int:
         ),
         "step_cycles": STEP_CYCLES,
         "trace_length": TRACE_LENGTH,
-        "kernels_verified": kernels,
+        "kernels_verified": list(kernels),
         "digests": dict(sorted(digests.items())),
     }
     out = Path(__file__).parent / "golden_series.json"

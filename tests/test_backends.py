@@ -256,8 +256,6 @@ class TestBackendSpecs:
         assert [command[-2] for command in commands] == (
             ["hostA"] * 2 + ["hostB"] * 3
         )
-        # A slot past the host list (an elastic regrow) wraps around it.
-        assert backend.scheduler.command_factory(5)[-2] == "hostA"
         assert parse_backend("ssh://solo").slots == 1  # default one per host
 
     def test_ssh_slot_respawns_on_its_own_host(self, registry, tiny_trace):

@@ -5,8 +5,7 @@ scheduler-managed workers produce :class:`StoredResult` payloads
 bit-identical to ``serial``.  The chaos half drives the survival story —
 ``REPRO_CLUSTER_CHAOS=kill:<n>`` SIGKILLs a worker mid-sweep and the sweep
 must still complete with nothing executed twice (store-hit accounting on
-replay).  The rest unit-tests the dispatch order, the spec grammar and the
-elastic resize path.
+replay).  The rest unit-tests the dispatch order and the spec grammar.
 """
 
 import sys
@@ -234,19 +233,6 @@ class TestClusterLiveness:
         with pytest.raises(BackendError, match="failed permanently"):
             with JobEngine(backend=backend, chunk_size=1) as engine:
                 engine.run(jobs, registry.traces)
-
-    def test_elastic_resize_shrinks_idle_workers(self, registry, tiny_trace):
-        jobs = _core_jobs(registry, tiny_trace)
-        with JobEngine(backend="cluster:2,heartbeat=0.1", chunk_size=1) as engine:
-            engine.run(jobs, registry.traces)
-            backend = engine.backend
-            assert backend.scheduler.live_workers() == 2
-            backend.resize(1)
-            assert backend.scheduler.live_workers() == 1
-            assert backend.describe()["parallelmax"] == 1
-            # The shrunk pool still completes a batch.
-            results = engine.run(jobs, registry.traces)
-            assert len(results) == len(jobs)
 
 
 # -- dispatch order ----------------------------------------------------------

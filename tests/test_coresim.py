@@ -11,11 +11,16 @@ from repro.coresim import (
     CacheHierarchy,
     CoreBugModel,
     O3Pipeline,
+    simulate_batch_scalar,
     simulate_trace,
+    simulate_trace_batch,
 )
 from repro.coresim.counters import TimeSeriesSampler, derived_counters
 from repro.uarch import CacheConfig, core_microarch, kb
 from repro.workloads import MicroOp, Opcode, TraceGenerator, build_program, workload
+
+#: The scalar kernel, and the default path (native where a compiler is found).
+SIMULATORS = (("scalar", simulate_batch_scalar), ("native", simulate_trace_batch))
 
 
 class TestCache:
@@ -189,11 +194,9 @@ class TestHookOverrideDetection:
             serialize=trace.columns["opcode"] == int(Opcode.ADD)
         )
         trace = decode_trace(gcc_trace[:800])
-        for kernel in ("scalar", "native"):
-            bugged = simulate_trace(
-                skylake, trace, bug=LateSerialize(), step_cycles=256, kernel=kernel
-            )
-            clean = simulate_trace(skylake, trace, step_cycles=256, kernel=kernel)
+        for kernel, simulate in SIMULATORS:
+            bugged = simulate(skylake, [trace], bug=LateSerialize(), step_cycles=256)[0]
+            clean = simulate(skylake, [trace], step_cycles=256)[0]
             assert bugged.cycles > clean.cycles, (
                 f"post-creation compile override ignored by the {kernel} kernel"
             )
@@ -207,10 +210,8 @@ class TestHookOverrideDetection:
         LateDelay.extra_issue_delay = lambda self, uop, context: 1
         trace = gcc_trace[:600]
         clean = simulate_trace(skylake, trace, step_cycles=256)
-        for kernel in ("scalar", "native"):
-            hooked = simulate_trace(
-                skylake, trace, bug=LateDelay(), step_cycles=256, kernel=kernel
-            )
+        for kernel, simulate in SIMULATORS:
+            hooked = simulate(skylake, [trace], bug=LateDelay(), step_cycles=256)[0]
             assert hooked.cycles == clean.cycles, kernel
         seed = reference_simulate_trace(
             skylake, list(trace), bug=LateDelay(), step_cycles=256
@@ -235,8 +236,8 @@ class TestHookOverrideDetection:
         native = simulate_batch_native(
             skylake, [trace], bug=Structural(), step_cycles=256
         )[0]
-        scalar = simulate_trace(
-            skylake, trace, bug=Structural(), step_cycles=256, kernel="scalar"
-        )
-        clean = simulate_trace(skylake, trace, step_cycles=256, kernel="scalar")
+        scalar = simulate_batch_scalar(
+            skylake, [trace], bug=Structural(), step_cycles=256
+        )[0]
+        clean = simulate_batch_scalar(skylake, [trace], step_cycles=256)[0]
         assert native.cycles == scalar.cycles != clean.cycles

@@ -48,9 +48,8 @@ from repro.bugs.core_bugs import (
 )
 from repro.bugs.registry import CORE_BUG_TYPES, core_bug_suite
 from repro.coresim import (
-    KERNELS,
     native_available,
-    resolve_kernel,
+    simulate_batch_scalar,
     simulate_trace,
     simulate_trace_batch,
 )
@@ -58,7 +57,6 @@ from repro.coresim._reference import reference_simulate_trace
 from repro.coresim.native import NativeKernelUnavailable, simulate_batch_native
 from repro.runtime import (
     JobEngine,
-    LocalBackend,
     ResultStore,
     SimulationJob,
     TraceRegistry,
@@ -318,17 +316,15 @@ def _roster_cases():
 
 def _check_kernels_agree(config, bug, step, warmup, traces, context):
     """reference == scalar == native on every trace of one scenario."""
-    # kernel="native" always runs: a compiler-less host falls back to
-    # scalar, so the comparison stays meaningful either way.
+    # A compiler-less host runs simulate_trace_batch on scalar too, so the
+    # comparison stays meaningful either way.
     native_results = simulate_trace_batch(
-        config, traces, bug=bug, step_cycles=step, warmup=warmup,
-        kernel="native",
+        config, traces, bug=bug, step_cycles=step, warmup=warmup
     )
-    for lane, trace in enumerate(traces):
-        scalar = simulate_trace(
-            config, trace, bug=bug, step_cycles=step, warmup=warmup,
-            kernel="scalar",
-        )
+    scalar_results = simulate_batch_scalar(
+        config, traces, bug=bug, step_cycles=step, warmup=warmup
+    )
+    for lane, (trace, scalar) in enumerate(zip(traces, scalar_results)):
         reference = reference_simulate_trace(
             config, list(trace), bug=bug, step_cycles=step, warmup=warmup
         )
@@ -398,25 +394,9 @@ class TestKernelSelection:
                                bug=None, trace_id="t", step=256)
         assert batch_group_key(memory) is None
 
-    def test_kernel_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(None) == "native"
-        assert resolve_kernel("scalar") == "scalar"
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert resolve_kernel(None) == "scalar"
-        assert resolve_kernel("native") == "native"
-        for retired in ("vector", "auto"):
-            monkeypatch.setenv("REPRO_KERNEL", retired)
-            with pytest.raises(ValueError, match="unknown simulation kernel"):
-                resolve_kernel(None)
-        with pytest.raises(ValueError):
-            resolve_kernel("simd")
-        assert KERNELS == ("scalar", "native")
-
-    def test_hook_bug_falls_back_to_scalar(self, monkeypatch):
+    def test_hook_bug_falls_back_to_scalar(self):
         """A bug on a configuration past a native kernel limit (64 issue
         ports, past the 63-port mask) runs on the scalar pipeline, exactly."""
-        monkeypatch.setenv("REPRO_KERNEL", "native")
         program = build_program(workload("403.gcc"), seed=3)
         trace = decode_trace(TraceGenerator(program, seed=4).generate(600))
         skylake = core_microarch("Skylake")
@@ -428,11 +408,9 @@ class TestKernelSelection:
         if native_available():
             with pytest.raises(NativeKernelUnavailable, match="63-port"):
                 simulate_batch_native(config, [trace], bug=bug, step_cycles=256)
-        env_result = simulate_trace(config, trace, bug=bug, step_cycles=256)
-        scalar = simulate_trace(
-            config, trace, bug=bug, step_cycles=256, kernel="scalar"
-        )
-        _assert_identical(scalar, env_result, "kernel-limit fallback")
+        fallback = simulate_trace(config, trace, bug=bug, step_cycles=256)
+        scalar = simulate_batch_scalar(config, [trace], bug=bug, step_cycles=256)[0]
+        _assert_identical(scalar, fallback, "kernel-limit fallback")
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +444,9 @@ class TestGoldenDigests:
     def test_scalar_kernel_matches_golden(self, golden, make_golden):
         trace = make_golden.golden_trace()
         for config in all_core_microarches():
-            result = simulate_trace(
-                config, trace, step_cycles=make_golden.STEP_CYCLES, kernel="scalar"
-            )
+            result = simulate_batch_scalar(
+                config, [trace], step_cycles=make_golden.STEP_CYCLES
+            )[0]
             digest = make_golden.series_digest(result)
             assert digest == golden["digests"][config.name], (
                 f"{config.name}: scalar kernel drifted from the pinned oracle "
@@ -482,9 +460,9 @@ class TestGoldenDigests:
                         "by test_native_kernel.py)")
         trace = make_golden.golden_trace()
         for config in all_core_microarches():
-            result = simulate_trace(
-                config, trace, step_cycles=make_golden.STEP_CYCLES, kernel="native"
-            )
+            result = simulate_batch_native(
+                config, [trace], step_cycles=make_golden.STEP_CYCLES
+            )[0]
             digest = make_golden.series_digest(result)
             assert digest == golden["digests"][config.name], (
                 f"{config.name}: native kernel drifted from the pinned oracle"
@@ -520,12 +498,11 @@ class TestCrossKernelEngine:
         ]
         return registry, ids
 
-    def test_native_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
+    def test_native_engine_results_match_scalar(self, synthetic_registry, no_compiler):
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar = JobEngine(jobs=1).run(jobs, registry.traces)
-        monkeypatch.delenv("REPRO_KERNEL")  # the default: native
+        with no_compiler():
+            scalar = JobEngine(jobs=1).run(jobs, registry.traces)
         native = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, native):
             assert a.cycles == b.cycles
@@ -534,38 +511,36 @@ class TestCrossKernelEngine:
                 assert np.array_equal(a.counters[name], b.counters[name]), name
 
     def test_scalar_store_replays_under_native(
-        self, synthetic_registry, tmp_path, monkeypatch
+        self, synthetic_registry, tmp_path, no_compiler
     ):
-        """Content digests must not depend on the kernel: a
-        scalar-filled store serves a REPRO_KERNEL=native run with executed=0,
-        and the native-filled store replays under scalar the same way."""
+        """Content digests must not depend on the kernel: a store filled
+        without a compiler serves a native run with executed=0, and the
+        native-filled store replays without a compiler the same way."""
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
         store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        filler = JobEngine(jobs=1, store=store)
-        filler.run(jobs, registry.traces)
+        with no_compiler():
+            filler = JobEngine(jobs=1, store=store)
+            filler.run(jobs, registry.traces)
         assert filler.stats.executed == len(jobs)
-        monkeypatch.setenv("REPRO_KERNEL", "native")
         replayer = JobEngine(jobs=1, store=store)
         replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0
         assert replayer.stats.store_hits == len(jobs)
 
     def test_native_store_replays_under_scalar(
-        self, synthetic_registry, tmp_path, monkeypatch
+        self, synthetic_registry, tmp_path, no_compiler
     ):
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
         store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_KERNEL", "native")
         JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        replayer = JobEngine(jobs=1, store=store)
-        replayer.run(jobs, registry.traces)
+        with no_compiler():
+            replayer = JobEngine(jobs=1, store=store)
+            replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0
 
-    def test_cross_kernel_on_ingested_golden_traces(self, tmp_path, monkeypatch):
+    def test_cross_kernel_on_ingested_golden_traces(self, tmp_path, no_compiler):
         """Same contract over the checked-in on-disk trace samples."""
         registry = TraceRegistry()
         ids = []
@@ -580,9 +555,8 @@ class TestCrossKernelEngine:
             for tid in ids
         ]
         store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "native")
+        with no_compiler():
+            scalar = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
         replayer = JobEngine(jobs=1, store=store)
         replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0  # digests are kernel-independent
@@ -594,9 +568,9 @@ class TestCrossKernelEngine:
                 assert np.array_equal(a.counters[name], b.counters[name]), name
 
     def test_plan_batches_groups_only_under_native(self, synthetic_registry):
-        """Under native, same-(config, bug, step) core jobs form one unit
-        anchored at the group's first index, whatever the bug type; memory
-        jobs stay single.  Under scalar every job is its own unit."""
+        """Same-(config, bug, step) core jobs form one unit anchored at the
+        group's first index, whatever the bug type; memory jobs stay
+        single.  The plan depends on the chunk alone."""
         _registry, (a, b, *_rest) = synthetic_registry
         skylake, k8 = core_microarch("Skylake"), core_microarch("K8")
         serialize = SerializeOpcode(Opcode.XOR)
@@ -620,28 +594,4 @@ class TestCrossKernelEngine:
         def indices(units):
             return [[index for index, _job in unit] for unit in units]
 
-        assert indices(plan_batches(chunk, "native")) == [
-            [0, 3], [1, 5], [2, 6], [4], [7]
-        ]
-        assert indices(plan_batches(chunk, "scalar")) == [[i] for i in range(8)]
-
-    def test_engine_kernel_argument_validated(self):
-        with pytest.raises(ValueError):
-            JobEngine(jobs=1, kernel="warp")
-
-    def test_explicit_kernel_rejected_on_parallel_backend(self, monkeypatch):
-        """Workers resolve the kernel from their environment, so an explicit
-        kernel= that the environment contradicts must fail fast instead of
-        planning batches the workers would execute job by job.  A backend
-        instance, unlike a spec, is never swapped for serial (as specs are
-        under REPRO_NATIVE_SANITIZE), so the check runs in every
-        environment."""
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            JobEngine(backend=LocalBackend(2), kernel="scalar")
-        # consistent environment + argument is fine
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        JobEngine(backend=LocalBackend(2), kernel="scalar").close()
-        # inline backends honour the argument alone
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        JobEngine(jobs=1, kernel="scalar").close()
+        assert indices(plan_batches(chunk)) == [[0, 3], [1, 5], [2, 6], [4], [7]]

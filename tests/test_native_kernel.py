@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from repro.bugs.core_bugs import RegisterReduction, SerializeOpcode
-from repro.coresim import BugRecord, CoreBugModel, simulate_trace
+from repro.coresim import (
+    BugRecord,
+    CoreBugModel,
+    simulate_batch_scalar,
+    simulate_trace,
+)
 from repro.coresim.native import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
@@ -107,9 +112,9 @@ class TestDirectIdentity:
             native = simulate_batch_native(
                 config, [short_trace], bug=bug, step_cycles=256
             )[0]
-            scalar = simulate_trace(
-                config, short_trace, bug=bug, step_cycles=256, kernel="scalar"
-            )
+            scalar = simulate_batch_scalar(
+                config, [short_trace], bug=bug, step_cycles=256
+            )[0]
             _assert_identical(scalar, native, f"direct bug={bug}")
 
 
@@ -121,16 +126,12 @@ class TestFallback:
         assert find_compiler() is None
         config = core_microarch("Skylake")
         with pytest.warns(RuntimeWarning, match="falling back to the scalar"):
-            degraded = simulate_trace(
-                config, short_trace, step_cycles=256, kernel="native"
-            )
+            degraded = simulate_trace(config, short_trace, step_cycles=256)
         # second call: memoised None, no second warning, still correct
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = simulate_trace(
-                config, short_trace, step_cycles=256, kernel="native"
-            )
-        scalar = simulate_trace(config, short_trace, step_cycles=256, kernel="scalar")
+            again = simulate_trace(config, short_trace, step_cycles=256)
+        scalar = simulate_batch_scalar(config, [short_trace], step_cycles=256)[0]
         _assert_identical(scalar, degraded, "no-compiler fallback")
         _assert_identical(scalar, again, "no-compiler fallback (memoised)")
 
@@ -144,10 +145,8 @@ class TestFallback:
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
         config = core_microarch("Skylake")
         with pytest.warns(RuntimeWarning, match="falling back to the scalar"):
-            degraded = simulate_trace(
-                config, short_trace, step_cycles=256, kernel="native"
-            )
-        scalar = simulate_trace(config, short_trace, step_cycles=256, kernel="scalar")
+            degraded = simulate_trace(config, short_trace, step_cycles=256)
+        scalar = simulate_batch_scalar(config, [short_trace], step_cycles=256)[0]
         _assert_identical(scalar, degraded, "compile-failure fallback")
         # the failed build leaves no artifact behind
         cache = tmp_path / "cache"

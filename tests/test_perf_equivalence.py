@@ -341,7 +341,9 @@ class TestSchedulers:
 
 
 class TestProgressStats:
-    def test_three_argument_progress_receives_stats(self, gcc_program):
+    def test_progress_callback_reads_live_stats(self, gcc_program):
+        """The callback gets ``(done, total)``; the live stats it may want
+        are on ``engine.stats`` while the batch runs."""
         registry = TraceRegistry()
         trace_id = registry.register(
             decode_trace(TraceGenerator(gcc_program, seed=51).generate(600))
@@ -353,8 +355,8 @@ class TestProgressStats:
         ]
         seen = []
         engine = JobEngine(
-            jobs=1, progress=lambda done, total, stats: seen.append(
-                (done, total, stats.batches)
+            jobs=1, progress=lambda done, total: seen.append(
+                (done, total, engine.stats.batches)
             )
         )
         engine.run(jobs, registry.traces)
@@ -404,7 +406,7 @@ class TestBenchHarness:
 
     def test_single_row_stays_scalar_under_native_env(self, monkeypatch):
         """The ``single`` row is labelled scalar and gated by the ratchet, so
-        REPRO_KERNEL must not swap the C loop into it."""
+        the C loop must never run in it, even where native is available."""
         import repro.coresim.native as native
         from repro.bench.perf import bench_single
         from repro.detect.probe import build_probes
@@ -416,7 +418,6 @@ class TestBenchHarness:
             ["403.gcc"], instructions_per_benchmark=3_000, interval_size=1_000,
             max_simpoints_per_benchmark=1, seed=7,
         )
-        monkeypatch.setenv("REPRO_KERNEL", "native")
         monkeypatch.setattr(native, "native_available", lambda: True)
         monkeypatch.setattr(native, "simulate_batch_native", forbidden)
         row = bench_single(probes, quick=True)

@@ -20,15 +20,18 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bugs.registry import core_bug_suite
+from repro.coresim import native_available
 from repro.detect.dataset import SimulationCache
 from repro.experiments.common import ExperimentContext
 from repro.runtime import JobEngine, ResultStore
 from repro.runtime.framing import (
     HELLO,
+    PING,
     PROTOCOL_VERSION,
     read_frame,
     write_frame,
@@ -273,6 +276,66 @@ def test_ping_and_stats_report_daemon_state(model, request_items):
     assert stats["stats"]["requests"] == 1
     assert stats["memory_entries"] > 0
     assert stats["store_entries"] is None  # no persistent store attached
+
+
+def test_stats_report_the_kernel_that_runs(model, no_compiler):
+    """The stats frame names the kernel probe batches actually run on:
+    scalar where no compiler is found, native where the library loads."""
+    with DetectionServer(model).start() as server:
+        with ServeClient(*server.address) as client:
+            with no_compiler():
+                assert client.stats()["kernel"] == "scalar"
+            expected = "native" if native_available() else "scalar"
+            assert client.stats()["kernel"] == expected
+
+
+class _ConstantModel:
+    """The least a session serves: no probes, one constant verdict."""
+
+    name = "constant"
+    probes = ()
+    schema = SimpleNamespace(step_cycles=256, ml_engine="none")
+    provenance: dict = {}
+
+    def verdict(self, series_by_probe, config, bug):
+        return None
+
+
+def test_counters_survive_concurrent_updates():
+    """Every connection thread bumps the daemon's request counts and the
+    session's request and verdict counts; with the interpreter switching
+    threads every microsecond, no update may be lost."""
+    threads, counts, batches = 8, 100_000, 1_000
+    server = DetectionServer(_ConstantModel())
+    session = server.session
+    start = threading.Barrier(threads, timeout=60)
+
+    def hammer():
+        start.wait()
+        for _ in range(counts):
+            server.count_request(PING)
+        for _ in range(batches):
+            for _item in session.run_batch([(None, None)]):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=hammer, daemon=True) for _ in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+    assert not any(worker.is_alive() for worker in workers)
+    health = server.health()
+    assert health["requests"] == {PING: threads * counts}
+    assert health["stats"]["requests"] == threads * batches
+    assert health["stats"]["verdicts"] == threads * batches
 
 
 def test_shutdown_request_stops_daemon(model):
