@@ -29,13 +29,21 @@ def context(bench_scale) -> ExperimentContext:
     )
 
 
-def run_experiment(benchmark, module, bench_scale, context):
-    """Run one experiment exactly once under pytest-benchmark timing."""
-    result = benchmark.pedantic(
-        module.run, kwargs={"scale": bench_scale, "context": context},
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
-    assert result.rows, f"{module.EXPERIMENT_ID} produced no rows"
-    print()
-    print(result.to_text())
-    return result
+@pytest.fixture()
+def run_experiment(benchmark, bench_scale, context):
+    """``run_experiment(module)`` runs one experiment exactly once under
+    pytest-benchmark timing.  A fixture, not an importable helper: a bare
+    ``from conftest import ...`` resolves to whichever rootless conftest
+    pytest loaded last, so it broke when ``tests/`` was collected first."""
+
+    def run(module):
+        result = benchmark.pedantic(
+            module.run, kwargs={"scale": bench_scale, "context": context},
+            rounds=1, iterations=1, warmup_rounds=0,
+        )
+        assert result.rows, f"{module.EXPERIMENT_ID} produced no rows"
+        print()
+        print(result.to_text())
+        return result
+
+    return run

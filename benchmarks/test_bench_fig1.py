@@ -2,8 +2,6 @@
 
 from repro.experiments import fig1_speedup as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_fig1(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_fig1(run_experiment):
+    run_experiment(experiment)

@@ -2,8 +2,6 @@
 
 from repro.experiments import fig10_counters as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_fig10(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_fig10(run_experiment):
+    run_experiment(experiment)

@@ -2,8 +2,6 @@
 
 from repro.experiments import fig11_timestep as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_fig11(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_fig11(run_experiment):
+    run_experiment(experiment)

@@ -2,8 +2,6 @@
 
 from repro.experiments import fig12_arch_features as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_fig12(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_fig12(run_experiment):
+    run_experiment(experiment)

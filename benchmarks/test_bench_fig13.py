@@ -2,8 +2,6 @@
 
 from repro.experiments import fig13_training_archs as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_fig13(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_fig13(run_experiment):
+    run_experiment(experiment)

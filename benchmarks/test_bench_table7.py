@@ -2,8 +2,6 @@
 
 from repro.experiments import table7_memory as experiment
 
-from conftest import run_experiment
 
-
-def test_bench_table7(benchmark, bench_scale, context):
-    run_experiment(benchmark, experiment, bench_scale, context)
+def test_bench_table7(run_experiment):
+    run_experiment(experiment)

@@ -44,8 +44,8 @@ FAMILIES = {
     ),
     "native-warnings": (
         native_gate.check,
-        "_core.c compiles -Wall -Wextra -Werror clean (skipped without a"
-        " C compiler; use --no-native to skip explicitly)",
+        "_core.c and _memsim.c compile -Wall -Wextra -Werror clean (skipped"
+        " without a C compiler; use --no-native to skip explicitly)",
     ),
 }
 

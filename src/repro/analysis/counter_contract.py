@@ -12,7 +12,9 @@ counter-name universe of each lane without running any simulation:
 * **scalar** — ``coresim/pipeline.py`` + ``branch.py`` + ``caches.py``.
 * **native** — the slot-name tables in ``coresim/native/kernel.py``, plus a
   light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
-  the ``SimParams`` struct layout against the ctypes marshalling.
+  the ``SimParams`` struct layout against the ctypes marshalling.  The
+  memsim unit ``_memsim.c`` gets the same struct check: its ``MemParams``
+  against ``_MemParams`` in ``memsim/native.py``.
 
 The checker also consumes ``tests/data/counter_manifest.json`` (written by
 ``tests/data/make_golden.py``), so the statically extracted universe and the
@@ -52,6 +54,8 @@ SCALAR_PATHS = (
 )
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
+MEMSIM_KERNEL_PATH = "src/repro/memsim/native.py"
+MEMSIM_C_PATH = "src/repro/coresim/native/_memsim.c"
 COUNTERS_PATH = "src/repro/coresim/counters.py"
 ISA_PATH = "src/repro/workloads/isa.py"
 MANIFEST_PATH = "tests/data/counter_manifest.json"
@@ -252,13 +256,16 @@ def extract_native_slots(
 
 
 def extract_ctypes_fields(
-    tree: SourceTree, op_class_count: int
+    tree: SourceTree,
+    op_class_count: int,
+    path: str = NATIVE_KERNEL_PATH,
+    class_name: str = "_SimParams",
 ) -> "list[tuple[str, int | None]]":
-    """Ordered ``(name, array_length)`` of ``_SimParams._fields_``."""
-    module = tree.parse(NATIVE_KERNEL_PATH)
+    """Ordered ``(name, array_length)`` of ``class_name._fields_`` in *path*."""
+    module = tree.parse(path)
     env = _module_int_env(module, op_class_count)
     for node in ast.walk(module):
-        if not isinstance(node, ast.ClassDef) or node.name != "_SimParams":
+        if not isinstance(node, ast.ClassDef) or node.name != class_name:
             continue
         for statement in node.body:
             if (
@@ -287,7 +294,46 @@ def extract_ctypes_fields(
                         length = _eval_int(type_node.right, env)
                     fields.append((name_node.value, length))
                 return fields
-    raise ValueError(f"{NATIVE_KERNEL_PATH}: _SimParams._fields_ not found")
+    raise ValueError(f"{path}: {class_name}._fields_ not found")
+
+
+def _check_struct(
+    path: str,
+    source: CSource,
+    struct: str,
+    py_fields: "list[tuple[str, int | None]]",
+    ctypes_name: str,
+) -> "list[Finding]":
+    """The C *struct* must mirror the ctypes *ctypes_name* field for field:
+    names, order and array lengths (the FFI marshalling contract)."""
+    c_struct = source.structs.get(struct)
+    if c_struct is None:
+        return [_fail(path, 0, f"{struct} struct not found in {path.rsplit('/', 1)[-1]}")]
+    c_fields = [(field.name, field.array_length) for field in c_struct]
+    if c_fields == py_fields:
+        return []
+    findings: list[Finding] = []
+    c_names = [name for name, _length in c_fields]
+    py_names = [name for name, _length in py_fields]
+    for name in py_names:
+        if name not in c_names:
+            findings.append(_fail(
+                path, 0, f"{struct} field {name!r} (ctypes) missing from the C struct"
+            ))
+    for name in c_names:
+        if name not in py_names:
+            findings.append(_fail(
+                path, 0,
+                f"{struct} field {name!r} (C) missing from the ctypes {ctypes_name}",
+            ))
+    if not findings:
+        findings.append(_fail(
+            path,
+            0,
+            f"{struct} field order or array lengths diverge "
+            f"between C and ctypes: {c_fields} != {py_fields}",
+        ))
+    return findings
 
 
 def check_native_abi(
@@ -355,49 +401,35 @@ def check_native_abi(
 
     # SimParams struct: field names, order and array lengths must mirror the
     # ctypes _SimParams exactly — this is the FFI marshalling contract.
-    c_struct = source.structs.get("SimParams")
-    if c_struct is None:
-        findings.append(_fail(path, 0, "SimParams struct not found in _core.c"))
-    else:
-        py_fields = extract_ctypes_fields(tree, op_class_count)
-        c_fields = [(field.name, field.array_length) for field in c_struct]
-        if c_fields != py_fields:
-            c_names = [name for name, _length in c_fields]
-            py_names = [name for name, _length in py_fields]
-            for name in py_names:
-                if name not in c_names:
-                    findings.append(
-                        _fail(
-                            path,
-                            0,
-                            f"SimParams field {name!r} (ctypes) missing from "
-                            "the C struct",
-                        )
-                    )
-            for name in c_names:
-                if name not in py_names:
-                    findings.append(
-                        _fail(
-                            path,
-                            0,
-                            f"SimParams field {name!r} (C) missing from the "
-                            "ctypes _SimParams",
-                        )
-                    )
-            if not any(f.message.startswith("SimParams field") for f in findings):
-                findings.append(
-                    _fail(
-                        path,
-                        0,
-                        "SimParams field order or array lengths diverge "
-                        f"between C and ctypes: {c_fields} != {py_fields}",
-                    )
-                )
+    findings.extend(_check_struct(
+        path, source, "SimParams", extract_ctypes_fields(tree, op_class_count),
+        "_SimParams",
+    ))
 
     # The exported entry point the ctypes layer binds must exist in C.
     if "repro_simulate" not in source.functions:
         findings.append(
             _fail(path, 0, "exported function repro_simulate not defined in _core.c")
+        )
+    return findings
+
+
+def check_memsim_abi(tree: SourceTree, op_class_count: int) -> "list[Finding]":
+    """Cross-check ``_memsim.c``'s ``MemParams`` against ``_MemParams``."""
+    path = MEMSIM_C_PATH
+    if not tree.exists(path):
+        return [_fail(path, 0, "native memsim C source is missing")]
+    try:
+        source = tokenize(tree.read(path))
+    except CTokenizeError as exc:
+        return [_fail(path, 0, f"C tokenizer failed: {exc}")]
+    py_fields = extract_ctypes_fields(
+        tree, op_class_count, MEMSIM_KERNEL_PATH, "_MemParams"
+    )
+    findings = _check_struct(path, source, "MemParams", py_fields, "_MemParams")
+    if "repro_memsim" not in source.functions:
+        findings.append(
+            _fail(path, 0, "exported function repro_memsim not defined in _memsim.c")
         )
     return findings
 
@@ -556,6 +588,10 @@ def check(tree: SourceTree) -> "list[Finding]":
         findings.extend(check_native_abi(tree, lazy, always, len(op_classes)))
     except ValueError as exc:
         findings.append(_fail(NATIVE_KERNEL_PATH, 0, str(exc)))
+    try:
+        findings.extend(check_memsim_abi(tree, len(op_classes)))
+    except ValueError as exc:
+        findings.append(_fail(MEMSIM_KERNEL_PATH, 0, str(exc)))
 
     findings.extend(check_manifest(tree, reference, derived))
     return findings

@@ -1,4 +1,4 @@
-"""A light C tokenizer for ``coresim/native/_core.c``.
+"""A light C tokenizer for the native kernel units (``coresim/native/*.c``).
 
 This is deliberately **not** a C parser: the native kernel's contract
 surface with ``kernel.py`` is three flat declarations — integer ``#define``

@@ -1,4 +1,5 @@
-"""Native warning gate: ``_core.c`` must be ``-Wall -Wextra -Werror`` clean.
+"""Native warning gate: the kernel's C units (``_core.c``, ``_memsim.c``)
+must be ``-Wall -Wextra -Werror`` clean.
 
 Unlike the other rule families this one shells out to the system C compiler
 (via :func:`repro.coresim.native.build.werror_check`).  The regular kernel
@@ -19,15 +20,25 @@ from .tree import SourceTree
 
 RULE = "native-warnings"
 
-C_PATH = "src/repro/coresim/native/_core.c"
+C_PATHS = (
+    "src/repro/coresim/native/_core.c",
+    "src/repro/coresim/native/_memsim.c",
+)
 
 
 def check(tree: SourceTree) -> "list[Finding]":
+    findings = []
+    for path in C_PATHS:
+        findings.extend(_check_unit(tree, path))
+    return findings
+
+
+def _check_unit(tree: SourceTree, path: str) -> "list[Finding]":
     from ..coresim.native import build
 
-    if not tree.exists(C_PATH):
-        return [Finding(RULE, C_PATH, 0, "native kernel C source is missing")]
-    ok, diagnostics = build.werror_check(tree.read(C_PATH))
+    if not tree.exists(path):
+        return [Finding(RULE, path, 0, "native kernel C source is missing")]
+    ok, diagnostics = build.werror_check(tree.read(path))
     if ok is None or ok:
         return []
     findings = []
@@ -40,9 +51,9 @@ def check(tree: SourceTree) -> "list[Finding]":
             lineno = 0
             if len(parts) >= 2 and parts[1].isdigit():
                 lineno = int(parts[1])
-            findings.append(Finding(RULE, C_PATH, lineno, parts[-1].strip()))
+            findings.append(Finding(RULE, path, lineno, parts[-1].strip()))
     if not findings:
         findings.append(
-            Finding(RULE, C_PATH, 0, diagnostics or "werror gate failed")
+            Finding(RULE, path, 0, diagnostics or "werror gate failed")
         )
     return findings

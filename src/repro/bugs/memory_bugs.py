@@ -1,6 +1,8 @@
 """The 6 memory-system performance-bug types of Section IV-D.
 
-Each bug is a :class:`~repro.memsim.hooks.MemoryBugModel` subclass:
+Each bug is a :class:`~repro.memsim.hooks.MemoryBugModel` subclass whose
+``compile()`` gives the :class:`~repro.memsim.hooks.MemoryBugRecord` both
+memsim kernels read (its hook methods feed only the frozen reference):
 
 1. Replacement age counter not updated on access.
 2. Eviction picks the most recently used block instead of the LRU block.
@@ -12,8 +14,30 @@ Each bug is a :class:`~repro.memsim.hooks.MemoryBugModel` subclass:
 
 from __future__ import annotations
 
-from ..memsim.hooks import MemoryBugModel
+from dataclasses import replace
+
+from ..memsim.hooks import (
+    LOAD_MISS_LEVELS,
+    MEMORY_LEVELS,
+    NO_MEMORY_BUG,
+    MemoryBugModel,
+    MemoryBugRecord,
+)
 from .base import BugInfo
+
+
+def _check_level(bug_type: str, level: str, allowed: "tuple[str, ...]") -> int:
+    """Index of *level* in *allowed*; a level the model never consults would
+    make the bug a silent no-op, so it is rejected."""
+    if level not in allowed:
+        raise ValueError(
+            f"{bug_type} level must be one of {', '.join(allowed)}, got {level!r}"
+        )
+    return allowed.index(level)
+
+
+def _level_flags(index: int) -> "tuple[bool, bool, bool]":
+    return tuple(k == index for k in range(len(MEMORY_LEVELS)))
 
 
 class MemoryBug(MemoryBugModel):
@@ -37,12 +61,16 @@ class NoAgeUpdateOnAccess(MemoryBug):
     bug_type = "ReplacementNoAgeUpdate"
 
     def __init__(self, level: str = "l1d") -> None:
+        self._index = _check_level(self.bug_type, level, MEMORY_LEVELS)
         super().__init__(
             name=f"no_age_update_{level}",
             params={"level": level},
             description=f"LRU age not updated on {level.upper()} hits",
         )
         self.level = level
+
+    def compile(self) -> MemoryBugRecord:
+        return replace(NO_MEMORY_BUG, no_age_update=_level_flags(self._index))
 
     def update_replacement_on_access(self, level: str) -> bool:
         return level != self.level
@@ -54,12 +82,16 @@ class EvictMRU(MemoryBug):
     bug_type = "EvictMRU"
 
     def __init__(self, level: str = "l1d") -> None:
+        self._index = _check_level(self.bug_type, level, MEMORY_LEVELS)
         super().__init__(
             name=f"evict_mru_{level}",
             params={"level": level},
             description=f"{level.upper()} evicts the MRU block instead of the LRU block",
         )
         self.level = level
+
+    def compile(self) -> MemoryBugRecord:
+        return replace(NO_MEMORY_BUG, evict_mru=_level_flags(self._index))
 
     def evict_most_recently_used(self, level: str) -> bool:
         return level == self.level
@@ -71,6 +103,7 @@ class LoadMissDelay(MemoryBug):
     bug_type = "LoadMissDelay"
 
     def __init__(self, level: str = "l1d", threshold: int = 64, delay: int = 20) -> None:
+        self._index = _check_level(self.bug_type, level, LOAD_MISS_LEVELS)
         super().__init__(
             name=f"load_miss_delay_{level}_{threshold}_{delay}",
             params={"level": level, "threshold": threshold, "delay": delay},
@@ -80,6 +113,11 @@ class LoadMissDelay(MemoryBug):
         self.level = level
         self.threshold = threshold
         self.delay = delay
+
+    def compile(self) -> MemoryBugRecord:
+        delays = [(0, 0)] * len(LOAD_MISS_LEVELS)
+        delays[self._index] = (self.threshold, self.delay)
+        return replace(NO_MEMORY_BUG, load_miss_delay=tuple(delays))
 
     def load_miss_extra_delay(self, level: str, miss_count: int) -> int:
         if level == self.level and miss_count > self.threshold:
@@ -99,6 +137,9 @@ class SPPSignatureReset(MemoryBug):
             description="SPP signatures reset to zero on every access",
         )
 
+    def compile(self) -> MemoryBugRecord:
+        return replace(NO_MEMORY_BUG, spp_signature_reset=True)
+
     def spp_corrupt_signature(self, signature: int) -> int:
         return 0
 
@@ -114,6 +155,9 @@ class SPPLeastConfidence(MemoryBug):
             params={},
             description="SPP lookahead selects the least-confident delta",
         )
+
+    def compile(self) -> MemoryBugRecord:
+        return replace(NO_MEMORY_BUG, spp_least_confident=True)
 
     def spp_pick_least_confident(self) -> bool:
         return True
@@ -131,6 +175,9 @@ class SPPDroppedPrefetches(MemoryBug):
             description=f"Every {drop_every}-th prefetch is marked executed but dropped",
         )
         self.drop_every = max(1, drop_every)
+
+    def compile(self) -> MemoryBugRecord:
+        return replace(NO_MEMORY_BUG, spp_drop_every=self.drop_every)
 
     def spp_drop_prefetch(self, prefetch_index: int) -> bool:
         return prefetch_index % self.drop_every == 0

@@ -42,7 +42,7 @@ from ..runtime.framing import (
 
 def _cmd_health(args) -> int:
     from ..runtime.worker import local_worker_command
-    from .scheduler import spawn_worker, stop_worker
+    from .scheduler import close_pipes, spawn_worker, stop_worker
 
     failures = 0
     for index in range(args.workers):
@@ -77,6 +77,7 @@ def _cmd_health(args) -> int:
         finally:
             if process is not None:
                 stop_worker(process)
+                close_pipes(process)
     print(f"repro-cluster health: {args.workers - failures}/{args.workers} workers ok")
     return 1 if failures else 0
 

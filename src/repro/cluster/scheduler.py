@@ -139,8 +139,20 @@ def spawn_worker(
     return process, payload
 
 
+def close_pipes(process: subprocess.Popen) -> None:
+    """Close a reaped worker's pipes.  Call it only once nothing reads
+    ``stdout`` any more: a reader thread blocked in a read must be joined
+    first, or the close races it."""
+    with contextlib.suppress(OSError):  # unflushed frame to a dead pipe
+        process.stdin.close()
+    process.stdout.close()
+
+
 def stop_worker(process: subprocess.Popen) -> None:
-    """Ask a worker to shut down (shutdown frame), then make sure it is gone."""
+    """Ask a worker to shut down (shutdown frame), then make sure it is gone.
+
+    Its ``stdout`` stays open for a reader thread to drain; the caller
+    closes both pipes (:func:`close_pipes`) once that reader is done."""
     try:
         if process.poll() is None and process.stdin and not process.stdin.closed:
             write_frame(process.stdin, SHUTDOWN, None)
@@ -428,8 +440,18 @@ class ClusterScheduler:
         self._by_gen.pop(incarnation.gen, None)
         self._process_registry.pop(incarnation.gen, None)
         stop_worker(incarnation.process)
+        self._release(incarnation)
+
+    @staticmethod
+    def _release(incarnation: _Incarnation) -> None:
+        """Join a reaped worker's reader, which sees EOF once the process is
+        gone, then close its pipes.  A reader still blocked (a worker whose
+        descendants hold the pipe open) keeps its stdout."""
         if incarnation.reader is not None:
             incarnation.reader.join(timeout=5)
+            if incarnation.reader.is_alive():  # pragma: no cover - stuck pipe
+                return
+        close_pipes(incarnation.process)
 
     def _slot_down(self, slot: _Slot, reason: str) -> None:
         """A live worker was lost: kill remnants, requeue its chunk, back off."""
@@ -442,6 +464,7 @@ class ClusterScheduler:
                 incarnation.process.wait()
             except OSError:  # pragma: no cover - already reaped
                 pass
+            self._release(incarnation)
         self.stats.workers_lost += 1
         self._last_failure = reason
         ticket, slot.ticket = slot.ticket, None

@@ -2,7 +2,9 @@
 
 See :mod:`repro.coresim.native.kernel` for the marshalling layer and
 :mod:`repro.coresim.native.build` for compiler discovery, the blake2b-keyed
-build cache, and the graceful no-compiler fallback.
+build cache, and the graceful no-compiler fallback.  The same library holds
+the memory-hierarchy kernel (``_memsim.c``), marshalled by
+:mod:`repro.memsim.native`.
 """
 
 from .build import (

@@ -1,24 +1,26 @@
-"""Lazy build layer for the native simulation kernel.
+"""Lazy build layer for the native simulation kernels.
 
-The C source (``_core.c``, shipped inside the package) is compiled on first
-use with whatever system compiler is discoverable — there is deliberately no
-numba/Cython/setuptools-build-time dependency.  The resulting shared library
-is cached under a per-user build directory keyed by
-``blake2b(source + flags + compiler + compiler version)``, so source edits,
+The C sources shipped inside the package — ``_core.c`` (the core cycle
+loop) and ``_memsim.c`` (the memory-hierarchy loop) — are compiled together
+into one shared library on first use, with whatever system compiler is
+discoverable; there is deliberately no numba/Cython/setuptools-build-time
+dependency.  The library is cached under a per-user build directory keyed by
+``blake2b(sources + flags + compiler + compiler version)``, so source edits,
 flag changes, and toolchain upgrades each get a fresh artifact while repeat
-runs pay nothing.
+runs pay nothing.  One library means one build: whatever loads the core
+kernel (``native_available()``) has the memsim kernel too.
 
 Failure is never an exception here: no compiler, an unwritable cache
 directory, or a failed compile all degrade to ``None`` with a single
-``RuntimeWarning`` per process, and kernel resolution falls back to the
-scalar pipeline (see ``repro.coresim.simulator``).
+``RuntimeWarning`` per process, and the simulators fall back to their Python
+loops (see ``repro.coresim.simulator`` and ``repro.memsim.simulator``).
 
 Environment knobs:
 
 ``REPRO_NATIVE_CC``
     Explicit compiler command or path.  An unusable value (missing binary)
-    disables the native kernel rather than falling back to discovery, which
-    makes forced-failure testing deterministic.
+    disables both native kernels rather than falling back to discovery,
+    which makes forced-failure testing deterministic.
 ``REPRO_NATIVE_CACHE``
     Build-cache directory override (default:
     ``$XDG_CACHE_HOME/repro/native`` or ``~/.cache/repro/native``).
@@ -65,7 +67,11 @@ CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
 #: a new warning.
 WERROR_FLAGS = ("-Wall", "-Wextra", "-Werror")
 
-SOURCE_PATH = Path(__file__).with_name("_core.c")
+#: The C units linked into the one kernel library.
+SOURCE_PATHS = (
+    Path(__file__).with_name("_core.c"),
+    Path(__file__).with_name("_memsim.c"),
+)
 
 _lib: "ctypes.CDLL | None" = None
 _lib_resolved = False
@@ -80,7 +86,7 @@ def _warn_once(reason: str) -> None:
     _warned = True
     warnings.warn(
         f"repro native kernel unavailable ({reason}); "
-        "falling back to the scalar kernel",
+        "falling back to the scalar kernel and the Python memsim",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -183,14 +189,16 @@ def library_path() -> "Path | None":
         _warn_once("no usable C compiler (set $REPRO_NATIVE_CC or install gcc/cc)")
         return None
     compiler = info["path"]
-    try:
-        source = SOURCE_PATH.read_text(encoding="utf-8")
-    except OSError as exc:
-        _warn_once(f"cannot read {SOURCE_PATH.name}: {exc}")
-        return None
+    sources = []
+    for path in SOURCE_PATHS:
+        try:
+            sources.append(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            _warn_once(f"cannot read {path.name}: {exc}")
+            return None
     cflags = active_cflags()
     key = hashlib.blake2b(
-        "\x00".join([source, " ".join(cflags), compiler, info["version"]]).encode(
+        "\x00".join([*sources, " ".join(cflags), compiler, info["version"]]).encode(
             "utf-8"
         ),
         digest_size=16,
@@ -210,7 +218,7 @@ def library_path() -> "Path | None":
         return None
     try:
         proc = subprocess.run(
-            [compiler, *cflags, str(SOURCE_PATH), "-o", tmp_path],
+            [compiler, *cflags, *(str(path) for path in SOURCE_PATHS), "-o", tmp_path],
             capture_output=True,
             text=True,
             timeout=300,
@@ -230,21 +238,28 @@ def library_path() -> "Path | None":
 
 
 def werror_check(source_text: "str | None" = None) -> "tuple[bool | None, str]":
-    """Syntax-check the kernel source under ``-Wall -Wextra -Werror``.
+    """Syntax-check kernel source under ``-Wall -Wextra -Werror``.
 
-    Returns ``(ok, diagnostics)``.  ``ok`` is ``None`` when no compiler is
-    available (callers — repro-lint's native gate and CI — skip cleanly).
-    This is a pure front-end pass (``-fsyntax-only``): no artifact is
-    produced and the build cache is untouched.
+    Checks *source_text*, or every unit in :data:`SOURCE_PATHS` when it is
+    ``None``.  Returns ``(ok, diagnostics)``.  ``ok`` is ``None`` when no
+    compiler is available (callers — repro-lint's native gate and CI — skip
+    cleanly).  This is a pure front-end pass (``-fsyntax-only``): no
+    artifact is produced and the build cache is untouched.
     """
     info = compiler_info()
     if info is None:
         return None, "no usable C compiler"
     if source_text is None:
-        try:
-            source_text = SOURCE_PATH.read_text(encoding="utf-8")
-        except OSError as exc:
-            return False, f"cannot read {SOURCE_PATH.name}: {exc}"
+        results = []
+        for path in SOURCE_PATHS:
+            try:
+                results.append(werror_check(path.read_text(encoding="utf-8")))
+            except OSError as exc:
+                results.append((False, f"cannot read {path.name}: {exc}"))
+        return (
+            all(ok for ok, _ in results),
+            "\n".join(text for _, text in results if text),
+        )
     fd, tmp_path = tempfile.mkstemp(prefix=".repro_werror_", suffix=".c")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -275,7 +290,7 @@ def werror_check(source_text: "str | None" = None) -> "tuple[bool | None, str]":
 def sanitizer_preload() -> "list[str]":
     """Sanitizer runtime libraries that must be LD_PRELOADed into Python.
 
-    A sanitized ``_core.so`` references ASan/UBSan runtime symbols that the
+    A sanitized kernel library references ASan/UBSan runtime symbols that the
     python binary was not linked against; preloading the runtimes satisfies
     them.  Returns an empty list when sanitizers are off or the paths cannot
     be resolved (the caller decides whether that is fatal).
@@ -307,7 +322,8 @@ def sanitizer_preload() -> "list[str]":
 
 
 def load_library() -> "ctypes.CDLL | None":
-    """The compiled kernel library, or None when unavailable.  Memoised."""
+    """The compiled kernel library (both units), or None when unavailable.
+    Memoised."""
     global _lib, _lib_resolved
     if _lib_resolved:
         return _lib

@@ -244,7 +244,15 @@ def _native_trace_for(decoded: DecodedTrace) -> _NativeTrace:
     hit = _TRACE_MEMO.get(key)
     if hit is not None:
         return hit
-    native = _build_native_trace(decoded)
+    try:
+        native = _build_native_trace(decoded)
+    except OverflowError:
+        # The int64 columns cannot hold the value (ChampSim addresses are
+        # unsigned 64-bit; gem5 and k6 addresses are unbounded).
+        raise NativeKernelUnavailable(
+            "a trace value outside the native kernel's int64 range "
+            "[-2**63, 2**63)"
+        ) from None
     if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
     _TRACE_MEMO[key] = native

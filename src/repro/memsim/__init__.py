@@ -1,7 +1,7 @@
 """Trace-driven memory-hierarchy simulator (ChampSim stand-in)."""
 
 from .cache import ReplacementCache
-from .hooks import MEM_BUG_FREE, MemoryBugModel
+from .hooks import MEM_BUG_FREE, NO_MEMORY_BUG, MemoryBugModel, MemoryBugRecord
 from .prefetcher import (
     NextLinePrefetcher,
     NoPrefetcher,
@@ -21,7 +21,9 @@ from .simulator import (
 __all__ = [
     "ReplacementCache",
     "MemoryBugModel",
+    "MemoryBugRecord",
     "MEM_BUG_FREE",
+    "NO_MEMORY_BUG",
     "Prefetcher",
     "NoPrefetcher",
     "NextLinePrefetcher",

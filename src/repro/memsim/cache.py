@@ -1,24 +1,30 @@
-"""Set-associative cache with pluggable (and buggable) LRU replacement.
+"""Set-associative cache with (buggable) true-LRU replacement.
 
 Unlike the lightweight tag store in :mod:`repro.coresim.caches`, this cache
-exposes the replacement-policy decision points the memory-system bugs target:
-age updates on access and victim selection.  It also tracks prefetched lines
-so that prefetch usefulness can be reported.
+models the replacement-policy decision points the memory-system bugs target:
+age updates on access and victim selection, read from a
+:class:`~repro.memsim.hooks.MemoryBugRecord`.  It also tracks prefetched
+lines so that prefetch usefulness can be reported.
 """
 
 from __future__ import annotations
 
 from ..uarch.config import CacheConfig
-from .hooks import MemoryBugModel
+from .hooks import MEMORY_LEVELS, NO_MEMORY_BUG, MemoryBugRecord
 
 
 class ReplacementCache:
-    """One cache level with true-LRU replacement and prefetch support."""
+    """One cache level (*name* is one of ``l1d``, ``l2``, ``llc``) with
+    true-LRU replacement and prefetch support."""
 
-    def __init__(self, name: str, config: CacheConfig, bug: MemoryBugModel) -> None:
+    def __init__(
+        self, name: str, config: CacheConfig, record: MemoryBugRecord = NO_MEMORY_BUG
+    ) -> None:
+        level = MEMORY_LEVELS.index(name)
         self.name = name
         self.config = config
-        self.bug = bug
+        self.age_on_hit = not record.no_age_update[level]
+        self.evict_mru = record.evict_mru[level]
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self.line_shift = config.line_size.bit_length() - 1
@@ -41,12 +47,10 @@ class ReplacementCache:
         return line % self.num_sets, line // self.num_sets
 
     def _insert(self, set_index: int, tag: int, prefetch: bool) -> None:
+        """Install *tag*, which both callers know is absent from the set."""
         cache_set = self._sets[set_index]
-        if tag in cache_set:
-            cache_set[tag] = self._tick
-            return
         if len(cache_set) >= self.associativity:
-            if self.bug.evict_most_recently_used(self.name):
+            if self.evict_mru:
                 victim = max(cache_set, key=cache_set.get)
             else:
                 victim = min(cache_set, key=cache_set.get)
@@ -68,7 +72,7 @@ class ReplacementCache:
         cache_set = self._sets[set_index]
         self.accesses += 1
         if tag in cache_set:
-            if self.bug.update_replacement_on_access(self.name):
+            if self.age_on_hit:
                 cache_set[tag] = self._tick
             if tag in self._prefetched[set_index]:
                 self.useful_prefetches += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hooks import MemoryBugModel
+from .hooks import NO_MEMORY_BUG, MemoryBugRecord
 
 #: Page size used for signature tracking (bytes).
 PAGE_SIZE = 4096
@@ -82,9 +82,9 @@ class NextLinePrefetcher(Prefetcher):
 class SignaturePathPrefetcher(Prefetcher):
     """Simplified SPP with signature/pattern tables and lookahead.
 
-    The bug hooks perturb exactly the mechanisms the paper lists: signature
-    corruption (bug 4), least-confidence path selection during lookahead
-    (bug 5) and prefetches incorrectly marked as executed (bug 6).
+    The bug record perturbs exactly the mechanisms the paper lists: signature
+    reset (bug 4), least-confidence path selection during lookahead (bug 5)
+    and prefetches incorrectly marked as executed (bug 6).
     """
 
     name = "spp"
@@ -98,11 +98,13 @@ class SignaturePathPrefetcher(Prefetcher):
         self,
         line_size: int = 64,
         degree: int = 2,
-        bug: MemoryBugModel | None = None,
+        record: MemoryBugRecord = NO_MEMORY_BUG,
     ) -> None:
         self.line_size = line_size
         self.degree = max(1, degree)
-        self.bug = bug if bug is not None else MemoryBugModel()
+        self.signature_reset = record.spp_signature_reset
+        self.least_confident = record.spp_least_confident
+        self.drop_every = record.spp_drop_every
         # page -> (signature, last block offset within page)
         self._signature_table: dict[int, tuple[int, int]] = {}
         # signature -> {delta: count}
@@ -132,7 +134,7 @@ class SignaturePathPrefetcher(Prefetcher):
         if not deltas:
             return None
         total = sum(deltas.values())
-        if self.bug.spp_pick_least_confident():
+        if self.least_confident:
             delta = min(deltas, key=deltas.get)
         else:
             delta = max(deltas, key=deltas.get)
@@ -153,7 +155,8 @@ class SignaturePathPrefetcher(Prefetcher):
         else:
             signature = 0
 
-        signature = self.bug.spp_corrupt_signature(signature) & _SIGNATURE_MASK
+        if self.signature_reset:
+            signature = 0
         self._signature_table[page] = (signature, block)
 
         # Confidence-driven lookahead along the learned delta path.
@@ -172,7 +175,9 @@ class SignaturePathPrefetcher(Prefetcher):
             if not 0 <= lookahead_block < PAGE_SIZE // self.line_size:
                 break
             target = page * PAGE_SIZE + lookahead_block * self.line_size
-            if self.bug.spp_drop_prefetch(self._issued + self._marked_executed):
+            if self.drop_every and (
+                (self._issued + self._marked_executed) % self.drop_every == 0
+            ):
                 # The prefetcher believes it issued this request (it advances
                 # its lookahead state) but nothing reaches the cache.
                 self._marked_executed += 1
@@ -186,7 +191,7 @@ class SignaturePathPrefetcher(Prefetcher):
 
 
 def build_prefetcher(
-    kind: str, line_size: int, degree: int, bug: MemoryBugModel
+    kind: str, line_size: int, degree: int, record: MemoryBugRecord = NO_MEMORY_BUG
 ) -> Prefetcher:
     """Factory used by the memory simulator."""
     if kind == "none":
@@ -194,5 +199,5 @@ def build_prefetcher(
     if kind == "next_line":
         return NextLinePrefetcher(line_size=line_size, degree=degree)
     if kind == "spp":
-        return SignaturePathPrefetcher(line_size=line_size, degree=degree, bug=bug)
+        return SignaturePathPrefetcher(line_size=line_size, degree=degree, record=record)
     raise ValueError(f"unknown prefetcher kind {kind!r}")

@@ -5,6 +5,13 @@ L1D/L2/LLC hierarchy with a prefetcher, and produces a counter time series
 whose per-step target metrics are AMAT (average memory access time) and a
 simple-core IPC proxy.  This is the substrate for the memory-system bug study
 of Section IV-D.
+
+Two bit-identical kernels back :func:`simulate_memory_trace`, and both read
+a bug as the :class:`~repro.memsim.hooks.MemoryBugRecord` its model
+compiles: the compiled C loop of :mod:`repro.memsim.native` runs every
+request it can, and :class:`MemoryHierarchySim`, the Python memsim, runs
+when no compiler exists or the trace or configuration is past a native
+kernel limit (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ DEFAULT_STEP_INSTRUCTIONS = 2000
 
 #: How much of a miss's latency the out-of-order core is assumed to overlap.
 MLP_FACTOR = 3.0
+
+#: Leading share of a trace that only warms the caches.
+WARMUP_FRACTION = 0.1
 
 
 @dataclass
@@ -62,12 +72,16 @@ class MemoryHierarchySim:
         self.bug = bug if bug is not None else MEM_BUG_FREE
         self.step_instructions = step_instructions
         self.bug.on_simulation_start(config)
+        record = self.bug.compile()
+        (self._l1d_threshold, self._l1d_delay), (self._l2_threshold, self._l2_delay) = (
+            record.load_miss_delay
+        )
 
-        self.l1d = ReplacementCache("l1d", config.l1d, self.bug)
-        self.l2 = ReplacementCache("l2", config.l2, self.bug)
-        self.llc = ReplacementCache("llc", config.llc, self.bug)
+        self.l1d = ReplacementCache("l1d", config.l1d, record)
+        self.l2 = ReplacementCache("l2", config.l2, record)
+        self.llc = ReplacementCache("llc", config.llc, record)
         self.prefetcher = build_prefetcher(
-            config.prefetcher, config.l1d.line_size, config.prefetch_degree, self.bug
+            config.prefetcher, config.l1d.line_size, config.prefetch_degree, record
         )
 
     # -- access path -----------------------------------------------------------
@@ -78,12 +92,12 @@ class MemoryHierarchySim:
         latency = cfg.l1d.latency
         if not self.l1d.access(address, is_load):
             latency += cfg.l2.latency
-            extra = self.bug.load_miss_extra_delay("l1d", self.l1d.load_misses)
-            latency += extra if is_load else 0
+            if is_load and self.l1d.load_misses > self._l1d_threshold:
+                latency += self._l1d_delay
             if not self.l2.access(address, is_load):
                 latency += cfg.llc.latency
-                extra = self.bug.load_miss_extra_delay("l2", self.l2.load_misses)
-                latency += extra if is_load else 0
+                if is_load and self.l2.load_misses > self._l2_threshold:
+                    latency += self._l2_delay
                 if not self.llc.access(address, is_load):
                     latency += cfg.dram_latency
         # Prefetcher observes demand accesses at L1D and fills into L2/LLC
@@ -95,7 +109,9 @@ class MemoryHierarchySim:
 
     # -- driver ------------------------------------------------------------------
 
-    def run(self, trace: list[MicroOp], warmup_fraction: float = 0.1) -> MemSimResult:
+    def run(
+        self, trace: list[MicroOp], warmup_fraction: float = WARMUP_FRACTION
+    ) -> MemSimResult:
         """Simulate *trace*; the first *warmup_fraction* of it warms the caches."""
         if not trace:
             raise ValueError("cannot simulate an empty trace")
@@ -192,14 +208,26 @@ def simulate_memory_trace(
     bug: MemoryBugModel | None = None,
     step_instructions: int = DEFAULT_STEP_INSTRUCTIONS,
 ) -> MemSimResult:
-    """Convenience wrapper mirroring :func:`repro.coresim.simulate_trace`.
+    """Simulate *trace* on the hierarchy *config*, optionally with *bug*.
 
     Accepts a plain micro-op list or a pre-decoded
     :class:`~repro.workloads.decoded.DecodedTrace` (as shipped to job-engine
-    workers); the memory simulator walks micro-op objects either way.
+    workers).  The compiled kernel of :mod:`repro.memsim.native` runs it
+    from three marshalled columns (access flag, address, load flag); when
+    that kernel is unavailable (no compiler, failed build) or the request is
+    past one of its limits, :class:`MemoryHierarchySim` walks the micro-op
+    objects instead.  Results are identical either way.
     """
-    sim = MemoryHierarchySim(config, bug=bug, step_instructions=step_instructions)
-    return sim.run(as_uops(trace))
+    # Imported here: repro.memsim.native imports this module.
+    from .native import NativeKernelUnavailable, simulate_memory_native
+
+    try:
+        return simulate_memory_native(
+            config, trace, bug=bug, step_instructions=step_instructions
+        )
+    except NativeKernelUnavailable:
+        sim = MemoryHierarchySim(config, bug=bug, step_instructions=step_instructions)
+        return sim.run(as_uops(trace))
 
 
 def llc_mpki(result: MemSimResult) -> float:

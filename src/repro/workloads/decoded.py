@@ -121,6 +121,12 @@ class DecodedTrace:
             self._columns = _uops_to_columns(self.uops)
         return self._columns
 
+    @property
+    def built_columns(self) -> "dict[str, np.ndarray] | None":
+        """The column encoding if it exists already (as after unpickling),
+        else ``None``; unlike :attr:`columns` this never builds it."""
+        return self._columns
+
     def nbytes(self) -> int:
         """Approximate serialised size of the column encoding."""
         return sum(int(a.nbytes) for a in self.columns.values())

@@ -253,6 +253,25 @@ class TestCounterContract:
         assert any("rob_size" in m for m in messages), messages
         assert any("rob_sizz" in m for m in messages), messages
 
+    def test_memsim_struct_field_rename_detected(self):
+        overlay = _mutate(
+            "src/repro/coresim/native/_memsim.c",
+            "i64 dram_latency;",
+            "i64 dram_latencx;",
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("MemParams" in m and "dram_latency" in m for m in messages), messages
+        assert any("dram_latencx" in m for m in messages), messages
+
+    def test_memsim_ctypes_field_reorder_detected(self):
+        overlay = _mutate(
+            "src/repro/memsim/native.py",
+            '        ("warmup", ctypes.c_int64),\n        ("step", ctypes.c_int64),\n',
+            '        ("step", ctypes.c_int64),\n        ("warmup", ctypes.c_int64),\n',
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("MemParams field order" in m for m in messages), messages
+
     def test_manifest_kernel_skew_detected(self):
         manifest = json.loads(
             (REPO_ROOT / "tests/data/counter_manifest.json").read_text("utf-8")

@@ -174,6 +174,36 @@ class TestClusterChaos:
             assert engine.stats.workers_respawned >= 1
         _assert_stored_equal(reference, results)
 
+    def test_worker_pipes_closed_after_loss_and_close(
+        self, registry, tiny_trace, monkeypatch, serial_reference
+    ):
+        """A lost worker's pipes close once it is reaped and its reader is
+        joined; close() does the same for every live worker."""
+        from repro.cluster import scheduler as scheduler_module
+
+        spawned = []
+        real_spawn = scheduler_module.spawn_worker
+
+        def recording_spawn(command, heartbeat):
+            process, hello = real_spawn(command, heartbeat)
+            spawned.append(process)
+            return process, hello
+
+        monkeypatch.setattr(scheduler_module, "spawn_worker", recording_spawn)
+        monkeypatch.setenv(CHAOS_ENV_VAR, "kill:1")
+        jobs, _reference = serial_reference
+        spec = "cluster:1,heartbeat=0.1,deadline=2,backoff=0.01"
+        with JobEngine(backend=spec, chunk_size=1) as engine:
+            engine.run(jobs, registry.traces)
+            assert engine.stats.workers_lost >= 1
+            lost = spawned[0]
+            assert lost.poll() is not None
+            assert lost.stdin.closed and lost.stdout.closed
+            assert not spawned[-1].stdout.closed  # the live replacement
+        assert len(spawned) >= 2
+        for process in spawned:
+            assert process.stdin.closed and process.stdout.closed
+
     def test_chaos_env_parsing(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV_VAR, "kill:3")
         assert _chaos_from_env() == ("kill", 3)

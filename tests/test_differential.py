@@ -412,6 +412,24 @@ class TestKernelSelection:
         scalar = simulate_batch_scalar(config, [trace], bug=bug, step_cycles=256)[0]
         _assert_identical(scalar, fallback, "kernel-limit fallback")
 
+    def test_values_past_int64_fall_back_to_scalar(self):
+        """ChampSim addresses are unsigned 64-bit: loads at
+        0xffff888000001000 do not fit the int64 trace columns, so native
+        declines the trace and the scalar pipeline runs it, exactly."""
+        program = build_program(workload("403.gcc"), seed=3)
+        trace = [
+            dataclasses.replace(uop, address=0xFFFF888000001000 + 64 * index)
+            if uop.address is not None else uop
+            for index, uop in enumerate(TraceGenerator(program, seed=4).generate(300))
+        ]
+        config = core_microarch("Skylake")
+        if native_available():
+            with pytest.raises(NativeKernelUnavailable, match="int64 range"):
+                simulate_batch_native(config, [trace], step_cycles=256)
+        fallback = simulate_trace(config, trace, step_cycles=256)
+        scalar = simulate_batch_scalar(config, [trace], step_cycles=256)[0]
+        _assert_identical(scalar, fallback, "int64 fallback")
+
 
 # ---------------------------------------------------------------------------
 # Golden digests: oracle drift caught without executing the reference

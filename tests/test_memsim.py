@@ -18,14 +18,15 @@ from repro.memsim import (
     build_prefetcher,
     simulate_memory_trace,
 )
-from repro.memsim.hooks import MemoryBugModel
+from repro.memsim.hooks import NO_MEMORY_BUG, MemoryBugModel, MemoryBugRecord
 from repro.uarch import CacheConfig, kb, memory_microarch
 
 
 class TestReplacementCache:
     def _cache(self, bug=None):
         return ReplacementCache("l1d", CacheConfig(size=512, associativity=2, latency=2,
-                                                   line_size=64), bug or MemoryBugModel())
+                                                   line_size=64),
+                                (bug or MemoryBugModel()).compile())
 
     def test_hit_miss_accounting(self):
         cache = self._cache()
@@ -77,7 +78,8 @@ class TestPrefetchers:
 
     def test_spp_signature_reset_bug_changes_behaviour(self):
         clean = SignaturePathPrefetcher(line_size=64, degree=2)
-        buggy = SignaturePathPrefetcher(line_size=64, degree=2, bug=SPPSignatureReset())
+        buggy = SignaturePathPrefetcher(line_size=64, degree=2,
+                                        record=SPPSignatureReset().compile())
         pattern = [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21]
         clean_addrs, buggy_addrs = [], []
         for block in pattern:
@@ -87,15 +89,15 @@ class TestPrefetchers:
 
     def test_spp_dropped_prefetches_counted(self):
         buggy = SignaturePathPrefetcher(line_size=64, degree=2,
-                                        bug=SPPDroppedPrefetches(1))
+                                        record=SPPDroppedPrefetches(1).compile())
         for i in range(32):
             assert buggy.observe(0x30000 + i * 64) == []
         assert buggy.dropped > 0
 
     def test_build_prefetcher_factory(self):
-        assert build_prefetcher("none", 64, 1, MemoryBugModel()).observe(0) == []
+        assert build_prefetcher("none", 64, 1, NO_MEMORY_BUG).observe(0) == []
         with pytest.raises(ValueError):
-            build_prefetcher("stream", 64, 1, MemoryBugModel())
+            build_prefetcher("stream", 64, 1, NO_MEMORY_BUG)
 
 
 class TestMemoryHierarchySim:
@@ -115,9 +117,29 @@ class TestMemoryHierarchySim:
             assert buggy.amat > clean.amat
 
     def test_no_age_update_hook_direction(self):
-        bug = NoAgeUpdateOnAccess("l2")
-        assert bug.update_replacement_on_access("l2") is False
-        assert bug.update_replacement_on_access("l1d") is True
+        record = NoAgeUpdateOnAccess("l2").compile()
+        assert record.no_age_update == (False, True, False)
+        assert record == MemoryBugRecord(no_age_update=(False, True, False))
+
+    def test_bug_records_name_their_level(self):
+        assert MemoryBugModel().compile() == NO_MEMORY_BUG
+        assert EvictMRU("llc").compile().evict_mru == (False, False, True)
+        assert LoadMissDelay("l2", 32, 40).compile().load_miss_delay == ((0, 0), (32, 40))
+        assert SPPSignatureReset().compile().spp_signature_reset
+        assert SPPLeastConfidence().compile().spp_least_confident
+        assert SPPDroppedPrefetches(0).compile().spp_drop_every == 1
+
+    @pytest.mark.parametrize("make,level", [
+        (LoadMissDelay, "llc"),
+        (EvictMRU, "L2"),
+        (NoAgeUpdateOnAccess, "L1D"),
+        (LoadMissDelay, "l3"),
+    ])
+    def test_levels_the_model_never_consults_are_rejected(self, make, level):
+        """Such a bug would be a silent no-op: a "buggy" design identical to
+        the bug-free one, scored as a missed detection."""
+        with pytest.raises(ValueError, match="l1d, l2"):
+            make(level)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
