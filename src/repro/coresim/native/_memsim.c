@@ -492,7 +492,7 @@ static void snapshot(const Hierarchy *h, i64 *stats) {
 }
 
 /* ---------------------------------------------------------------------- */
-/* Driver: MemoryHierarchySim.run                                          */
+/* The run loop: MemoryHierarchySim.run                                   */
 /* ---------------------------------------------------------------------- */
 
 typedef struct {
