@@ -6,7 +6,7 @@
 * ``repro-experiments`` — the ``python -m repro.experiments.runner`` CLI
   (``--scale``, ``--only``, ``--jobs``, ``--backend``, ``--store``,
   ``--trace-dir``, ``--trace-format``, ``--mixes``);
-* ``repro-bench`` — the simulation-kernel benchmark gates
+* ``repro-bench`` — the simulation-kernel benchmark gate
   (``python -m repro.bench.perf``: ``--quick``, ``--output``), which
   writes ``BENCH_simulation.json``; end-to-end numbers come from
   ``perfbench/run.py``;
@@ -36,7 +36,7 @@
   ``shutdown``), including the ``--offline`` reference scoring path CI
   diffs the daemon against;
 * ``repro-lint`` — static contract analysis
-  (``python -m repro.analysis``): checks the three-kernel counter-name
+  (``python -m repro.analysis``): checks the kernels' counter-name
   universe, determinism lints, hook-override eligibility, protocol
   constants and the native ``-Werror`` gate (see ``docs/ANALYSIS.md``).
 """

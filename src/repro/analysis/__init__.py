@@ -4,8 +4,9 @@ The simulation kernels are pinned bit-identical by the differential
 oracle at *test* time; this package enforces the underlying contracts at
 *lint* time, before anything runs:
 
-* ``counter_contract`` — one counter-name universe across all three lanes
-  (scalar, frozen reference, native C) plus the C↔ctypes ABI.
+* ``counter_contract`` — one counter-name universe across both lanes
+  (frozen reference, native C) and the golden manifest, plus the
+  C↔ctypes ABI.
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
 * ``protocol_constants`` — wire/schema constants defined exactly once.

@@ -29,8 +29,8 @@ from .tree import SourceTree
 FAMILIES = {
     "counter-contract": (
         counter_contract.check,
-        "counter-name universe identical across scalar/reference/native"
-        " lanes, C slot enum and SimParams ABI vs ctypes, golden manifest",
+        "counter-name universe identical across reference/native lanes,"
+        " C slot enum and SimParams ABI vs ctypes, golden manifest",
     ),
     "determinism": (
         determinism.check,

@@ -1,15 +1,14 @@
-"""Counter-contract checker (rule family 1): the three-lane name universe.
+"""Counter-contract checker (rule family 1): the counter-name universe.
 
-The reproduction's core guarantee is that the scalar pipeline, the frozen
-seed reference and the compiled native kernel emit
+The reproduction's core guarantee is that the frozen seed pipeline (which
+is also the Python fallback) and the compiled native kernel emit
 **identical counter name sets** (and values — values are the differential
 oracle's job; names are checkable statically).  This rule extracts the
 counter-name universe of each lane without running any simulation:
 
 * **reference** — ``coresim/_reference.py`` (``_bump("...")`` sites, stats
   dicts, cache/issue-class f-string templates).  The frozen seed copy is the
-  anchor every other lane is compared against.
-* **scalar** — ``coresim/pipeline.py`` + ``branch.py`` + ``caches.py``.
+  anchor the native lane is compared against.
 * **native** — the slot-name tables in ``coresim/native/kernel.py``, plus a
   light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
   the ``SimParams`` struct layout against the ctypes marshalling.  The
@@ -43,15 +42,10 @@ COUNTER_NAME_RE = re.compile(
 DERIVED_NAME_RE = re.compile(r"^derived\.[a-z0-9_]+$")
 
 #: Cache-level short names expanded through the ``cache.{name}.accesses``
-#: f-string templates of the scalar/reference lanes.
+#: f-string templates of the reference lane.
 _CACHE_LEVEL_RE = re.compile(r"^(l1d|l[0-9])$")
 
 REFERENCE_PATH = "src/repro/coresim/_reference.py"
-SCALAR_PATHS = (
-    "src/repro/coresim/pipeline.py",
-    "src/repro/coresim/branch.py",
-    "src/repro/coresim/caches.py",
-)
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
 MEMSIM_KERNEL_PATH = "src/repro/memsim/native.py"
@@ -556,7 +550,6 @@ def check(tree: SourceTree) -> "list[Finding]":
 
     findings: list[Finding] = []
     reference = extract_lane_names(tree, (REFERENCE_PATH,), op_classes)
-    scalar = extract_lane_names(tree, SCALAR_PATHS, op_classes)
     derived = extract_derived_names(tree)
 
     if len(reference) < 30:
@@ -569,8 +562,6 @@ def check(tree: SourceTree) -> "list[Finding]":
             )
         )
         return findings
-
-    findings.extend(_compare_lanes("scalar", SCALAR_PATHS[0], scalar, reference))
 
     try:
         lazy, always = extract_native_slots(tree, op_classes)

@@ -1,8 +1,7 @@
-"""Gated performance benchmarks for the simulation kernels.
+"""Gated performance benchmark for the simulation kernels.
 
-``repro-bench`` (:mod:`repro.bench.perf`) times the optimized scalar
-pipeline against the frozen seed pipeline and the compiled native kernel
-against the scalar one, and emits ``BENCH_simulation.json``;
-:mod:`repro.bench.ratchet` gates both speedups against the previous run.
+``repro-bench`` (:mod:`repro.bench.perf`) times the compiled native kernel
+against the Python fallback and emits ``BENCH_simulation.json``;
+:mod:`repro.bench.ratchet` gates that speedup against the previous run.
 End-to-end numbers come from ``perfbench/run.py``.
 """

@@ -1,25 +1,22 @@
-"""``repro-bench``: the simulation-kernel benchmark gates.
+"""``repro-bench``: the simulation-kernel benchmark gate.
 
-Times the two simulation kernels against their references on the
+Times the compiled simulation kernel against its Python fallback on the
 *standard probe workload* (smoke-scale SimPoint probes across a
 representative preset mix) and writes ``BENCH_simulation.json``, which the
 CI ``perf`` job ratchets against the previous ``main`` run
 (:mod:`repro.bench.ratchet`):
 
-* ``single``   — the optimized scalar
-  :func:`repro.coresim.simulate_batch_scalar` versus the frozen pre-PR seed
-  pipeline
-  (:func:`repro.coresim._reference.reference_simulate_trace`).  The headline
-  number is ``aggregate_speedup`` = total seed time / total optimized time.
-* ``native``   — the compiled C **native kernel**
-  (:mod:`repro.coresim.native`) versus the scalar kernel, with the active
-  compiler name/version recorded.  When no compiler is available the
-  section records ``available: false`` instead of failing — the fallback
-  path is the product behaviour being measured.
+* ``native`` — the compiled C **native kernel** (:mod:`repro.coresim.native`)
+  versus :func:`repro.coresim.simulate_batch_scalar`, the frozen seed
+  pipeline fed each bug's record, with the active compiler name/version
+  recorded.  The headline number is ``aggregate_speedup`` = total fallback
+  time / total native time.  When no compiler is available the section
+  records ``available: false`` instead of failing — the fallback path is
+  the product behaviour being measured.
 
-Counter equivalence is asserted on every timed pair, so neither section can
-report a speedup obtained by computing something different; both aggregate
-speedups are gated (floor 2.0x).  End-to-end numbers — a paper study, a
+Counter equivalence is asserted on every timed pair, so the section cannot
+report a speedup obtained by computing something different; the aggregate
+speedup is gated (floor 2.0x).  End-to-end numbers — a paper study, a
 ``repro-serve`` request stream — come from ``perfbench/run.py``, not from
 here (docs/PERFORMANCE.md, "Benchmarks").
 
@@ -40,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from ..coresim import simulate_batch_scalar, simulate_trace
-from ..coresim._reference import reference_simulate_trace
 from ..detect.probe import Probe, build_probes
 from ..uarch import core_microarch
 
@@ -58,7 +54,10 @@ from ..uarch import core_microarch
 #: v9: only the two gated sections remain, ``single`` and ``native``; the
 #:     tracked-not-gated ``engine``, ``cluster``, ``store``, ``serve`` and
 #:     ``mixes`` sections are gone (perfbench measures end to end).
-SCHEMA_VERSION = 9
+#: v10: ``single`` removed with the optimised scalar pipeline it timed;
+#:     ``native`` is the whole benchmark, timed against the Python fallback
+#:     (the frozen seed pipeline fed each bug's record).
+SCHEMA_VERSION = 10
 
 #: Default output file, kept at the repo root by CI so the perf trajectory
 #: of the project lives beside the code that produced it.
@@ -86,80 +85,24 @@ def _standard_probes(quick: bool) -> list[Probe]:
     )
 
 
-def _assert_equivalent(reference, optimized, context: str) -> None:
-    """Fail loudly if the optimized simulator drifted from the seed."""
-    if reference.cycles != optimized.cycles:
+def _assert_equivalent(fallback, native, context: str) -> None:
+    """Fail loudly if the native kernel drifted from the fallback."""
+    if fallback.cycles != native.cycles:
         raise AssertionError(
             f"{context}: cycle count diverged "
-            f"(seed {reference.cycles}, optimized {optimized.cycles})"
+            f"(fallback {fallback.cycles}, native {native.cycles})"
         )
-    ref_counters = reference.series.counters
-    opt_counters = optimized.series.counters
-    if set(ref_counters) != set(opt_counters):
+    if set(fallback.series.counters) != set(native.series.counters):
         raise AssertionError(f"{context}: counter name sets diverged")
-    for name, ref_values in ref_counters.items():
-        if not np.array_equal(ref_values, opt_counters[name]):
+    for name, values in fallback.series.counters.items():
+        if not np.array_equal(values, native.series.counters[name]):
             raise AssertionError(f"{context}: counter {name!r} diverged")
 
 
-def bench_single(probes: Sequence[Probe], quick: bool) -> dict:
-    """Single-thread throughput: optimized pipeline vs frozen seed pipeline.
-
-    The optimized side calls the scalar kernel directly, so the C loop can
-    never run in the row labelled ``scalar``.
-    """
-    presets = QUICK_PRESETS if quick else STANDARD_PRESETS
-    repeats = 1 if quick else 3
-    per_preset = {}
-    total_ref = 0.0
-    total_opt = 0.0
-    instructions = sum(len(p.trace) for p in probes)
-    for preset in presets:
-        config = core_microarch(preset)
-        ref_best = opt_best = float("inf")
-        for _ in range(repeats):
-            ref_elapsed = opt_elapsed = 0.0
-            for probe in probes:
-                start = time.perf_counter()
-                reference = reference_simulate_trace(
-                    config, probe.trace, step_cycles=STEP_CYCLES
-                )
-                ref_elapsed += time.perf_counter() - start
-                decoded = probe.decoded
-                start = time.perf_counter()
-                optimized = simulate_batch_scalar(
-                    config, [decoded], step_cycles=STEP_CYCLES
-                )[0]
-                opt_elapsed += time.perf_counter() - start
-                _assert_equivalent(
-                    reference, optimized, f"{preset}/{probe.name}"
-                )
-            ref_best = min(ref_best, ref_elapsed)
-            opt_best = min(opt_best, opt_elapsed)
-        total_ref += ref_best
-        total_opt += opt_best
-        per_preset[preset] = {
-            "seed_seconds": round(ref_best, 4),
-            "optimized_seconds": round(opt_best, 4),
-            "speedup": round(ref_best / opt_best, 3),
-            "optimized_instr_per_sec": round(instructions / opt_best),
-        }
-    return {
-        "kernel": "scalar",
-        "probes": len(probes),
-        "instructions_per_pass": instructions,
-        "presets": per_preset,
-        "aggregate_speedup": round(total_ref / total_opt, 3),
-        "seed_instr_per_sec": round(len(presets) * instructions / total_ref),
-        "optimized_instr_per_sec": round(len(presets) * instructions / total_opt),
-        "counter_equivalence_checked": True,
-    }
-
-
 def bench_native(probes: Sequence[Probe], quick: bool) -> dict:
-    """Single-thread throughput: compiled native kernel vs scalar kernel.
+    """Single-thread throughput: compiled native kernel vs Python fallback.
 
-    The scalar side calls :func:`repro.coresim.simulate_batch_scalar`; the
+    The fallback side calls :func:`repro.coresim.simulate_batch_scalar`; the
     native side runs :func:`repro.coresim.simulate_trace`, so exactly the
     kernel dispatch users hit is what gets timed.  The library build and
     the per-trace column marshalling are primed outside the timed region
@@ -232,14 +175,13 @@ def bench_native(probes: Sequence[Probe], quick: bool) -> dict:
 
 
 def run_benchmarks(quick: bool = False) -> dict:
-    """Run both benchmark sections and return the report dict."""
+    """Run the benchmark and return the report dict."""
     started = time.time()
     probes = _standard_probes(quick)
     report = {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "simulation",
         "quick": quick,
-        "single": bench_single(probes, quick),
         "native": bench_native(probes, quick),
         "environment": {
             "python": platform.python_version(),
@@ -269,17 +211,12 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
 
-    single = report["single"]
     print(f"repro-bench ({'quick' if args.quick else 'full'}) -> {args.output}")
-    print(
-        f"  single-thread: {single['aggregate_speedup']}x vs seed pipeline "
-        f"({single['optimized_instr_per_sec']:,} instr/s, counter-equivalent)"
-    )
     native = report["native"]
     if native.get("available"):
         version = (native.get("compiler") or {}).get("version") or "unknown"
         print(
-            f"  native: {native['aggregate_speedup']}x vs scalar kernel "
+            f"  native: {native['aggregate_speedup']}x vs the Python fallback "
             f"({native['native_instr_per_sec']:,} instr/s, counter-equivalent, "
             f"{version})"
         )

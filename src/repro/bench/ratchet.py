@@ -1,17 +1,12 @@
 """Perf trajectory ratchet: fail CI on a kernel speedup regression.
 
 ``repro-bench`` writes ``BENCH_simulation.json`` with a
-``single.aggregate_speedup`` headline (optimized vs frozen seed pipeline,
-counter-equivalence asserted).  This module turns that number from a static
-floor into a **trajectory**: each CI run compares itself against the
-previous run's uploaded artifact and fails on regression beyond a noise
-tolerance.
-
-The schema-v5 ``native.aggregate_speedup`` column (compiled C kernel vs
-scalar) is gated the same way with its own static floor
-(:data:`NATIVE_FLOOR`) whenever the reports carry it — reports from
-compiler-less hosts record ``available: false`` and the native gate simply
-does not apply.
+``native.aggregate_speedup`` headline (compiled C kernel vs the Python
+fallback, counter-equivalence asserted).  This module turns that number
+from a static floor into a **trajectory**: each CI run compares itself
+against the previous run's uploaded artifact and fails on regression
+beyond a noise tolerance.  A report from a host without a compiler
+(``native.available == false``) carries no speedup and cannot be gated.
 
 :func:`evaluate` also gates lower-is-better metrics (``better="lower"``):
 the CI ``perf`` job holds each end-to-end metric of ``perfbench/run.py``
@@ -23,7 +18,7 @@ forgiving: the *current* measurement is the **median** of N ``repro-bench``
 runs (CI uses 3), and the regression threshold is
 ``previous * (1 - tolerance)`` with a generous default tolerance.  When no
 previous artifact exists (first run, expired artifact, fork PR), the check
-falls back to the static seed floor.  Usage::
+falls back to the static floor.  Usage::
 
     python -m repro.bench.ratchet bench-1.json bench-2.json bench-3.json \\
         --previous prev/BENCH_simulation.json --floor 2.0 --emit BENCH_simulation.json
@@ -48,39 +43,23 @@ from pathlib import Path
 #: hot-path regressions.
 DEFAULT_TOLERANCE = 0.25
 
-#: Default static floor, matching the CI ``--quick`` floor (the non-quick
-#: workload targets ≥3x; ``--quick`` keeps headroom for runner noise).
+#: Default static floor for the native-kernel speedup.  The kernel benches
+#: an order of magnitude above it on every host tried; the floor is that
+#: claim's backstop, with headroom for runner noise.
 DEFAULT_FLOOR = 2.0
-
-#: Static floor for the native-kernel speedup (``native.aggregate_speedup``,
-#: compiled C vs scalar).  The kernel benches far above this on every host
-#: tried; the floor is the order-of-magnitude claim's backstop, kept at 2x
-#: for the same runner-noise headroom as the single-thread floor.
-NATIVE_FLOOR = 2.0
 
 
 def read_speedup(path: "str | Path") -> float:
-    """The ``single.aggregate_speedup`` headline of one report file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    return float(report["single"]["aggregate_speedup"])
+    """The ``native.aggregate_speedup`` headline of one report file.
 
-
-def read_native_speedup(path: "str | Path") -> "float | None":
-    """The ``native.aggregate_speedup`` column, or None when absent.
-
-    Absent means a pre-v5 report *or* a host with no C compiler
-    (``native.available == false``) — in both cases the native gate simply
-    does not apply.  When the column is present it is **gated** (floor
-    :data:`NATIVE_FLOOR`, ratcheted against the previous artifact like the
-    single-thread headline): the compiled kernel is a headline perf claim,
-    and it is a pure single-thread CPU ratio, as stable as ``single``.
+    Raises :class:`ValueError` for a report without one: a pre-v5 report,
+    or one from a host with no C compiler (``native.available == false``).
     """
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
-    native = report.get("native")
-    if not native or not native.get("available"):
-        return None
+    native = report.get("native") or {}
+    if not native.get("available"):
+        raise ValueError(f"{path}: no native kernel speedup to gate")
     return float(native["aggregate_speedup"])
 
 
@@ -174,42 +153,23 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     speedups = []
-    natives = []
     for path in args.reports:
         speedup = read_speedup(path)
         speedups.append(speedup)
-        native = read_native_speedup(path)
-        if native is not None:
-            natives.append(native)
-        native_note = f", native {native:g}x" if native is not None else ""
-        print(f"  {path}: {speedup:g}x{native_note}")
+        print(f"  {path}: {speedup:g}x")
 
     previous = None
-    prev_native = None
     if args.previous is not None:
         try:
             previous = read_speedup(args.previous)
             print(f"  previous artifact {args.previous}: {previous:g}x")
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"  previous artifact unusable ({exc}); using the static floor")
-        else:
-            try:
-                prev_native = read_native_speedup(args.previous)
-            except (ValueError, KeyError):
-                prev_native = None
 
     result = evaluate(
         speedups, previous, floor=args.floor, tolerance=args.tolerance
     )
     print(result.message)
-
-    native_result = None
-    if natives:
-        native_result = evaluate(
-            natives, prev_native, floor=NATIVE_FLOOR, tolerance=args.tolerance
-        )
-        print(f"  native kernel {native_result.message}")
-    ok = result.ok and (native_result is None or native_result.ok)
 
     if args.emit:
         # The report whose speedup lies closest to the gated median becomes
@@ -224,7 +184,7 @@ def main(argv: "list[str] | None" = None) -> int:
             shutil.copyfile(median_path, args.emit)
         print(f"  emitted median report {median_path} -> {args.emit}")
 
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

@@ -2,8 +2,9 @@
 
 Each bug is a :class:`~repro.coresim.hooks.CoreBugModel` subclass.  Its
 ``compile`` method gives the :class:`~repro.coresim.hooks.BugRecord` the
-scalar and native kernels read; its hooks state the same bug per uop for
-the frozen seed pipeline, and the differential fuzz holds the two equal.
+native kernel and the Python fallback read; its hooks state the same bug
+per uop for the frozen seed pipeline fed the bug directly, and the
+differential fuzz holds the two equal.
 Every type is parameterised (opcode X/Y, threshold N, register R, delay T)
 so that multiple variants with different severities can be instantiated,
 mirroring the paper's configurable-impact bug suite.

@@ -1,8 +1,9 @@
 """The 6 memory-system performance-bug types of Section IV-D.
 
 Each bug is a :class:`~repro.memsim.hooks.MemoryBugModel` subclass whose
-``compile()`` gives the :class:`~repro.memsim.hooks.MemoryBugRecord` both
-memsim kernels read (its hook methods feed only the frozen reference):
+``compile()`` gives the :class:`~repro.memsim.hooks.MemoryBugRecord` the
+native kernel and the Python fallback read (its hook methods reach only the
+frozen memsim fed the bug directly, the differential oracle):
 
 1. Replacement age counter not updated on access.
 2. Eviction picks the most recently used block instead of the LRU block.

@@ -1,10 +1,8 @@
 """Cycle-level out-of-order core simulator (gem5 O3CPU stand-in)."""
 
-from .branch import BranchPredictor
-from .caches import Cache, CacheHierarchy
+from ._reference import PipelineError
 from .counters import CounterTimeSeries, TimeSeriesSampler, derived_counters
-from .hooks import BUG_FREE, BugRecord, CoreBugModel, DispatchContext
-from .pipeline import O3Pipeline, PipelineError
+from .hooks import BUG_FREE, BugRecord, CoreBugModel, DispatchContext, RecordHooks
 from .native import native_available, simulate_batch_native
 from .simulator import (
     DEFAULT_STEP_CYCLES,
@@ -15,17 +13,14 @@ from .simulator import (
 )
 
 __all__ = [
-    "BranchPredictor",
-    "Cache",
-    "CacheHierarchy",
     "CounterTimeSeries",
     "TimeSeriesSampler",
     "derived_counters",
     "BugRecord",
     "CoreBugModel",
     "DispatchContext",
+    "RecordHooks",
     "BUG_FREE",
-    "O3Pipeline",
     "PipelineError",
     "SimulationResult",
     "simulate_trace",

@@ -1,18 +1,24 @@
-"""Frozen seed implementation of the O3 pipeline (correctness oracle).
+"""Frozen seed implementation of the O3 pipeline.
 
 This module is a verbatim copy of the pre-optimization ``O3Pipeline`` from the
-seed tree.  It exists for two purposes only:
+seed tree, with its cache hierarchy and branch predictor.  It asks the bug
+model through per-cycle hooks, and it is the one Python core model, in two
+roles:
 
-* the golden counter-equivalence suite (``tests/test_perf_equivalence.py``)
-  asserts that the optimized :class:`~repro.coresim.pipeline.O3Pipeline`
-  produces bit-identical :class:`~repro.coresim.counters.CounterTimeSeries`
-  output for every (preset x bug x trace) combination it checks, and
-* ``repro-bench`` times it to report the single-thread speedup of the
-  optimized hot path against the pre-PR baseline.
+* **the fallback** — :func:`repro.coresim.simulate_batch_scalar` runs it on
+  a :class:`~repro.coresim.hooks.RecordHooks`, which answers the hooks from
+  the bug's compiled :class:`~repro.coresim.hooks.BugRecord`, whenever the
+  native kernel cannot run (no compiler, or a configuration past a kernel
+  limit); ``repro-bench`` times the native kernel against that path;
+* **the oracle** — :func:`reference_simulate_trace` fed a bug model
+  directly reads the bug's own hooks, and the golden and differential
+  suites (``tests/test_perf_equivalence.py``,
+  ``tests/test_differential.py``) hold the fallback and the native kernel
+  bit-identical to it.
 
 Do not optimize or "fix" this file; behavioural changes here silently weaken
 the equivalence oracle.  If the modelled microarchitecture itself changes,
-update both implementations and the tests together.
+update this file, the native kernel and the tests together.
 """
 
 

@@ -1,8 +1,9 @@
-/* Native simulation kernel: a C port of the optimized scalar O3 cycle loop
- * (repro/coresim/pipeline.py), for every core bug model.
+/* Native simulation kernel: the seed O3 cycle loop
+ * (repro/coresim/_reference.py) with ready-queue issue, batched counters and
+ * idle fast-forward, in C, for every core bug model.
  *
  * Bit-identity contract: every counter value, the final cycle count, and the
- * sampling boundaries must match the scalar pipeline exactly.  The Python
+ * sampling boundaries must match the seed pipeline exactly.  The Python
  * wrapper feeds DecodedTrace columns in as flat arrays and replays the
  * emitted cumulative counter rows through the real TimeSeriesSampler, so any
  * divergence here is caught by the differential oracle.
@@ -13,7 +14,7 @@
  * SimParams scalars below (IQ/ROB free-slot thresholds and delays, the
  * dependency delay, the redirect penalty, per-level cache latencies).
  * Uops whose operands are ready wake through a calendar ring at their
- * dispatch cycle + 1 + extra delay.  As in the scalar pipeline, dispatch
+ * dispatch cycle + 1 + extra delay.  As in the seed pipeline, dispatch
  * stops behind a serialising uop until it completes, so the issue stage
  * never sees a younger one.
  *
@@ -68,7 +69,7 @@ enum {
 
 /* Counter slot layout.  Must match _SLOT_NAMES in kernel.py: slots 0..38 are
  * the lazily-created pipeline counters (emitted to Python only when their
- * cumulative value is nonzero, mirroring the scalar dict), 39..54 are the
+ * cumulative value is nonzero, mirroring the seed's dict), 39..54 are the
  * always-present occupancy / branch-predictor / cache stats. */
 enum {
     S_COMMIT_INSTR = 0,

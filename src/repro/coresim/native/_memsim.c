@@ -1,6 +1,6 @@
 /* Native memory-hierarchy kernel: a C port of the memory-system simulator
- * (repro/memsim: simulator.py, cache.py, prefetcher.py), built into the
- * same shared library as _core.c.
+ * (repro/memsim/_reference.py), built into the same shared library as
+ * _core.c.
  *
  * Exactness contract: every per-step counter, the IPC series, the AMAT and
  * the cycle total must equal the Python memsim's bit for bit.  The pieces

@@ -6,13 +6,13 @@ columns go in as flat zero-copy-widened arrays, one cumulative counter row
 per sampling boundary comes back out, and the rows are replayed through the
 real :class:`~repro.coresim.counters.TimeSeriesSampler` so the resulting
 :class:`~repro.coresim.simulator.SimulationResult` is **bit-identical** to
-the scalar pipeline (same cycles, same counter name sets, same values —
+the Python fallback (same cycles, same counter name sets, same values —
 pinned by the differential oracle).
 
 Every core bug model runs here.  Its structural hooks
 (``on_simulation_start``, ``register_reduction``, ``bp_table_entries``) are
-evaluated in Python before the C call, in the order the scalar
-``O3Pipeline.__init__`` evaluates them, and its
+evaluated in Python before the C call, ``on_simulation_start`` first as on
+the fallback, and its
 :class:`~repro.coresim.hooks.BugRecord` goes in as one flag byte per uop,
 one extra-delay column and a few ``SimParams`` scalars.  Only a
 configuration past a kernel limit raises :class:`NativeKernelUnavailable`.
@@ -27,20 +27,20 @@ import numpy as np
 
 from ...uarch.config import MicroarchConfig
 from ...workloads.decoded import DecodedTrace, decode_trace
-from ...workloads.isa import NUM_ARCH_REGS, MicroOp, OpClass
+from ...workloads.isa import NUM_ARCH_REGS, OPCODE_CLASS, MicroOp, OpClass
 from ..counters import TimeSeriesSampler
 from ..hooks import BUG_FREE, BugRecord, CoreBugModel
-from ..pipeline import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
+from .._reference import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
 from .build import load_library
 
 _NUM_CLASSES = len(OpClass)
 _MAX_LEVELS = 3
 
 #: Counter-row layout shared with ``_core.c`` (slot order must match the
-#: ``S_*`` enum there).  Slots 0..38 mirror the scalar pipeline's lazily
+#: ``S_*`` enum there).  Slots 0..38 mirror the seed pipeline's lazily
 #: populated counter dict: they enter the cumulative sample only when
 #: nonzero (cumulative values are monotonic, so nonzero-now == ever-nonzero,
-#: which reproduces the scalar name sets exactly).
+#: which reproduces the seed's name sets exactly).
 _LAZY_SLOT_NAMES = (
     "commit.instructions",
     "commit.register_writes",
@@ -165,19 +165,9 @@ def _configure(lib: ctypes.CDLL) -> None:
     _configured_libs.add(id(lib))
 
 
-_OPCLASS_BY_OPCODE = None
-
-
-def _opclass_table() -> np.ndarray:
-    global _OPCLASS_BY_OPCODE
-    if _OPCLASS_BY_OPCODE is None:
-        from ...workloads.decoded import _OPCODE_TO_CLASS_INT
-
-        table = np.zeros(max(int(op) for op in _OPCODE_TO_CLASS_INT) + 1, np.int8)
-        for opcode, op_class in _OPCODE_TO_CLASS_INT.items():
-            table[int(opcode)] = op_class
-        _OPCLASS_BY_OPCODE = table
-    return _OPCLASS_BY_OPCODE
+#: int(OpClass) of every opcode, indexed by int(opcode).
+_OPCLASS_BY_OPCODE = np.zeros(max(OPCODE_CLASS) + 1, np.int8)
+_OPCLASS_BY_OPCODE[list(OPCODE_CLASS)] = list(OPCODE_CLASS.values())
 
 
 class _NativeTrace:
@@ -207,7 +197,7 @@ def _build_native_trace(decoded: DecodedTrace) -> _NativeTrace:
     t = _NativeTrace()
     t.n = n
     opcode = columns["opcode"].astype(np.int64)
-    t.op_class = np.ascontiguousarray(_opclass_table()[opcode].astype(np.uint8))
+    t.op_class = np.ascontiguousarray(_OPCLASS_BY_OPCODE[opcode].astype(np.uint8))
     t.has_dest = np.ascontiguousarray(columns["has_dest"].astype(np.uint8))
     t.dest = np.ascontiguousarray(
         np.where(t.has_dest.astype(bool), columns["dest"].astype(np.int32), 0)
@@ -287,16 +277,13 @@ def _bug_columns(
     """The record's per-uop flag byte (``F_*`` bits of ``_core.c``) and
     extra-delay column; the C loop indexes both by uop, so their lengths
     are checked here."""
-    columns = (
-        record.serialize,
-        record.issue_only_if_oldest,
-        record.oldest_blocks_others,
-        record.extra_delay,
-    )
-    if any(column is not None and len(column) != n for column in columns):
-        raise ValueError(f"bug record columns must hold one entry per uop ({n})")
+    record.check_length(n)
     flags = np.zeros(n, dtype=np.uint8)
-    for bit, column in zip((1, 2, 4), columns):
+    for bit, column in (
+        (1, record.serialize),
+        (2, record.issue_only_if_oldest),
+        (4, record.oldest_blocks_others),
+    ):
         if column is not None:
             flags |= np.where(column, bit, 0).astype(np.uint8)
     if record.dependency is not None:
@@ -321,9 +308,8 @@ def _fill_params(
 ) -> "tuple[_SimParams, np.ndarray]":
     """SimParams + flat class->ports array for one run.
 
-    Structural bug hooks are evaluated here in the scalar pipeline's
-    construction order (``on_simulation_start`` was already called by the
-    caller, matching ``O3Pipeline.__init__`` running it first).
+    Structural bug hooks are evaluated here (``on_simulation_start`` was
+    already called by the caller, before ``compile``, as on the fallback).
     """
     num_ports = config.ports.num_ports
     if num_ports > 63:
@@ -478,7 +464,7 @@ def simulate_batch_native(
 ):
     """Simulate *traces* on *config* through the compiled kernel.
 
-    Results are in input order and bit-identical to the scalar pipeline.
+    Results are in input order and bit-identical to the Python fallback.
     Raises :class:`NativeKernelUnavailable` when the library is missing or
     the configuration exceeds a kernel limit — callers (the ``simulate_trace``
     seam) treat that as "use the scalar kernel".

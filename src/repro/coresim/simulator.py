@@ -1,21 +1,22 @@
 """High-level simulation API: run a probe trace on a microarchitecture.
 
 :func:`simulate_trace` is the main entry point used by the probes, the
-experiments and the examples.  It wraps :class:`~repro.coresim.pipeline.O3Pipeline`
-and packages the sampled counter time series plus whole-run aggregates into a
-:class:`SimulationResult`.
+experiments and the examples.  It packages the sampled counter time series
+plus whole-run aggregates into a :class:`SimulationResult`.
 
-Two counter-bit-identical kernels back it (see docs/PERFORMANCE.md), and
+Two counter-bit-identical models back it (see docs/PERFORMANCE.md), and
 both read a bug as the :class:`~repro.coresim.hooks.BugRecord` its model
 compiles for the trace.  :func:`simulate_trace_batch` picks between them:
 
 * the compiled C cycle loop of :mod:`repro.coresim.native`, built lazily
   from the shipped source with whatever system compiler is found, runs
   every request it can;
-* :func:`simulate_batch_scalar`, the per-trace :class:`O3Pipeline` cycle
-  loop, runs when no compiler exists or the build fails (with a one-time
-  warning, never an exception) and for configurations past a native kernel
-  limit.  Tests and ``repro-bench`` call it directly as native's reference.
+* :func:`simulate_batch_scalar`, the frozen seed pipeline of
+  :mod:`repro.coresim._reference` fed the record through
+  :class:`~repro.coresim.hooks.RecordHooks`, runs when no compiler exists
+  or the build fails (with a one-time warning, never an exception) and
+  for configurations past a native kernel limit.  Tests and
+  ``repro-bench`` call it directly as native's reference.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from ..uarch.config import MicroarchConfig
-from ..workloads.decoded import DecodedTrace
+from ..workloads.decoded import DecodedTrace, decode_trace
 from ..workloads.isa import MicroOp
+from ._reference import reference_simulate_trace
 from .counters import CounterTimeSeries
-from .hooks import CoreBugModel
-from .pipeline import O3Pipeline
+from .hooks import BUG_FREE, CoreBugModel, RecordHooks
 
 #: Default time-step size in cycles.  The paper uses 500 k cycles on ~10 M
 #: instruction SimPoints; probes here are scaled down proportionally.
@@ -129,20 +130,22 @@ def simulate_batch_scalar(
     step_cycles: int = DEFAULT_STEP_CYCLES,
     warmup: bool = True,
 ) -> "list[SimulationResult]":
-    """Simulate each of *traces* through the Python :class:`O3Pipeline`."""
+    """Simulate each of *traces* on the frozen seed pipeline, which reads
+    *bug*'s compiled record through :class:`RecordHooks`."""
+    bug = bug if bug is not None else BUG_FREE
     results = []
     for trace in traces:
-        pipeline = O3Pipeline(config, bug=bug, step_cycles=step_cycles)
-        if warmup:
-            pipeline.warmup(trace)
-        series = pipeline.run(trace)
+        decoded = decode_trace(trace)
+        if len(decoded) == 0:
+            raise ValueError("cannot simulate an empty trace")
+        bug.on_simulation_start(config)
+        record = bug.compile(decoded)
+        record.check_length(len(decoded))
+        hooks = RecordHooks(bug, record)
         results.append(
-            SimulationResult(
-                config_name=config.name,
-                bug_name=pipeline.bug.name,
-                instructions=pipeline.committed,
-                cycles=pipeline.cycle,
-                series=series,
+            reference_simulate_trace(
+                config, hooks.indexed(decoded.uops), bug=hooks,
+                step_cycles=step_cycles, warmup=warmup,
             )
         )
     return results

@@ -1,38 +1,29 @@
 """Trace-driven memory-hierarchy simulator (ChampSim stand-in)."""
 
-from .cache import ReplacementCache
-from .hooks import MEM_BUG_FREE, NO_MEMORY_BUG, MemoryBugModel, MemoryBugRecord
-from .prefetcher import (
-    NextLinePrefetcher,
-    NoPrefetcher,
-    PrefetchRequest,
-    Prefetcher,
-    SignaturePathPrefetcher,
-    build_prefetcher,
+from .hooks import (
+    MEM_BUG_FREE,
+    NO_MEMORY_BUG,
+    MemoryBugModel,
+    MemoryBugRecord,
+    MemoryRecordHooks,
 )
 from .simulator import (
     DEFAULT_STEP_INSTRUCTIONS,
-    MemoryHierarchySim,
     MemSimResult,
     llc_mpki,
+    simulate_memory_python,
     simulate_memory_trace,
 )
 
 __all__ = [
-    "ReplacementCache",
     "MemoryBugModel",
     "MemoryBugRecord",
+    "MemoryRecordHooks",
     "MEM_BUG_FREE",
     "NO_MEMORY_BUG",
-    "Prefetcher",
-    "NoPrefetcher",
-    "NextLinePrefetcher",
-    "SignaturePathPrefetcher",
-    "PrefetchRequest",
-    "build_prefetcher",
-    "MemoryHierarchySim",
     "MemSimResult",
     "simulate_memory_trace",
+    "simulate_memory_python",
     "llc_mpki",
     "DEFAULT_STEP_INSTRUCTIONS",
 ]

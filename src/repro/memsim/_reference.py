@@ -5,11 +5,18 @@
 memsim gained a compiled kernel: every bug acts through per-access hook
 calls (``update_replacement_on_access``, ``evict_most_recently_used``,
 ``load_miss_extra_delay``, ``spp_corrupt_signature``,
-``spp_pick_least_confident``, ``spp_drop_prefetch``).  The differential
-fuzz in ``tests/test_memsim_differential.py`` checks the Python memsim and
-the native kernel, which read ``MemoryBugModel.compile()``'s record, against
-this copy.  Only the module docstrings were dropped and the
-package-relative imports merged and made absolute.
+``spp_pick_least_confident``, ``spp_drop_prefetch``).  Only the module
+docstrings were dropped and the package-relative imports merged and made
+absolute.
+
+It is the one Python memsim, in two roles.  Fed a
+:class:`~repro.memsim.hooks.MemoryRecordHooks`, which answers the hooks
+from ``MemoryBugModel.compile()``'s record, it is the fallback that
+:func:`~repro.memsim.simulator.simulate_memory_python` runs when the native
+kernel cannot.  Fed a bug model directly, it is the differential oracle
+of ``tests/test_memsim_differential.py``, which holds every bug type's
+record equal to its hooks.  ``MemSimResult``, ``llc_mpki`` and the
+step constants are ``repro.memsim``'s own.
 
 **Never optimise, fix or restyle this file.**  Its value is that it is the
 original code; a change here moves the oracle with the code it checks.

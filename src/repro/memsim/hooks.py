@@ -3,14 +3,17 @@
 Mirrors :mod:`repro.coresim.hooks` for the ChampSim-like cache-hierarchy model
 used in the memory-system study (Section IV-D).  A memory bug speaks to the
 simulators through :meth:`MemoryBugModel.compile`, which returns a
-:class:`MemoryBugRecord`: a few flags and integers that the Python memsim
-and the native kernel both read.  :meth:`~MemoryBugModel.on_simulation_start`
-still runs first, once per simulation.
+:class:`MemoryBugRecord`: a few flags and integers that the native kernel
+and the Python fallback both read.
+:meth:`~MemoryBugModel.on_simulation_start` still runs first, once per
+simulation.
 
 The per-access hooks (``update_replacement_on_access`` …
-``spp_drop_prefetch``) are the input of the frozen reference memsim in
-``tests/memsim_reference.py``, the differential oracle, and of nothing else;
-the differential fuzz proves every bug type's record equal to its hooks.
+``spp_drop_prefetch``) are what the frozen memsim of
+:mod:`repro.memsim._reference` asks.  The Python fallback runs it on a
+:class:`MemoryRecordHooks`, which answers them from the record; fed a bug
+model directly, the same memsim is the differential oracle that holds each
+bug type's record equal to its hooks.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class MemoryBugModel:
     def on_simulation_start(self, config) -> None:
         """Called once before simulation; may reset internal state."""
 
-    # -- per-access hooks (input of the frozen reference memsim only) --------
+    # -- per-access hooks (asked by the frozen memsim) -------------------------
 
     def update_replacement_on_access(self, level: str) -> bool:
         """False to skip the LRU age update on an access hit (bug 1)."""
@@ -97,3 +100,38 @@ class MemoryBugModel:
 
 #: Shared bug-free instance.
 MEM_BUG_FREE = MemoryBugModel()
+
+
+class MemoryRecordHooks(MemoryBugModel):
+    """A memory bug's :class:`MemoryBugRecord`, served through the hooks.
+
+    Takes the bug's name and the record it compiled; the bug's own
+    ``on_simulation_start`` ran before ``compile``.
+    """
+
+    def __init__(self, name: str, record: MemoryBugRecord) -> None:
+        self.name = name
+        self._record = record
+
+    def compile(self) -> MemoryBugRecord:
+        return self._record
+
+    def update_replacement_on_access(self, level: str) -> bool:
+        return not self._record.no_age_update[MEMORY_LEVELS.index(level)]
+
+    def evict_most_recently_used(self, level: str) -> bool:
+        return self._record.evict_mru[MEMORY_LEVELS.index(level)]
+
+    def load_miss_extra_delay(self, level: str, miss_count: int) -> int:
+        threshold, delay = self._record.load_miss_delay[LOAD_MISS_LEVELS.index(level)]
+        return delay if miss_count > threshold else 0
+
+    def spp_corrupt_signature(self, signature: int) -> int:
+        return 0 if self._record.spp_signature_reset else signature
+
+    def spp_pick_least_confident(self) -> bool:
+        return self._record.spp_least_confident
+
+    def spp_drop_prefetch(self, prefetch_index: int) -> bool:
+        every = self._record.spp_drop_every
+        return every != 0 and prefetch_index % every == 0

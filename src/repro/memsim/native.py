@@ -1,18 +1,18 @@
 """ctypes marshalling for the native (C) memory-hierarchy kernel.
 
 :func:`simulate_memory_native` runs one trace through ``repro_memsim``, the
-C port of :class:`~repro.memsim.simulator.MemoryHierarchySim` that
+C port of the memsim of :mod:`repro.memsim._reference` that
 ``repro/coresim/native/_memsim.c`` adds to the native kernel library (one
 shared object, built and cached by :mod:`repro.coresim.native.build`).  The
 trace goes in as three columns, memoised per trace digest: an access flag,
 the address and a load flag.  The bug goes in as its
 :class:`~repro.memsim.hooks.MemoryBugRecord`, flattened into
 ``MemParams``.  One row of counter deltas per sampled step comes back out,
-and the result is bit-identical to the Python memsim's.
+and the result is bit-identical to the Python fallback's.
 
 Requests the kernel cannot run exactly raise
 :class:`~repro.coresim.native.NativeKernelUnavailable`, and
-:func:`~repro.memsim.simulator.simulate_memory_trace` runs the Python memsim
+:func:`~repro.memsim.simulator.simulate_memory_trace` runs the Python fallback
 instead: no library, an address outside ``[0, 2**62)`` (Python's ``//`` and
 ``%`` floor and its ints are unbounded), a latency, delay, issue width,
 cache size in lines or trace length past ``2**31``, a non-integer step, an
@@ -67,7 +67,7 @@ _COLUMN_NAMES = tuple(
     "mem.stall_cycles",
 )
 
-#: Column indices in counter-name order, the order the Python memsim's
+#: Column indices in counter-name order, the order the Python fallback's
 #: counters dict has.
 _SORTED_COLUMNS = tuple(
     (name, _COLUMN_NAMES.index(name)) for name in sorted(_COLUMN_NAMES)
@@ -244,10 +244,9 @@ def simulate_memory_native(
 ) -> MemSimResult:
     """Simulate *trace* on *config* through the compiled memsim.
 
-    Bit-identical to ``MemoryHierarchySim(config, bug,
-    step_instructions).run(trace)``.  Raises
-    :class:`NativeKernelUnavailable` when the library is missing or the
-    request is past a kernel limit (see the module docstring).
+    Bit-identical to :func:`~repro.memsim.simulator.simulate_memory_python`.
+    Raises :class:`NativeKernelUnavailable` when the library is missing or
+    the request is past a kernel limit (see the module docstring).
     """
     lib = load_library()
     if lib is None:

@@ -179,6 +179,14 @@ class MemoryHierarchyConfig:
             raise ValueError("DRAM latency must be positive")
         if self.prefetcher not in ("none", "next_line", "spp"):
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
+        if self.issue_width < 1:
+            raise ValueError(f"issue width must be at least 1, got {self.issue_width}")
+        l1d_lines = self.l1d.size // self.l1d.line_size
+        if self.prefetch_degree > l1d_lines:
+            raise ValueError(
+                f"prefetch degree {self.prefetch_degree} exceeds the "
+                f"{l1d_lines} lines of the L1D"
+            )
 
     def feature_vector(self) -> dict[str, float]:
         """Static design-parameter features for the memory-system study."""

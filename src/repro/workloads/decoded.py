@@ -1,18 +1,17 @@
-"""Pre-decoded trace representation for the simulation hot path.
+"""Pre-decoded trace representation shared by the simulators.
 
-Every simulation of a probe re-derives the same per-micro-op scalars — the
-functional-unit class (a dict lookup behind the ``MicroOp.op_class``
-property), memory/branch/destination flags, source register tuples — once per
-*(microarchitecture x bug)* combination, even though they are pure functions
-of the trace.  A :class:`DecodedTrace` computes them exactly once per trace
-and caches the result, so the :class:`~repro.coresim.pipeline.O3Pipeline`
-inner loop touches only plain ints and tuples.
+A :class:`DecodedTrace` is a dynamic trace in the two forms the simulators
+need: the micro-op objects the Python models walk, and flat ``numpy``
+columns (one array per field plus validity masks) that bug models compile
+their records from and the native kernels read.  Each form is built once
+per trace, on demand, and the content :attr:`~DecodedTrace.digest` (the
+:class:`~repro.runtime.job.SimulationJob` trace id) is computed once too.
 
-The second job of this module is worker shipping: pickling a list of
-``MicroOp`` dataclass instances is slow and fat.  A ``DecodedTrace`` pickles
-as a dict of flat ``numpy`` columns (one int64 array per field plus validity
-masks), several times smaller and far cheaper to serialise; micro-op objects
-are rebuilt lazily on first use in the receiving process.
+The columns are also the worker-shipping format: pickling a list of
+``MicroOp`` dataclass instances is slow and fat, so a ``DecodedTrace``
+pickles as its columns, several times smaller and far cheaper to
+serialise; micro-op objects are rebuilt lazily on first use in the
+receiving process.
 
 ``decode_trace`` memoises by object identity, mirroring
 :class:`~repro.runtime.job.TraceRegistry`: repeated simulations of the same
@@ -26,35 +25,23 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .isa import OPCODE_CLASS, MicroOp, Opcode
-
-#: Per-op scalar tuple consumed by the pipeline: (uop, op_class, srcs, dest,
-#: address, taken).  ``op_class`` is a plain int (see
-#: :class:`~repro.workloads.isa.OpClass`) so stage code compares integers
-#: instead of calling the ``MicroOp.op_class`` property.
-PipelineOp = tuple
-
-#: int() of every OpClass, keyed by opcode value, computed once at import.
-_OPCODE_TO_CLASS_INT: dict[Opcode, int] = {
-    opcode: int(op_class) for opcode, op_class in OPCODE_CLASS.items()
-}
+from .isa import MicroOp, Opcode
 
 
 class DecodedTrace:
-    """A dynamic trace with per-op scalars precomputed and interned.
+    """A dynamic trace as micro-ops, columns and a content digest.
 
     Construct via :meth:`from_uops` (or the :func:`decode_trace` memo).  The
     instance behaves like a read-only sequence of :class:`MicroOp`; the
-    simulators additionally read :attr:`pipeline_ops` (the precomputed scalar
-    tuples) and :attr:`digest` (the content hash used as the
-    :class:`~repro.runtime.job.SimulationJob` trace id).
+    simulators additionally read :attr:`columns` and :attr:`digest` (the
+    content hash used as the :class:`~repro.runtime.job.SimulationJob`
+    trace id).
     """
 
-    __slots__ = ("_uops", "_pipeline_ops", "_columns", "_digest", "__weakref__")
+    __slots__ = ("_uops", "_columns", "_digest", "__weakref__")
 
     def __init__(self) -> None:
         self._uops: list[MicroOp] | None = None
-        self._pipeline_ops: list[PipelineOp] | None = None
         self._columns: dict[str, np.ndarray] | None = None
         self._digest: str | None = None
 
@@ -90,19 +77,6 @@ class DecodedTrace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<DecodedTrace {len(self)} instrs>"
 
-    # -- hot-path views --------------------------------------------------------
-
-    @property
-    def pipeline_ops(self) -> list[PipelineOp]:
-        """Per-op ``(uop, op_class, srcs, dest, address, taken)`` tuples."""
-        if self._pipeline_ops is None:
-            class_of = _OPCODE_TO_CLASS_INT
-            self._pipeline_ops = [
-                (u, class_of[u.opcode], u.srcs, u.dest, u.address, u.taken)
-                for u in self.uops
-            ]
-        return self._pipeline_ops
-
     @property
     def digest(self) -> str:
         """Content hash; identical to ``trace_digest`` of the micro-op list."""
@@ -136,7 +110,6 @@ class DecodedTrace:
 
     def __setstate__(self, state: dict) -> None:
         self._uops = None
-        self._pipeline_ops = None
         self._columns = state["columns"]
         self._digest = state["digest"]
 

@@ -16,12 +16,12 @@ Two files are produced:
     and what a run *actually* produced.
 
 One digest per microarchitecture preset, computed from the **frozen seed
-pipeline** (``repro.coresim._reference``) on the deterministic golden trace
-below, bug-free.  ``tests/test_differential.py`` then checks the live
-kernels (scalar and native) against these digests in seconds, so
-oracle drift is caught without ever executing the slow reference pipeline
-in CI.  Before writing, this script verifies every live kernel against the
-freshly computed reference digests, so a drifted kernel cannot be pinned.
+pipeline** (``repro.coresim._reference``) fed each bug's hooks, on the
+deterministic golden trace below, bug-free.  ``tests/test_differential.py``
+then checks the live kernels against these digests: ``scalar`` (the Python
+fallback, the same pipeline fed each bug's record) and ``native``.  Before
+writing, this script verifies every live kernel against the freshly
+computed reference digests, so a drifted kernel cannot be pinned.
 
 Run this ONLY for a deliberate, reviewed change to simulation semantics::
 

@@ -5,21 +5,24 @@ import pytest
 
 from repro.bugs.core_bugs import L2LatencyBug
 from repro.coresim import (
-    BranchPredictor,
     BugRecord,
-    Cache,
-    CacheHierarchy,
     CoreBugModel,
-    O3Pipeline,
+    RecordHooks,
     simulate_batch_scalar,
     simulate_trace,
     simulate_trace_batch,
+)
+from repro.coresim._reference import (
+    ReferenceO3Pipeline,
+    _SeedBranchPredictor as BranchPredictor,
+    _SeedCache as Cache,
+    _SeedCacheHierarchy as CacheHierarchy,
 )
 from repro.coresim.counters import TimeSeriesSampler, derived_counters
 from repro.uarch import CacheConfig, core_microarch, kb
 from repro.workloads import MicroOp, Opcode, TraceGenerator, build_program, workload
 
-#: The scalar kernel, and the default path (native where a compiler is found).
+#: The Python fallback, and the default path (native where a compiler is found).
 SIMULATORS = (("scalar", simulate_batch_scalar), ("native", simulate_trace_batch))
 
 
@@ -45,9 +48,9 @@ class TestCache:
 
     def test_hierarchy_latency_and_bug_hook(self, skylake):
         """A bug record's L2 extra latency adds to the L2 leg of a miss."""
-        clean = CacheHierarchy(skylake)
-        buggy = CacheHierarchy(skylake)
-        buggy.latency[1] += L2LatencyBug(7).compile(None).l2_extra_latency
+        bug = L2LatencyBug(7)
+        clean = CacheHierarchy(skylake, CoreBugModel())
+        buggy = CacheHierarchy(skylake, RecordHooks(bug, bug.compile(None)))
         address = 0x5000_0000
         assert buggy.access(address) == clean.access(address) + 7
 
@@ -139,7 +142,7 @@ class TestPipeline:
             simulate_trace(skylake, [])
 
     def test_counters_consistent(self, skylake, gcc_trace):
-        pipeline = O3Pipeline(skylake, step_cycles=512)
+        pipeline = ReferenceO3Pipeline(skylake, step_cycles=512)
         pipeline.warmup(gcc_trace[:2000])
         pipeline.run(gcc_trace[:2000])
         counters = pipeline._cumulative_counters()
@@ -180,8 +183,7 @@ class TestHookOverrideDetection:
             return BugRecord()
 
         LateBug.compile = compile  # attached post class creation
-        pipeline = O3Pipeline(skylake, bug=LateBug(), step_cycles=256)
-        pipeline.run(gcc_trace[:400])
+        simulate_batch_scalar(skylake, [gcc_trace[:400]], bug=LateBug(), step_cycles=256)
         assert calls == [400], "late-attached compile was never invoked"
 
     def test_late_override_changes_timing(self, skylake, gcc_trace):

@@ -1,9 +1,10 @@
 """Differential-testing oracle for the simulation kernels.
 
-Three implementations of the core model must agree bit-for-bit on every
-sampled counter: the frozen seed pipeline (``coresim/_reference``), the
-optimized scalar pipeline (``coresim/pipeline``) and the compiled C native
-kernel (``coresim/native``).  This suite grows the hand-picked equivalence
+Three ways of running the core model must agree bit-for-bit on every
+sampled counter: the frozen seed pipeline (``coresim/_reference``) fed the
+bug's own hooks, the Python fallback (``simulate_batch_scalar``: the same
+pipeline fed the bug's record through ``RecordHooks``) and the compiled C
+native kernel (``coresim/native``).  This suite grows the hand-picked equivalence
 matrix of ``test_perf_equivalence.py`` into a *generator*: seeded random
 (synthetic trace, preset mutation, bug x severity) triples hammer the
 corners no hand-written case covers.

@@ -10,13 +10,13 @@ from repro.bugs import (
     SPPLeastConfidence,
     SPPSignatureReset,
 )
-from repro.memsim import (
+from repro.memsim import simulate_memory_trace
+from repro.memsim._reference import (
     MemoryHierarchySim,
     NextLinePrefetcher,
     ReplacementCache,
     SignaturePathPrefetcher,
     build_prefetcher,
-    simulate_memory_trace,
 )
 from repro.memsim.hooks import NO_MEMORY_BUG, MemoryBugModel, MemoryBugRecord
 from repro.uarch import CacheConfig, kb, memory_microarch
@@ -26,7 +26,7 @@ class TestReplacementCache:
     def _cache(self, bug=None):
         return ReplacementCache("l1d", CacheConfig(size=512, associativity=2, latency=2,
                                                    line_size=64),
-                                (bug or MemoryBugModel()).compile())
+                                bug or MemoryBugModel())
 
     def test_hit_miss_accounting(self):
         cache = self._cache()
@@ -79,7 +79,7 @@ class TestPrefetchers:
     def test_spp_signature_reset_bug_changes_behaviour(self):
         clean = SignaturePathPrefetcher(line_size=64, degree=2)
         buggy = SignaturePathPrefetcher(line_size=64, degree=2,
-                                        record=SPPSignatureReset().compile())
+                                        bug=SPPSignatureReset())
         pattern = [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21]
         clean_addrs, buggy_addrs = [], []
         for block in pattern:
@@ -89,15 +89,15 @@ class TestPrefetchers:
 
     def test_spp_dropped_prefetches_counted(self):
         buggy = SignaturePathPrefetcher(line_size=64, degree=2,
-                                        record=SPPDroppedPrefetches(1).compile())
+                                        bug=SPPDroppedPrefetches(1))
         for i in range(32):
             assert buggy.observe(0x30000 + i * 64) == []
         assert buggy.dropped > 0
 
     def test_build_prefetcher_factory(self):
-        assert build_prefetcher("none", 64, 1, NO_MEMORY_BUG).observe(0) == []
+        assert build_prefetcher("none", 64, 1, MemoryBugModel()).observe(0) == []
         with pytest.raises(ValueError):
-            build_prefetcher("stream", 64, 1, NO_MEMORY_BUG)
+            build_prefetcher("stream", 64, 1, MemoryBugModel())
 
 
 class TestMemoryHierarchySim:
@@ -144,3 +144,4 @@ class TestMemoryHierarchySim:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             MemoryHierarchySim(memory_microarch("Skylake-mem")).run([])
+

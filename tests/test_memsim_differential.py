@@ -1,9 +1,10 @@
 """Differential oracle for the memory-hierarchy simulators.
 
-Three implementations of the memsim must agree bit for bit: the frozen seed
-memsim (``tests/memsim_reference.py``, which runs bugs through per-access
-hooks), the Python memsim (``repro.memsim``, which reads the bug's
-:class:`~repro.memsim.hooks.MemoryBugRecord`) and the compiled kernel
+Three ways of running the memsim must agree bit for bit: the frozen seed
+memsim (``repro.memsim._reference``) fed the bug's own per-access hooks,
+the Python fallback (:func:`~repro.memsim.simulate_memory_python`, the same
+memsim fed the bug's :class:`~repro.memsim.hooks.MemoryBugRecord` through
+:class:`~repro.memsim.hooks.MemoryRecordHooks`) and the compiled kernel
 (``repro.memsim.native``, the same record in C).  Seeded random (trace,
 hierarchy, bug, step) cases compare every per-step counter, the IPC series,
 the cycle total and the AMAT by ``tobytes()``/``repr``.
@@ -13,8 +14,9 @@ assertion message names it, so a failure replays locally with::
 
     REPRO_FUZZ_SEED=<seed> python -m pytest tests/test_memsim_differential.py
 
-Also here: the native kernel limits (each falls back to the Python memsim
-with the same result) and the cross-kernel store replay for memory jobs.
+Also here: both paths reading a bug through ``compile`` only, the native
+kernel limits (each falls back to the Python memsim with the same result)
+and the cross-kernel store replay for memory jobs.
 """
 
 import dataclasses
@@ -26,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import memsim_reference
 from repro.bugs.memory_bugs import (
     MEMORY_BUG_TYPES,
     EvictMRU,
@@ -38,7 +39,13 @@ from repro.bugs.memory_bugs import (
     memory_bug_suite,
 )
 from repro.coresim import native_available
-from repro.memsim import MemoryHierarchySim, simulate_memory_trace
+from repro.memsim import _reference as memsim_reference
+from repro.memsim import (
+    MemoryBugModel,
+    MemoryBugRecord,
+    simulate_memory_python,
+    simulate_memory_trace,
+)
 from repro.memsim.native import NativeKernelUnavailable, simulate_memory_native
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
 from repro.uarch import CacheConfig, all_memory_microarches, memory_microarch
@@ -120,15 +127,17 @@ def _random_config(rng: random.Random, odd_line: bool = False):
     if not odd_line and rng.random() < 0.4:
         return config  # a preset as it ships
     line_size = 48 if odd_line else rng.choice((32, 64, 128))
+    l1d = _mutate_cache(rng, config.l1d, line_size)
     return dataclasses.replace(
         config,
         name=f"{config.name}~mut",
-        l1d=_mutate_cache(rng, config.l1d, line_size),
+        l1d=l1d,
         l2=_mutate_cache(rng, config.l2, line_size),
         llc=_mutate_cache(rng, config.llc, rng.choice((line_size, 64))),
         dram_latency=rng.choice((1, 60, config.dram_latency, 400)),
         prefetcher=rng.choice(("none", "next_line", "spp", "spp")),
-        prefetch_degree=rng.choice((0, 1, 2, 3, 4, 6)),
+        # a degree past the L1D's line count is a construction error
+        prefetch_degree=min(rng.choice((0, 1, 2, 3, 4, 6)), l1d.size // line_size),
         issue_width=rng.choice((1, 2, config.issue_width, 8)),
     )
 
@@ -225,7 +234,7 @@ def _check_kernels_agree(trace, config, bug, step, context: str) -> None:
         config, bug=bug, step_instructions=step
     ).run(trace.uops)
     expected = _observations(reference)
-    python = MemoryHierarchySim(config, bug=bug, step_instructions=step).run(trace.uops)
+    python = simulate_memory_python(config, trace, bug=bug, step_instructions=step)
     _assert_same(expected, _observations(python), f"{context} reference-vs-python")
     if native_available():
         native = simulate_memory_native(config, trace, bug=bug, step_instructions=step)
@@ -298,6 +307,32 @@ class TestMemsimDifferentialFuzz:
         assert len(TRACE_SOURCES) == 6 and FUZZ_CASES > len(TRACE_SOURCES)
 
 
+class TestMemoryHookOverrideDetection:
+    """The memsim twin of ``tests/test_coresim.py::TestHookOverrideDetection``:
+    both memsim paths read a bug through ``compile``, nothing else."""
+
+    def test_record_not_hooks_on_every_path(self, no_compiler):
+        class Disagreeing(MemoryBugModel):
+            """``compile`` says evict MRU everywhere; the hooks say bug-free."""
+
+            name = "disagreeing"
+
+            def compile(self):
+                return MemoryBugRecord(evict_mru=(True, True, True))
+
+        trace = _spec_trace("403.gcc", 0, 3000)
+        config = memory_microarch("Skylake-mem")
+        bug = Disagreeing()
+        default = _observations(simulate_memory_trace(config, trace, bug=bug))
+        with no_compiler():
+            fallback = simulate_memory_trace(config, trace, bug=bug)
+        _assert_same(default, _observations(fallback), "no compiler")
+        hooked = _observations(memsim_reference.simulate_memory_trace(config, trace, bug=bug))
+        assert hooked["counters"] != default["counters"]
+        clean = _observations(memsim_reference.simulate_memory_trace(config, trace))
+        _assert_same(clean, dict(hooked, bug_name="bug-free"), "hooks read")
+
+
 # ---------------------------------------------------------------------------
 # Kernel limits: each one falls back to the Python memsim, exactly
 # ---------------------------------------------------------------------------
@@ -325,7 +360,7 @@ class TestKernelLimits:
                 simulate_memory_native(config, trace, step_instructions=100)
         reference = memsim_reference.MemoryHierarchySim(
             config, step_instructions=100).run(trace)
-        python = MemoryHierarchySim(config, step_instructions=100).run(trace)
+        python = simulate_memory_python(config, trace, step_instructions=100)
         default = simulate_memory_trace(config, trace, step_instructions=100)
         _assert_same(_observations(reference), _observations(python), "python")
         _assert_same(_observations(python), _observations(default), "default")
@@ -340,7 +375,7 @@ class TestKernelLimits:
         assert shipped.built_columns is not None
         config = memory_microarch("Haswell-mem")
         expected = _observations(
-            MemoryHierarchySim(config, step_instructions=300).run(trace.uops)
+            simulate_memory_python(config, trace, step_instructions=300)
         )
         result = simulate_memory_trace(config, shipped, step_instructions=300)
         _assert_same(expected, _observations(result), "unpickled trace")
@@ -348,26 +383,29 @@ class TestKernelLimits:
     def test_limits_past_the_kernel_fall_back(self):
         trace = _spec_trace("433.milc", 1, 1500)
         base = memory_microarch("K10-mem")
-        configs = [
-            dataclasses.replace(base, dram_latency=1 << 40),
-            dataclasses.replace(base, issue_width=0),
-            dataclasses.replace(base, prefetch_degree=1 << 60),
-        ]
-        for config in configs:
-            if native_available():
-                with pytest.raises(NativeKernelUnavailable):
-                    simulate_memory_native(config, trace)
+        deep = dataclasses.replace(base, dram_latency=1 << 40)
+        if native_available():
+            with pytest.raises(NativeKernelUnavailable):
+                simulate_memory_native(deep, trace)
+        _assert_same(
+            _observations(memsim_reference.simulate_memory_trace(deep, trace)),
+            _observations(simulate_memory_trace(deep, trace)),
+            "DRAM latency past 2**31",
+        )
         big_delay = LoadMissDelay("l1d", threshold=2, delay=1 << 40)
         if native_available():
             with pytest.raises(NativeKernelUnavailable, match="2\\*\\*31"):
                 simulate_memory_native(base, trace, bug=big_delay)
         _assert_same(
-            _observations(MemoryHierarchySim(base, bug=big_delay).run(trace.uops)),
+            _observations(memsim_reference.simulate_memory_trace(base, trace, bug=big_delay)),
             _observations(simulate_memory_trace(base, trace, bug=big_delay)),
             "delay past 2**31",
         )
-        with pytest.raises(ZeroDivisionError):
-            simulate_memory_trace(configs[1], trace)
+        # What no model can run is refused when the configuration is made.
+        with pytest.raises(ValueError, match="issue width"):
+            dataclasses.replace(base, issue_width=0)
+        with pytest.raises(ValueError, match="prefetch degree"):
+            dataclasses.replace(base, prefetch_degree=1 << 60)
 
     def test_empty_trace_rejected_by_both_kernels(self, no_compiler):
         config = memory_microarch("Skylake-mem")

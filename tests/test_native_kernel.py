@@ -91,16 +91,17 @@ class TestEligibility:
 
 
     def test_record_column_length_checked(self, short_trace):
-        """The C loop indexes record columns by uop: a short one is refused
-        before any pointer is passed."""
-        if not native_available():
-            pytest.skip("no C compiler on this host")
-        bug = CoreBugModel()
-        bug.compile = lambda trace: BugRecord(extra_delay=np.zeros(3, np.int64))
-        with pytest.raises(ValueError, match="one entry per uop"):
-            simulate_batch_native(
-                core_microarch("K8"), [short_trace], bug=bug, step_cycles=256
-            )
+        """Both paths index record columns by uop: a short or long one is
+        refused before any pointer is passed or any cycle runs."""
+        simulators = [simulate_batch_scalar]
+        if native_available():
+            simulators.append(simulate_batch_native)
+        for n in (3, len(short_trace) + 1):
+            bug = CoreBugModel()
+            bug.compile = lambda trace, n=n: BugRecord(extra_delay=np.zeros(n, np.int64))
+            for simulate in simulators:
+                with pytest.raises(ValueError, match="one entry per uop"):
+                    simulate(core_microarch("K8"), [short_trace], bug=bug, step_cycles=256)
 
 
 class TestDirectIdentity:

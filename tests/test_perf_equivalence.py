@@ -1,12 +1,12 @@
-"""Golden counter-equivalence suite for the optimized simulation hot path.
+"""Golden counter-equivalence suite for the simulation paths.
 
-The optimized :class:`~repro.coresim.pipeline.O3Pipeline` (pre-decoded
-traces, ready-queue issue, hoisted bug hooks, batched counters, idle
-fast-forward) must be *bit-identical* to the frozen seed implementation in
-:mod:`repro.coresim._reference`: same cycle counts, same sampled counter
-names and same sampled values, for every microarchitecture preset and under
-every class of injected bug.  These tests are the contract that lets the hot
-path keep changing; see docs/PERFORMANCE.md.
+The default path (the native kernel where a compiler exists, else the
+Python fallback, which reads each bug's record) must be *bit-identical* to
+the frozen seed pipeline of :mod:`repro.coresim._reference` fed each bug's
+own hooks: same cycle counts, same sampled counter names and same sampled
+values, for every microarchitecture preset and under every class of
+injected bug.  These tests are the contract that lets the kernels keep
+changing; see docs/PERFORMANCE.md.
 """
 
 import pickle
@@ -14,10 +14,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.bugs.core_bugs import StoresToLineDelay
 from repro.bugs.registry import core_bug_suite
-from repro.coresim import O3Pipeline, simulate_trace
+from repro.coresim import simulate_trace
 from repro.coresim._reference import ReferenceO3Pipeline, reference_simulate_trace
-from repro.coresim.hooks import CoreBugModel
+from repro.coresim.hooks import CoreBugModel, RecordHooks
 from repro.detect.probe import build_probes
 from repro.memsim import simulate_memory_trace
 from repro.runtime import JobEngine, SimulationJob, TraceRegistry
@@ -105,7 +106,7 @@ class TestDecodedTrace:
 
 
 class TestGoldenEquivalence:
-    """Optimized pipeline vs the frozen seed, bit for bit."""
+    """The default path vs the frozen seed fed the bugs' hooks, bit for bit."""
 
     def test_every_preset_bug_free(self, gcc_trace):
         trace = gcc_trace[:1800]
@@ -147,23 +148,25 @@ class TestGoldenEquivalence:
         trace = gcc_trace[:1500]
         seed_pipeline = ReferenceO3Pipeline(skylake, step_cycles=256)
         seed_pipeline.warmup(list(trace))
-        optimized_pipeline = O3Pipeline(skylake, step_cycles=256)
-        optimized_pipeline.warmup(decode_trace(trace))
         _assert_identical_series(
             seed_pipeline.run(list(trace)),
-            optimized_pipeline.run(decode_trace(trace)),
+            simulate_trace(skylake, decode_trace(trace), step_cycles=256).series,
             "warmup",
         )
 
     def test_cumulative_counters_after_run(self, skylake, gcc_trace):
+        """Served through :class:`RecordHooks`, a bug's record leaves the
+        seed pipeline in the state the bug's own hooks leave it."""
         trace = gcc_trace[:1500]
-        seed_pipeline = ReferenceO3Pipeline(skylake, step_cycles=256)
-        seed_pipeline.run(list(trace))
-        optimized_pipeline = O3Pipeline(skylake, step_cycles=256)
-        optimized_pipeline.run(trace)
-        seed_counters = seed_pipeline._cumulative_counters()
-        optimized_counters = optimized_pipeline._cumulative_counters()
-        assert seed_counters == optimized_counters
+        bug = StoresToLineDelay(2, 12)
+        hooked = ReferenceO3Pipeline(skylake, bug=bug, step_cycles=256)
+        hooked.run(list(trace))
+        bug.on_simulation_start(skylake)
+        hooks = RecordHooks(bug, bug.compile(decode_trace(trace)))
+        served = ReferenceO3Pipeline(skylake, bug=hooks, step_cycles=256)
+        served.run(RecordHooks.indexed(trace))
+        assert hooked._cumulative_counters() == served._cumulative_counters()
+        assert hooked._cumulative_counters()["bug.extra_delay_cycles"] > 0
 
     def test_stateful_hook_still_called_per_dispatch(self, skylake, gcc_trace):
         """The seed pipeline calls a dispatch hook exactly once per dynamic
@@ -384,10 +387,7 @@ class TestBenchHarness:
         from repro.bench.perf import run_benchmarks
 
         report = run_benchmarks(quick=True)
-        assert report["schema_version"] == 9
-        assert report["single"]["counter_equivalence_checked"]
-        assert report["single"]["kernel"] == "scalar"
-        assert report["single"]["aggregate_speedup"] > 1.0
+        assert report["schema_version"] == 10
         # native section (v5): equivalence-gated compiled-kernel ratio with
         # compiler provenance, or an explicit available=false marker
         native = report["native"]
@@ -399,53 +399,30 @@ class TestBenchHarness:
             assert native["compiler"]["version"]
         else:
             assert native["reason"]
-        # v9: the two gated sections are the whole benchmark
-        assert {"single", "native"} <= set(report)
-        for gone in ("batch", "engine", "cluster", "store", "serve", "mixes"):
+        # v10: the gated native section is the whole benchmark
+        for gone in ("single", "batch", "engine", "cluster", "store", "serve", "mixes"):
             assert gone not in report
-
-    def test_single_row_stays_scalar_under_native_env(self, monkeypatch):
-        """The ``single`` row is labelled scalar and gated by the ratchet, so
-        the C loop must never run in it, even where native is available."""
-        import repro.coresim.native as native
-        from repro.bench.perf import bench_single
-        from repro.detect.probe import build_probes
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("bench_single timed the native kernel")
-
-        probes = build_probes(
-            ["403.gcc"], instructions_per_benchmark=3_000, interval_size=1_000,
-            max_simpoints_per_benchmark=1, seed=7,
-        )
-        monkeypatch.setattr(native, "native_available", lambda: True)
-        monkeypatch.setattr(native, "simulate_batch_native", forbidden)
-        row = bench_single(probes, quick=True)
-        assert row["kernel"] == "scalar"
-        assert row["counter_equivalence_checked"]
 
     def test_native_speedup_column_readable_and_gated_by_ratchet(self, tmp_path):
         import json
 
-        from repro.bench.ratchet import NATIVE_FLOOR, evaluate, read_native_speedup
+        from repro.bench.ratchet import DEFAULT_FLOOR, evaluate, read_speedup
 
-        report = {
-            "single": {"aggregate_speedup": 3.1},
-            "native": {"available": True, "aggregate_speedup": 9.5},
-        }
+        report = {"native": {"available": True, "aggregate_speedup": 9.5}}
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(report))
-        assert read_native_speedup(path) == 9.5
-        # compiler-less host: available=false means the gate does not apply
+        assert read_speedup(path) == 9.5
+        # compiler-less host: available=false leaves nothing to gate
         nocc = tmp_path / "nocc.json"
         nocc.write_text(json.dumps({
-            "single": {"aggregate_speedup": 3.0},
             "native": {"available": False, "reason": "no compiler"},
         }))
-        assert read_native_speedup(nocc) is None
+        with pytest.raises(ValueError, match="no native kernel speedup"):
+            read_speedup(nocc)
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps({"single": {"aggregate_speedup": 3.0}}))
-        assert read_native_speedup(legacy) is None
-        # the gate itself: floor 2.0, ratcheted like the single headline
-        assert evaluate([9.5], None, floor=NATIVE_FLOOR).ok
-        assert not evaluate([1.5], None, floor=NATIVE_FLOOR).ok
+        with pytest.raises(ValueError, match="no native kernel speedup"):
+            read_speedup(legacy)
+        # the gate itself: floor 2.0, ratcheted against the previous run
+        assert evaluate([9.5], None, floor=DEFAULT_FLOOR).ok
+        assert not evaluate([1.5], None, floor=DEFAULT_FLOOR).ok

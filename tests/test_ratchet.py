@@ -14,7 +14,7 @@ from repro.bench.ratchet import (
 
 
 def _write_report(path, speedup, **extra):
-    payload = {"single": {"aggregate_speedup": speedup}, **extra}
+    payload = {"native": {"available": True, "aggregate_speedup": speedup}, **extra}
     path.write_text(json.dumps(payload))
     return str(path)
 

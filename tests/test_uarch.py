@@ -106,3 +106,16 @@ class TestPresets:
         with pytest.raises(ValueError, match="BTB"):
             dataclasses.replace(core_microarch("K8"), btb_entries=0)
         assert dataclasses.replace(core_microarch("K8"), btb_entries=1).btb_entries == 1
+
+    def test_memory_issue_width_and_prefetch_degree_rejected(self):
+        # The memsim divides by the issue width, and its next-line
+        # prefetcher builds prefetch_degree requests per access.
+        base = memory_microarch("K10-mem")
+        lines = base.l1d.size // base.l1d.line_size
+        for width in (0, -2):
+            with pytest.raises(ValueError, match="issue width"):
+                dataclasses.replace(base, issue_width=width)
+        for degree in (lines + 1, 1 << 60):
+            with pytest.raises(ValueError, match="prefetch degree"):
+                dataclasses.replace(base, prefetch_degree=degree)
+        assert dataclasses.replace(base, prefetch_degree=lines).prefetch_degree == lines
