@@ -10,8 +10,8 @@ oracle at *test* time; this package enforces the underlying contracts at
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
 * ``protocol_constants`` — wire/schema constants defined exactly once.
-* ``native_gate`` — ``_core.c`` and ``_memsim.c`` stay ``-Wall -Wextra
-  -Werror`` clean.
+* ``native_gate`` — every C unit of the native library (``_core.c``,
+  ``_memsim.c``, ``_gbt.c``) stays ``-Wall -Wextra -Werror`` clean.
 
 Entry points: the ``repro-lint`` console script and
 ``python -m repro.analysis`` (both -> :func:`repro.analysis.cli.main`).

@@ -44,8 +44,9 @@ FAMILIES = {
     ),
     "native-warnings": (
         native_gate.check,
-        "_core.c and _memsim.c compile -Wall -Wextra -Werror clean (skipped"
-        " without a C compiler; use --no-native to skip explicitly)",
+        "the native library's three C units (_core.c, _memsim.c, _gbt.c)"
+        " compile -Wall -Wextra -Werror clean (skipped without a C compiler;"
+        " use --no-native to skip explicitly)",
     ),
 }
 

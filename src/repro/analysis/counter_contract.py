@@ -12,8 +12,9 @@ counter-name universe of each lane without running any simulation:
 * **native** — the slot-name tables in ``coresim/native/kernel.py``, plus a
   light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
   the ``SimParams`` struct layout against the ctypes marshalling.  The
-  memsim unit ``_memsim.c`` gets the same struct check: its ``MemParams``
-  against ``_MemParams`` in ``memsim/native.py``.
+  memsim and GBT units get the same struct check: ``_memsim.c``'s
+  ``MemParams`` against ``_MemParams`` in ``memsim/native.py``, and
+  ``_gbt.c``'s ``GbtParams`` against ``_GbtParams`` in ``ml/native.py``.
 
 The checker also consumes ``tests/data/counter_manifest.json`` (written by
 ``tests/data/make_golden.py``), so the statically extracted universe and the
@@ -50,6 +51,8 @@ NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
 MEMSIM_KERNEL_PATH = "src/repro/memsim/native.py"
 MEMSIM_C_PATH = "src/repro/coresim/native/_memsim.c"
+GBT_KERNEL_PATH = "src/repro/ml/native.py"
+GBT_C_PATH = "src/repro/coresim/native/_gbt.c"
 COUNTERS_PATH = "src/repro/coresim/counters.py"
 ISA_PATH = "src/repro/workloads/isa.py"
 MANIFEST_PATH = "tests/data/counter_manifest.json"
@@ -408,22 +411,37 @@ def check_native_abi(
     return findings
 
 
-def check_memsim_abi(tree: SourceTree, op_class_count: int) -> "list[Finding]":
-    """Cross-check ``_memsim.c``'s ``MemParams`` against ``_MemParams``."""
-    path = MEMSIM_C_PATH
+#: The units past ``_core.c``, each one params struct and one entry point:
+#: ``(C source, ctypes module, C struct, ctypes class, exported function)``.
+UNIT_ABIS = (
+    (MEMSIM_C_PATH, MEMSIM_KERNEL_PATH, "MemParams", "_MemParams", "repro_memsim"),
+    (GBT_C_PATH, GBT_KERNEL_PATH, "GbtParams", "_GbtParams", "repro_gbt_fit"),
+)
+
+
+def check_unit_abi(
+    tree: SourceTree,
+    op_class_count: int,
+    path: str,
+    kernel_path: str,
+    struct: str,
+    ctypes_name: str,
+    function: str,
+) -> "list[Finding]":
+    """Cross-check a unit's params *struct* against its ctypes mirror and
+    require its exported *function*."""
+    unit = path.rsplit("/", 1)[-1]
     if not tree.exists(path):
-        return [_fail(path, 0, "native memsim C source is missing")]
+        return [_fail(path, 0, f"native kernel C source {unit} is missing")]
     try:
         source = tokenize(tree.read(path))
     except CTokenizeError as exc:
         return [_fail(path, 0, f"C tokenizer failed: {exc}")]
-    py_fields = extract_ctypes_fields(
-        tree, op_class_count, MEMSIM_KERNEL_PATH, "_MemParams"
-    )
-    findings = _check_struct(path, source, "MemParams", py_fields, "_MemParams")
-    if "repro_memsim" not in source.functions:
+    py_fields = extract_ctypes_fields(tree, op_class_count, kernel_path, ctypes_name)
+    findings = _check_struct(path, source, struct, py_fields, ctypes_name)
+    if function not in source.functions:
         findings.append(
-            _fail(path, 0, "exported function repro_memsim not defined in _memsim.c")
+            _fail(path, 0, f"exported function {function} not defined in {unit}")
         )
     return findings
 
@@ -579,10 +597,11 @@ def check(tree: SourceTree) -> "list[Finding]":
         findings.extend(check_native_abi(tree, lazy, always, len(op_classes)))
     except ValueError as exc:
         findings.append(_fail(NATIVE_KERNEL_PATH, 0, str(exc)))
-    try:
-        findings.extend(check_memsim_abi(tree, len(op_classes)))
-    except ValueError as exc:
-        findings.append(_fail(MEMSIM_KERNEL_PATH, 0, str(exc)))
+    for abi in UNIT_ABIS:
+        try:
+            findings.extend(check_unit_abi(tree, len(op_classes), *abi))
+        except ValueError as exc:
+            findings.append(_fail(abi[1], 0, str(exc)))
 
     findings.extend(check_manifest(tree, reference, derived))
     return findings

@@ -1,5 +1,6 @@
-"""Native warning gate: the kernel's C units (``_core.c``, ``_memsim.c``)
-must be ``-Wall -Wextra -Werror`` clean.
+"""Native warning gate: the kernel library's C units (``_core.c``,
+``_memsim.c`` and ``_gbt.c``, as ``build.SOURCE_PATHS`` lists them) must be
+``-Wall -Wextra -Werror`` clean.
 
 Unlike the other rule families this one shells out to the system C compiler
 (via :func:`repro.coresim.native.build.werror_check`).  The regular kernel
@@ -20,16 +21,16 @@ from .tree import SourceTree
 
 RULE = "native-warnings"
 
-C_PATHS = (
-    "src/repro/coresim/native/_core.c",
-    "src/repro/coresim/native/_memsim.c",
-)
+#: Where the units sit in a source tree, relative to its root.
+UNIT_DIRECTORY = "src/repro/coresim/native"
 
 
 def check(tree: SourceTree) -> "list[Finding]":
+    from ..coresim.native import build
+
     findings = []
-    for path in C_PATHS:
-        findings.extend(_check_unit(tree, path))
+    for unit in build.SOURCE_PATHS:
+        findings.extend(_check_unit(tree, f"{UNIT_DIRECTORY}/{unit.name}"))
     return findings
 
 

@@ -4,7 +4,8 @@ See :mod:`repro.coresim.native.kernel` for the marshalling layer and
 :mod:`repro.coresim.native.build` for compiler discovery, the blake2b-keyed
 build cache, and the graceful no-compiler fallback.  The same library holds
 the memory-hierarchy kernel (``_memsim.c``), marshalled by
-:mod:`repro.memsim.native`.
+:mod:`repro.memsim.native`, and the gradient-boosting loop (``_gbt.c``),
+marshalled by :mod:`repro.ml.native`.
 """
 
 from .build import (

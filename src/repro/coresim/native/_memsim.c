@@ -79,7 +79,7 @@ typedef struct {
     i64 issue_width;
     i64 dram_latency;
     i64 prefetcher;        /* PF_* */
-    i64 degree;            /* max(1, prefetch degree) */
+    i64 degree;            /* prefetch degree, at least 1 */
     i64 line_size;         /* L1D line: next-line distance, SPP block size */
     i64 spp_signature_reset;
     i64 spp_least_confident;

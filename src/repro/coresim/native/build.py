@@ -1,25 +1,27 @@
-"""Lazy build layer for the native simulation kernels.
+"""Lazy build layer for the native kernels.
 
-The C sources shipped inside the package — ``_core.c`` (the core cycle
-loop) and ``_memsim.c`` (the memory-hierarchy loop) — are compiled together
-into one shared library on first use, with whatever system compiler is
-discoverable; there is deliberately no numba/Cython/setuptools-build-time
-dependency.  The library is cached under a per-user build directory keyed by
+The three C units shipped inside the package — ``_core.c`` (the core cycle
+loop), ``_memsim.c`` (the memory-hierarchy loop) and ``_gbt.c`` (the
+gradient-boosting loop) — are compiled together into one shared library on
+first use, with whatever system compiler is discoverable; there is
+deliberately no numba/Cython/setuptools-build-time dependency.  The library
+is cached under a per-user build directory keyed by
 ``blake2b(sources + flags + compiler + compiler version)``, so source edits,
 flag changes, and toolchain upgrades each get a fresh artifact while repeat
 runs pay nothing.  One library means one build: whatever loads the core
-kernel (``native_available()``) has the memsim kernel too.
+kernel (``native_available()``) has the memsim and GBT kernels too.
 
 Failure is never an exception here: no compiler, an unwritable cache
 directory, or a failed compile all degrade to ``None`` with a single
-``RuntimeWarning`` per process, and the simulators fall back to their Python
-loops (see ``repro.coresim.simulator`` and ``repro.memsim.simulator``).
+``RuntimeWarning`` per process, and the simulators and the GBT fall back to
+their Python loops (see ``repro.coresim.simulator``,
+``repro.memsim.simulator`` and ``repro.ml.gbt``).
 
 Environment knobs:
 
 ``REPRO_NATIVE_CC``
     Explicit compiler command or path.  An unusable value (missing binary)
-    disables both native kernels rather than falling back to discovery,
+    disables every native kernel rather than falling back to discovery,
     which makes forced-failure testing deterministic.
 ``REPRO_NATIVE_CACHE``
     Build-cache directory override (default:
@@ -43,6 +45,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -59,7 +62,10 @@ SANITIZE_ENV_VAR = "REPRO_NATIVE_SANITIZE"
 COMPILER_CANDIDATES = ("gcc", "cc", "clang")
 
 #: Flags for the shared-library build.  Part of the cache key.
-CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
+#: ``-ffp-contract=off`` keeps ``a*b + c`` two roundings, as numpy and
+#: Python compute it: GCC turns contraction off under ``-std=c99`` already,
+#: Clang fuses into an FMA wherever the target has one (any arm64).
+CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Warning gate flags: the C source must stay warning-clean under these.
 #: Checked by ``werror_check`` (wired into repro-lint and CI), not by the
@@ -71,10 +77,12 @@ WERROR_FLAGS = ("-Wall", "-Wextra", "-Werror")
 SOURCE_PATHS = (
     Path(__file__).with_name("_core.c"),
     Path(__file__).with_name("_memsim.c"),
+    Path(__file__).with_name("_gbt.c"),
 )
 
 _lib: "ctypes.CDLL | None" = None
 _lib_resolved = False
+_load_lock = threading.Lock()
 _warned = False
 _compiler_info: "dict[str, str] | None | bool" = False  # False == not probed
 
@@ -86,7 +94,7 @@ def _warn_once(reason: str) -> None:
     _warned = True
     warnings.warn(
         f"repro native kernel unavailable ({reason}); "
-        "falling back to the scalar kernel and the Python memsim",
+        "falling back to the scalar kernel, the Python memsim and the numpy GBT",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -322,20 +330,21 @@ def sanitizer_preload() -> "list[str]":
 
 
 def load_library() -> "ctypes.CDLL | None":
-    """The compiled kernel library (both units), or None when unavailable.
-    Memoised."""
+    """The compiled kernel library (every unit), or None when unavailable.
+    Memoised.  A thread that asks while another builds or loads it waits
+    for that result instead of reading the library as missing."""
     global _lib, _lib_resolved
     if _lib_resolved:
         return _lib
-    _lib_resolved = True
-    path = library_path()
-    if path is None:
-        return None
-    try:
-        _lib = ctypes.CDLL(str(path))
-    except OSError as exc:
-        _warn_once(f"cannot load {path.name}: {exc}")
-        _lib = None
+    with _load_lock:
+        if not _lib_resolved:
+            path = library_path()
+            if path is not None:
+                try:
+                    _lib = ctypes.CDLL(str(path))
+                except OSError as exc:
+                    _warn_once(f"cannot load {path.name}: {exc}")
+            _lib_resolved = True
     return _lib
 
 

@@ -193,7 +193,7 @@ def _fill_params(
     by :func:`_fill_record`."""
     if config.issue_width < 1:
         raise NativeKernelUnavailable(f"issue width {config.issue_width} is below 1")
-    degree = max(1, config.prefetch_degree)
+    degree = config.prefetch_degree
     line_size = config.l1d.line_size
     if degree * line_size >= ADDRESS_LIMIT:
         raise NativeKernelUnavailable(

@@ -3,7 +3,9 @@
 Least-squares gradient boosting (Friedman 2001) over the CART trees of
 :mod:`repro.ml.tree`, with shrinkage, optional row subsampling and early
 stopping on a validation set.  ``GBT-150`` / ``GBT-250`` in the paper's tables
-correspond to 150 / 250 boosting rounds.
+correspond to 150 / 250 boosting rounds.  The boosting loop runs in the
+native library (:mod:`repro.ml.native`); the numpy loop here is its
+fallback and gives the same trees bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .base import FitResult, Regressor, validate_training_inputs
 from .metrics import mean_squared_error
+from .native import NativeKernelUnavailable, boost_native
 from .preprocessing import flatten_windows
 from .tree import RegressionTree, descend
 
@@ -56,10 +59,24 @@ class GradientBoostedTrees(Regressor):
         X_val: Optional[np.ndarray] = None,
         y_val: Optional[np.ndarray] = None,
     ) -> FitResult:
+        """Boost in the native library (:mod:`repro.ml.native`), or in numpy
+        where it cannot run; both loops give the same trees bit for bit."""
+        return self._fit(X_train, y_train, X_val, y_val, native=True)
+
+    def fit_numpy(
+        self,
+        X_train: np.ndarray,
+        y_train: np.ndarray,
+        X_val: Optional[np.ndarray] = None,
+        y_val: Optional[np.ndarray] = None,
+    ) -> FitResult:
+        """:meth:`fit` on the numpy boosting loop, the native loop's fallback."""
+        return self._fit(X_train, y_train, X_val, y_val, native=False)
+
+    def _fit(self, X_train, y_train, X_val, y_val, native: bool) -> FitResult:
         X = flatten_windows(X_train)
         y = np.asarray(y_train, dtype=float)
         validate_training_inputs(X, y)
-        rng = np.random.default_rng(self.seed)
 
         has_val = X_val is not None and y_val is not None and len(y_val) > 0
         X_validation = flatten_windows(X_val) if has_val else None
@@ -68,6 +85,43 @@ class GradientBoostedTrees(Regressor):
         self._trees = []
         self._forest = None
         self._base_prediction = float(y.mean())
+        boosted = None
+        if native:
+            try:
+                boosted = boost_native(self, X, y, X_validation, y_validation)
+            except NativeKernelUnavailable:
+                pass
+        if boosted is None:
+            boosted = self._boost_numpy(X, y, X_validation, y_validation)
+        self._trees, history = boosted
+
+        # Early stopping keeps no tree when no validation loss was finite.
+        self._forest = _Forest(self._trees) if self._trees else None
+        final_pred = self.predict(X)
+        train_loss = mean_squared_error(y, final_pred)
+        val_loss = (
+            mean_squared_error(y_validation, self.predict(X_validation))
+            if has_val
+            else None
+        )
+        return FitResult(
+            train_loss=train_loss,
+            val_loss=val_loss,
+            epochs_run=len(self._trees),
+            history=history,
+        )
+
+    def _boost_numpy(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        X_validation: Optional[np.ndarray],
+        y_validation: Optional[np.ndarray],
+    ) -> tuple[list[RegressionTree], list[float]]:
+        """The kept trees and the per-round train losses, boosted in numpy."""
+        rng = np.random.default_rng(self.seed)
+        has_val = X_validation is not None
+        trees: list[RegressionTree] = []
         predictions = np.full(len(y), self._base_prediction)
         val_predictions = (
             np.full(len(y_validation), self._base_prediction) if has_val else None
@@ -90,7 +144,7 @@ class GradientBoostedTrees(Regressor):
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             )
             tree.fit(X[chosen], residuals[chosen])
-            self._trees.append(tree)
+            trees.append(tree)
             predictions += self.learning_rate * tree.predict(X)
             train_loss = mean_squared_error(y, predictions)
             history.append(train_loss)
@@ -105,24 +159,9 @@ class GradientBoostedTrees(Regressor):
                 else:
                     rounds_without_improvement += 1
                     if rounds_without_improvement >= self.early_stopping_rounds:
-                        self._trees = self._trees[:best_round]
+                        trees = trees[:best_round]
                         break
-
-        # Early stopping keeps no tree when no validation loss was finite.
-        self._forest = _Forest(self._trees) if self._trees else None
-        final_pred = self.predict(X)
-        train_loss = mean_squared_error(y, final_pred)
-        val_loss = (
-            mean_squared_error(y_validation, self.predict(X_validation))
-            if has_val
-            else None
-        )
-        return FitResult(
-            train_loss=train_loss,
-            val_loss=val_loss,
-            epochs_run=len(self._trees),
-            history=history,
-        )
+        return trees, history
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._forest is None:

@@ -181,6 +181,10 @@ class MemoryHierarchyConfig:
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
         if self.issue_width < 1:
             raise ValueError(f"issue width must be at least 1, got {self.issue_width}")
+        if self.prefetch_degree < 1:
+            raise ValueError(
+                f"prefetch degree must be at least 1, got {self.prefetch_degree}"
+            )
         l1d_lines = self.l1d.size // self.l1d.line_size
         if self.prefetch_degree > l1d_lines:
             raise ValueError(

@@ -271,6 +271,25 @@ class TestCounterContract:
         messages = [f.message for f in counter_findings(overlay)]
         assert any("MemParams field order" in m for m in messages), messages
 
+    def test_gbt_struct_field_rename_detected(self):
+        overlay = _mutate(
+            "src/repro/coresim/native/_gbt.c",
+            "double learning_rate;",
+            "double learning_ratx;",
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("GbtParams" in m and "learning_rate" in m for m in messages), messages
+        assert any("learning_ratx" in m for m in messages), messages
+
+    def test_gbt_ctypes_field_reorder_detected(self):
+        overlay = _mutate(
+            "src/repro/ml/native.py",
+            '        ("learning_rate", ctypes.c_double),\n        ("base", ctypes.c_double),\n',
+            '        ("base", ctypes.c_double),\n        ("learning_rate", ctypes.c_double),\n',
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("GbtParams field order" in m for m in messages), messages
+
     def test_manifest_kernel_skew_detected(self):
         manifest = json.loads(
             (REPO_ROOT / "tests/data/counter_manifest.json").read_text("utf-8")
@@ -410,6 +429,18 @@ class TestNativeGate:
         }
         findings = native_gate.check(tree_with(overlay))
         assert findings, "expected -Wall/-Wextra to flag the unused fixture"
+
+    def test_every_library_unit_is_gated(self):
+        from repro.coresim.native import build
+
+        if build.find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        for unit in build.SOURCE_PATHS:
+            path = f"src/repro/coresim/native/{unit.name}"
+            overlay = {path: unit.read_text("utf-8")
+                       + "\nstatic int lint_fixture(int unused) { return 0; }\n"}
+            findings = native_gate.check(tree_with(overlay))
+            assert findings and {f.path for f in findings} == {path}, findings
 
     def test_sanitize_mode_parsing(self, monkeypatch):
         from repro.coresim.native import build

@@ -1,5 +1,7 @@
 """Tests for the experiments harness (scales, context, rendering, runner)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -101,3 +103,33 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_all("smoke", only=["tab99"])
+
+
+class TestTable4Timing:
+    def test_each_row_times_only_its_own_fits(self, monkeypatch):
+        # Every engine reads the same simulations.  Run inside the first
+        # engine's timed prepare() and error vectors, they were charged to
+        # that engine's Training (s) and Inference (s).
+        from repro.experiments import table4_ipc_modeling
+        from repro.experiments.common import SMOKE
+
+        scale = dataclasses.replace(
+            SMOKE, name="tab4-timing", benchmarks=("403.gcc",),
+            instructions_per_benchmark=3_000, interval_size=1_000, max_simpoints=1,
+            engines=("Lasso", "Lasso"), train_arch_limit=2, test_arch_limit=1,
+        )
+        context = ExperimentContext(scale)
+        grown = []
+        for name in ("prepare", "error_vector"):
+            timed = getattr(table4_ipc_modeling.TwoStageDetector, name)
+
+            def counting(self, *args, _timed=timed, _name=name):
+                before = len(context.cache)
+                result = _timed(self, *args)
+                grown.append((_name, len(context.cache) - before))
+                return result
+
+            monkeypatch.setattr(table4_ipc_modeling.TwoStageDetector, name, counting)
+        result = table4_ipc_modeling.run(context=context)
+        assert len(result.rows) == 2
+        assert grown and all(new == 0 for _name, new in grown), grown

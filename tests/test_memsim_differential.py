@@ -136,8 +136,8 @@ def _random_config(rng: random.Random, odd_line: bool = False):
         llc=_mutate_cache(rng, config.llc, rng.choice((line_size, 64))),
         dram_latency=rng.choice((1, 60, config.dram_latency, 400)),
         prefetcher=rng.choice(("none", "next_line", "spp", "spp")),
-        # a degree past the L1D's line count is a construction error
-        prefetch_degree=min(rng.choice((0, 1, 2, 3, 4, 6)), l1d.size // line_size),
+        # a degree below 1 or past the L1D's line count is a construction error
+        prefetch_degree=min(rng.choice((1, 2, 3, 4, 6)), l1d.size // line_size),
         issue_width=rng.choice((1, 2, config.issue_width, 8)),
     )
 

@@ -2,7 +2,9 @@
 
 ``TestReferenceFuzz`` checks the array-backed CART tree and gradient
 boosting bit-for-bit against the frozen object-tree copy in
-``tests/ml_reference.py`` over seeded random inputs.  The seed comes from
+``tests/ml_reference.py`` over seeded random inputs.  Every GBT case runs
+three ways, reference == numpy loop (``fit_numpy``) == ``fit``, which boosts
+in the native library when it loads.  The seed comes from
 ``REPRO_FUZZ_SEED`` (CI rotates it per run) and every assertion message names
 it, so a failure replays locally with::
 
@@ -10,6 +12,8 @@ it, so a failure replays locally with::
 """
 
 import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from hypothesis import strategies as st
 from ml_reference import GradientBoostedTrees as ReferenceGBT
 from ml_reference import RegressionTree as ReferenceTree
 
+import repro.ml.gbt as gbt_module
+from repro.coresim.native import NativeKernelUnavailable, load_library
+from repro.coresim.native import build as native_build
 from repro.ml import (
     Adam,
     CNNRegressor,
@@ -46,6 +53,11 @@ FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "") or DEFAULT_FUZZ_SEED)
 #: Seeded random cases per engine in the reference fuzz.
 TREE_FUZZ_CASES = 240
 GBT_FUZZ_CASES = 60
+
+#: Row spans of the GBT cases after the first GBT_FUZZ_CASES: past 128 and
+#: 256 rows numpy's pairwise sum (8 accumulators, blocks of 128) splits into
+#: halves, then quarters.
+GBT_LARGE_ROW_SPANS = ((129, 257), (129, 257), (257, 301), (257, 301))
 
 
 def _linear_data(n=300, f=8, noise=0.02, seed=0):
@@ -221,7 +233,8 @@ def _assert_same_predictions(got, expected, context):
 
 
 class TestReferenceFuzz:
-    """Array-backed tree and GBT == the frozen object-tree reference, bit for bit."""
+    """Array-backed tree, numpy GBT loop and native GBT loop == the frozen
+    object-tree reference, bit for bit."""
 
     def test_tree_matches_reference(self):
         for case in range(TREE_FUZZ_CASES):
@@ -270,44 +283,182 @@ class TestReferenceFuzz:
             with pytest.raises(RuntimeError, match="not been fitted"):
                 model.fit(X[:30], y[:30], X[30:], np.full(10, np.nan))
 
-    def test_gbt_matches_reference(self):
+    def test_gbt_matches_reference(self, native_runs):
+        row_spans = [(1, 91)] * GBT_FUZZ_CASES + list(GBT_LARGE_ROW_SPANS)
         stopped = 0
-        for case in range(GBT_FUZZ_CASES):
+        for case, span in enumerate(row_spans):
             rng = np.random.default_rng([FUZZ_SEED, 2, case])
-            n, n_features = int(rng.integers(1, 91)), int(rng.integers(1, 28))
-            X = _fuzz_features(rng, n, n_features)
-            y = _fuzz_targets(rng, X)
-            params = dict(
-                n_estimators=int(rng.integers(1, 41)),
-                learning_rate=float(rng.choice([0.08, 0.3, 1.0])),
-                max_depth=int(rng.integers(1, 6)),
-                subsample=float(rng.choice([0.5, 0.8, 1.0])),
-                min_samples_leaf=int(rng.integers(1, 4)),
-                early_stopping_rounds=int(rng.integers(1, 8)),
-                seed=int(rng.integers(1 << 16)),
-            )
-            n_val = int(rng.integers(1, n // 3 + 1)) if case % 2 and n >= 3 else 0
-            data = ((X[n_val:], y[n_val:], X[:n_val], y[:n_val]) if n_val
-                    else (X, y))
-            context = (f"seed={FUZZ_SEED} gbt case={case} n={n} "
-                       f"features={n_features} validation={n_val} {params} "
-                       f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})")
-            model = GradientBoostedTrees(**params)
-            expected = ReferenceGBT(**params)
-            got, want = model.fit(*data), expected.fit(*data)
-            assert got.history == want.history, context
-            assert got.train_loss == want.train_loss, context
-            assert got.val_loss == want.val_loss, context
-            assert got.epochs_run == want.epochs_run, context
-            assert model.n_trees_fitted == expected.n_trees_fitted, context
-            stopped += len(want.history) < params["n_estimators"]
-            unseen = _fuzz_features(rng, int(rng.integers(0, 30)), n_features)
-            for name, rows in (("all", X), ("one-row", X[:1]), ("no-rows", X[:0]),
-                               ("unseen", unseen)):
-                _assert_same_predictions(model.predict(rows), expected.predict(rows),
-                                         f"{context} predict={name}")
+            stopped += _check_gbt_case(rng, int(rng.integers(*span)), case)
         assert stopped >= 3, (
             f"seed={FUZZ_SEED}: early stopping fired in only {stopped} GBT cases")
+        _assert_native_ran(native_runs, len(row_spans))
+
+    def test_gbt_overflowing_sse_matches_reference(self, native_runs):
+        # Every candidate SSE is NaN, so every tree is one leaf, and the
+        # squared errors overflow: every loss is inf.
+        rng = np.random.default_rng([FUZZ_SEED, 4])
+        X = _fuzz_features(rng, 40, 6)
+        y = 1e160 * (1.0 + rng.random(40)) * rng.choice([-1.0, 1.0])
+        params = dict(n_estimators=12, max_depth=3, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_three_ways(params, (X, y), X, f"seed={FUZZ_SEED} |y|~1e160")
+        _assert_native_ran(native_runs, 1)
+
+    def test_gbt_non_finite_feature_falls_back(self, native_runs):
+        rng = np.random.default_rng([FUZZ_SEED, 5])
+        X = _fuzz_features(rng, 50, 4)
+        y = _fuzz_targets(rng, X)
+        X[7, 2] = np.nan
+        X[11, 0] = np.inf
+        params = dict(n_estimators=15, seed=3)
+        data = (X[10:], y[10:], X[:10], y[:10])
+        _assert_three_ways(params, data, X, f"seed={FUZZ_SEED} non-finite")
+        assert native_runs == ["a non-finite training feature"], native_runs
+
+    def test_gbt_threshold_rounded_onto_the_upper_value(self, native_runs):
+        # 0.5 * (a + b) rounds to b for adjacent floats a < b = 1.0: every row
+        # goes left and the right child is an empty leaf valued NaN, again at
+        # every level.  Depth 4 fits the native node slots; depth 12 needs
+        # more than a tree whose leaves all hold rows, and falls back.
+        X = np.array([[np.nextafter(1.0, 0.0)]] * 4 + [[1.0]] * 4)
+        y = np.repeat([0.0, 1.0], 4)
+        rows = np.array([[0.0], [1.0], [2.0]])
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for depth in (4, 12):
+                params = dict(n_estimators=3, max_depth=depth, subsample=1.0)
+                _assert_three_ways(params, (X, y), rows, f"depth={depth}")
+        if load_library() is not None:
+            assert native_runs == ["native", "a tree with more nodes than rows allow"]
+
+    def test_gbt_without_a_compiler_matches_native(self, no_compiler, native_runs):
+        rng = np.random.default_rng([FUZZ_SEED, 6])
+        X = _fuzz_features(rng, 60, 5)
+        y = _fuzz_targets(rng, X)
+        data = (X[12:], y[12:], X[:12], y[:12])
+        native = GradientBoostedTrees(n_estimators=20, seed=9)
+        native_result = native.fit(*data)
+        with no_compiler():
+            fallback = GradientBoostedTrees(n_estimators=20, seed=9)
+            fallback_result = fallback.fit(*data)
+        context = f"seed={FUZZ_SEED} no compiler"
+        _assert_same_fit(fallback_result, native_result, context)
+        _assert_same_trees(fallback, native, context)
+        assert native_runs[-1] == "native kernel library unavailable", native_runs
+
+    def test_gbt_fits_from_threads_match_serial_fits(self, native_runs):
+        # The C loop keeps no static state and ctypes drops the GIL, so fits
+        # on several threads overlap inside the kernel.  They start where a
+        # process's first fits start, before the library is loaded: a thread
+        # must wait for another's load, not fall back to numpy.
+        rng = np.random.default_rng([FUZZ_SEED, 7])
+        X = _fuzz_features(rng, 80, 12)
+        y = _fuzz_targets(rng, X)
+        data = (X[16:], y[16:], X[:16], y[:16])
+        models = [GradientBoostedTrees(n_estimators=60, seed=seed) for seed in range(4)]
+        native_build._reset_for_tests()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda model: model.fit(*data), models))
+        for seed, (model, result) in enumerate(zip(models, results)):
+            serial = GradientBoostedTrees(n_estimators=60, seed=seed)
+            context = f"seed={FUZZ_SEED} thread fit {seed}"
+            _assert_same_fit(result, serial.fit(*data), context)
+            _assert_same_trees(model, serial, context)
+        _assert_native_ran(native_runs, 8)
+
+
+@pytest.fixture()
+def native_runs(monkeypatch):
+    """What each native boosting call did: "native", or why it fell back."""
+    outcomes = []
+    boost_native = gbt_module.boost_native
+
+    def recording(*args):
+        try:
+            boosted = boost_native(*args)
+        except NativeKernelUnavailable as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append("native")
+        return boosted
+
+    monkeypatch.setattr(gbt_module, "boost_native", recording)
+    return outcomes
+
+
+def _assert_native_ran(outcomes, fits):
+    """Every one of *fits* fits boosted in C, unless the library is missing
+    (``REPRO_NATIVE_CC=``), when every one fell back."""
+    expected = "native" if load_library() is not None else "native kernel library unavailable"
+    assert outcomes == [expected] * fits, outcomes
+
+
+def _float_bytes(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def _assert_same_fit(got, want, context):
+    """Every ``FitResult`` field, floats compared by their bits."""
+    assert [_float_bytes(v) for v in got.history] == [
+        _float_bytes(v) for v in want.history], context
+    assert _float_bytes(got.train_loss) == _float_bytes(want.train_loss), context
+    assert _float_bytes(got.val_loss) == _float_bytes(want.val_loss), context
+    assert got.epochs_run == want.epochs_run, context
+
+
+def _assert_same_trees(got, want, context):
+    """The kept trees' node arrays and depths, by dtype and bytes."""
+    assert len(got._trees) == len(want._trees), context
+    for index, (tree, expected) in enumerate(zip(got._trees, want._trees)):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            _assert_same_predictions(getattr(tree, name), getattr(expected, name),
+                                     f"{context} tree={index} {name}")
+        assert tree.depth == expected.depth, f"{context} tree={index} depth"
+
+
+def _assert_three_ways(params, data, rows, context):
+    """Reference, ``fit_numpy`` and ``fit`` give the same fit, trees and
+    predictions on *rows*; returns the reference's ``FitResult``."""
+    expected = ReferenceGBT(**params)
+    numpy_model = GradientBoostedTrees(**params)
+    model = GradientBoostedTrees(**params)
+    want = expected.fit(*data)
+    for name, got in (("numpy", numpy_model.fit_numpy(*data)), ("fit", model.fit(*data))):
+        _assert_same_fit(got, want, f"{context} {name}")
+    assert model.n_trees_fitted == expected.n_trees_fitted, context
+    _assert_same_trees(model, numpy_model, context)
+    for name, unseen in (("rows", rows), ("one-row", rows[:1]), ("no-rows", rows[:0])):
+        expected_rows = expected.predict(unseen)
+        _assert_same_predictions(numpy_model.predict(unseen), expected_rows,
+                                 f"{context} numpy predict={name}")
+        _assert_same_predictions(model.predict(unseen), expected_rows,
+                                 f"{context} predict={name}")
+    return want
+
+
+def _check_gbt_case(rng, n, case):
+    """One seeded GBT case three ways, with validation data in odd cases;
+    returns whether early stopping fired."""
+    n_features = int(rng.integers(1, 28))
+    X = _fuzz_features(rng, n, n_features)
+    y = _fuzz_targets(rng, X)
+    params = dict(
+        n_estimators=int(rng.integers(1, 41)),
+        learning_rate=float(rng.choice([0.08, 0.3, 1.0])),
+        max_depth=int(rng.integers(1, 6)),
+        subsample=float(rng.choice([0.5, 0.8, 1.0])),
+        min_samples_leaf=int(rng.integers(1, 4)),
+        early_stopping_rounds=int(rng.integers(1, 8)),
+        seed=int(rng.integers(1 << 16)),
+    )
+    n_val = int(rng.integers(1, n // 3 + 1)) if case % 2 and n >= 3 else 0
+    data = ((X[n_val:], y[n_val:], X[:n_val], y[:n_val]) if n_val else (X, y))
+    context = (f"seed={FUZZ_SEED} gbt case={case} n={n} "
+               f"features={n_features} validation={n_val} {params} "
+               f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})")
+    unseen = _fuzz_features(rng, int(rng.integers(0, 30)), n_features)
+    want = _assert_three_ways(params, data, np.vstack([X, unseen]), context)
+    return len(want.history) < params["n_estimators"]
 
 
 class TestEngineFactory:

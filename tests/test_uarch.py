@@ -109,13 +109,16 @@ class TestPresets:
 
     def test_memory_issue_width_and_prefetch_degree_rejected(self):
         # The memsim divides by the issue width, and its next-line
-        # prefetcher builds prefetch_degree requests per access.
+        # prefetcher builds prefetch_degree requests per access.  Both
+        # memsims ran a degree below 1 as 1, while feature_vector() reported
+        # the raw value: one design under several design features.
         base = memory_microarch("K10-mem")
         lines = base.l1d.size // base.l1d.line_size
         for width in (0, -2):
             with pytest.raises(ValueError, match="issue width"):
                 dataclasses.replace(base, issue_width=width)
-        for degree in (lines + 1, 1 << 60):
+        for degree in (lines + 1, 1 << 60, 0, -3):
             with pytest.raises(ValueError, match="prefetch degree"):
                 dataclasses.replace(base, prefetch_degree=degree)
         assert dataclasses.replace(base, prefetch_degree=lines).prefetch_degree == lines
+        assert dataclasses.replace(base, prefetch_degree=1).prefetch_degree == 1
