@@ -6,10 +6,6 @@
 * ``repro-experiments`` — the ``python -m repro.experiments.runner`` CLI
   (``--scale``, ``--only``, ``--jobs``, ``--backend``, ``--store``,
   ``--trace-dir``, ``--trace-format``, ``--mixes``);
-* ``repro-bench`` — the simulation-kernel benchmark gate
-  (``python -m repro.bench.perf``: ``--quick``, ``--output``), which
-  writes ``BENCH_simulation.json``; end-to-end numbers come from
-  ``perfbench/run.py``;
 * ``repro-ingest`` — on-disk trace inspection
   (``python -m repro.workloads.ingest``: lists format
   (ChampSim/gem5/k6-style), instruction count, digest and optional SimPoint
@@ -37,8 +33,11 @@
   diffs the daemon against;
 * ``repro-lint`` — static contract analysis
   (``python -m repro.analysis``): checks the kernels' counter-name
-  universe, determinism lints, hook-override eligibility, protocol
-  constants and the native ``-Werror`` gate (see ``docs/ANALYSIS.md``).
+  universe, determinism lints, protocol constants and the native
+  ``-Werror`` gate (see ``docs/ANALYSIS.md``).
+
+End-to-end benchmark numbers come from ``perfbench/run.py``, run from a
+checkout, and ``python -m repro.bench.ratchet`` gates them in CI.
 """
 
 from setuptools import find_packages, setup
@@ -60,7 +59,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-experiments=repro.experiments.runner:main",
-            "repro-bench=repro.bench.perf:main",
             "repro-ingest=repro.workloads.ingest:main",
             "repro-worker=repro.runtime.worker:main",
             "repro-store=repro.runtime.store_cli:main",

@@ -39,8 +39,9 @@ FAMILIES = {
     ),
     "protocol-constant": (
         protocol_constants.check,
-        "PROTOCOL_VERSION / MAX_FRAME_BYTES / SCHEMA_VERSION defined once"
-        " and imported everywhere else; no hand-rolled frame headers",
+        "the wire constants of runtime/framing.py (PROTOCOL_VERSION,"
+        " MAX_FRAME_BYTES, the liveness frame kinds and timings) defined"
+        " once and imported everywhere else; no hand-rolled frame headers",
     ),
     "native-warnings": (
         native_gate.check,
@@ -110,6 +111,18 @@ def run_lint(
             )
         )
     apply_suppressions(findings, pragmas_by_path, allowlist)
+    if families is None and native:
+        # Only a run of every family can tell that an entry waives nothing.
+        for number, entry in allowlist.unused():
+            findings.append(
+                Finding(
+                    "pragma-format",
+                    ALLOWLIST_NAME,
+                    number,
+                    f"allowlist entry {entry!r} suppresses no finding — "
+                    "delete it",
+                )
+            )
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
 

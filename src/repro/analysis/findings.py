@@ -10,10 +10,12 @@ two ways (docs/ANALYSIS.md):
 * **Checked-in allowlist** — ``.repro-lint-allow`` at the repository root,
   one entry per line: ``<rule> <path>[:<line>] <reason...>``.  A path entry
   without a line suppresses the rule for the whole file (used for files
-  whose entire job is e.g. wall-clock timing, like the bench harness).
+  whose wall-clock reads all feed timing reports, like the serve daemon's
+  latency stats).
 
 Suppressed findings are retained (``suppressed=True``) so the JSON report
 shows what was waived and why; only live findings affect the exit status.
+A full run also reports each allowlist entry that suppressed nothing.
 """
 
 from __future__ import annotations
@@ -103,10 +105,11 @@ class Allowlist:
     """The checked-in suppression list (``.repro-lint-allow``)."""
 
     def __init__(self) -> None:
-        #: (rule, path) -> reason for whole-file entries.
-        self._files: dict[tuple[str, str], str] = {}
-        #: (rule, path, line) -> reason for line-pinned entries.
-        self._lines: dict[tuple[str, str, int], str] = {}
+        #: (rule, path) for a whole-file entry, (rule, path, line) for a
+        #: line-pinned one -> (reason, line number in the file, entry text).
+        self._entries: dict[tuple, tuple[str, int, str]] = {}
+        #: keys of the entries :meth:`lookup` has matched.
+        self._used: set[tuple] = set()
         self.malformed: list[tuple[int, str]] = []
 
     @classmethod
@@ -127,19 +130,27 @@ class Allowlist:
             rule = match.group("rule")
             entry_path = match.group("path")
             reason = match.group("reason").strip()
+            key = (rule, entry_path)
             if match.group("line"):
-                key = (rule, entry_path, int(match.group("line")))
-                allowlist._lines[key] = reason
-            else:
-                allowlist._files[(rule, entry_path)] = reason
+                key += (int(match.group("line")),)
+            allowlist._entries[key] = (reason, number, line)
         return allowlist
 
     def lookup(self, rule: str, path: str, line: int) -> "str | None":
         """The allowlist reason covering (*rule*, *path*, *line*), if any."""
-        pinned = self._lines.get((rule, path, line))
-        if pinned is not None:
-            return pinned
-        return self._files.get((rule, path))
+        for key in ((rule, path, line), (rule, path)):
+            if key in self._entries:
+                self._used.add(key)
+                return self._entries[key][0]
+        return None
+
+    def unused(self) -> "list[tuple[int, str]]":
+        """(line number, text) of each entry that :meth:`lookup` never matched."""
+        return sorted(
+            (number, text)
+            for key, (_reason, number, text) in self._entries.items()
+            if key not in self._used
+        )
 
 
 def apply_suppressions(

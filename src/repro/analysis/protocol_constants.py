@@ -1,8 +1,8 @@
 """Protocol-constant lint (rule family 4): single-definition wire constants.
 
-The serving daemon, the worker-pool backends and the bench schema all
-interoperate across process (and potentially host) boundaries.  Their wire
-constants therefore have exactly one home each:
+The serving daemon and its clients, and the cluster scheduler and its
+``repro-worker`` processes, talk across process (and potentially host)
+boundaries.  Their wire constants therefore have exactly one home each:
 
 * ``PROTOCOL_VERSION`` and ``MAX_FRAME_BYTES`` — ``runtime/framing.py``
 * the liveness frame kinds ``PING`` / ``PONG`` / ``HEARTBEAT`` and the
@@ -10,15 +10,13 @@ constants therefore have exactly one home each:
   ``LIVENESS_DEADLINE`` — ``runtime/framing.py`` (shared by
   ``repro-worker``, the cluster scheduler and ``repro-serve``)
 * the frame-header layout ``">Q"`` — ``runtime/framing.py``
-* ``SCHEMA_VERSION`` — ``bench/perf.py``
 
 Every other module must *import* them.  A second literal definition would
-let the two sides of a connection (or a result written last month and a
-reader today) silently disagree about the protocol they speak — the exact
-class of skew this lint makes structurally impossible.  The liveness
-timing pair is included because a driver enforcing a deadline its workers
-never heard of is the same skew in the time domain: kill-happy drivers
-against slow-heartbeat workers.
+let the two sides of a connection silently disagree about the protocol
+they speak — the exact class of skew this lint makes structurally
+impossible.  The liveness timing pair is included because a driver
+enforcing a deadline its workers never heard of is the same skew in the
+time domain: kill-happy drivers against slow-heartbeat workers.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ CANONICAL = {
     "HEARTBEAT": ("src/repro/runtime/framing.py", "framing", "str"),
     "HEARTBEAT_INTERVAL": ("src/repro/runtime/framing.py", "framing", "number"),
     "LIVENESS_DEADLINE": ("src/repro/runtime/framing.py", "framing", "number"),
-    "SCHEMA_VERSION": ("src/repro/bench/perf.py", "perf", "int"),
 }
 
 FRAMING_PATH = "src/repro/runtime/framing.py"

@@ -1,7 +1,6 @@
-"""Gated performance benchmark for the simulation kernels.
+"""The perfbench gate.
 
-``repro-bench`` (:mod:`repro.bench.perf`) times the compiled native kernel
-against the Python fallback and emits ``BENCH_simulation.json``;
-:mod:`repro.bench.ratchet` gates that speedup against the previous run.
-End-to-end numbers come from ``perfbench/run.py``.
+End-to-end numbers come from ``perfbench/run.py``; :mod:`repro.bench.ratchet`
+holds a CI run of it to the previous ``main`` run, as ``BENCHMARK.json``
+declares.
 """

@@ -9,7 +9,7 @@ roles:
   a :class:`~repro.coresim.hooks.RecordHooks`, which answers the hooks from
   the bug's compiled :class:`~repro.coresim.hooks.BugRecord`, whenever the
   native kernel cannot run (no compiler, or a configuration past a kernel
-  limit); ``repro-bench`` times the native kernel against that path;
+  limit), so those runs get the seed pipeline itself;
 * **the oracle** — :func:`reference_simulate_trace` fed a bug model
   directly reads the bug's own hooks, and the golden and differential
   suites (``tests/test_perf_equivalence.py``,

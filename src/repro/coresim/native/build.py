@@ -159,8 +159,8 @@ def _compiler_version(compiler: str) -> str:
 def compiler_info() -> "dict[str, str] | None":
     """``{"path": ..., "version": ...}`` for the active compiler, or None.
 
-    Memoised; recorded into the schema-v5 ``native`` bench section so perf
-    numbers are attributable to a toolchain.
+    Memoised; the version is part of the build key, so a toolchain
+    upgrade rebuilds the library.
     """
     global _compiler_info
     if _compiler_info is False:

@@ -15,8 +15,8 @@ compiles for the trace.  :func:`simulate_trace_batch` picks between them:
   :mod:`repro.coresim._reference` fed the record through
   :class:`~repro.coresim.hooks.RecordHooks`, runs when no compiler exists
   or the build fails (with a one-time warning, never an exception) and
-  for configurations past a native kernel limit.  Tests and
-  ``repro-bench`` call it directly as native's reference.
+  for configurations past a native kernel limit.  Tests call it
+  directly as native's reference.
 """
 
 from __future__ import annotations

@@ -496,6 +496,25 @@ class TestCli:
         # The sanctioned suppressions must be present (not an empty report).
         assert any(f.suppressed for f in findings)
 
+    def test_unused_allowlist_entry_reported_on_a_full_run(self, tmp_path):
+        allow = tmp_path / ".repro-lint-allow"
+        allow.write_text(
+            (REPO_ROOT / ".repro-lint-allow").read_text()
+            + "wall-clock src/repro/uarch/config.py reads no clock\n"
+        )
+        findings = run_lint(REPO_ROOT, allowlist=Allowlist.load(allow))
+        live = [f for f in findings if not f.suppressed]
+        assert [(f.rule, f.path) for f in live] == [
+            ("pragma-format", ".repro-lint-allow")
+        ]
+        assert live[0].line == len(allow.read_text().splitlines())
+        assert "src/repro/uarch/config.py" in live[0].message
+        # A partial run cannot tell unused from skipped, so it stays quiet.
+        partial = run_lint(
+            REPO_ROOT, families=("determinism",), allowlist=Allowlist.load(allow)
+        )
+        assert not [f for f in partial if not f.suppressed]
+
     def test_exit_codes(self, capsys):
         assert main(["--root", str(REPO_ROOT), "--no-native"]) == 0
         capsys.readouterr()

@@ -380,49 +380,3 @@ class TestProgressStats:
             jobs, registry.traces
         )
         assert seen[-1] == (1, 1)
-
-
-class TestBenchHarness:
-    def test_quick_report_shape_and_equivalence_gate(self, tmp_path):
-        from repro.bench.perf import run_benchmarks
-
-        report = run_benchmarks(quick=True)
-        assert report["schema_version"] == 10
-        # native section (v5): equivalence-gated compiled-kernel ratio with
-        # compiler provenance, or an explicit available=false marker
-        native = report["native"]
-        assert native["kernel"] == "native"
-        if native["available"]:
-            assert native["counter_equivalence_checked"]
-            assert native["aggregate_speedup"] > 0.0
-            assert native["compiler"]["path"]
-            assert native["compiler"]["version"]
-        else:
-            assert native["reason"]
-        # v10: the gated native section is the whole benchmark
-        for gone in ("single", "batch", "engine", "cluster", "store", "serve", "mixes"):
-            assert gone not in report
-
-    def test_native_speedup_column_readable_and_gated_by_ratchet(self, tmp_path):
-        import json
-
-        from repro.bench.ratchet import DEFAULT_FLOOR, evaluate, read_speedup
-
-        report = {"native": {"available": True, "aggregate_speedup": 9.5}}
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(report))
-        assert read_speedup(path) == 9.5
-        # compiler-less host: available=false leaves nothing to gate
-        nocc = tmp_path / "nocc.json"
-        nocc.write_text(json.dumps({
-            "native": {"available": False, "reason": "no compiler"},
-        }))
-        with pytest.raises(ValueError, match="no native kernel speedup"):
-            read_speedup(nocc)
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"single": {"aggregate_speedup": 3.0}}))
-        with pytest.raises(ValueError, match="no native kernel speedup"):
-            read_speedup(legacy)
-        # the gate itself: floor 2.0, ratcheted against the previous run
-        assert evaluate([9.5], None, floor=DEFAULT_FLOOR).ok
-        assert not evaluate([1.5], None, floor=DEFAULT_FLOOR).ok
