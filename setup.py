@@ -16,9 +16,8 @@
   ``subprocess:``, ``cluster:`` and ``ssh://`` backends (see
   ``docs/RUNTIME.md``);
 * ``repro-store`` — result-store maintenance
-  (``python -m repro.runtime.store_cli``: ``merge SRC... DST``, ``info``,
-  ``reshard`` between the flat and ``shard=XX/`` layouts, ``gc --keep``
-  roster-based pruning);
+  (``python -m repro.runtime.store_cli``: ``merge SRC... DST``, ``info``
+  entry and per-shard counts, ``gc --keep`` roster-based pruning);
 * ``repro-cluster`` — operate the cluster scheduler's worker pool
   (``python -m repro.cluster.cli``: ``health`` worker liveness probe,
   ``roster`` store-key keep-set for ``repro-store gc``, ``plan`` dry-run

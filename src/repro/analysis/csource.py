@@ -57,14 +57,6 @@ class CSource:
                 return block
         raise CTokenizeError(f"no enum block defines {member!r}")
 
-    def enum_index(self, member: str) -> int:
-        """The *position* of an enum member within its block (not its value)."""
-        block = self.enum_containing(member)
-        for index, (name, _value) in enumerate(block):
-            if name == member:
-                return index
-        raise CTokenizeError(member)  # pragma: no cover - enum_containing found it
-
     def value(self, name: str) -> int:
         if name not in self.constants:
             raise CTokenizeError(f"unknown C constant {name!r}")

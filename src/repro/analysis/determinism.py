@@ -11,14 +11,14 @@ break that purity:
     ``np.random.*`` legacy functions).  Seeded generator construction
     (``np.random.default_rng(seed)``, ``random.Random(seed)``) is fine — the
     point is that shared mutable RNG state must not leak into (or out of)
-    result-affecting code.  The sanctioned save/restore sites in
-    ``runtime/execution.py`` carry pragmas.
+    result-affecting code.  No ``src/`` code touches a global stream, so
+    nothing carries a pragma for this rule.
 
 ``wall-clock``
     ``time.time()`` / ``time.perf_counter()`` / ``datetime.now()`` and
     friends.  Wall-clock reads are legitimate in measurement and bookkeeping
-    code (bench, serve stats, store mtimes) — those files are allowlisted —
-    but must never feed stored simulation results.
+    code (serve stats, the store's temp-file sweep) — those files are
+    allowlisted — but must never feed stored simulation results.
 
 ``id-hash``
     ``id(...)`` feeding a hash-based container or ``hash()``: ``id`` values

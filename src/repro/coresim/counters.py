@@ -72,10 +72,6 @@ class CounterTimeSeries:
     def num_steps(self) -> int:
         return len(self.ipc)
 
-    @property
-    def counter_names(self) -> list[str]:
-        return sorted(self.counters)
-
     def matrix(self, names: list[str]) -> np.ndarray:
         """Feature matrix (steps x len(names)) for the requested counters.
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..uarch.config import MicroarchConfig
 from ..workloads.decoded import DecodedTrace, decode_trace
 from ..workloads.isa import MicroOp
@@ -51,11 +49,6 @@ class SimulationResult:
     def ipc(self) -> float:
         """Whole-run committed instructions per cycle."""
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def ipc_series(self) -> np.ndarray:
-        """Per-time-step IPC."""
-        return self.series.ipc
 
     def runtime_seconds(self, clock_ghz: float) -> float:
         """Wall-clock execution time implied by the cycle count."""

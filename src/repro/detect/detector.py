@@ -20,7 +20,7 @@ because both expose the same small interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -171,11 +171,6 @@ class TwoStageDetector:
             model = self.models[probe.name]
             errors.append(model.inference_error(observation.series, features))
         return np.asarray(errors, dtype=float)
-
-    def bugfree_error_vectors(self, designs: Sequence) -> dict[str, np.ndarray]:
-        """Bug-free error vectors of several designs, keyed by design name."""
-        presumed = self._bugfree_bug()
-        return {d.name: self.error_vector(d, presumed) for d in designs}
 
     # -- severity --------------------------------------------------------------------------
 

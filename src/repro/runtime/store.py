@@ -10,31 +10,23 @@ run never leaves a half-written entry that later readers trust.
 Corrupt or truncated entries are treated as misses: the bad file is removed
 and the job is recomputed, never crashing an experiment run.
 
-Two on-disk layouts coexist:
-
-``flat``
-    Every ``<key>.npz`` directly in the store directory — the seed layout,
-    fine for thousands of entries.
-``sharded``
-    Entries grouped into ``shard=<key[:2]>/`` subdirectories keyed by the
-    first two hex digits of the content hash (256 shards).  Directory
-    listings stay short at cluster scale, shards rsync independently, and
-    concurrent writers from many processes contend on a shard directory
-    instead of one giant one.  Temp files live inside the shard directory
-    so the ``os.replace`` rename never crosses a filesystem boundary.
-
-The layout is auto-detected on open (explicit ``layout=`` argument, then
-the ``.repro-store-layout`` marker file, then the presence of ``shard=``
-subdirectories, then flat); :meth:`ResultStore.reshard` migrates in place
-and ``repro-store reshard`` exposes it.  All operations — including
-:meth:`ResultStore.merge_from` between stores of different layouts — are
-layout-agnostic.
+Every entry lives at ``shard=<key[:2]>/<key>.npz``: the first two hex
+digits of the content hash pick one of 256 shard directories.  Directory
+listings stay short at cluster scale, shards rsync independently, and
+concurrent writers from many processes contend on a shard directory
+instead of one giant one.  Temp files live inside the shard directory so
+the ``os.replace`` rename never crosses a filesystem boundary.  Opening a
+store moves any ``<key>.npz`` at its top level (the flat layout older
+stores were written in) into its shard, so an older store keeps every
+entry.
 
 :meth:`ResultStore.gc` prunes entries not named by a *keep roster* (see
 :mod:`repro.cluster.roster` and ``repro-store gc``): content addressing
 means reachability cannot be derived from the store itself, so the roster
 of every key the current experiment configuration can produce is computed
-from the experiment inputs and everything else is garbage.
+from the experiment inputs and everything else is garbage.  It is the
+store's one pruning rule: beyond corrupt entries and stale temp files, the
+store removes nothing on its own.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,18 +57,11 @@ _TMP_PATTERN = re.compile(r"\.tmp\d+$")
 #: process sharing the store and must not be touched.
 _STALE_TMP_SECONDS = 3600.0
 
-#: Shard directory prefix of the sharded layout (``shard=3f/``).
+#: Shard directory prefix (``shard=3f/``).
 _SHARD_PREFIX = "shard="
 
 #: Hex digits of the key that pick the shard (2 -> 256 shards).
 SHARD_WIDTH = 2
-
-#: Marker file recording the store's layout, so empty sharded stores are
-#: still detected as sharded on reopen.
-_LAYOUT_MARKER = ".repro-store-layout"
-
-#: The two recognised on-disk layouts.
-LAYOUTS = ("flat", "sharded")
 
 
 @dataclass
@@ -162,7 +147,6 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
     corrupt: int = 0
-    evicted: int = 0
     tmp_swept: int = 0
     gc_removed: int = 0
 
@@ -170,84 +154,57 @@ class StoreStats:
 class ResultStore:
     """Disk-backed ``{job key: StoredResult}`` map with corruption recovery.
 
-    Parameters
-    ----------
-    path:
-        Directory holding one ``<key>.npz`` file per result; created on
-        first use.
-    max_entries:
-        Optional soft capacity; when exceeded after a write, the
-        least-recently-modified entries are evicted.
-    layout:
-        ``"flat"``, ``"sharded"``, or ``None`` to auto-detect (marker file,
-        then ``shard=`` subdirectories, then flat).  An explicit layout on
-        an empty directory also records the marker, so the choice sticks.
+    *path* is the store directory, created on first use; it holds one
+    ``shard=XX/<key>.npz`` file per result.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        max_entries: int | None = None,
-        layout: str | None = None,
-    ) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        if layout is not None and layout not in LAYOUTS:
-            raise ValueError(f"unknown store layout {layout!r}; expected {LAYOUTS}")
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
         self.stats = StoreStats()
-        self.layout = layout if layout is not None else self._detect_layout()
-        if layout is not None:
-            self._write_marker()
         #: Directory scans performed (observable for the O(N²)-put regression
         #: test: a warm store must not re-glob the directory on every write).
-        self.scans = 0
-        # One initial pass does double duty: count the existing entries (the
-        # incremental counter that replaces per-put globbing) and sweep stale
-        # ``<key>.tmp<pid>`` files left behind by crashed writers — nothing
-        # else ever looks at non-``.npz`` names, so without this sweep they
-        # would leak forever.  Only files older than _STALE_TMP_SECONDS are
-        # removed: a young temp file may belong to a live writer in another
-        # process sharing this store directory.
-        self._count = 0
-        self.scans += 1
+        self.scans = 1
+        # Opening does all the upkeep a store needs.  Each top-level
+        # ``<key>.npz`` (an entry of a store written flat) first moves into
+        # its shard, so the count below sees it once; an entry that another
+        # opener moved first is already in place.  One pass over the shards
+        # then counts the entries (the incremental counter that replaces
+        # per-put globbing).  Both loops sweep stale ``<key>.tmp<pid>`` files
+        # left behind by crashed writers — nothing else ever looks at
+        # non-``.npz`` names, so without this sweep they would leak forever.
+        # Only files older than _STALE_TMP_SECONDS are removed: a young temp
+        # file may belong to a live writer in another process sharing this
+        # store directory.
         stale_before = time.time() - _STALE_TMP_SECONDS
-        for child in self._iter_store_files():
-            name = child.name
-            if name.endswith(".npz"):
-                self._count += 1
-            elif _TMP_PATTERN.search(name):
+        for child in list(self.path.iterdir()):
+            if child.name.endswith(".npz"):
+                target = self._entry_path(child.stem)
+                target.parent.mkdir(exist_ok=True)
                 try:
-                    if child.stat().st_mtime < stale_before:
-                        child.unlink()
-                        self.stats.tmp_swept += 1
-                except OSError:  # pragma: no cover - concurrent cleanup
+                    os.replace(child, target)
+                except FileNotFoundError:  # moved by a concurrent opener
                     pass
+            else:
+                self._sweep_if_stale(child, stale_before)
+        self._count = 0
+        for child in self._iter_store_files():
+            if child.name.endswith(".npz"):
+                self._count += 1
+            else:
+                self._sweep_if_stale(child, stale_before)
 
-    # -- layout ----------------------------------------------------------------
-
-    def _detect_layout(self) -> str:
-        marker = self.path / _LAYOUT_MARKER
+    def _sweep_if_stale(self, child: Path, stale_before: float) -> None:
+        if not _TMP_PATTERN.search(child.name):
+            return
         try:
-            text = marker.read_text(encoding="utf-8").strip()
-        except OSError:
-            text = ""
-        if text in LAYOUTS:
-            return text
-        for child in self.path.iterdir():
-            if child.is_dir() and child.name.startswith(_SHARD_PREFIX):
-                return "sharded"
-        return "flat"
-
-    def _write_marker(self) -> None:
-        try:
-            (self.path / _LAYOUT_MARKER).write_text(
-                f"{self.layout}\n", encoding="utf-8"
-            )
-        except OSError:  # pragma: no cover - read-only store directory
+            if child.stat().st_mtime < stale_before:
+                child.unlink()
+                self.stats.tmp_swept += 1
+        except OSError:  # pragma: no cover - concurrent cleanup
             pass
+
+    # -- shards ----------------------------------------------------------------
 
     def _shard_dirs(self) -> list[Path]:
         return sorted(
@@ -257,16 +214,12 @@ class ResultStore:
         )
 
     def _iter_store_files(self):
-        """Every file either layout could own (entries *and* temp files)."""
-        for child in self.path.iterdir():
-            if child.is_dir():
-                if child.name.startswith(_SHARD_PREFIX):
-                    yield from child.iterdir()
-            else:
-                yield child
+        """Every file in the shard directories (entries *and* temp files)."""
+        for shard in self._shard_dirs():
+            yield from shard.iterdir()
 
     def shard_counts(self) -> dict[str, int]:
-        """Entry count per shard (``{}`` for a flat store)."""
+        """Entry count per occupied shard directory."""
         return {
             child.name[len(_SHARD_PREFIX):]: sum(
                 1 for entry in child.iterdir() if entry.name.endswith(".npz")
@@ -277,16 +230,10 @@ class ResultStore:
     # -- helpers ---------------------------------------------------------------
 
     def _entry_path(self, key: str) -> Path:
-        if self.layout == "sharded":
-            return self.path / f"{_SHARD_PREFIX}{key[:SHARD_WIDTH]}" / f"{key}.npz"
-        return self.path / f"{key}.npz"
+        return self.path / f"{_SHARD_PREFIX}{key[:SHARD_WIDTH]}" / f"{key}.npz"
 
     def _rescan(self) -> list[Path]:
-        """Authoritative entry listing; resyncs the incremental count.
-
-        Scans *both* layouts, so entries are never silently orphaned when a
-        store is opened with the wrong layout or mid-migration.
-        """
+        """Authoritative entry listing; resyncs the incremental count."""
         self.scans += 1
         entries = [
             child for child in self._iter_store_files() if child.name.endswith(".npz")
@@ -298,30 +245,13 @@ class ResultStore:
         """Entry count, tracked incrementally (no directory scan).
 
         The count is resynced from disk whenever a corrupt entry is removed
-        or an eviction pass lists the directory, so it self-corrects after
-        external modification of the store directory.
+        or the store is listed, so it self-corrects after external
+        modification of the store directory.
         """
         return self._count
 
-    def _locate(self, key: str) -> Path | None:
-        """The on-disk entry for *key*, tolerating a mid-migration store.
-
-        The current layout's path is authoritative; the other layout's path
-        is consulted as a fallback so a store interrupted half-way through
-        :meth:`reshard` (or populated by writers disagreeing on layout)
-        still serves every entry it holds.
-        """
-        entry = self._entry_path(key)
-        if entry.exists():
-            return entry
-        if self.layout == "sharded":
-            alternate = self.path / f"{key}.npz"
-        else:
-            alternate = self.path / f"{_SHARD_PREFIX}{key[:SHARD_WIDTH]}" / f"{key}.npz"
-        return alternate if alternate.exists() else None
-
     def __contains__(self, key: str) -> bool:
-        return self._locate(key) is not None
+        return self._entry_path(key).exists()
 
     def keys(self) -> list[str]:
         return sorted(p.stem for p in self._rescan())
@@ -330,8 +260,8 @@ class ResultStore:
 
     def get(self, key: str) -> StoredResult | None:
         """Load the entry for *key*, or ``None`` on miss or corruption."""
-        entry = self._locate(key)
-        if entry is None:
+        entry = self._entry_path(key)
+        if not entry.exists():
             self.stats.misses += 1
             return None
         try:
@@ -406,8 +336,6 @@ class ResultStore:
         if not existed:
             self._count += 1
         self.stats.puts += 1
-        if self.max_entries is not None:
-            self._evict(fresh=entry)
 
     # -- merge -----------------------------------------------------------------
 
@@ -419,11 +347,7 @@ class ResultStore:
         equal payloads.  Keys already present locally are kept as-is.
         Corrupt source entries are skipped (and dropped from *other*, per
         the standard read path).  Each copy goes through the normal
-        :meth:`put`, so this store's ``max_entries`` eviction policy is
-        honoured and every merged entry is re-validated on the way in.
-        The layouts of the two stores are independent: a flat store merges
-        into a sharded one (and vice versa) without conversion, because
-        reads resolve keys and writes land in this store's own layout.
+        :meth:`put`, so every merged entry is re-validated on the way in.
         """
         if other.path.resolve() == self.path.resolve():
             raise ValueError("cannot merge a store into itself")
@@ -471,61 +395,3 @@ class ResultStore:
                 except OSError:
                     pass
         return sorted(removed)
-
-    def reshard(self, layout: str = "sharded") -> int:
-        """Migrate the store in place to *layout*; returns entries moved.
-
-        Each entry is moved with a same-filesystem ``os.replace``, so
-        readers racing the migration see every entry at one path or the
-        other — never absent, never half-written (and :meth:`_locate`
-        checks both).  The layout marker is rewritten at the end.
-        """
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown store layout {layout!r}; expected {LAYOUTS}")
-        self.layout = layout
-        moved = 0
-        for entry in self._rescan():
-            target = self._entry_path(entry.stem)
-            if target == entry:
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(entry, target)
-            moved += 1
-        if layout == "flat":
-            for shard in self._shard_dirs():
-                try:
-                    shard.rmdir()
-                except OSError:  # pragma: no cover - concurrent writer
-                    pass
-        self._write_marker()
-        return moved
-
-    def _evict(self, fresh: Path | None = None) -> None:
-        """Drop the oldest entries once the soft capacity is exceeded.
-
-        *fresh* is the entry the current ``put`` just wrote.  It is excluded
-        from the victim set: on filesystems with coarse mtime resolution the
-        fresh file can tie with much older entries, and its hex name would
-        then decide the order — evicting the very entry the caller is about
-        to rely on.
-
-        The capacity check runs against the incrementally tracked count, so
-        a store below capacity never scans the directory on ``put``.
-        """
-        if self._count <= self.max_entries:
-            return
-        entries = self._rescan()
-        excess = self._count - self.max_entries
-        if excess <= 0:
-            return
-        victims = sorted(
-            (p for p in entries if p != fresh),
-            key=lambda p: (p.stat().st_mtime, p.name),
-        )
-        for victim in victims[:excess]:
-            try:
-                victim.unlink()
-                self.stats.evicted += 1
-                self._count -= 1
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass

@@ -6,22 +6,19 @@ or CI shards can always be combined — the first slice of cross-run result
 sharing.  Usage::
 
     repro-store merge SRC... DST            # fold one or more stores into DST
-    repro-store merge --max-entries N SRC DST
-    repro-store info PATH...                # layout + entry counts per store
-    repro-store reshard PATH [--layout L]   # migrate flat <-> sharded in place
+    repro-store info PATH...                # entry and per-shard counts
     repro-store gc PATH --keep ROSTER       # prune entries outside the roster
 
 ``merge`` copies every entry absent from DST (creating it if needed),
 re-validating each payload on the way in; corrupt source entries are
-skipped and reported.  ``--max-entries`` applies DST's normal
-least-recently-modified eviction policy while merging.  Flat and sharded
-stores mix freely on either side.  A subsequent experiment run against
-the merged store re-simulates nothing (``executed=0``) for any job either
-source had computed.
+skipped and reported.  A subsequent experiment run against the merged
+store re-simulates nothing (``executed=0``) for any job either source had
+computed.
 
-``reshard`` migrates between the flat layout and the ``shard=XX/``
-sharded layout with same-filesystem renames (safe against readers).
-``gc`` needs a keep roster — one store key per line, as written by
+Every store keeps its entries in ``shard=XX/`` directories, and opening
+one moves any entry left at its top level into its shard, so each command
+also works on a store written flat.  ``gc`` is the one way to prune a
+store: it needs a keep roster — one store key per line, as written by
 ``repro-cluster roster`` — and removes everything else; ``--dry-run``
 prints what would go.
 """
@@ -31,7 +28,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from .store import LAYOUTS, ResultStore
+from .store import ResultStore
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -41,7 +38,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if not source.is_dir():
             print(f"error: source store {source} does not exist")
             return 2
-    destination = ResultStore(destination_path, max_entries=args.max_entries)
+    destination = ResultStore(destination_path)
     total = 0
     for source_path in sources:
         source = ResultStore(source_path)
@@ -57,60 +54,40 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if skipped:
             line += f" ({skipped} corrupt skipped)"
         print(line)
-    print(
-        f"{destination_path}: {len(destination)} entries "
-        f"(+{total} merged, {destination.stats.evicted} evicted)"
-    )
+    print(f"{destination_path}: {len(destination)} entries (+{total} merged)")
     return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    missing = 0
     for path in args.stores:
         if not Path(path).is_dir():
-            print(f"{path}: not a store directory")
+            print(f"error: {path}: not a store directory")
+            missing += 1
             continue
         store = ResultStore(path)
         swept = f", {store.stats.tmp_swept} stale tmp swept" if store.stats.tmp_swept else ""
-        print(f"{path}: {len(store)} entries, layout={store.layout}{swept}")
-        if store.layout == "sharded":
-            counts = store.shard_counts()
-            if counts:
-                occupied = len(counts)
-                widest = max(counts.values())
-                print(
-                    f"  {occupied} shards occupied, "
-                    f"largest {widest} entr{'y' if widest == 1 else 'ies'}"
-                )
-            for shard in sorted(counts):
-                print(f"    shard={shard}: {counts[shard]}")
-    return 0
-
-
-def _cmd_reshard(args: argparse.Namespace) -> int:
-    if not Path(args.store).is_dir():
-        print(f"error: store {args.store} does not exist")
-        return 2
-    store = ResultStore(args.store)
-    before = store.layout
-    moved = store.reshard(args.layout)
-    print(
-        f"{args.store}: {before} -> {args.layout}, "
-        f"{moved} entries moved ({len(store)} total)"
-    )
-    return 0
+        print(f"{path}: {len(store)} entries{swept}")
+        counts = store.shard_counts()
+        if counts:
+            widest = max(counts.values())
+            print(
+                f"  {len(counts)} shards occupied, "
+                f"largest {widest} entr{'y' if widest == 1 else 'ies'}"
+            )
+        for shard in sorted(counts):
+            print(f"    shard={shard}: {counts[shard]}")
+    return 2 if missing else 0
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
+    from ..cluster.roster import read_roster
+
     if not Path(args.store).is_dir():
         print(f"error: store {args.store} does not exist")
         return 2
-    keep: set[str] = set()
     try:
-        with open(args.keep, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    keep.add(line)
+        keep = read_roster(args.keep)
     except OSError as exc:
         print(f"error: cannot read roster {args.keep}: {exc}")
         return 2
@@ -148,27 +125,13 @@ def main(argv: list[str] | None = None) -> int:
         "stores", nargs="+", metavar="STORE",
         help="source store directories followed by the destination (last)",
     )
-    merge.add_argument(
-        "--max-entries", type=int, default=None,
-        help="apply the destination's eviction policy at this soft capacity",
-    )
     merge.set_defaults(func=_cmd_merge)
 
     info = commands.add_parser(
-        "info", help="show layout and entry counts per store"
+        "info", help="show entry and per-shard counts per store"
     )
     info.add_argument("stores", nargs="+", metavar="STORE")
     info.set_defaults(func=_cmd_info)
-
-    reshard = commands.add_parser(
-        "reshard", help="migrate a store between flat and sharded layouts"
-    )
-    reshard.add_argument("store", metavar="STORE")
-    reshard.add_argument(
-        "--layout", default="sharded", choices=list(LAYOUTS),
-        help="target layout (default: sharded)",
-    )
-    reshard.set_defaults(func=_cmd_reshard)
 
     gc = commands.add_parser(
         "gc", help="prune entries unreachable from a keep roster"

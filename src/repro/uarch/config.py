@@ -98,11 +98,6 @@ class MicroarchConfig:
             object.__setattr__(self, "num_phys_regs", self.rob_size + 48)
 
     @property
-    def clock_period_ps(self) -> float:
-        """Clock period in picoseconds."""
-        return 1000.0 / self.clock_ghz
-
-    @property
     def has_l3(self) -> bool:
         return self.l3 is not None
 

@@ -68,17 +68,6 @@ class StaticBlock:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def num_instrs(self) -> int:
-        return len(self.instrs)
-
-    def opcode_counts(self) -> dict[Opcode, int]:
-        """Histogram of opcodes over the static instructions of this block."""
-        counts: dict[Opcode, int] = {}
-        for instr in self.instrs:
-            counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
-        return counts
-
 
 @dataclass
 class SyntheticProgram:

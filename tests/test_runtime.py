@@ -62,6 +62,14 @@ def _core_jobs(registry, tiny_trace, step=256):
     return jobs
 
 
+def _plant(store, key, payload):
+    """Write raw bytes where *store* keeps *key*'s entry (an external writer)."""
+    entry = store._entry_path(key)
+    entry.parent.mkdir(exist_ok=True)
+    entry.write_bytes(payload)
+    return entry
+
+
 def _assert_results_equal(first, second):
     assert len(first) == len(second)
     for a, b in zip(first, second):
@@ -253,36 +261,9 @@ class TestResultStore:
 
     def test_garbage_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        (store.path / "nonsense.npz").write_bytes(b"not a zip archive")
+        _plant(store, "nonsense", b"not a zip archive")
         assert store.get("nonsense") is None
         assert store.stats.corrupt == 1
-
-    def test_eviction_keeps_newest(self, registry, tiny_trace, tmp_path):
-        jobs = _core_jobs(registry, tiny_trace)
-        store = ResultStore(tmp_path / "store", max_entries=2)
-        results = JobEngine(jobs=1).run(jobs, registry.traces)
-        for index, (job, result) in enumerate(zip(jobs, results)):
-            store.put(job.key(), result)
-            path = store._entry_path(job.key())
-            os.utime(path, (index + 1, index + 1))
-        assert len(store) == 2
-        assert store.stats.evicted == len(jobs) - 2
-        assert jobs[-1].key() in store
-        assert jobs[0].key() not in store
-
-    def test_no_eviction_below_capacity(self, registry, tiny_trace, tmp_path):
-        jobs = _core_jobs(registry, tiny_trace)
-        store = ResultStore(tmp_path / "store", max_entries=len(jobs) + 1)
-        results = JobEngine(jobs=1).run(jobs, registry.traces)
-        for job, result in zip(jobs, results):
-            store.put(job.key(), result)
-        assert len(store) == len(jobs)
-        assert store.stats.evicted == 0
-        assert all(job.key() in store for job in jobs)
-
-    def test_rejects_bad_capacity(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path / "store", max_entries=0)
 
     @staticmethod
     def _tiny_result():
@@ -291,36 +272,6 @@ class TestResultStore:
             instructions=8, cycles=16.0, amat=0.0, step=256,
             counters={"c": np.arange(4.0)}, ipc=np.ones(4),
         )
-
-    def test_evict_excludes_fresh_key_on_mtime_tie(self, tmp_path):
-        """Regression: on coarse-mtime filesystems the freshly written entry
-        can tie with older ones, and its hex name sorting first must not get
-        it evicted by the very put() that wrote it."""
-        writer = ResultStore(tmp_path / "store")  # no capacity: no eviction yet
-        # "00fresh" sorts before both older keys on a full (mtime, name) tie.
-        for key in ("aa0", "bb1", "00fresh"):
-            writer.put(key, self._tiny_result())
-        now = 1_000_000
-        for key in ("aa0", "bb1", "00fresh"):
-            os.utime(writer._entry_path(key), (now, now))
-        store = ResultStore(tmp_path / "store", max_entries=2)
-        store._evict(fresh=store._entry_path("00fresh"))
-        assert "00fresh" in store
-        assert len(store) == 2
-
-    def test_put_never_evicts_what_it_just_wrote(self, tmp_path):
-        store = ResultStore(tmp_path / "store", max_entries=2)
-        store.put("aa0", self._tiny_result())
-        store.put("bb1", self._tiny_result())
-        # Push the old entries into the future so the fresh entry would sort
-        # strictly oldest — the worst case of the mtime-tie bug.
-        future = 4_000_000_000
-        os.utime(store._entry_path("aa0"), (future, future))
-        os.utime(store._entry_path("bb1"), (future, future))
-        store.put("00fresh", self._tiny_result())
-        assert "00fresh" in store
-        assert store.get("00fresh") is not None
-        assert len(store) == 2
 
     def test_stale_tmp_files_swept_on_init(self, tmp_path):
         first = ResultStore(tmp_path / "store")
@@ -351,7 +302,7 @@ class TestResultStore:
     def test_warm_store_writes_without_rescanning(self, tmp_path):
         """Regression: every put used to glob the whole directory, making N
         writes O(N^2); the count is now tracked incrementally."""
-        store = ResultStore(tmp_path / "store", max_entries=5_000)
+        store = ResultStore(tmp_path / "store")
         result = self._tiny_result()
         for index in range(1_000):
             store.put(f"k{index:04d}", result)
@@ -369,14 +320,14 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         store.put("aa0", self._tiny_result())
         # An external writer drops in a garbage entry the counter missed.
-        (store.path / "garbage.npz").write_bytes(b"junk")
+        garbage = _plant(store, "garbage", b"junk")
         assert store.get("garbage") is None
-        assert not (store.path / "garbage.npz").exists()
+        assert not garbage.exists()
         assert len(store) == 1  # resynced from disk, not guessed
 
 
 class TestShardedStore:
-    """The ``shard=XX/`` layout: detection, migration, GC and coexistence."""
+    """The ``shard=XX/`` layout: migration on open, GC and the CLI."""
 
     @staticmethod
     def _tiny_result():
@@ -387,7 +338,7 @@ class TestShardedStore:
         )
 
     def test_sharded_entries_land_in_shard_dirs(self, tmp_path):
-        store = ResultStore(tmp_path / "store", layout="sharded")
+        store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02"):
             store.put(key, self._tiny_result())
         assert store._entry_path("aa00").parent.name == "shard=aa"
@@ -397,49 +348,8 @@ class TestShardedStore:
         assert len(store) == 3
         assert store.get("aa01") is not None
 
-    def test_layout_marker_survives_reopen(self, tmp_path):
-        ResultStore(tmp_path / "store", layout="sharded").put(
-            "aa00", self._tiny_result()
-        )
-        reopened = ResultStore(tmp_path / "store")  # no layout argument
-        assert reopened.layout == "sharded"
-        assert reopened.get("aa00") is not None
-
-    def test_bad_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path / "store", layout="hashed")
-
-    def test_reshard_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        keys = [f"{prefix}{index}" for prefix in ("aa", "bb") for index in range(2)]
-        for key in keys:
-            store.put(key, self._tiny_result())
-        assert store.layout == "flat"
-
-        assert store.reshard("sharded") == len(keys)
-        assert store.layout == "sharded"
-        assert sorted(store.keys()) == sorted(keys)
-        assert ResultStore(tmp_path / "store").layout == "sharded"
-        assert all(store.get(key) is not None for key in keys)
-
-        assert store.reshard("flat") == len(keys)
-        assert store.layout == "flat"
-        assert not list((store.path).glob("shard=*"))  # empty shards pruned
-        assert all(store.get(key) is not None for key in keys)
-
-    def test_locate_tolerates_mid_migration_entries(self, tmp_path):
-        # A flat entry written before an interrupted reshard must stay
-        # readable from a store opened as sharded (and vice versa).
-        flat = ResultStore(tmp_path / "store")
-        flat.put("aa00", self._tiny_result())
-        sharded = ResultStore(tmp_path / "store", layout="sharded")
-        sharded.put("bb01", self._tiny_result())
-        assert sharded.get("aa00") is not None  # flat leftover, found anyway
-        assert "aa00" in sharded
-        assert sorted(sharded.keys()) == ["aa00", "bb01"]
-
     def test_gc_prunes_outside_roster(self, tmp_path):
-        store = ResultStore(tmp_path / "store", layout="sharded")
+        store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02", "cc03"):
             store.put(key, self._tiny_result())
 
@@ -460,39 +370,70 @@ class TestShardedStore:
         assert store.gc({"aa00", "never-computed"}) == []
         assert store.get("aa00") is not None
 
-    def test_cross_layout_merge(self, tmp_path):
-        sharded = ResultStore(tmp_path / "sharded", layout="sharded")
-        sharded.put("aa00", self._tiny_result())
-        flat = ResultStore(tmp_path / "flat")
-        flat.put("bb01", self._tiny_result())
+    def test_flat_store_migrates_on_open(self, registry, tiny_trace, tmp_path):
+        """A store written flat opens with every entry moved into its shard,
+        readable, counted and replayed without executing anything."""
+        jobs = _core_jobs(registry, tiny_trace)
+        root = tmp_path / "store"
+        JobEngine(jobs=1, store=ResultStore(root)).run(jobs, registry.traces)
+        keys = sorted(job.key() for job in jobs)
+        # Lay the entries out flat: all but one at the top level, one left in
+        # its shard, plus the layout marker flat stores used to carry.
+        placed = {key: root / f"{key}.npz" for key in keys}
+        placed[keys[0]] = root / f"shard={keys[0][:2]}" / f"{keys[0]}.npz"
+        for key, target in placed.items():
+            (entry,) = root.rglob(f"{key}.npz")
+            target.parent.mkdir(exist_ok=True)
+            os.replace(entry, target)
+        (root / ".repro-store-layout").write_text("flat\n")
+        assert len(list(root.glob("*.npz"))) == len(keys) - 1
 
-        assert flat.merge_from(sharded) == 1
-        assert sorted(flat.keys()) == ["aa00", "bb01"]
-        assert flat.layout == "flat"
+        store = ResultStore(root)
+        assert not list(root.glob("*.npz"))
+        on_disk = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.npz"))
+        assert on_disk == sorted(f"shard={key[:2]}/{key}.npz" for key in keys)
+        assert len(store) == len(keys)
+        assert store.keys() == keys
+        assert all(store.get(key) is not None for key in keys)
 
-        other = ResultStore(tmp_path / "sharded2", layout="sharded")
-        assert other.merge_from(flat) == 2
-        assert sorted(other.keys()) == ["aa00", "bb01"]
-        assert (other.path / "shard=aa" / "aa00.npz").exists()
+        replay = JobEngine(jobs=1, store=ResultStore(root))
+        results = replay.run(jobs, registry.traces)
+        assert replay.stats.executed == 0
+        assert replay.stats.store_hits == len(jobs)
+        _assert_results_equal(results, JobEngine(jobs=1).run(jobs, registry.traces))
 
-    def test_cli_reshard_info_and_gc(self, tmp_path, capsys):
+    def test_entry_moved_by_another_opener_is_not_an_error(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "aa00.npz").write_bytes(b"payload")
+        real_replace = os.replace
+
+        def racing_replace(src, dst):
+            real_replace(src, dst)  # the other opener wins the race ...
+            raise FileNotFoundError(src)  # ... so this opener's move finds nothing
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        store = ResultStore(root)
+        monkeypatch.undo()
+        assert len(store) == 1
+        assert (root / "shard=aa" / "aa00.npz").exists()
+
+    def test_cli_info_and_gc(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
 
         store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02"):
             store.put(key, self._tiny_result())
 
-        assert store_main(["reshard", str(tmp_path / "store")]) == 0
-        assert "flat -> sharded, 3 entries moved" in capsys.readouterr().out
-
         assert store_main(["info", str(tmp_path / "store")]) == 0
         output = capsys.readouterr().out
-        assert "layout=sharded" in output
+        assert f"{tmp_path / 'store'}: 3 entries\n" in output
         assert "2 shards occupied" in output
         assert "shard=aa: 2" in output
 
+        # The roster reader skips comments, blank lines and surrounding space.
         roster = tmp_path / "roster.txt"
-        roster.write_text("# keep these\naa00\nbb02\n")
+        roster.write_text("# keep these\n\naa00\n\n  bb02  \n# end\n\n")
         assert store_main([
             "gc", str(tmp_path / "store"), "--keep", str(roster), "--dry-run",
         ]) == 0
@@ -500,8 +441,23 @@ class TestShardedStore:
         assert store_main([
             "gc", str(tmp_path / "store"), "--keep", str(roster),
         ]) == 0
-        assert "removed 1/3" in capsys.readouterr().out
-        assert sorted(ResultStore(tmp_path / "store").keys()) == ["aa00", "bb02"]
+        assert "removed 1/3 entries (roster keeps 2 keys)" in capsys.readouterr().out
+        assert ResultStore(tmp_path / "store").keys() == ["aa00", "bb02"]
+
+    def test_cli_info_reports_every_missing_store(self, tmp_path, capsys):
+        from repro.runtime.store_cli import main as store_main
+
+        ResultStore(tmp_path / "store").put("aa00", self._tiny_result())
+        missing = [tmp_path / "nope", tmp_path / "gone"]
+        code = store_main(
+            ["info", str(missing[0]), str(tmp_path / "store"), str(missing[1])]
+        )
+        assert code == 2
+        output = capsys.readouterr().out
+        for path in missing:
+            assert f"error: {path}: not a store directory" in output
+            assert not path.exists()
+        assert f"{tmp_path / 'store'}: 1 entries" in output
 
     def test_cli_gc_refuses_empty_roster(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
@@ -527,7 +483,7 @@ class TestShardedStore:
 
     def test_sharded_store_backs_an_engine_run(self, registry, tiny_trace, tmp_path):
         jobs = _core_jobs(registry, tiny_trace)
-        store = ResultStore(tmp_path / "store", layout="sharded")
+        store = ResultStore(tmp_path / "store")
         JobEngine(jobs=1, store=store).run(jobs, registry.traces)
         replay = JobEngine(jobs=1, store=store)
         replay.run(jobs, registry.traces)
@@ -652,7 +608,7 @@ class TestStoreMerge:
         source = ResultStore(tmp_path / "src")
         source.put("aa0", self._tiny_result())
         source.put("bb1", self._tiny_result())
-        (source.path / "cc2.npz").write_bytes(b"not a zip archive")
+        _plant(source, "cc2", b"not a zip archive")
         destination = ResultStore(tmp_path / "dst")
         destination.put("aa0", self._tiny_result())  # already present
 
@@ -660,15 +616,6 @@ class TestStoreMerge:
         assert merged == 1  # bb1 only: aa0 existed, cc2 was corrupt
         assert source.stats.corrupt == 1
         assert sorted(destination.keys()) == ["aa0", "bb1"]
-
-    def test_merge_honours_eviction_limit(self, tmp_path):
-        source = ResultStore(tmp_path / "src")
-        for index in range(4):
-            source.put(f"k{index}", self._tiny_result())
-        destination = ResultStore(tmp_path / "dst", max_entries=2)
-        destination.merge_from(source)
-        assert len(destination) == 2
-        assert destination.stats.evicted == 2
 
     def test_merge_into_itself_rejected(self, tmp_path):
         store = ResultStore(tmp_path / "store")
