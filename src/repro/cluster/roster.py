@@ -34,7 +34,7 @@ from ..bugs.registry import (
     tableV_bug1,
     tableV_bug2,
 )
-from ..runtime.job import CORE_STUDY, MEMORY_STUDY, SimulationJob, trace_digest
+from ..runtime.job import CORE_STUDY, MEMORY_STUDY, SimulationJob, job_keys, trace_digest
 
 
 def _design_universe(sets: "dict[str, list]") -> list:
@@ -71,39 +71,38 @@ def roster_keys(context) -> "list[str]":
     the scale, trace source, design sets and bug suites are read from it so
     the roster tracks exactly what the experiments would simulate.
     """
-    keys: set[str] = set()
     scale = context.scale
-
+    core_bugs = _bug_universe(context.core_bugs(), _named_core_bugs())
     core_digests = [trace_digest(probe.decoded) for probe in context.probes]
-    for design in _design_universe(context.core_designs()):
-        for bug in _bug_universe(context.core_bugs(), _named_core_bugs()):
-            for digest in core_digests:
-                keys.add(
-                    SimulationJob(
-                        study=CORE_STUDY,
-                        config=design,
-                        bug=bug,
-                        trace_id=digest,
-                        step=scale.step_cycles,
-                    ).key()
-                )
-
+    jobs = [
+        SimulationJob(
+            study=CORE_STUDY,
+            config=design,
+            bug=bug,
+            trace_id=digest,
+            step=scale.step_cycles,
+        )
+        for design in _design_universe(context.core_designs())
+        for bug in core_bugs
+        for digest in core_digests
+    ]
+    memory_bugs = _bug_universe(context.memory_bugs())
     memory_digests = [
         trace_digest(probe.decoded) for probe in context.memory_probes
     ]
-    for design in _design_universe(context.memory_designs()):
-        for bug in _bug_universe(context.memory_bugs()):
-            for digest in memory_digests:
-                keys.add(
-                    SimulationJob(
-                        study=MEMORY_STUDY,
-                        config=design,
-                        bug=bug,
-                        trace_id=digest,
-                        step=scale.memory_step_instructions,
-                    ).key()
-                )
-    return sorted(keys)
+    jobs.extend(
+        SimulationJob(
+            study=MEMORY_STUDY,
+            config=design,
+            bug=bug,
+            trace_id=digest,
+            step=scale.memory_step_instructions,
+        )
+        for design in _design_universe(context.memory_designs())
+        for bug in memory_bugs
+        for digest in memory_digests
+    )
+    return sorted(set(job_keys(jobs)))
 
 
 def write_roster(keys: Iterable[str], stream) -> int:

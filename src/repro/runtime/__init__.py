@@ -5,7 +5,8 @@ Every experiment in the reproduction reduces to thousands of independent
 the runtime that makes broad sweeps tractable:
 
 * :class:`SimulationJob` — a pure-data, picklable job spec, with
-  content-hash identity (:meth:`SimulationJob.key`),
+  content-hash identity (:meth:`SimulationJob.key`; :func:`job_keys` for
+  a batch),
 * :class:`JobEngine` — plans job batches into cost-balanced chunks and runs
   them on a pluggable :class:`ExecutionBackend`, selected by spec string:
   ``serial`` (inline), ``local:N`` (persistent process pool), or a pool of
@@ -50,6 +51,7 @@ from .job import (
     TraceRegistry,
     bug_fingerprint,
     config_fingerprint,
+    job_keys,
     trace_digest,
 )
 from .stats import EngineStats
@@ -76,6 +78,7 @@ __all__ = [
     "bug_fingerprint",
     "config_fingerprint",
     "default_jobs",
+    "job_keys",
     "parse_backend",
     "spec_for_jobs",
     "trace_digest",

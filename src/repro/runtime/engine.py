@@ -46,7 +46,7 @@ from .backends import (
     spec_for_jobs,
 )
 from .execution import _execute_unit, plan_batches
-from .job import SimulationJob
+from .job import Fingerprints, SimulationJob
 from .stats import EngineStats
 from .store import ResultStore, StoredResult
 
@@ -226,10 +226,10 @@ class JobEngine:
         if self.progress is not None:
             self.progress(done, total)
 
-    def _persist(self, job: SimulationJob, result: StoredResult) -> None:
+    def _persist(self, key: str, result: StoredResult) -> None:
         """Write one finished result to the store immediately (resumability)."""
         if self.store is not None:
-            self.store.put(job.key(), result)
+            self.store.put(key, result)
 
     # -- API -------------------------------------------------------------------
 
@@ -252,6 +252,8 @@ class JobEngine:
         results: list[StoredResult | None] = [None] * total
 
         # Resolve store hits and batch-internal duplicates first.
+        fingerprints = Fingerprints()
+        keys: list[str] = []
         pending: list[tuple[int, SimulationJob]] = []
         first_index_of_key: dict[str, int] = {}
         duplicates: list[tuple[int, int]] = []
@@ -260,7 +262,8 @@ class JobEngine:
                 raise KeyError(
                     f"job {job.describe()} references unknown trace {job.trace_id!r}"
                 )
-            key = job.key()
+            key = fingerprints.key(job)
+            keys.append(key)
             if key in first_index_of_key:
                 duplicates.append((index, first_index_of_key[key]))
                 continue
@@ -280,8 +283,7 @@ class JobEngine:
             # place work *elsewhere*, so even one job goes through it.
             if self.backend.inline or (len(pending) == 1 and not self.backend.remote):
                 done = total - len(pending) - len(duplicates)
-                job_of_index = dict(pending)
-                for unit in plan_batches(pending):
+                for unit in plan_batches(pending, fingerprints):
                     try:
                         unit_results = _execute_unit(
                             unit, {j.trace_id: traces[j.trace_id] for _, j in unit}
@@ -292,11 +294,11 @@ class JobEngine:
                         ) from exc
                     for index, stored in unit_results:
                         results[index] = stored
-                        self._persist(job_of_index[index], stored)
+                        self._persist(keys[index], stored)
                         done += 1
                         self._report(done, total)
             else:
-                self._run_parallel(pending, traces, results, total, len(duplicates))
+                self._run_parallel(pending, keys, traces, results, total, len(duplicates))
             self.stats.executed += len(pending)
 
         for index, source in duplicates:
@@ -308,6 +310,7 @@ class JobEngine:
     def _run_parallel(
         self,
         pending: list[tuple[int, SimulationJob]],
+        keys: list[str],
         traces: Mapping,
         results: list[StoredResult | None],
         total: int,
@@ -318,7 +321,6 @@ class JobEngine:
         backend = self.backend
         backend.start(batch_traces)
         known_ids = backend.known_trace_ids()
-        job_of_index = dict(pending)
         chunks = self._plan_chunks(pending, traces)
         self.stats.chunks += len(chunks)
         done = total - len(pending) - num_duplicates
@@ -345,7 +347,7 @@ class JobEngine:
                 # resumes instead of recomputing.
                 for index, stored in chunk_results:
                     results[index] = stored
-                    self._persist(job_of_index[index], stored)
+                    self._persist(keys[index], stored)
                     done += 1
                 if failure is not None:
                     raise JobFailedError(failure.description, failure.remote_traceback)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from ..coresim.simulator import simulate_trace, simulate_trace_batch
 from ..memsim.simulator import simulate_memory_trace
-from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
+from .job import CORE_STUDY, MEMORY_STUDY, Fingerprints, SimulationJob
 from .store import StoredResult
 
 
@@ -56,19 +56,24 @@ class ChunkFailure:
 ChunkOutcome = "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]"
 
 
-def batch_group_key(job: SimulationJob) -> "tuple | None":
+def batch_group_key(
+    job: SimulationJob, fingerprints: "Fingerprints | None" = None
+) -> "tuple | None":
     """Batching key of *job*, or ``None`` if the job can't batch.
 
     Core-study jobs group by (config, bug, step) content; memory-study jobs
-    execute singly.
+    execute singly.  *fingerprints* is the batch's memo, if it has one.
     """
     if job.study != CORE_STUDY:
         return None
-    return (config_fingerprint(job.config), bug_fingerprint(job.bug), job.step)
+    if fingerprints is None:
+        fingerprints = Fingerprints()
+    return (fingerprints.config(job.config), fingerprints.bug(job.bug), job.step)
 
 
 def plan_batches(
     chunk: Sequence["tuple[int, SimulationJob]"],
+    fingerprints: "Fingerprints | None" = None,
 ) -> "list[list[tuple[int, SimulationJob]]]":
     """Split *chunk* into execution units: singles, or same-group batches.
 
@@ -76,12 +81,15 @@ def plan_batches(
     the position of the group's first job, and execute as one
     :func:`~repro.coresim.simulator.simulate_trace_batch` call.  Planning
     is a pure function of the chunk, so every backend produces the same
-    units.
+    units.  A caller that already keyed the chunk's jobs passes its
+    *fingerprints* memo, so no design is hashed twice.
     """
+    if fingerprints is None:
+        fingerprints = Fingerprints()
     units: list[list[tuple[int, SimulationJob]]] = []
     group_unit: dict[tuple, list[tuple[int, SimulationJob]]] = {}
     for index, job in chunk:
-        key = batch_group_key(job)
+        key = batch_group_key(job, fingerprints)
         if key is None:
             units.append([(index, job)])
             continue

@@ -6,10 +6,12 @@ probe trace and which sampling step — without holding the trace itself.
 Traces are referenced by a content digest (``trace_id``) and shipped to
 worker processes once per batch, so job objects stay small and picklable.
 
-The :func:`job_key` content hash is the identity used by the persistent
-:class:`~repro.runtime.store.ResultStore`: two jobs with identical
-(config, bug, trace, step) content share a key even across interpreter
-sessions, different probe names, or different machines.
+The :meth:`SimulationJob.key` content hash is the identity used by the
+persistent :class:`~repro.runtime.store.ResultStore`: two jobs with
+identical (config, bug, trace, step) content share a key even across
+interpreter sessions, different probe names, or different machines.
+:func:`job_keys` computes the keys of a batch, fingerprinting each design
+and bug once instead of once per job.
 """
 
 from __future__ import annotations
@@ -138,15 +140,11 @@ class SimulationJob:
 
     def key(self) -> str:
         """Stable content hash identifying this job's result."""
-        return _digest(
-            [
-                self.study,
-                config_fingerprint(self.config),
-                bug_fingerprint(self.bug),
-                self.trace_id,
-                self.step,
-            ]
-        )
+        return self._key(config_fingerprint(self.config), bug_fingerprint(self.bug))
+
+    def _key(self, config_print: str, bug_print: str) -> str:
+        """:meth:`key`, given the config's and the bug's fingerprints."""
+        return _digest([self.study, config_print, bug_print, self.trace_id, self.step])
 
     def describe(self) -> str:
         """Short human-readable identity for logs and error messages."""
@@ -156,6 +154,49 @@ class SimulationJob:
             f"{self.study}:{config_name}:{bug_name}:"
             f"{self.trace_id[:8]}@{self.step}"
         )
+
+
+class Fingerprints:
+    """Config and bug fingerprints, each distinct object hashed once.
+
+    A batch names one design and one bug object in many jobs, and
+    canonicalising the design config is most of a key's cost.  The memo is
+    keyed by object identity, never by equality: ``1 == 1.0 == True``, so
+    two configs that compare equal can still differ in canonical JSON, and
+    so in fingerprint.  Each entry holds its object, so no id is reused
+    while the memo lives; make one per batch, not one per process.
+    """
+
+    def __init__(self) -> None:
+        self._configs: dict[int, tuple[object, str]] = {}
+        self._bugs: dict[int, tuple[object, str]] = {}
+
+    @staticmethod
+    def _memoised(memo: dict, value, fingerprint) -> str:
+        object_id = id(value)
+        known = memo.get(object_id)
+        if known is None:
+            known = (value, fingerprint(value))
+            memo[object_id] = known
+        return known[1]
+
+    def config(self, config) -> str:
+        """:func:`config_fingerprint` of *config*."""
+        return self._memoised(self._configs, config, config_fingerprint)
+
+    def bug(self, bug) -> str:
+        """:func:`bug_fingerprint` of *bug*."""
+        return self._memoised(self._bugs, bug, bug_fingerprint)
+
+    def key(self, job: SimulationJob) -> str:
+        """Equal to ``job.key()``."""
+        return job._key(self.config(job.config), self.bug(job.bug))
+
+
+def job_keys(jobs: Iterable[SimulationJob]) -> list[str]:
+    """``[job.key() for job in jobs]``, hashing each design and bug once."""
+    fingerprints = Fingerprints()
+    return [fingerprints.key(job) for job in jobs]
 
 
 class TraceRegistry:

@@ -7,6 +7,15 @@ The :class:`ResultStore` maps a :meth:`SimulationJob.key` content hash to a
 file per key, written atomically (temp file + ``os.replace``) so a killed
 run never leaves a half-written entry that later readers trust.
 
+An entry holds three members: ``meta`` (JSON: the :data:`ENTRY_FORMAT`
+version, the scalars and the counter names in order), ``ipc``, and
+``counters``, one matrix with a row per counter.  Only :meth:`ResultStore.put`
+and :meth:`ResultStore.get` know this layout.  An entry without the
+current format — every entry written before the version existed, when each
+counter was its own member — is a miss: it stays in place until the
+recomputed result's ``put`` replaces it, so an older store upgrades entry
+by entry as runs reach it.
+
 Corrupt or truncated entries are treated as misses: the bad file is removed
 and the job is recomputed, never crashing an experiment run.
 
@@ -15,10 +24,8 @@ digits of the content hash pick one of 256 shard directories.  Directory
 listings stay short at cluster scale, shards rsync independently, and
 concurrent writers from many processes contend on a shard directory
 instead of one giant one.  Temp files live inside the shard directory so
-the ``os.replace`` rename never crosses a filesystem boundary.  Opening a
-store moves any ``<key>.npz`` at its top level (the flat layout older
-stores were written in) into its shard, so an older store keeps every
-entry.
+the ``os.replace`` rename never crosses a filesystem boundary.  The store
+reads and writes nothing outside its ``shard=XX/`` directories.
 
 :meth:`ResultStore.gc` prunes entries not named by a *keep roster* (see
 :mod:`repro.cluster.roster` and ``repro-store gc``): content addressing
@@ -45,8 +52,9 @@ from ..coresim.simulator import SimulationResult
 from ..memsim.simulator import MemSimResult
 from .job import CORE_STUDY, MEMORY_STUDY
 
-#: Prefix namespacing counter arrays inside the ``.npz`` payload.
-_COUNTER_PREFIX = "counter::"
+#: Version of the entry layout :meth:`ResultStore.put` writes, recorded in
+#: each entry's ``meta``.  The per-counter layout before it carried none.
+ENTRY_FORMAT = 2
 
 #: Shape of the temp files ``put`` writes: ``<key>.tmp<pid>``.
 _TMP_PATTERN = re.compile(r"\.tmp\d+$")
@@ -147,6 +155,8 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
     corrupt: int = 0
+    #: Misses on an entry written in an older format (left for put).
+    outdated: int = 0
     tmp_swept: int = 0
     gc_removed: int = 0
 
@@ -165,44 +175,26 @@ class ResultStore:
         #: Directory scans performed (observable for the O(N²)-put regression
         #: test: a warm store must not re-glob the directory on every write).
         self.scans = 1
-        # Opening does all the upkeep a store needs.  Each top-level
-        # ``<key>.npz`` (an entry of a store written flat) first moves into
-        # its shard, so the count below sees it once; an entry that another
-        # opener moved first is already in place.  One pass over the shards
-        # then counts the entries (the incremental counter that replaces
-        # per-put globbing).  Both loops sweep stale ``<key>.tmp<pid>`` files
-        # left behind by crashed writers — nothing else ever looks at
+        # Opening does all the upkeep a store needs, in one pass over the
+        # shards: it counts the entries (the incremental counter that
+        # replaces per-put globbing) and sweeps stale ``<key>.tmp<pid>``
+        # files left behind by crashed writers — nothing else ever looks at
         # non-``.npz`` names, so without this sweep they would leak forever.
         # Only files older than _STALE_TMP_SECONDS are removed: a young temp
         # file may belong to a live writer in another process sharing this
         # store directory.
         stale_before = time.time() - _STALE_TMP_SECONDS
-        for child in list(self.path.iterdir()):
-            if child.name.endswith(".npz"):
-                target = self._entry_path(child.stem)
-                target.parent.mkdir(exist_ok=True)
-                try:
-                    os.replace(child, target)
-                except FileNotFoundError:  # moved by a concurrent opener
-                    pass
-            else:
-                self._sweep_if_stale(child, stale_before)
         self._count = 0
         for child in self._iter_store_files():
             if child.name.endswith(".npz"):
                 self._count += 1
-            else:
-                self._sweep_if_stale(child, stale_before)
-
-    def _sweep_if_stale(self, child: Path, stale_before: float) -> None:
-        if not _TMP_PATTERN.search(child.name):
-            return
-        try:
-            if child.stat().st_mtime < stale_before:
-                child.unlink()
-                self.stats.tmp_swept += 1
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
+            elif _TMP_PATTERN.search(child.name):
+                try:
+                    if child.stat().st_mtime < stale_before:
+                        child.unlink()
+                        self.stats.tmp_swept += 1
+                except OSError:  # pragma: no cover - concurrent cleanup
+                    pass
 
     # -- shards ----------------------------------------------------------------
 
@@ -267,11 +259,12 @@ class ResultStore:
         try:
             with np.load(entry, allow_pickle=False) as data:
                 meta = json.loads(str(data["meta"][()]))
-                counters = {
-                    name[len(_COUNTER_PREFIX):]: data[name].copy()
-                    for name in data.files
-                    if name.startswith(_COUNTER_PREFIX)
-                }
+                if meta.get("format") != ENTRY_FORMAT:
+                    # An older layout, not damage: leave the file for the
+                    # recomputed result's put to replace in place.
+                    self.stats.outdated += 1
+                    self.stats.misses += 1
+                    return None
                 result = StoredResult(
                     study=meta["study"],
                     config_name=meta["config_name"],
@@ -280,8 +273,8 @@ class ResultStore:
                     cycles=float(meta["cycles"]),
                     amat=float(meta["amat"]),
                     step=int(meta["step"]),
-                    counters=counters,
-                    ipc=data["ipc"].copy(),
+                    counters=dict(zip(meta["counters"], data["counters"], strict=True)),
+                    ipc=data["ipc"],
                 )
         except Exception:
             # Truncated download, killed writer, disk hiccup: recompute
@@ -303,15 +296,25 @@ class ResultStore:
     # -- write -----------------------------------------------------------------
 
     def put(self, key: str, result: StoredResult) -> None:
-        """Persist *result* under *key* atomically."""
-        entry = self._entry_path(key)
-        # Concurrent-writer safe: mkdir is idempotent, and the temp file
-        # shares the shard directory so os.replace stays a same-directory
-        # rename.
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        tmp = entry.with_suffix(f".tmp{os.getpid()}")
+        """Persist *result* under *key* atomically.
+
+        Raises :class:`ValueError`, writing nothing, when the counter series
+        differ in length or dtype: one matrix holds them all, and a cast
+        would not round-trip.
+        """
+        names = list(result.counters)
+        series = [np.asarray(result.counters[name]) for name in names]
+        for name, values in zip(names, series):
+            if values.shape != series[0].shape or values.dtype != series[0].dtype:
+                raise ValueError(
+                    f"counter {name!r} is {values.dtype} of shape {values.shape}, "
+                    f"but {names[0]!r} is {series[0].dtype} of shape "
+                    f"{series[0].shape}: one counters matrix cannot hold both"
+                )
+        counters = np.stack(series)
         meta = json.dumps(
             {
+                "format": ENTRY_FORMAT,
                 "study": result.study,
                 "config_name": result.config_name,
                 "bug_name": result.bug_name,
@@ -319,12 +322,21 @@ class ResultStore:
                 "cycles": result.cycles,
                 "amat": result.amat,
                 "step": result.step,
+                "counters": names,
             }
         )
-        arrays = {f"{_COUNTER_PREFIX}{n}": np.asarray(a) for n, a in result.counters.items()}
+        entry = self._entry_path(key)
+        # Concurrent-writer safe: mkdir is idempotent, and the temp file
+        # shares the shard directory so os.replace stays a same-directory
+        # rename.
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        tmp = entry.with_suffix(f".tmp{os.getpid()}")
         try:
             with open(tmp, "wb") as handle:
-                np.savez(handle, meta=np.array(meta), ipc=np.asarray(result.ipc), **arrays)
+                np.savez(
+                    handle, meta=np.array(meta), ipc=np.asarray(result.ipc),
+                    counters=counters,
+                )
             existed = entry.exists()
             os.replace(tmp, entry)
         finally:
@@ -346,7 +358,7 @@ class ResultStore:
         by different runs (or machines) is always safe: equal keys hold
         equal payloads.  Keys already present locally are kept as-is.
         Corrupt source entries are skipped (and dropped from *other*, per
-        the standard read path).  Each copy goes through the normal
+        the standard read path), and so are entries in an older format.  Each copy goes through the normal
         :meth:`put`, so every merged entry is re-validated on the way in.
         """
         if other.path.resolve() == self.path.resolve():

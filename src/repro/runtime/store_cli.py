@@ -10,15 +10,14 @@ sharing.  Usage::
     repro-store gc PATH --keep ROSTER       # prune entries outside the roster
 
 ``merge`` copies every entry absent from DST (creating it if needed),
-re-validating each payload on the way in; corrupt source entries are
-skipped and reported.  A subsequent experiment run against the merged
+re-validating each payload on the way in; corrupt source entries and
+entries in an older format are skipped and reported.  A subsequent experiment run against the merged
 store re-simulates nothing (``executed=0``) for any job either source had
 computed.
 
-Every store keeps its entries in ``shard=XX/`` directories, and opening
-one moves any entry left at its top level into its shard, so each command
-also works on a store written flat.  ``gc`` is the one way to prune a
-store: it needs a keep roster — one store key per line, as written by
+Every store keeps its entries in ``shard=XX/`` directories and touches
+nothing else in its directory.  ``gc`` is the one way to prune a store: it
+needs a keep roster — one store key per line, as written by
 ``repro-cluster roster`` — and removes everything else; ``--dry-run``
 prints what would go.
 """
@@ -26,6 +25,8 @@ prints what would go.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from pathlib import Path
 
 from .store import ResultStore
@@ -49,10 +50,17 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             print(f"error: {exc} ({source_path})")
             return 2
         total += merged
-        skipped = source.stats.corrupt
+        skipped = [
+            f"{count} {reason}"
+            for count, reason in (
+                (source.stats.corrupt, "corrupt"),
+                (source.stats.outdated, "in an older format"),
+            )
+            if count
+        ]
         line = f"  {source_path}: merged {merged}/{before} entries"
         if skipped:
-            line += f" ({skipped} corrupt skipped)"
+            line += f" ({', '.join(skipped)} skipped)"
         print(line)
     print(f"{destination_path}: {len(destination)} entries (+{total} merged)")
     return 0
@@ -154,7 +162,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "merge" and len(args.stores) < 2:
         merge.error("merge needs at least one SRC and one DST")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro-store info S | head``).  Point stdout
+        # at devnull so the interpreter's own flush at exit cannot raise
+        # again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

@@ -45,7 +45,7 @@ from ..detect.detector import DetectionSetup, TwoStageDetector
 from ..detect.probe import Probe
 from ..detect.stage1 import ProbeModel
 from ..detect.stage2 import RuleBasedClassifier
-from ..runtime import SimulationJob, trace_digest
+from ..runtime import SimulationJob, job_keys, trace_digest
 
 #: On-disk registry format; bump on incompatible layout changes.  Format 2:
 #: fitted GBT trees are node arrays plus a packed forest, not ``_Node`` objects.
@@ -180,18 +180,18 @@ def training_job_keys(setup: DetectionSetup, step_cycles: int) -> list[str]:
         pairs.append((design, presumed))
         for variants in setup.bug_suite.values():
             pairs.extend((design, bug) for bug in variants)
-    keys = {
+    jobs = [
         SimulationJob(
             study=setup.cache.study,
             config=design,
             bug=bug,
             trace_id=trace_digest(probe.decoded),
             step=step_cycles,
-        ).key()
+        )
         for design, bug in pairs
         for probe in setup.probes
-    }
-    return sorted(keys)
+    ]
+    return sorted(set(job_keys(jobs)))
 
 
 def _training_digest(keys: list[str]) -> str:

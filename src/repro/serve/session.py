@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 from ..coresim.native import native_available
 from ..runtime import ResultStore, SimulationJob, TraceRegistry
 from ..runtime.execution import _execute_unit, plan_batches
+from ..runtime.job import Fingerprints
 from ..runtime.store import StoredResult
 from .registry import RegisteredModel, Verdict
 
@@ -152,8 +153,9 @@ class ServingSession:
             hits_before = self.stats.store_hits
             pending: list[tuple[int, SimulationJob]] = []
             pending_names: dict[int, tuple[str, str]] = {}
+            fingerprints = Fingerprints()
             for index, (job, probe_name) in enumerate(jobs):
-                key = job.key()
+                key = fingerprints.key(job)
                 stored = self._lookup(key)
                 if stored is not None:
                     results[probe_name] = stored
@@ -163,7 +165,7 @@ class ServingSession:
             executed = len(pending)
             # All of an item's misses share (config, bug, step), so
             # plan_batches folds them into one batch unit.
-            for unit in plan_batches(pending):
+            for unit in plan_batches(pending, fingerprints):
                 for index, stored in _execute_unit(unit, self._registry.traces):
                     probe_name, key = pending_names[index]
                     results[probe_name] = stored

@@ -166,7 +166,6 @@ class MemoryHierarchyConfig:
     dram_latency: int = 200
     prefetcher: str = "spp"
     prefetch_degree: int = 2
-    mshr_entries: int = 16
     issue_width: int = 4
 
     def __post_init__(self) -> None:

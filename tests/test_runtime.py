@@ -1,11 +1,19 @@
 """Tests for the parallel simulation job engine and persistent result store."""
 
+import dataclasses
+import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.runtime.job as job_module
 from repro.bugs.core_bugs import SerializeOpcode
+from repro.bugs.memory_bugs import EvictMRU
 from repro.coresim.hooks import CoreBugModel
 from repro.detect.dataset import MemorySimulationCache, SimulationCache
 from repro.detect.probe import build_probes
@@ -18,6 +26,7 @@ from repro.runtime import (
     bug_fingerprint,
     config_fingerprint,
     default_jobs,
+    job_keys,
     trace_digest,
 )
 from repro.runtime.store import StoredResult
@@ -60,6 +69,31 @@ def _core_jobs(registry, tiny_trace, step=256):
                 )
             )
     return jobs
+
+
+def _memory_jobs(registry, tiny_trace, step=200):
+    trace_id = registry.register(tiny_trace)
+    config = memory_microarch("Skylake-mem")
+    return [
+        SimulationJob(study="memory", config=config, bug=bug, trace_id=trace_id, step=step)
+        for bug in (None, EvictMRU("l2"))
+    ]
+
+
+def _put_old_layout(store, key, result):
+    """Write *result* as entries were written before the format version:
+    one ``counter::<name>`` member per counter and no ``format`` in meta."""
+    meta = {
+        "study": result.study, "config_name": result.config_name,
+        "bug_name": result.bug_name, "instructions": result.instructions,
+        "cycles": result.cycles, "amat": result.amat, "step": result.step,
+    }
+    members = {f"counter::{name}": values for name, values in result.counters.items()}
+    entry = store._entry_path(key)
+    entry.parent.mkdir(exist_ok=True)
+    with open(entry, "wb") as handle:
+        np.savez(handle, meta=np.array(json.dumps(meta)), ipc=result.ipc, **members)
+    return entry
 
 
 def _plant(store, key, payload):
@@ -115,6 +149,52 @@ class TestJobIdentity:
         for variant in variants:
             assert variant.key() not in keys
             keys.add(variant.key())
+
+    def test_job_keys_match_job_key(self, registry, tiny_trace):
+        """The batch keys equal the per-job keys: core and memory jobs, one
+        config shared by many jobs, an equal-but-distinct copy of it, a
+        config equal under ``==`` with different canonical JSON, and
+        ``bug=None``."""
+        jobs = _core_jobs(registry, tiny_trace) + _memory_jobs(registry, tiny_trace)
+        skylake = jobs[0].config
+        copy = dataclasses.replace(skylake)
+        assert copy == skylake and copy is not skylake
+        widened = dataclasses.replace(skylake, width=float(skylake.width))
+        assert widened == skylake
+        assert config_fingerprint(widened) != config_fingerprint(skylake)
+        trace_id = jobs[0].trace_id
+        for config in (copy, widened, skylake):
+            jobs.append(SimulationJob(study="core", config=config, bug=None,
+                                      trace_id=trace_id, step=512))
+        keys = job_keys(jobs)
+        assert keys == [job.key() for job in jobs]
+        assert keys[-3] == keys[-1] != keys[-2]
+
+    def test_engine_run_fingerprints_each_design_once(
+        self, registry, tiny_trace, tmp_path, monkeypatch
+    ):
+        """An engine run keys, looks up, batches and persists N jobs on one
+        design with one config fingerprint, not one or more per job."""
+        config = core_microarch("Skylake")
+        trace_id = registry.register(tiny_trace)
+        jobs = [
+            SimulationJob(study="core", config=config, bug=bug,
+                          trace_id=trace_id, step=step)
+            for bug in (None, SerializeOpcode(Opcode.XOR))
+            for step in (256, 512)
+        ]
+        calls = []
+        real = job_module.config_fingerprint
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(job_module, "config_fingerprint", counting)
+        engine = JobEngine(jobs=1, store=ResultStore(tmp_path / "store"))
+        engine.run(jobs, registry.traces)
+        assert engine.stats.executed == len(jobs)
+        assert calls == [config]
 
     def test_bug_fingerprint_separates_variants(self):
         assert bug_fingerprint(None) == "bug-free"
@@ -221,12 +301,22 @@ class TestEngine:
 
 class TestResultStore:
     def test_round_trip_is_bit_exact(self, registry, tiny_trace, tmp_path):
-        jobs = _core_jobs(registry, tiny_trace)
+        jobs = _core_jobs(registry, tiny_trace) + _memory_jobs(registry, tiny_trace)
         store = ResultStore(tmp_path / "store")
         computed = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
         loaded = [store.get(job.key()) for job in jobs]
         assert all(entry is not None for entry in loaded)
-        _assert_results_equal(computed, loaded)
+        assert {entry.study for entry in loaded} == {"core", "memory"}
+        for a, b in zip(computed, loaded):
+            for field in ("study", "config_name", "bug_name", "instructions",
+                          "cycles", "amat", "step"):
+                assert getattr(a, field) == getattr(b, field), field
+            assert list(a.counters) == list(b.counters)  # names, in order
+            for name, series in a.counters.items():
+                assert series.dtype == b.counters[name].dtype, name
+                assert series.tobytes() == b.counters[name].tobytes(), name
+            assert a.ipc.dtype == b.ipc.dtype
+            assert a.ipc.tobytes() == b.ipc.tobytes()
 
     def test_second_run_hits_store_only(self, registry, tiny_trace, tmp_path):
         jobs = _core_jobs(registry, tiny_trace)
@@ -265,6 +355,46 @@ class TestResultStore:
         assert store.get("nonsense") is None
         assert store.stats.corrupt == 1
 
+    def test_entry_in_the_old_layout_is_a_miss_replaced_in_place(
+        self, registry, tiny_trace, tmp_path
+    ):
+        jobs = _core_jobs(registry, tiny_trace)[:1]
+        key = jobs[0].key()
+        (result,) = JobEngine(jobs=1).run(jobs, registry.traces)
+        entry = _put_old_layout(ResultStore(tmp_path / "store"), key, result)
+
+        store = ResultStore(tmp_path / "store")
+        assert len(store) == 1
+        scans = store.scans
+        assert store.get(key) is None
+        assert store.stats.corrupt == 0
+        assert store.stats.misses == 1
+        assert store.scans == scans  # no rescan, as for a plain miss
+        assert entry.exists()  # left for put to replace
+
+        upgrade = JobEngine(jobs=1, store=store)
+        _assert_results_equal(upgrade.run(jobs, registry.traces), [result])
+        assert upgrade.stats.executed == 1
+        assert len(store) == 1
+        assert store.keys() == [key]
+        assert store.stats.corrupt == 0
+        replay = JobEngine(jobs=1, store=ResultStore(tmp_path / "store"))
+        _assert_results_equal(replay.run(jobs, registry.traces), [result])
+        assert replay.stats.executed == 0
+
+    @pytest.mark.parametrize(
+        "odd", [np.arange(5.0), np.arange(4, dtype=np.int64)], ids=["length", "dtype"]
+    )
+    def test_put_rejects_series_one_matrix_cannot_hold(self, tmp_path, odd):
+        store = ResultStore(tmp_path / "store")
+        result = self._tiny_result()
+        result.counters["odd"] = odd
+        with pytest.raises(ValueError, match="counter 'odd'"):
+            store.put("aa0", result)
+        assert not [p for p in store.path.rglob("*") if p.is_file()]
+        assert len(store) == 0
+        assert store.stats.puts == 0
+
     @staticmethod
     def _tiny_result():
         return StoredResult(
@@ -276,28 +406,49 @@ class TestResultStore:
     def test_stale_tmp_files_swept_on_init(self, tmp_path):
         first = ResultStore(tmp_path / "store")
         first.put("aa0", self._tiny_result())
+        shard = first._entry_path("aa0").parent
         # Simulate writers killed mid-put long ago: orphaned <key>.tmp<pid>
         # files with old mtimes.
         ancient = 1_000_000
-        for name in ("deadbeef.tmp4242", "cafe.tmp99"):
-            stale = first.path / name
+        for name in ("aadeadbeef.tmp4242", "aacafe.tmp99"):
+            stale = shard / name
             stale.write_bytes(b"partial")
             os.utime(stale, (ancient, ancient))
         # A *young* temp file may belong to a live writer in another process
         # sharing the store and must survive the sweep.
-        live = first.path / "beef.tmp123"
+        live = shard / "aabeef.tmp123"
         live.write_bytes(b"in flight")
         # Non-temp foreign files are never touched either.
-        foreign = first.path / "notes.txt"
+        foreign = shard / "notes.txt"
         foreign.write_text("keep me")
         second = ResultStore(tmp_path / "store")
         assert second.stats.tmp_swept == 2
-        assert not (second.path / "deadbeef.tmp4242").exists()
-        assert not (second.path / "cafe.tmp99").exists()
+        assert not (shard / "aadeadbeef.tmp4242").exists()
+        assert not (shard / "aacafe.tmp99").exists()
         assert live.exists()
         assert foreign.exists()
         assert len(second) == 1
         assert second.get("aa0") is not None
+
+    def test_files_outside_the_shards_are_never_touched(self, tmp_path, capsys):
+        from repro.runtime.store_cli import main as store_main
+
+        root = tmp_path / "store"
+        ResultStore(root).put("aa0", self._tiny_result())
+        weights = root / "weights.npz"
+        np.savez(weights, w=np.arange(3.0))
+        old_tmp = root / "run.tmp42"
+        old_tmp.write_bytes(b"not ours")
+        two_hours_ago = time.time() - 7200
+        os.utime(old_tmp, (two_hours_ago, two_hours_ago))
+        listing = sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+        store = ResultStore(root)
+        assert store_main(["info", str(root)]) == 0
+        assert f"{root}: 1 entries\n" in capsys.readouterr().out
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == listing
+        assert store.stats.tmp_swept == 0
+        assert store.keys() == ["aa0"]
 
     def test_warm_store_writes_without_rescanning(self, tmp_path):
         """Regression: every put used to glob the whole directory, making N
@@ -327,7 +478,7 @@ class TestResultStore:
 
 
 class TestShardedStore:
-    """The ``shard=XX/`` layout: migration on open, GC and the CLI."""
+    """The ``shard=XX/`` layout, GC and the CLI."""
 
     @staticmethod
     def _tiny_result():
@@ -370,54 +521,6 @@ class TestShardedStore:
         assert store.gc({"aa00", "never-computed"}) == []
         assert store.get("aa00") is not None
 
-    def test_flat_store_migrates_on_open(self, registry, tiny_trace, tmp_path):
-        """A store written flat opens with every entry moved into its shard,
-        readable, counted and replayed without executing anything."""
-        jobs = _core_jobs(registry, tiny_trace)
-        root = tmp_path / "store"
-        JobEngine(jobs=1, store=ResultStore(root)).run(jobs, registry.traces)
-        keys = sorted(job.key() for job in jobs)
-        # Lay the entries out flat: all but one at the top level, one left in
-        # its shard, plus the layout marker flat stores used to carry.
-        placed = {key: root / f"{key}.npz" for key in keys}
-        placed[keys[0]] = root / f"shard={keys[0][:2]}" / f"{keys[0]}.npz"
-        for key, target in placed.items():
-            (entry,) = root.rglob(f"{key}.npz")
-            target.parent.mkdir(exist_ok=True)
-            os.replace(entry, target)
-        (root / ".repro-store-layout").write_text("flat\n")
-        assert len(list(root.glob("*.npz"))) == len(keys) - 1
-
-        store = ResultStore(root)
-        assert not list(root.glob("*.npz"))
-        on_disk = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.npz"))
-        assert on_disk == sorted(f"shard={key[:2]}/{key}.npz" for key in keys)
-        assert len(store) == len(keys)
-        assert store.keys() == keys
-        assert all(store.get(key) is not None for key in keys)
-
-        replay = JobEngine(jobs=1, store=ResultStore(root))
-        results = replay.run(jobs, registry.traces)
-        assert replay.stats.executed == 0
-        assert replay.stats.store_hits == len(jobs)
-        _assert_results_equal(results, JobEngine(jobs=1).run(jobs, registry.traces))
-
-    def test_entry_moved_by_another_opener_is_not_an_error(self, tmp_path, monkeypatch):
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / "aa00.npz").write_bytes(b"payload")
-        real_replace = os.replace
-
-        def racing_replace(src, dst):
-            real_replace(src, dst)  # the other opener wins the race ...
-            raise FileNotFoundError(src)  # ... so this opener's move finds nothing
-
-        monkeypatch.setattr(os, "replace", racing_replace)
-        store = ResultStore(root)
-        monkeypatch.undo()
-        assert len(store) == 1
-        assert (root / "shard=aa" / "aa00.npz").exists()
-
     def test_cli_info_and_gc(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
 
@@ -458,6 +561,30 @@ class TestShardedStore:
             assert f"error: {path}: not a store directory" in output
             assert not path.exists()
         assert f"{tmp_path / 'store'}: 1 entries" in output
+
+    def test_cli_exits_quietly_when_the_reader_closes_the_pipe(self, tmp_path):
+        """``repro-store info S | head -1``: the command stops without a
+        traceback once its reader has gone."""
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        for shard in range(256):
+            store.put(f"{shard:02x}00", self._tiny_result())
+        # Each listing of the 256-shard store prints ~4.6 kB; forty of them
+        # outgrow the pipe's buffer, so the command is still writing when
+        # the reader closes its end.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.runtime.store_cli", "info"] + [str(root)] * 40,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert process.stdout.readline().startswith(str(root).encode())
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_cli_gc_refuses_empty_roster(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
@@ -604,18 +731,30 @@ class TestStoreMerge:
         assert replay.stats.store_hits == len(jobs)
         _assert_results_equal(results, JobEngine(jobs=1).run(jobs, registry.traces))
 
-    def test_merge_skips_corrupt_and_existing_entries(self, tmp_path):
+    def test_merge_skips_corrupt_and_existing_entries(self, tmp_path, capsys):
+        from repro.runtime.store_cli import main as store_main
+
         source = ResultStore(tmp_path / "src")
         source.put("aa0", self._tiny_result())
         source.put("bb1", self._tiny_result())
         _plant(source, "cc2", b"not a zip archive")
+        _put_old_layout(source, "dd3", self._tiny_result())
         destination = ResultStore(tmp_path / "dst")
         destination.put("aa0", self._tiny_result())  # already present
 
         merged = destination.merge_from(source)
-        assert merged == 1  # bb1 only: aa0 existed, cc2 was corrupt
+        # bb1 only: aa0 existed, cc2 was corrupt, dd3 is in the old layout.
+        assert merged == 1
         assert source.stats.corrupt == 1
+        assert source.stats.outdated == 1
         assert sorted(destination.keys()) == ["aa0", "bb1"]
+
+        _plant(source, "cc2", b"not a zip archive")
+        assert store_main(["merge", str(tmp_path / "src"), str(tmp_path / "cli")]) == 0
+        assert (
+            "merged 2/4 entries (1 corrupt, 1 in an older format skipped)"
+            in capsys.readouterr().out
+        )
 
     def test_merge_into_itself_rejected(self, tmp_path):
         store = ResultStore(tmp_path / "store")
