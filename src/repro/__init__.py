@@ -33,7 +33,29 @@ Quickstart::
     print(result.summary_row())
 """
 
+import os as _os
+
 __version__ = "1.0.0"
+
+#: The variables OpenBLAS reads its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# One BLAS thread unless the user chose a count: the stage-1 and stage-2
+# matrices are small (tens of rows), and a second thread makes them slower.
+# This runs before any submodule imports numpy, whose OpenBLAS reads the
+# variables once, when it loads, and every process the program starts
+# inherits them.  A count set in either variable is kept, and so is the
+# other variable's absence.
+if not any(_os.environ.get(name) for name in BLAS_THREAD_VARS):
+    _os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+
+def blas_threads() -> str:
+    """The BLAS thread count this process's environment asks for."""
+    for name in BLAS_THREAD_VARS:
+        if _os.environ.get(name):
+            return _os.environ[name]
+    return "default"
 
 __all__ = [
     "workloads",

@@ -5,7 +5,8 @@ See :mod:`repro.coresim.native.kernel` for the marshalling layer and
 build cache, and the graceful no-compiler fallback.  The same library holds
 the memory-hierarchy kernel (``_memsim.c``), marshalled by
 :mod:`repro.memsim.native`, and the gradient-boosting loop (``_gbt.c``),
-marshalled by :mod:`repro.ml.native`.
+marshalled by :mod:`repro.ml.native`.  Both simulators keep their tables
+across calls in workspaces pooled by :mod:`repro.coresim.native.workspace`.
 """
 
 from .build import (

@@ -23,7 +23,15 @@
  * [n_dispatched, n_fetched), and the store queue is the store-ordinal range
  * [stores_committed, stores_dispatched).  Store-to-load forwarding reduces
  * to "the last earlier store to this address has not committed yet", which a
- * setup pass precomputes per load. */
+ * setup pass precomputes per load.
+ *
+ * The cache tables live in a caller-owned CoreWorkspace
+ * (repro_core_workspace_new) that outlives the call, so a page a run touches
+ * faults in once per workspace, not once per call.  They are never cleared:
+ * each level keeps its LRU tick across runs, and a run reads every way whose
+ * tick is at or below the tick it started from (empty_at) as invalid.  Ticks
+ * only grow, so LRU order among a run's own lines is what a zeroed table
+ * gives. */
 
 #define _DEFAULT_SOURCE  /* MAP_ANONYMOUS under -std=c99 */
 #include <stdint.h>
@@ -173,10 +181,12 @@ static inline i64 pyfloordiv(i64 a, i64 b) {
     return q;
 }
 
-/* Zeroed arrays straight from mmap: untouched pages never become resident,
- * and unmapping them leaves the host allocator's thresholds alone (a freed
- * large calloc would raise glibc's mmap threshold, so the next run's arrays
- * would come from the heap with every page resident). */
+/* Each workspace table is its own anonymous mapping, mapped when a design
+ * first needs it and kept until the workspace is freed.  Freeing hands the
+ * pages straight back to the OS and leaves the host allocator's thresholds
+ * alone (a freed large calloc would raise glibc's mmap threshold, so the
+ * per-uop arrays of later runs would come from the heap with every page
+ * resident). */
 static i64 *map_zeroed(i64 count) {
     void *p = mmap(NULL, (size_t)count * sizeof(i64), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -198,12 +208,66 @@ typedef struct {
     i64 assoc;
     i64 line_shift;
     i64 latency;
-    i64 tick;       /* LRU clock; per-way tick 0 means invalid */
+    i64 tick;       /* LRU clock */
+    i64 empty_at;   /* the tick the run started from: ticks <= it are invalid */
     i64 accesses;
     i64 misses;
     i64 *tags;      /* num_sets * assoc */
     i64 *ticks;     /* num_sets * assoc */
 } CacheLevel;
+
+/* One level's tables in a workspace.  Tags and ticks are two mappings, each
+ * grown on its own: were they one mapping split at `lines`, a design with
+ * fewer lines would read old tags as fresh ticks. */
+typedef struct {
+    i64 *tags;
+    i64 *ticks;
+    i64 lines;      /* capacity of each array */
+    i64 tick;       /* the level's tick when its last run ended */
+} LevelTables;
+
+/* The caller-owned workspace: the cache tables, kept across calls.  One
+ * call at a time may use it. */
+typedef struct {
+    LevelTables levels[MAX_LEVELS];
+} CoreWorkspace;
+
+CoreWorkspace *repro_core_workspace_new(void) {
+    return (CoreWorkspace *)calloc(1, sizeof(CoreWorkspace));
+}
+
+void repro_core_workspace_free(CoreWorkspace *ws) {
+    i64 k;
+    if (ws == NULL) {
+        return;
+    }
+    for (k = 0; k < MAX_LEVELS; k++) {
+        unmap(ws->levels[k].tags, ws->levels[k].lines);
+        unmap(ws->levels[k].ticks, ws->levels[k].lines);
+    }
+    free(ws);
+}
+
+/* Grows *t* to hold *lines* ways; returns -1 when memory runs out. */
+static int tables_reserve(LevelTables *t, i64 lines) {
+    i64 *tags, *ticks;
+    if (lines <= t->lines) {
+        return 0;
+    }
+    tags = map_zeroed(lines);
+    ticks = map_zeroed(lines);
+    if (tags == NULL || ticks == NULL) {
+        unmap(tags, lines);
+        unmap(ticks, lines);
+        return -1;
+    }
+    unmap(t->tags, t->lines);
+    unmap(t->ticks, t->lines);
+    t->tags = tags;
+    t->ticks = ticks;
+    t->lines = lines;
+    return 0;
+}
 
 static int cache_lookup(CacheLevel *c, i64 address) {
     i64 line = address >> c->line_shift;
@@ -216,7 +280,7 @@ static int cache_lookup(CacheLevel *c, i64 address) {
     c->tick += 1;
     c->accesses += 1;
     for (w = 0; w < ways; w++) {
-        if (ticks[w] != 0 && tags[w] == tag) {
+        if (ticks[w] > c->empty_at && tags[w] == tag) {
             ticks[w] = c->tick;
             return 1;
         }
@@ -227,7 +291,7 @@ static int cache_lookup(CacheLevel *c, i64 address) {
     {
         i64 victim = -1;
         for (w = 0; w < ways; w++) {
-            if (ticks[w] == 0) {
+            if (ticks[w] <= c->empty_at) {
                 victim = w;
                 break;
             }
@@ -256,7 +320,7 @@ static void cache_fill(CacheLevel *c, i64 address) {
     i64 w;
     c->tick += 1;
     for (w = 0; w < ways; w++) {
-        if (ticks[w] != 0 && tags[w] == tag) {
+        if (ticks[w] > c->empty_at && tags[w] == tag) {
             ticks[w] = c->tick;
             return;
         }
@@ -264,7 +328,7 @@ static void cache_fill(CacheLevel *c, i64 address) {
     {
         i64 victim = -1;
         for (w = 0; w < ways; w++) {
-            if (ticks[w] == 0) {
+            if (ticks[w] <= c->empty_at) {
                 victim = w;
                 break;
             }
@@ -588,7 +652,8 @@ static void emit_row(i64 *row, const i64 *C, i64 rob_occ, i64 iq_occ,
 
 /* Return codes: 0 ok, 1 max-cycles exceeded (caller raises PipelineError),
  * 2 allocation failure, 3 row-buffer overflow (cannot happen when the
- * caller sizes max_rows from max_cycles // step_cycles + 1). */
+ * caller sizes max_rows from max_cycles // step_cycles + 1).  *ws* holds
+ * the cache tables and keeps them for the next call. */
 int repro_simulate(const SimParams *P,
                    const u8 *bug_flags,
                    const i64 *extra_delay,
@@ -607,7 +672,8 @@ int repro_simulate(const SimParams *P,
                    const i32 *class_ports_flat,
                    i64 *out_rows,
                    i64 max_rows,
-                   i64 *out_scalars) {
+                   i64 *out_scalars,
+                   CoreWorkspace *ws) {
     const i64 n = P->total;
     const i64 width = P->width;
     const i64 rob_size = P->rob_size;
@@ -645,6 +711,7 @@ int repro_simulate(const SimParams *P,
     int track_oldest = 0;
     i64 n_edges_max = srcs_offset[n];
     i64 edge_count = 0;
+    i64 levels_ready = 0;
     i64 k;
 
     memset(&hier, 0, sizeof(hier));
@@ -719,16 +786,20 @@ int repro_simulate(const SimParams *P,
     hier.l1_line_size = P->l1_line_size;
     for (k = 0; k < P->num_levels; k++) {
         CacheLevel *c = &hier.levels[k];
+        LevelTables *t = &ws->levels[k];
         c->num_sets = P->cache_sets[k];
         c->assoc = P->cache_assoc[k];
         c->line_shift = P->cache_line_shift[k];
         c->latency = P->cache_latency[k];
-        c->tags = map_zeroed(c->num_sets * c->assoc);
-        c->ticks = map_zeroed(c->num_sets * c->assoc);
-        if (!c->tags || !c->ticks) {
+        c->tick = t->tick;
+        c->empty_at = t->tick;
+        levels_ready = k + 1;
+        if (tables_reserve(t, c->num_sets * c->assoc) != 0) {
             rc = 2;
             goto cleanup;
         }
+        c->tags = t->tags;
+        c->ticks = t->ticks;
     }
 
     /* --- branch predictor --- */
@@ -1314,10 +1385,10 @@ cleanup:
     free(issued);
     free(cal_head);
     free(cal_next);
-    for (k = 0; k < MAX_LEVELS; k++) {
-        CacheLevel *c = &hier.levels[k];
-        unmap(c->tags, c->num_sets * c->assoc);
-        unmap(c->ticks, c->num_sets * c->assoc);
+    /* Every level that started a run hands its tick on to the next one, so
+     * what this run wrote reads as invalid there. */
+    for (k = 0; k < levels_ready; k++) {
+        ws->levels[k].tick = hier.levels[k].tick;
     }
     free(bp.counters);
     free(bp.ind_target);

@@ -20,10 +20,20 @@
  * (threshold, delay) pair, and three SPP switches.  The Python wrapper
  * (repro/memsim/native.py) rejects what this kernel cannot hold exactly:
  * addresses outside [0, 2**62), and latencies, delays, cache sizes in
- * lines and trace lengths past 2**31. */
+ * lines and trace lengths past 2**31.
+ *
+ * Tables live in a caller-owned MemsimWorkspace (repro_memsim_workspace_new)
+ * that outlives the call, so a page a run touches faults in once per
+ * workspace, not once per call.  The cache tables are never cleared: each
+ * level keeps its tick across runs, and a run reads every way whose age is
+ * at or below the tick it started from (empty_at) as empty.  Ages only
+ * grow, so LRU/MRU order among a run's own lines is what a zeroed table
+ * gives.  The SPP page table and pattern rows are cleared at the start of
+ * each SPP run; the delta arena is written before it is read. */
 
 #define _DEFAULT_SOURCE  /* MAP_ANONYMOUS under -std=c99 */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
 
@@ -94,8 +104,10 @@ typedef struct {
     i64 load_miss_delay[2];
 } MemParams;
 
-/* Zeroed memory straight from mmap: untouched pages never become resident,
- * and unmapping leaves the host allocator's thresholds alone. */
+/* Each workspace table is its own anonymous mapping, mapped when a design
+ * first needs it and kept until the workspace is freed: freeing hands the
+ * pages straight back to the OS, and the host allocator's thresholds never
+ * see a multi-megabyte block come and go. */
 static void *map_zeroed(size_t bytes) {
     void *p = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -112,6 +124,17 @@ static void unmap(void *p, size_t bytes) {
 /* ReplacementCache                                                        */
 /* ---------------------------------------------------------------------- */
 
+/* One level's tables in a workspace.  Tags, ages and prefetch flags are
+ * three mappings, each grown on its own: were they one mapping split at
+ * `lines`, a design with fewer lines would read old tags as fresh ages. */
+typedef struct {
+    i64 *tags;
+    i64 *ages;        /* tick of the last age update */
+    u8 *prefetched;   /* filled by a prefetch and not yet hit */
+    i64 lines;        /* capacity of each array */
+    i64 tick;         /* the level's tick when its last run ended */
+} LevelTables;
+
 typedef struct {
     i64 num_sets;
     i64 assoc;
@@ -119,35 +142,62 @@ typedef struct {
     int age_on_hit;
     int evict_mru;
     i64 tick;
+    i64 empty_at;     /* the tick the run started from: ages <= it are empty */
     i64 stats[NUM_STATS];
     i64 *tags;        /* num_sets * assoc */
-    i64 *ages;        /* tick of the last age update; 0 = empty way */
-    u8 *prefetched;   /* filled by a prefetch and not yet hit */
-    size_t bytes;     /* the one mapping holding all three arrays */
+    i64 *ages;
+    u8 *prefetched;
 } Cache;
 
-static int cache_init(Cache *c, i64 sets, i64 assoc, i64 line_shift,
-                      int age_on_hit, int evict_mru) {
-    i64 lines = sets * assoc;
+/* Grows *t* to hold *lines* ways; returns -1 when memory runs out. */
+static int tables_reserve(LevelTables *t, i64 lines) {
+    i64 *tags, *ages;
+    u8 *prefetched;
+    if (lines <= t->lines) {
+        return 0;
+    }
+    tags = (i64 *)map_zeroed((size_t)lines * sizeof(i64));
+    ages = (i64 *)map_zeroed((size_t)lines * sizeof(i64));
+    prefetched = (u8 *)map_zeroed((size_t)lines);
+    if (tags == NULL || ages == NULL || prefetched == NULL) {
+        unmap(tags, (size_t)lines * sizeof(i64));
+        unmap(ages, (size_t)lines * sizeof(i64));
+        unmap(prefetched, (size_t)lines);
+        return -1;
+    }
+    unmap(t->tags, (size_t)t->lines * sizeof(i64));
+    unmap(t->ages, (size_t)t->lines * sizeof(i64));
+    unmap(t->prefetched, (size_t)t->lines);
+    t->tags = tags;
+    t->ages = ages;
+    t->prefetched = prefetched;
+    t->lines = lines;
+    return 0;
+}
+
+static void tables_free(LevelTables *t) {
+    unmap(t->tags, (size_t)t->lines * sizeof(i64));
+    unmap(t->ages, (size_t)t->lines * sizeof(i64));
+    unmap(t->prefetched, (size_t)t->lines);
+}
+
+static int cache_init(Cache *c, LevelTables *t, i64 sets, i64 assoc,
+                      i64 line_shift, int age_on_hit, int evict_mru) {
     memset(c, 0, sizeof(*c));
     c->num_sets = sets;
     c->assoc = assoc;
     c->line_shift = line_shift;
     c->age_on_hit = age_on_hit;
     c->evict_mru = evict_mru;
-    c->bytes = (size_t)lines * (2 * sizeof(i64) + 1);
-    c->tags = (i64 *)map_zeroed(c->bytes);
-    if (c->tags == NULL) {
+    c->tick = t->tick;
+    c->empty_at = t->tick;
+    if (tables_reserve(t, sets * assoc) != 0) {
         return -1;
     }
-    c->ages = c->tags + lines;
-    c->prefetched = (u8 *)(c->ages + lines);
+    c->tags = t->tags;
+    c->ages = t->ages;
+    c->prefetched = t->prefetched;
     return 0;
-}
-
-static void cache_free(Cache *c) {
-    unmap(c->tags, c->bytes);
-    c->tags = NULL;
 }
 
 /* Install *tag* at the current tick (the line is known to be absent). */
@@ -156,7 +206,7 @@ static void cache_insert(Cache *c, i64 base, i64 tag, int prefetch) {
     i64 victim = -1;
     i64 w;
     for (w = 0; w < c->assoc; w++) {
-        if (ages[w] == 0) {
+        if (ages[w] <= c->empty_at) {
             victim = w;
             break;
         }
@@ -178,7 +228,7 @@ static void cache_insert(Cache *c, i64 base, i64 tag, int prefetch) {
 static i64 cache_find(const Cache *c, i64 base, i64 tag) {
     i64 w;
     for (w = 0; w < c->assoc; w++) {
-        if (c->ages[base + w] != 0 && c->tags[base + w] == tag) {
+        if (c->ages[base + w] > c->empty_at && c->tags[base + w] == tag) {
             return base + w;
         }
     }
@@ -262,17 +312,45 @@ static size_t spp_arena_bytes(const Spp *s) {
     return (size_t)s->arena_capacity * sizeof(DeltaEntry);
 }
 
-static int spp_init(Spp *s, i64 accesses) {
-    memset(s, 0, sizeof(*s));
-    s->page_capacity = PAGES_INITIAL;
-    s->pages = (PageEntry *)map_zeroed((size_t)s->page_capacity * sizeof(PageEntry));
-    s->rows = (PatternRow *)map_zeroed(NUM_SIGNATURES * sizeof(PatternRow));
+/* Readies a workspace's SPP for a run of *accesses* demand accesses: maps
+ * what is missing, grows the arena to the run's bound, and clears the page
+ * table and the pattern rows.  The page table keeps any capacity an earlier
+ * run grew it to (lookups go by key, never by slot); the arena is written
+ * before it is read. */
+static int spp_reset(Spp *s, i64 accesses) {
     /* Each row's slices double, so a row of k deltas has used at most
      * 2 * PATTERN_INITIAL + 4k arena entries, and every access adds at most
      * one delta: that bounds the arena without ever moving it. */
-    s->arena_capacity = 2 * PATTERN_INITIAL * NUM_SIGNATURES + 4 * accesses;
-    s->arena = (DeltaEntry *)map_zeroed(spp_arena_bytes(s));
-    return (s->pages && s->rows && s->arena) ? 0 : -1;
+    i64 arena_needed = 2 * PATTERN_INITIAL * NUM_SIGNATURES + 4 * accesses;
+    if (s->pages == NULL) {
+        s->pages = (PageEntry *)map_zeroed(PAGES_INITIAL * sizeof(PageEntry));
+        if (s->pages == NULL) {
+            return -1;
+        }
+        s->page_capacity = PAGES_INITIAL;
+    } else {
+        memset(s->pages, 0, (size_t)s->page_capacity * sizeof(PageEntry));
+    }
+    if (s->rows == NULL) {
+        s->rows = (PatternRow *)map_zeroed(NUM_SIGNATURES * sizeof(PatternRow));
+        if (s->rows == NULL) {
+            return -1;
+        }
+    } else {
+        memset(s->rows, 0, NUM_SIGNATURES * sizeof(PatternRow));
+    }
+    if (s->arena_capacity < arena_needed) {
+        unmap(s->arena, spp_arena_bytes(s));
+        s->arena_capacity = arena_needed;
+        s->arena = (DeltaEntry *)map_zeroed(spp_arena_bytes(s));
+        if (s->arena == NULL) {
+            s->arena_capacity = 0;
+            return -1;
+        }
+    }
+    s->page_used = 0;
+    s->arena_used = 0;
+    return 0;
 }
 
 static void spp_free(Spp *s) {
@@ -365,10 +443,33 @@ static int spp_best_delta(const Spp *s, i64 signature, int least,
 /* Hierarchy                                                               */
 /* ---------------------------------------------------------------------- */
 
+/* The caller-owned workspace: every table a run uses, kept across calls.
+ * One call at a time may use it. */
+typedef struct {
+    LevelTables levels[NUM_LEVELS];
+    Spp spp;
+} MemsimWorkspace;
+
+MemsimWorkspace *repro_memsim_workspace_new(void) {
+    return (MemsimWorkspace *)calloc(1, sizeof(MemsimWorkspace));
+}
+
+void repro_memsim_workspace_free(MemsimWorkspace *ws) {
+    int level;
+    if (ws == NULL) {
+        return;
+    }
+    for (level = 0; level < NUM_LEVELS; level++) {
+        tables_free(&ws->levels[level]);
+    }
+    spp_free(&ws->spp);
+    free(ws);
+}
+
 typedef struct {
     const MemParams *P;
     Cache levels[NUM_LEVELS];
-    Spp spp;
+    Spp *spp;
     i64 issued;     /* prefetches issued (the prefetcher's `issued`) */
     i64 marked;     /* SPP prefetches marked executed but dropped */
     int out_of_memory;
@@ -383,7 +484,7 @@ static void prefetch(Hierarchy *h, i64 address) {
  * (the prefetcher never reads the caches, so the order is the same). */
 static void spp_observe(Hierarchy *h, i64 address) {
     const MemParams *P = h->P;
-    Spp *s = &h->spp;
+    Spp *s = h->spp;
     i64 page = address / PAGE_SIZE;
     i64 block = (address % PAGE_SIZE) / P->line_size;
     i64 blocks_per_page = PAGE_SIZE / P->line_size;
@@ -546,7 +647,8 @@ static i64 floordiv(i64 a, i64 b) {
 /* Returns 0 on success, 2 when memory runs out, 3 when max_rows is too
  * small.  out_rows is NUM_COLUMNS x max_rows (column-major); out_totals
  * receives [total latency, per-access cycle sum], out_counts
- * [rows, total accesses]. */
+ * [rows, total accesses].  *ws* holds the tables and keeps them for the
+ * next call. */
 int repro_memsim(const MemParams *P,
                  const u8 *has_address,
                  const i64 *address,
@@ -555,21 +657,23 @@ int repro_memsim(const MemParams *P,
                  double *out_ipc,
                  i64 max_rows,
                  double *out_totals,
-                 i64 *out_counts) {
+                 i64 *out_counts,
+                 MemsimWorkspace *ws) {
     Hierarchy h;
     Step st;
     i64 i, accesses = 0;
     double total_latency = 0.0, total_cycles = 0.0;
     i64 total_accesses = 0;
     i64 l1_latency = P->cache_latency[0];
-    int level, rc = 0;
+    int level, ready, rc = 0;
 
     memset(&h, 0, sizeof(h));
     h.P = P;
-    for (level = 0; level < NUM_LEVELS; level++) {
-        if (cache_init(&h.levels[level], P->cache_sets[level], P->cache_assoc[level],
-                       P->cache_line_shift[level], !P->no_age_update[level],
-                       (int)P->evict_mru[level]) != 0) {
+    h.spp = &ws->spp;
+    for (ready = 0; ready < NUM_LEVELS; ready++) {
+        if (cache_init(&h.levels[ready], &ws->levels[ready], P->cache_sets[ready],
+                       P->cache_assoc[ready], P->cache_line_shift[ready],
+                       !P->no_age_update[ready], (int)P->evict_mru[ready]) != 0) {
             rc = 2;
             goto done;
         }
@@ -578,7 +682,7 @@ int repro_memsim(const MemParams *P,
         for (i = 0; i < P->total; i++) {
             accesses += has_address[i];
         }
-        if (spp_init(&h.spp, accesses) != 0) {
+        if (spp_reset(h.spp, accesses) != 0) {
             rc = 2;
             goto done;
         }
@@ -632,11 +736,10 @@ int repro_memsim(const MemParams *P,
     out_counts[1] = total_accesses;
 
 done:
-    for (level = 0; level < NUM_LEVELS; level++) {
-        cache_free(&h.levels[level]);
-    }
-    if (P->prefetcher == PF_SPP) {
-        spp_free(&h.spp);
+    /* Every level that started a run hands its tick on to the next one, so
+     * what this run wrote reads as empty there. */
+    for (level = 0; level < ready; level++) {
+        ws->levels[level].tick = h.levels[level].tick;
     }
     return rc;
 }

@@ -49,6 +49,8 @@ import threading
 import warnings
 from pathlib import Path
 
+from . import workspace
+
 #: Compiler override environment variable (see module docstring).
 COMPILER_ENV_VAR = "REPRO_NATIVE_CC"
 
@@ -349,8 +351,10 @@ def load_library() -> "ctypes.CDLL | None":
 
 
 def _reset_for_tests() -> None:
-    """Drop all memoised build state (tests re-point env vars around this)."""
+    """Drop all memoised build state (tests re-point env vars around this),
+    and free the pooled workspaces of the library it drops."""
     global _lib, _lib_resolved, _warned, _compiler_info
+    workspace.reset()
     _lib = None
     _lib_resolved = False
     _warned = False

@@ -7,7 +7,8 @@ per sampling boundary comes back out, and the rows are replayed through the
 real :class:`~repro.coresim.counters.TimeSeriesSampler` so the resulting
 :class:`~repro.coresim.simulator.SimulationResult` is **bit-identical** to
 the Python fallback (same cycles, same counter name sets, same values —
-pinned by the differential oracle).
+pinned by the differential oracle).  The C loop keeps its cache tables in a
+workspace that :mod:`~repro.coresim.native.workspace` lends it for the call.
 
 Every core bug model runs here.  Its structural hooks
 (``on_simulation_start``, ``register_reduction``, ``bp_table_entries``) are
@@ -31,6 +32,7 @@ from ...workloads.isa import NUM_ARCH_REGS, OPCODE_CLASS, MicroOp, OpClass
 from ..counters import TimeSeriesSampler
 from ..hooks import BUG_FREE, BugRecord, CoreBugModel
 from .._reference import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
+from . import workspace
 from .build import load_library
 
 _NUM_CLASSES = len(OpClass)
@@ -161,6 +163,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         _i64,         # out_rows
         ctypes.c_int64,
         _i64,         # out_scalars
+        ctypes.c_void_p,  # workspace
     ]
     _configured_libs.add(id(lib))
 
@@ -388,6 +391,15 @@ def _fill_params(
     return params, class_ports_flat
 
 
+def _output_buffers(max_rows: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(out_rows, out_scalars)`` for one run, uninitialised: the kernel
+    writes every slot of rows 0..nrows and all four scalars it reports."""
+    return (
+        np.empty((max_rows + 1, NUM_SLOTS), dtype=np.int64),
+        np.empty(4, dtype=np.int64),
+    )
+
+
 def _simulate_one(
     lib: ctypes.CDLL,
     config: MicroarchConfig,
@@ -407,30 +419,31 @@ def _simulate_one(
         config, bug, record, native, extra, step_cycles, warmup
     )
     max_rows = params.max_cycles // step_cycles + 2
-    out_rows = np.zeros((max_rows + 1, NUM_SLOTS), dtype=np.int64)
-    out_scalars = np.zeros(4, dtype=np.int64)
+    out_rows, out_scalars = _output_buffers(max_rows)
 
-    rc = lib.repro_simulate(
-        ctypes.byref(params),
-        _ptr(flags, ctypes.c_uint8),
-        _ptr(extra, ctypes.c_int64),
-        _ptr(native.op_class, ctypes.c_uint8),
-        _ptr(native.has_dest, ctypes.c_uint8),
-        _ptr(native.dest, ctypes.c_int32),
-        _ptr(native.has_address, ctypes.c_uint8),
-        _ptr(native.address, ctypes.c_int64),
-        _ptr(native.taken, ctypes.c_int8),
-        _ptr(native.pc, ctypes.c_int64),
-        _ptr(native.target, ctypes.c_int64),
-        _ptr(native.has_target, ctypes.c_uint8),
-        _ptr(native.indirect, ctypes.c_uint8),
-        _ptr(native.srcs_flat, ctypes.c_int32),
-        _ptr(native.srcs_offset, ctypes.c_int32),
-        _ptr(class_ports_flat, ctypes.c_int32),
-        _ptr(out_rows, ctypes.c_int64),
-        ctypes.c_int64(max_rows),
-        _ptr(out_scalars, ctypes.c_int64),
-    )
+    with workspace.checkout(lib, "core") as tables:
+        rc = lib.repro_simulate(
+            ctypes.byref(params),
+            _ptr(flags, ctypes.c_uint8),
+            _ptr(extra, ctypes.c_int64),
+            _ptr(native.op_class, ctypes.c_uint8),
+            _ptr(native.has_dest, ctypes.c_uint8),
+            _ptr(native.dest, ctypes.c_int32),
+            _ptr(native.has_address, ctypes.c_uint8),
+            _ptr(native.address, ctypes.c_int64),
+            _ptr(native.taken, ctypes.c_int8),
+            _ptr(native.pc, ctypes.c_int64),
+            _ptr(native.target, ctypes.c_int64),
+            _ptr(native.has_target, ctypes.c_uint8),
+            _ptr(native.indirect, ctypes.c_uint8),
+            _ptr(native.srcs_flat, ctypes.c_int32),
+            _ptr(native.srcs_offset, ctypes.c_int32),
+            _ptr(class_ports_flat, ctypes.c_int32),
+            _ptr(out_rows, ctypes.c_int64),
+            ctypes.c_int64(max_rows),
+            _ptr(out_scalars, ctypes.c_int64),
+            ctypes.c_void_p(tables),
+        )
     if rc == 1:
         raise PipelineError(
             f"pipeline exceeded {params.max_cycles} cycles for {native.n} "

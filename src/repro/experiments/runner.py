@@ -30,6 +30,7 @@ import argparse
 import time
 from typing import Callable
 
+from .. import blas_threads
 from . import (
     fig1_speedup,
     fig3_simpoint_ipc,
@@ -179,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         f"[runtime] backend={context.engine.backend.spec} "
         f"jobs={context.engine.jobs} simulations={stats.jobs} "
         f"executed={stats.executed} store_hits={stats.store_hits} "
-        f"batches={stats.batches}\n"
+        f"batches={stats.batches} blas_threads={blas_threads()}\n"
         f"[scheduler] chunks={stats.chunks} "
         f"pool_creates={stats.pool_creates} pool_reuses={stats.pool_reuses} "
         f"traces_shipped={stats.traces_shipped} trace_deltas={stats.trace_deltas} "

@@ -8,7 +8,9 @@ trace goes in as three columns, memoised per trace digest: an access flag,
 the address and a load flag.  The bug goes in as its
 :class:`~repro.memsim.hooks.MemoryBugRecord`, flattened into
 ``MemParams``.  One row of counter deltas per sampled step comes back out,
-and the result is bit-identical to the Python fallback's.
+and the result is bit-identical to the Python fallback's.  The cache and
+SPP tables live in a workspace that
+:mod:`~repro.coresim.native.workspace` lends the C call.
 
 Requests the kernel cannot run exactly raise
 :class:`~repro.coresim.native.NativeKernelUnavailable`, and
@@ -27,7 +29,7 @@ import operator
 import numpy as np
 
 from ..coresim.counters import CounterTimeSeries
-from ..coresim.native import NativeKernelUnavailable, load_library
+from ..coresim.native import NativeKernelUnavailable, load_library, workspace
 from ..uarch.config import MemoryHierarchyConfig
 from ..workloads.decoded import DecodedTrace, decode_trace
 from ..workloads.isa import MicroOp, Opcode
@@ -117,6 +119,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         _f64, _f64,       # out_rows, out_ipc
         ctypes.c_int64,   # max_rows
         _f64, _i64,       # out_totals, out_counts
+        ctypes.c_void_p,  # workspace
     ]
     _configured_libs.add(id(lib))
 
@@ -236,6 +239,20 @@ def _fill_record(params: _MemParams, bug: MemoryBugModel) -> None:
     params.spp_drop_every = min(record.spp_drop_every, ADDRESS_LIMIT)
 
 
+def _output_buffers(
+    max_rows: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """``(out_rows, out_ipc, out_totals, out_counts)`` for one run,
+    uninitialised: the kernel writes every column and the IPC of each row
+    it reports, and both totals and both counts."""
+    return (
+        np.empty((len(_COLUMN_NAMES), max_rows), dtype=np.float64),
+        np.empty(max_rows, dtype=np.float64),
+        np.empty(2, dtype=np.float64),
+        np.empty(2, dtype=np.int64),
+    )
+
+
 def simulate_memory_native(
     config: MemoryHierarchyConfig,
     trace: "list[MicroOp] | DecodedTrace",
@@ -269,21 +286,20 @@ def simulate_memory_native(
 
     measured = n - warmup
     max_rows = (measured // params.step if params.step > 1 else measured) + 2
-    out_rows = np.zeros((len(_COLUMN_NAMES), max_rows), dtype=np.float64)
-    out_ipc = np.zeros(max_rows, dtype=np.float64)
-    out_totals = np.zeros(2, dtype=np.float64)
-    out_counts = np.zeros(2, dtype=np.int64)
-    rc = lib.repro_memsim(
-        ctypes.byref(params),
-        has_address.ctypes.data_as(_u8),
-        address.ctypes.data_as(_i64),
-        is_load.ctypes.data_as(_u8),
-        out_rows.ctypes.data_as(_f64),
-        out_ipc.ctypes.data_as(_f64),
-        ctypes.c_int64(max_rows),
-        out_totals.ctypes.data_as(_f64),
-        out_counts.ctypes.data_as(_i64),
-    )
+    out_rows, out_ipc, out_totals, out_counts = _output_buffers(max_rows)
+    with workspace.checkout(lib, "memsim") as tables:
+        rc = lib.repro_memsim(
+            ctypes.byref(params),
+            has_address.ctypes.data_as(_u8),
+            address.ctypes.data_as(_i64),
+            is_load.ctypes.data_as(_u8),
+            out_rows.ctypes.data_as(_f64),
+            out_ipc.ctypes.data_as(_f64),
+            ctypes.c_int64(max_rows),
+            out_totals.ctypes.data_as(_f64),
+            out_counts.ctypes.data_as(_i64),
+            ctypes.c_void_p(tables),
+        )
     if rc == 2:
         raise MemoryError("native memsim could not map its tables")
     if rc != 0:

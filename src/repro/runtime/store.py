@@ -157,6 +157,9 @@ class StoreStats:
     corrupt: int = 0
     #: Misses on an entry written in an older format (left for put).
     outdated: int = 0
+    #: Entries :meth:`ResultStore.merge_from` wrote over one here that was
+    #: not in the current format (older or unreadable).
+    replaced: int = 0
     tmp_swept: int = 0
     gc_removed: int = 0
 
@@ -352,27 +355,43 @@ class ResultStore:
     # -- merge -----------------------------------------------------------------
 
     def merge_from(self, other: "ResultStore") -> int:
-        """Copy every entry absent here from *other*; returns the count.
+        """Copy every entry of *other* that is absent here or here only in
+        an older format; returns the count copied.
 
         Entries are content-addressed by job key, so merging stores produced
         by different runs (or machines) is always safe: equal keys hold
-        equal payloads.  Keys already present locally are kept as-is.
-        Corrupt source entries are skipped (and dropped from *other*, per
-        the standard read path), and so are entries in an older format.  Each copy goes through the normal
-        :meth:`put`, so every merged entry is re-validated on the way in.
+        equal payloads.  A current entry already here is kept as it is; one
+        that :meth:`get` would miss on (an older format, or unreadable) is
+        replaced and counted in ``stats.replaced``.  Corrupt source entries
+        are skipped (and dropped from *other*, per the standard read path),
+        and so are source entries in an older format.  Each copy goes
+        through the normal :meth:`put`, so every merged entry is
+        re-validated on the way in.
         """
         if other.path.resolve() == self.path.resolve():
             raise ValueError("cannot merge a store into itself")
         merged = 0
         for key in other.keys():
-            if key in self:
+            present = key in self
+            if present and self._is_current(key):
                 continue
             result = other.get(key)
             if result is None:  # corrupt or concurrently removed: skip
                 continue
             self.put(key, result)
             merged += 1
+            if present:
+                self.stats.replaced += 1
         return merged
+
+    def _is_current(self, key: str) -> bool:
+        """Whether *key*'s entry is in :data:`ENTRY_FORMAT`, read from its
+        ``meta`` member alone; an unreadable entry is not."""
+        try:
+            with np.load(self._entry_path(key), allow_pickle=False) as data:
+                return json.loads(str(data["meta"][()])).get("format") == ENTRY_FORMAT
+        except Exception:
+            return False
 
     # -- maintenance -----------------------------------------------------------
 

@@ -11,9 +11,11 @@ sharing.  Usage::
 
 ``merge`` copies every entry absent from DST (creating it if needed),
 re-validating each payload on the way in; corrupt source entries and
-entries in an older format are skipped and reported.  A subsequent experiment run against the merged
-store re-simulates nothing (``executed=0``) for any job either source had
-computed.
+entries in an older format are skipped and reported.  An entry of DST that
+a run would miss on (an older format, or unreadable) is replaced by the
+source's current one, and the replacements are reported on their own line.
+A subsequent experiment run against the merged store re-simulates nothing
+(``executed=0``) for any job either source had computed.
 
 Every store keeps its entries in ``shard=XX/`` directories and touches
 nothing else in its directory.  ``gc`` is the one way to prune a store: it
@@ -44,11 +46,13 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     for source_path in sources:
         source = ResultStore(source_path)
         before = len(source)
+        replaced_before = destination.stats.replaced
         try:
             merged = destination.merge_from(source)
         except ValueError as exc:  # e.g. a source that IS the destination
             print(f"error: {exc} ({source_path})")
             return 2
+        replaced = destination.stats.replaced - replaced_before
         total += merged
         skipped = [
             f"{count} {reason}"
@@ -62,7 +66,16 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if skipped:
             line += f" ({', '.join(skipped)} skipped)"
         print(line)
-    print(f"{destination_path}: {len(destination)} entries (+{total} merged)")
+        if replaced:
+            print(
+                f"  {source_path}: {replaced} of them replaced an outdated "
+                f"entry of {destination_path}"
+            )
+    replaced = destination.stats.replaced
+    print(
+        f"{destination_path}: {len(destination)} entries "
+        f"(+{total - replaced} merged, {replaced} replaced)"
+    )
     return 0
 
 

@@ -1,9 +1,14 @@
 """Tests for the experiments harness (scales, context, rendering, runner)."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import BLAS_THREAD_VARS
 from repro.experiments import (
     SCALES,
     ExperimentContext,
@@ -103,6 +108,46 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_all("smoke", only=["tab99"])
+
+
+class TestBlasThreads:
+    """One BLAS thread by default; a count the user set is kept."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def _run(self, args, **env):
+        environ = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        environ.update(env, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, *args], env=environ, capture_output=True, text=True,
+            timeout=300, check=True,
+        ).stdout
+
+    def test_default_is_one_thread_before_numpy_loads(self):
+        probe = (
+            "import os, sys, repro; assert 'numpy' not in sys.modules; "
+            "print(*(os.environ.get(n) for n in repro.BLAS_THREAD_VARS), "
+            "repro.blas_threads())"
+        )
+        assert self._run(["-c", probe]).split() == ["1", "1", "1"]
+
+    def test_a_user_count_survives_into_the_runtime_line(self):
+        probe = (
+            "import os, repro; "
+            "print(*(os.environ.get(n) for n in repro.BLAS_THREAD_VARS), "
+            "repro.blas_threads())"
+        )
+        assert self._run(["-c", probe], OMP_NUM_THREADS="2").split() == [
+            "None", "2", "2"
+        ]
+        report = self._run(
+            ["-m", "repro.experiments.runner", "--scale", "smoke", "--only", "fig3"],
+            OPENBLAS_NUM_THREADS="3",
+        )
+        (runtime,) = [
+            line for line in report.splitlines() if line.startswith("[runtime]")
+        ]
+        assert runtime.endswith(" blas_threads=3")
 
 
 class TestTable4Timing:

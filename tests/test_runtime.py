@@ -756,6 +756,38 @@ class TestStoreMerge:
             in capsys.readouterr().out
         )
 
+    def test_merge_replaces_outdated_destination_entries(
+        self, registry, tiny_trace, tmp_path, capsys
+    ):
+        from repro.runtime.store_cli import main as store_main
+
+        jobs = _core_jobs(registry, tiny_trace) + _memory_jobs(registry, tiny_trace)
+        results = JobEngine(jobs=1, store=ResultStore(tmp_path / "src")).run(
+            jobs, registry.traces
+        )
+        # A destination filled before the format version, one entry of it
+        # unreadable, and one entry already current.
+        destination = ResultStore(tmp_path / "dst")
+        for job, result in zip(jobs[1:], results[1:]):
+            _put_old_layout(destination, job.key(), result)
+        _plant(destination, jobs[1].key(), b"not a zip archive")
+        destination.put(jobs[0].key(), results[0])
+        current = destination._entry_path(jobs[0].key()).stat().st_mtime_ns
+
+        assert store_main(["merge", str(tmp_path / "src"), str(tmp_path / "dst")]) == 0
+        outdated = len(jobs) - 1
+        output = capsys.readouterr().out
+        assert f"merged {outdated}/{len(jobs)} entries\n" in output
+        assert f"{outdated} of them replaced an outdated entry" in output
+        assert f"{len(jobs)} entries (+0 merged, {outdated} replaced)" in output
+        assert destination._entry_path(jobs[0].key()).stat().st_mtime_ns == current
+
+        replayed = ResultStore(tmp_path / "dst")
+        replay = JobEngine(jobs=1, store=replayed)
+        _assert_results_equal(replay.run(jobs, registry.traces), results)
+        assert replay.stats.executed == 0
+        assert (replayed.stats.outdated, replayed.stats.corrupt) == (0, 0)
+
     def test_merge_into_itself_rejected(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         other = ResultStore(tmp_path / "store")
