@@ -5,8 +5,8 @@ oracle at *test* time; this package enforces the underlying contracts at
 *lint* time, before anything runs:
 
 * ``counter_contract`` — one counter-name universe across both lanes
-  (frozen reference, native C) and the golden manifest, plus the
-  C↔ctypes ABI.
+  (frozen reference, native C) and the golden manifest.  (Each C unit
+  reports its own struct layout, checked when the library loads.)
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
 * ``protocol_constants`` — wire/schema constants defined exactly once.

@@ -1,4 +1,4 @@
-"""``repro-lint`` — static contract analysis for the three-kernel invariants.
+"""``repro-lint`` — static contract analysis for the two-lane invariants.
 
 Runs every rule family over the repository without executing a single
 simulation step, applies inline pragmas and the checked-in allowlist, and
@@ -29,8 +29,9 @@ from .tree import SourceTree
 FAMILIES = {
     "counter-contract": (
         counter_contract.check,
-        "counter-name universe identical across reference/native lanes,"
-        " C slot enum and SimParams ABI vs ctypes, golden manifest",
+        "counter-name universe identical across reference/native lanes"
+        " and the golden manifest (the C units' struct layouts and slot"
+        " constants are checked when the library loads, not here)",
     ),
     "determinism": (
         determinism.check,
@@ -156,8 +157,8 @@ def _report_json(findings: "list[Finding]", out) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static contract analysis for the repro three-kernel "
-        "determinism invariants.",
+        description="Static contract analysis for the repro two-lane "
+        "counter and determinism invariants.",
     )
     parser.add_argument(
         "--root",

@@ -9,12 +9,10 @@ counter-name universe of each lane without running any simulation:
 * **reference** — ``coresim/_reference.py`` (``_bump("...")`` sites, stats
   dicts, cache/issue-class f-string templates).  The frozen seed copy is the
   anchor the native lane is compared against.
-* **native** — the slot-name tables in ``coresim/native/kernel.py``, plus a
-  light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
-  the ``SimParams`` struct layout against the ctypes marshalling.  The
-  memsim and GBT units get the same struct check: ``_memsim.c``'s
-  ``MemParams`` against ``_MemParams`` in ``memsim/native.py``, and
-  ``_gbt.c``'s ``GbtParams`` against ``_GbtParams`` in ``ml/native.py``.
+* **native** — the slot-name tables in ``coresim/native/kernel.py``.  The
+  C side of that contract (slot constants, params-struct layouts) is not
+  read here: each C unit reports it, and the wrapper checks the report when
+  the library is loaded (``repro.coresim.native.build.check_layout``).
 
 The checker also consumes ``tests/data/counter_manifest.json`` (written by
 ``tests/data/make_golden.py``), so the statically extracted universe and the
@@ -30,7 +28,6 @@ import json
 import re
 
 from .findings import Finding
-from .csource import CSource, CTokenizeError, tokenize
 from .tree import SourceTree
 
 #: Counter-name shape: a known subsystem prefix, a dot, then dotted segments.
@@ -48,11 +45,6 @@ _CACHE_LEVEL_RE = re.compile(r"^(l1d|l[0-9])$")
 
 REFERENCE_PATH = "src/repro/coresim/_reference.py"
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
-NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
-MEMSIM_KERNEL_PATH = "src/repro/memsim/native.py"
-MEMSIM_C_PATH = "src/repro/coresim/native/_memsim.c"
-GBT_KERNEL_PATH = "src/repro/ml/native.py"
-GBT_C_PATH = "src/repro/coresim/native/_gbt.c"
 COUNTERS_PATH = "src/repro/coresim/counters.py"
 ISA_PATH = "src/repro/workloads/isa.py"
 MANIFEST_PATH = "tests/data/counter_manifest.json"
@@ -158,50 +150,6 @@ def extract_derived_names(tree: SourceTree) -> "set[str]":
 # --------------------------------------------------------------------- native
 
 
-def _module_int_env(module: ast.Module, op_class_count: int) -> "dict[str, int]":
-    """Module-level integer constants of kernel.py (``_MAX_LEVELS = 3`` etc.).
-
-    ``len(OpClass)`` is the one non-literal shape used; it resolves to the
-    member count extracted from ``isa.py``.
-    """
-    env: dict[str, int] = {}
-    for node in module.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = node.value
-        if isinstance(value, ast.Constant) and isinstance(value.value, int):
-            env[target.id] = value.value
-        elif (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "len"
-            and len(value.args) == 1
-            and isinstance(value.args[0], ast.Name)
-            and value.args[0].id == "OpClass"
-        ):
-            env[target.id] = op_class_count
-    return env
-
-
-def _eval_int(node: ast.expr, env: "dict[str, int]") -> int:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    if isinstance(node, ast.Name) and node.id in env:
-        return env[node.id]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-        left = _eval_int(node.left, env)
-        right = _eval_int(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        return left * right
-    raise ValueError(f"cannot statically evaluate {ast.dump(node)}")
-
-
 def extract_native_slots(
     tree: SourceTree, op_classes: "list[str]"
 ) -> "tuple[list[str], list[str]]":
@@ -250,200 +198,6 @@ def extract_native_slots(
             f"{NATIVE_KERNEL_PATH}: _LAZY_SLOT_NAMES/_ALWAYS_SLOT_NAMES not found"
         )
     return lazy, always
-
-
-def extract_ctypes_fields(
-    tree: SourceTree,
-    op_class_count: int,
-    path: str = NATIVE_KERNEL_PATH,
-    class_name: str = "_SimParams",
-) -> "list[tuple[str, int | None]]":
-    """Ordered ``(name, array_length)`` of ``class_name._fields_`` in *path*."""
-    module = tree.parse(path)
-    env = _module_int_env(module, op_class_count)
-    for node in ast.walk(module):
-        if not isinstance(node, ast.ClassDef) or node.name != class_name:
-            continue
-        for statement in node.body:
-            if (
-                isinstance(statement, ast.Assign)
-                and len(statement.targets) == 1
-                and isinstance(statement.targets[0], ast.Name)
-                and statement.targets[0].id == "_fields_"
-                and isinstance(statement.value, ast.List)
-            ):
-                fields: list[tuple[str, "int | None"]] = []
-                for element in statement.value.elts:
-                    if not (
-                        isinstance(element, ast.Tuple) and len(element.elts) == 2
-                    ):
-                        continue
-                    name_node, type_node = element.elts
-                    if not (
-                        isinstance(name_node, ast.Constant)
-                        and isinstance(name_node.value, str)
-                    ):
-                        continue
-                    length: "int | None" = None
-                    if isinstance(type_node, ast.BinOp) and isinstance(
-                        type_node.op, ast.Mult
-                    ):
-                        length = _eval_int(type_node.right, env)
-                    fields.append((name_node.value, length))
-                return fields
-    raise ValueError(f"{path}: {class_name}._fields_ not found")
-
-
-def _check_struct(
-    path: str,
-    source: CSource,
-    struct: str,
-    py_fields: "list[tuple[str, int | None]]",
-    ctypes_name: str,
-) -> "list[Finding]":
-    """The C *struct* must mirror the ctypes *ctypes_name* field for field:
-    names, order and array lengths (the FFI marshalling contract)."""
-    c_struct = source.structs.get(struct)
-    if c_struct is None:
-        return [_fail(path, 0, f"{struct} struct not found in {path.rsplit('/', 1)[-1]}")]
-    c_fields = [(field.name, field.array_length) for field in c_struct]
-    if c_fields == py_fields:
-        return []
-    findings: list[Finding] = []
-    c_names = [name for name, _length in c_fields]
-    py_names = [name for name, _length in py_fields]
-    for name in py_names:
-        if name not in c_names:
-            findings.append(_fail(
-                path, 0, f"{struct} field {name!r} (ctypes) missing from the C struct"
-            ))
-    for name in c_names:
-        if name not in py_names:
-            findings.append(_fail(
-                path, 0,
-                f"{struct} field {name!r} (C) missing from the ctypes {ctypes_name}",
-            ))
-    if not findings:
-        findings.append(_fail(
-            path,
-            0,
-            f"{struct} field order or array lengths diverge "
-            f"between C and ctypes: {c_fields} != {py_fields}",
-        ))
-    return findings
-
-
-def check_native_abi(
-    tree: SourceTree,
-    lazy: "list[str]",
-    always: "list[str]",
-    op_class_count: int,
-) -> "list[Finding]":
-    """Cross-check ``_core.c`` against the ctypes layer (C lane)."""
-    findings: list[Finding] = []
-    path = NATIVE_C_PATH
-    if not tree.exists(path):
-        return [_fail(path, 0, "native kernel C source is missing")]
-    try:
-        source: CSource = tokenize(tree.read(path))
-    except CTokenizeError as exc:
-        return [_fail(path, 0, f"C tokenizer failed: {exc}")]
-
-    def check_value(name: str, expected: int, what: str) -> None:
-        try:
-            actual = source.value(name)
-        except CTokenizeError:
-            findings.append(_fail(path, 0, f"C constant {name} not found ({what})"))
-            return
-        if actual != expected:
-            findings.append(
-                _fail(
-                    path,
-                    0,
-                    f"C {name} is {actual} but the ctypes layer implies "
-                    f"{expected} ({what})",
-                )
-            )
-
-    # Slot-enum segmentation: [0, N_PIPE) lazily emitted, then the always
-    # block, then 2 slots per cache level.
-    n_lazy = len(lazy)
-    n_always = len(always)
-    check_value(
-        "S_ROB_OCC", n_lazy, "first always-slot == len(_LAZY_SLOT_NAMES)"
-    )
-    check_value(
-        "S_L1_ACC",
-        n_lazy + n_always,
-        "first cache slot == lazy + always slot count",
-    )
-    check_value(
-        "NUM_SLOTS",
-        n_lazy + n_always + 6,
-        "total slots == lazy + always + 2*3 cache counters",
-    )
-    try:
-        n_classes = source.value("NUM_CLASSES")
-        if n_classes != op_class_count:
-            findings.append(
-                _fail(
-                    path,
-                    0,
-                    f"C NUM_CLASSES is {n_classes} but OpClass has "
-                    f"{op_class_count} members",
-                )
-            )
-    except CTokenizeError:
-        findings.append(_fail(path, 0, "C constant NUM_CLASSES not found"))
-
-    # SimParams struct: field names, order and array lengths must mirror the
-    # ctypes _SimParams exactly — this is the FFI marshalling contract.
-    findings.extend(_check_struct(
-        path, source, "SimParams", extract_ctypes_fields(tree, op_class_count),
-        "_SimParams",
-    ))
-
-    # The exported entry point the ctypes layer binds must exist in C.
-    if "repro_simulate" not in source.functions:
-        findings.append(
-            _fail(path, 0, "exported function repro_simulate not defined in _core.c")
-        )
-    return findings
-
-
-#: The units past ``_core.c``, each one params struct and one entry point:
-#: ``(C source, ctypes module, C struct, ctypes class, exported function)``.
-UNIT_ABIS = (
-    (MEMSIM_C_PATH, MEMSIM_KERNEL_PATH, "MemParams", "_MemParams", "repro_memsim"),
-    (GBT_C_PATH, GBT_KERNEL_PATH, "GbtParams", "_GbtParams", "repro_gbt_fit"),
-)
-
-
-def check_unit_abi(
-    tree: SourceTree,
-    op_class_count: int,
-    path: str,
-    kernel_path: str,
-    struct: str,
-    ctypes_name: str,
-    function: str,
-) -> "list[Finding]":
-    """Cross-check a unit's params *struct* against its ctypes mirror and
-    require its exported *function*."""
-    unit = path.rsplit("/", 1)[-1]
-    if not tree.exists(path):
-        return [_fail(path, 0, f"native kernel C source {unit} is missing")]
-    try:
-        source = tokenize(tree.read(path))
-    except CTokenizeError as exc:
-        return [_fail(path, 0, f"C tokenizer failed: {exc}")]
-    py_fields = extract_ctypes_fields(tree, op_class_count, kernel_path, ctypes_name)
-    findings = _check_struct(path, source, struct, py_fields, ctypes_name)
-    if function not in source.functions:
-        findings.append(
-            _fail(path, 0, f"exported function {function} not defined in {unit}")
-        )
-    return findings
 
 
 # ------------------------------------------------------------------- manifest
@@ -594,14 +348,8 @@ def check(tree: SourceTree) -> "list[Finding]":
             findings.append(
                 _fail(NATIVE_KERNEL_PATH, 0, "duplicate names in the slot tables")
             )
-        findings.extend(check_native_abi(tree, lazy, always, len(op_classes)))
     except ValueError as exc:
         findings.append(_fail(NATIVE_KERNEL_PATH, 0, str(exc)))
-    for abi in UNIT_ABIS:
-        try:
-            findings.extend(check_unit_abi(tree, len(op_classes), *abi))
-        except ValueError as exc:
-            findings.append(_fail(abi[1], 0, str(exc)))
 
     findings.extend(check_manifest(tree, reference, derived))
     return findings

@@ -12,16 +12,13 @@ across calls in workspaces pooled by :mod:`repro.coresim.native.workspace`.
 from .build import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
+    NativeKernelUnavailable,
     cache_dir,
     compiler_info,
     find_compiler,
     load_library,
 )
-from .kernel import (
-    NativeKernelUnavailable,
-    native_available,
-    simulate_batch_native,
-)
+from .kernel import native_available, simulate_batch_native
 
 __all__ = [
     "CACHE_ENV_VAR",

@@ -34,6 +34,7 @@
  * gives. */
 
 #define _DEFAULT_SOURCE  /* MAP_ANONYMOUS under -std=c99 */
+#include <stddef.h>  /* offsetof */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -75,10 +76,10 @@ enum {
     F_DEP_PRODUCER = 16
 };
 
-/* Counter slot layout.  Must match _SLOT_NAMES in kernel.py: slots 0..38 are
- * the lazily-created pipeline counters (emitted to Python only when their
- * cumulative value is nonzero, mirroring the seed's dict), 39..54 are the
- * always-present occupancy / branch-predictor / cache stats. */
+/* Counter slot layout: kernel.py's _LAZY_SLOT_NAMES (slots 0..38, emitted
+ * to Python only once nonzero, as in the seed's dict), _ALWAYS_SLOT_NAMES
+ * (39..48), then the cache stats (49..54).  kernel.py checks S_ROB_OCC,
+ * S_L1_ACC and NUM_SLOTS from repro_core_layout against those tables. */
 enum {
     S_COMMIT_INSTR = 0,
     S_COMMIT_REGW,
@@ -131,41 +132,65 @@ enum {
 
 #define N_PIPE_SLOTS (S_ISSUE_CLASS0 + NUM_CLASSES)  /* 39 */
 
-/* Mirror of the ctypes SimParams structure in kernel.py (field order and
- * types must match exactly; everything is int64 to avoid padding games). */
+/* SimParams, one X(type, name, dims) per field (dims is empty for a
+ * scalar).  The struct and its layout report (repro_core_layout) are both
+ * expanded from this list. */
+#define SIM_PARAMS(X) \
+    X(i64, total, )             /* trace length */ \
+    X(i64, width, ) \
+    X(i64, rob_size, ) \
+    X(i64, iq_size, ) \
+    X(i64, lsq_size, ) \
+    X(i64, fetch_capacity, ) \
+    X(i64, free_regs, )         /* initial free rename registers */ \
+    X(i64, num_regs, )          /* register namespace size for producer table */ \
+    X(i64, step_cycles, ) \
+    X(i64, max_cycles, ) \
+    X(i64, warmup, ) \
+    X(i64, num_ports, ) \
+    X(i64, num_levels, )        /* 2 or 3 cache levels */ \
+    X(i64, memory_latency, ) \
+    X(i64, l1_line_size, ) \
+    X(i64, bp_table_entries, )  /* post-bug, post-clamp */ \
+    X(i64, btb_entries, ) \
+    X(i64, indirect_sets, ) \
+    X(i64, redirect_penalty, )  /* base 4 plus the bug's mispredict penalty */ \
+    X(i64, iq_free_below, )     /* IQ pressure: delay when free slots < this */ \
+    X(i64, iq_delay, ) \
+    X(i64, rob_free_below, )    /* ROB pressure: delay when free slots < this */ \
+    X(i64, rob_delay, ) \
+    X(i64, dep_delay, )         /* consumer with an in-flight producer opcode */ \
+    X(i64, wake_span, )         /* > largest extra issue delay + 1 */ \
+    X(i64, latency_by_class, [NUM_CLASSES]) \
+    X(i64, cp_offset, [NUM_CLASSES + 1])  /* class -> range in class_ports_flat */ \
+    X(i64, cache_sets, [MAX_LEVELS]) \
+    X(i64, cache_assoc, [MAX_LEVELS]) \
+    X(i64, cache_line_shift, [MAX_LEVELS]) \
+    X(i64, cache_latency, [MAX_LEVELS])  /* L2 includes the bug's extra latency */
+
+#define DECLARE_FIELD(type, name, dims) type name dims;
 typedef struct {
-    i64 total;             /* trace length */
-    i64 width;
-    i64 rob_size;
-    i64 iq_size;
-    i64 lsq_size;
-    i64 fetch_capacity;
-    i64 free_regs;         /* initial free rename registers */
-    i64 num_regs;          /* register namespace size for producer table */
-    i64 step_cycles;
-    i64 max_cycles;
-    i64 warmup;
-    i64 num_ports;
-    i64 num_levels;        /* 2 or 3 cache levels */
-    i64 memory_latency;
-    i64 l1_line_size;
-    i64 bp_table_entries;  /* post-bug, post-clamp */
-    i64 btb_entries;
-    i64 indirect_sets;
-    i64 redirect_penalty;  /* base 4 plus the bug's mispredict penalty */
-    i64 iq_free_below;     /* IQ pressure: delay when free slots < this */
-    i64 iq_delay;
-    i64 rob_free_below;    /* ROB pressure: delay when free slots < this */
-    i64 rob_delay;
-    i64 dep_delay;         /* consumer with an in-flight producer opcode */
-    i64 wake_span;         /* > largest extra issue delay + 1 */
-    i64 latency_by_class[NUM_CLASSES];
-    i64 cp_offset[NUM_CLASSES + 1];  /* class -> range in class_ports_flat */
-    i64 cache_sets[MAX_LEVELS];
-    i64 cache_assoc[MAX_LEVELS];
-    i64 cache_line_shift[MAX_LEVELS];
-    i64 cache_latency[MAX_LEVELS];  /* L2 includes the bug's extra latency */
+    SIM_PARAMS(DECLARE_FIELD)
 } SimParams;
+
+/* repro_core_layout's report, ended by a NULL name: each SimParams field's
+ * name, C type, offset and size (value), then, with no type, the struct's
+ * sizeof and the constants kernel.py relies on. */
+typedef struct { const char *name, *type; i64 offset, value; } LayoutEntry;
+#define FIELD_ENTRY(type, name, dims) \
+    {#name, #type, offsetof(SimParams, name), sizeof(((SimParams *)0)->name)},
+#define CONSTANT_ENTRY(name) {#name, NULL, 0, name},
+
+const LayoutEntry *repro_core_layout(void) {
+    static const LayoutEntry report[] = {
+        SIM_PARAMS(FIELD_ENTRY)
+        {"sizeof", NULL, 0, sizeof(SimParams)},
+        CONSTANT_ENTRY(NUM_CLASSES) CONSTANT_ENTRY(S_ROB_OCC)
+        CONSTANT_ENTRY(S_L1_ACC) CONSTANT_ENTRY(NUM_SLOTS)
+        {NULL, NULL, 0, 0}
+    };
+    return report;
+}
 
 /* Python-compatible modulo / floor division (operands may be negative). */
 static inline i64 pymod(i64 a, i64 b) {

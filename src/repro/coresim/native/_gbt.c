@@ -32,28 +32,49 @@
  * loop runs instead.  The kernel keeps no static state. */
 
 #include <math.h>  /* INFINITY */
+#include <stddef.h>  /* offsetof */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
 
-/* Mirror of the ctypes _GbtParams structure in repro/ml/native.py (field
- * order must match; every field is 8 bytes, so there is no padding). */
+/* GbtParams, one X(type, name) per field.  The struct and its layout
+ * report (repro_gbt_layout) are both expanded from this list. */
+#define GBT_PARAMS(X) \
+    X(i64, rows)                  /* training rows */ \
+    X(i64, features) \
+    X(i64, val_rows)              /* 0: no validation set, no early stopping */ \
+    X(i64, rounds)                /* n_estimators */ \
+    X(i64, sample_rows)           /* rows per tree: the draw size, or rows */ \
+    X(i64, node_capacity)         /* node slots per tree in the outputs */ \
+    X(i64, max_depth) \
+    X(i64, min_samples_leaf) \
+    X(i64, min_samples_split) \
+    X(i64, early_stopping_rounds) /* clamped to [1, rounds + 1] */ \
+    X(double, learning_rate) \
+    X(double, base)               /* float(y.mean()), every row's start */
+
+#define DECLARE_FIELD(type, name) type name;
 typedef struct {
-    i64 rows;                  /* training rows */
-    i64 features;
-    i64 val_rows;              /* 0: no validation set, no early stopping */
-    i64 rounds;                /* n_estimators */
-    i64 sample_rows;           /* rows per tree: the draw size, or rows */
-    i64 node_capacity;         /* node slots per tree in the outputs */
-    i64 max_depth;
-    i64 min_samples_leaf;
-    i64 min_samples_split;
-    i64 early_stopping_rounds; /* clamped to [1, rounds + 1] */
-    double learning_rate;
-    double base;               /* float(y.mean()), every row's start */
+    GBT_PARAMS(DECLARE_FIELD)
 } GbtParams;
+
+/* repro_gbt_layout's report, ended by a NULL name: each GbtParams field's
+ * name, C type, offset and size (value), then, with no type, the struct's
+ * sizeof. */
+typedef struct { const char *name, *type; i64 offset, value; } LayoutEntry;
+#define FIELD_ENTRY(type, name) \
+    {#name, #type, offsetof(GbtParams, name), sizeof(((GbtParams *)0)->name)},
+
+const LayoutEntry *repro_gbt_layout(void) {
+    static const LayoutEntry report[] = {
+        GBT_PARAMS(FIELD_ENTRY)
+        {"sizeof", NULL, 0, sizeof(GbtParams)},
+        {NULL, NULL, 0, 0}
+    };
+    return report;
+}
 
 /* numpy's pairwise_sum_DOUBLE: 8 accumulators over blocks of up to 128,
  * split in halves (rounded down to a multiple of 8) above that. */

@@ -32,6 +32,7 @@
  * each SPP run; the delta arena is written before it is read. */
 
 #define _DEFAULT_SOURCE  /* MAP_ANONYMOUS under -std=c99 */
+#include <stddef.h>  /* offsetof */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -68,9 +69,10 @@ enum {
     NUM_STATS
 };
 
-/* Output columns of one sampled step, column-major in out_rows.  Must match
- * _COLUMN_NAMES in native.py: three levels' stats, prefetches issued, then
- * the step's AMAT, accesses, instructions and stall cycles. */
+/* Output columns of one sampled step, column-major in out_rows, in the
+ * order of _COLUMN_NAMES in native.py (which sizes out_rows from it and
+ * checks NUM_COLUMNS): three levels' stats, prefetches issued, then the
+ * step's AMAT, accesses, instructions and stall cycles. */
 enum {
     C_PREFETCHES_ISSUED = NUM_LEVELS * NUM_STATS,  /* 18 */
     C_AMAT,
@@ -80,29 +82,51 @@ enum {
     NUM_COLUMNS                                    /* 23 */
 };
 
-/* Mirror of the ctypes _MemParams structure in native.py (field order and
- * types must match exactly; everything is int64 to avoid padding games). */
+/* MemParams, one X(type, name, dims) per field (dims is empty for a
+ * scalar).  The struct and its layout report (repro_memsim_layout) are both
+ * expanded from this list. */
+#define MEM_PARAMS(X) \
+    X(i64, total, )             /* trace length */ \
+    X(i64, warmup, )            /* leading uops that only warm the caches */ \
+    X(i64, step, )              /* instructions per sampled step */ \
+    X(i64, issue_width, ) \
+    X(i64, dram_latency, ) \
+    X(i64, prefetcher, )        /* PF_* */ \
+    X(i64, degree, )            /* prefetch degree, at least 1 */ \
+    X(i64, line_size, )         /* L1D line: next-line distance, SPP block size */ \
+    X(i64, spp_signature_reset, ) \
+    X(i64, spp_least_confident, ) \
+    X(i64, spp_drop_every, )    /* 0 = off */ \
+    X(i64, cache_sets, [NUM_LEVELS]) \
+    X(i64, cache_assoc, [NUM_LEVELS]) \
+    X(i64, cache_line_shift, [NUM_LEVELS]) \
+    X(i64, cache_latency, [NUM_LEVELS]) \
+    X(i64, no_age_update, [NUM_LEVELS]) \
+    X(i64, evict_mru, [NUM_LEVELS]) \
+    X(i64, load_miss_threshold, [2])  /* L1D, L2 */ \
+    X(i64, load_miss_delay, [2])
+
+#define DECLARE_FIELD(type, name, dims) type name dims;
 typedef struct {
-    i64 total;             /* trace length */
-    i64 warmup;            /* leading uops that only warm the caches */
-    i64 step;              /* instructions per sampled step */
-    i64 issue_width;
-    i64 dram_latency;
-    i64 prefetcher;        /* PF_* */
-    i64 degree;            /* prefetch degree, at least 1 */
-    i64 line_size;         /* L1D line: next-line distance, SPP block size */
-    i64 spp_signature_reset;
-    i64 spp_least_confident;
-    i64 spp_drop_every;    /* 0 = off */
-    i64 cache_sets[NUM_LEVELS];
-    i64 cache_assoc[NUM_LEVELS];
-    i64 cache_line_shift[NUM_LEVELS];
-    i64 cache_latency[NUM_LEVELS];
-    i64 no_age_update[NUM_LEVELS];
-    i64 evict_mru[NUM_LEVELS];
-    i64 load_miss_threshold[2];  /* L1D, L2 */
-    i64 load_miss_delay[2];
+    MEM_PARAMS(DECLARE_FIELD)
 } MemParams;
+
+/* repro_memsim_layout's report, ended by a NULL name: each MemParams
+ * field's name, C type, offset and size (value), then, with no type, the
+ * struct's sizeof and NUM_COLUMNS. */
+typedef struct { const char *name, *type; i64 offset, value; } LayoutEntry;
+#define FIELD_ENTRY(type, name, dims) \
+    {#name, #type, offsetof(MemParams, name), sizeof(((MemParams *)0)->name)},
+
+const LayoutEntry *repro_memsim_layout(void) {
+    static const LayoutEntry report[] = {
+        MEM_PARAMS(FIELD_ENTRY)
+        {"sizeof", NULL, 0, sizeof(MemParams)},
+        {"NUM_COLUMNS", NULL, 0, NUM_COLUMNS},
+        {NULL, NULL, 0, 0}
+    };
+    return report;
+}
 
 /* Each workspace table is its own anonymous mapping, mapped when a design
  * first needs it and kept until the workspace is freed: freeing hands the

@@ -17,6 +17,13 @@ directory, or a failed compile all degrade to ``None`` with a single
 their Python loops (see ``repro.coresim.simulator``,
 ``repro.memsim.simulator`` and ``repro.ml.gbt``).
 
+Each unit declares its params struct from one X-macro field list and
+reports its layout from the same list.  A wrapper reaches its unit through
+:func:`bind`, which checks the report against the wrapper's ctypes
+declaration once per loaded library: a skewed build raises
+:class:`NativeKernelUnavailable` and falls back instead of writing past a
+struct.  Argument lists are not reported (C cannot report a prototype).
+
 Environment knobs:
 
 ``REPRO_NATIVE_CC``
@@ -41,13 +48,16 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
+from typing import NamedTuple
 
 from . import workspace
 
@@ -84,7 +94,12 @@ SOURCE_PATHS = (
 
 _lib: "ctypes.CDLL | None" = None
 _lib_resolved = False
+#: Guards loading the library and binding its units.
 _load_lock = threading.Lock()
+#: Per library, each unit bound so far: None, or why its check failed.  Keyed
+#: by the object (weakly), not its ``id()``, which a library loaded after
+#: :func:`_reset_for_tests` can reuse while its entry points are untyped.
+_bound: "weakref.WeakKeyDictionary[ctypes.CDLL, dict]" = weakref.WeakKeyDictionary()
 _warned = False
 _compiler_info: "dict[str, str] | None | bool" = False  # False == not probed
 
@@ -348,6 +363,114 @@ def load_library() -> "ctypes.CDLL | None":
                     _warn_once(f"cannot load {path.name}: {exc}")
             _lib_resolved = True
     return _lib
+
+
+class NativeKernelUnavailable(RuntimeError):
+    """The native kernel cannot run this request (caller falls back)."""
+
+
+class Unit(NamedTuple):
+    """A C unit as its ctypes wrapper declares it: the params struct, the
+    constants the wrapper relies on (by C name, in the order the unit
+    reports them), and the entry point with its argument types.  The unit
+    reports its side as ``repro_<name>_layout``."""
+
+    name: str
+    params: "type[ctypes.Structure]"
+    constants: "dict[str, int]"
+    entry: str
+    argtypes: list
+
+
+class _LayoutEntry(ctypes.Structure):
+    """``LayoutEntry`` of each unit: a params field's name, C type, offset
+    and size (``value``), or, with no type, a constant's name and value."""
+
+    _fields_ = [("name", ctypes.c_char_p), ("type", ctypes.c_char_p),
+                ("offset", ctypes.c_int64), ("value", ctypes.c_int64)]
+
+
+#: How the C units spell the ctypes types of their params fields.
+_C_TYPES = {ctypes.c_int64: "i64", ctypes.c_double: "double"}
+
+
+def _expected_report(unit: Unit) -> list:
+    """The layout report *unit*'s wrapper declares, as ``(C type, name,
+    offset, value)`` entries: each params field (its size as the value),
+    then, with no type, ``sizeof`` and each constant."""
+    report = []
+    for name, ctype in unit.params._fields_:
+        element = ctype._type_ if issubclass(ctype, ctypes.Array) else ctype
+        field = getattr(unit.params, name)
+        report.append((_C_TYPES.get(element, element.__name__), name,
+                       field.offset, field.size))
+    constants = {"sizeof": ctypes.sizeof(unit.params), **unit.constants}
+    return report + [(None, name, 0, value) for name, value in constants.items()]
+
+
+def _describe(entry: "tuple | None") -> str:
+    if entry is None:
+        return "nothing"
+    ctype, name, offset, value = entry
+    return (f"{name} = {value}" if ctype is None
+            else f"{ctype} {name} at offset {offset} ({value} bytes)")
+
+
+def check_layout(lib: ctypes.CDLL, unit: Unit) -> None:
+    """Raise :class:`NativeKernelUnavailable` unless *lib* exports *unit*'s
+    entry point and a layout report equal, entry for entry, to the one the
+    wrapper declares (:func:`_expected_report`)."""
+    try:
+        report = getattr(lib, f"repro_{unit.name}_layout")
+        getattr(lib, unit.entry)
+    except AttributeError as exc:
+        raise NativeKernelUnavailable(f"the native {unit.name} unit: {exc}") from None
+    report.argtypes = []
+    report.restype = ctypes.POINTER(_LayoutEntry)
+    entries = report()
+    reported = []
+    for index in itertools.count():
+        entry = entries[index]
+        if entry.name is None:
+            break
+        reported.append((entry.type and entry.type.decode(), entry.name.decode(),
+                         entry.offset, entry.value))
+    for index, (c_entry, py_entry) in enumerate(
+            itertools.zip_longest(reported, _expected_report(unit))):
+        if c_entry != py_entry:
+            raise NativeKernelUnavailable(
+                f"the native {unit.name} unit's {unit.params.__name__} layout, "
+                f"entry {index}: {_describe(c_entry)} in C, "
+                f"{_describe(py_entry)} in Python")
+
+
+def bind(unit: Unit) -> ctypes.CDLL:
+    """The kernel library with *unit*'s entry point typed, once
+    :func:`check_layout` passed for this library object (the outcome is
+    remembered).  Raises :class:`NativeKernelUnavailable` when there is no
+    library or the check failed, and warns the first time it fails."""
+    lib = load_library()
+    if lib is None:
+        raise NativeKernelUnavailable("native kernel library unavailable")
+    units = _bound.setdefault(lib, {})
+    if unit.name not in units:
+        with _load_lock:
+            if unit.name not in units:
+                try:
+                    check_layout(lib, unit)
+                except NativeKernelUnavailable as exc:
+                    warnings.warn(f"repro native {unit.name} kernel disabled ({exc}); "
+                                  "falling back to its Python loop",
+                                  RuntimeWarning, stacklevel=3)
+                    units[unit.name] = str(exc)
+                else:
+                    function = getattr(lib, unit.entry)
+                    function.restype, function.argtypes = ctypes.c_int, unit.argtypes
+                    units[unit.name] = None
+    problem = units[unit.name]
+    if problem is not None:
+        raise NativeKernelUnavailable(problem)
+    return lib
 
 
 def _reset_for_tests() -> None:

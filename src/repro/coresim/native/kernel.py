@@ -16,7 +16,9 @@ evaluated in Python before the C call, ``on_simulation_start`` first as on
 the fallback, and its
 :class:`~repro.coresim.hooks.BugRecord` goes in as one flag byte per uop,
 one extra-delay column and a few ``SimParams`` scalars.  Only a
-configuration past a kernel limit raises :class:`NativeKernelUnavailable`.
+configuration past a kernel limit, or a build whose ``SimParams`` layout or
+slot constants differ from this module's, raises
+:class:`NativeKernelUnavailable`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..counters import TimeSeriesSampler
 from ..hooks import BUG_FREE, BugRecord, CoreBugModel
 from .._reference import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
 from . import workspace
-from .build import load_library
+from .build import NativeKernelUnavailable, Unit, bind, load_library
 
 _NUM_CLASSES = len(OpClass)
 _MAX_LEVELS = 3
@@ -95,12 +97,8 @@ _S_L1_ACC = _N_LAZY + _N_ALWAYS          # 49
 NUM_SLOTS = _S_L1_ACC + 2 * _MAX_LEVELS  # 55
 
 
-class NativeKernelUnavailable(RuntimeError):
-    """The native kernel cannot run this request (caller falls back)."""
-
-
 class _SimParams(ctypes.Structure):
-    """Mirror of ``SimParams`` in ``_core.c`` (field order must match)."""
+    """``SimParams`` of ``_core.c``, checked against its layout report."""
 
     _fields_ = [
         ("total", ctypes.c_int64),
@@ -147,14 +145,13 @@ _i8 = ctypes.POINTER(ctypes.c_int8)
 _i32 = ctypes.POINTER(ctypes.c_int32)
 _i64 = ctypes.POINTER(ctypes.c_int64)
 
-_configured_libs: "set[int]" = set()
-
-
-def _configure(lib: ctypes.CDLL) -> None:
-    if id(lib) in _configured_libs:
-        return
-    lib.repro_simulate.restype = ctypes.c_int
-    lib.repro_simulate.argtypes = [
+_UNIT = Unit(
+    "core",
+    _SimParams,
+    {"NUM_CLASSES": _NUM_CLASSES, "S_ROB_OCC": _N_LAZY, "S_L1_ACC": _S_L1_ACC,
+     "NUM_SLOTS": NUM_SLOTS},
+    "repro_simulate",
+    [
         ctypes.POINTER(_SimParams),
         _u8, _i64,    # bug_flags, extra_delay
         _u8, _u8, _i32, _u8, _i64, _i8, _i64, _i64, _u8, _u8,  # trace columns
@@ -164,8 +161,8 @@ def _configure(lib: ctypes.CDLL) -> None:
         ctypes.c_int64,
         _i64,         # out_scalars
         ctypes.c_void_p,  # workspace
-    ]
-    _configured_libs.add(id(lib))
+    ],
+)
 
 
 #: int(OpClass) of every opcode, indexed by int(opcode).
@@ -479,13 +476,10 @@ def simulate_batch_native(
 
     Results are in input order and bit-identical to the Python fallback.
     Raises :class:`NativeKernelUnavailable` when the library is missing or
-    the configuration exceeds a kernel limit — callers (the ``simulate_trace``
-    seam) treat that as "use the scalar kernel".
+    skewed or the configuration exceeds a kernel limit — callers (the
+    ``simulate_trace`` seam) treat that as "use the scalar kernel".
     """
-    lib = load_library()
-    if lib is None:
-        raise NativeKernelUnavailable("native kernel library unavailable")
-    _configure(lib)
+    lib = bind(_UNIT)
     bug = bug if bug is not None else BUG_FREE
     results = []
     for trace in traces:

@@ -15,10 +15,12 @@ SPP tables live in a workspace that
 Requests the kernel cannot run exactly raise
 :class:`~repro.coresim.native.NativeKernelUnavailable`, and
 :func:`~repro.memsim.simulator.simulate_memory_trace` runs the Python fallback
-instead: no library, an address outside ``[0, 2**62)`` (Python's ``//`` and
-``%`` floor and its ints are unbounded), a latency, delay, issue width,
-cache size in lines or trace length past ``2**31``, a non-integer step, an
-issue width below 1, or a next-line prefetch reach past ``2**62`` bytes.
+instead: no library, a build whose ``MemParams`` layout or column count
+differs from this module's, an address outside ``[0, 2**62)`` (Python's
+``//`` and ``%`` floor and its ints are unbounded), a latency, delay, issue
+width, cache size in lines or trace length past ``2**31``, a non-integer
+step, an issue width below 1, or a next-line prefetch reach past ``2**62``
+bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import operator
 import numpy as np
 
 from ..coresim.counters import CounterTimeSeries
-from ..coresim.native import NativeKernelUnavailable, load_library, workspace
+from ..coresim.native import NativeKernelUnavailable, workspace
+from ..coresim.native.build import Unit, bind
 from ..uarch.config import MemoryHierarchyConfig
 from ..workloads.decoded import DecodedTrace, decode_trace
 from ..workloads.isa import MicroOp, Opcode
@@ -49,7 +52,8 @@ VALUE_LIMIT = 1 << 31
 _PREFETCHERS = {"none": 0, "next_line": 1, "spp": 2}
 
 #: Counter names of the kernel's output columns, in ``_memsim.c``'s column
-#: order (per level the six stats, prefetches issued, then the step metrics).
+#: order (per level the six stats, prefetches issued, then the step metrics);
+#: the unit's ``NUM_COLUMNS`` is checked against their count.
 _COLUMN_NAMES = tuple(
     f"mem.{level}.{stat}"
     for level in MEMORY_LEVELS
@@ -77,7 +81,7 @@ _SORTED_COLUMNS = tuple(
 
 
 class _MemParams(ctypes.Structure):
-    """Mirror of ``MemParams`` in ``_memsim.c`` (field order must match)."""
+    """``MemParams`` of ``_memsim.c``, checked against its layout report."""
 
     _fields_ = [
         ("total", ctypes.c_int64),
@@ -106,22 +110,20 @@ _u8 = ctypes.POINTER(ctypes.c_uint8)
 _i64 = ctypes.POINTER(ctypes.c_int64)
 _f64 = ctypes.POINTER(ctypes.c_double)
 
-_configured_libs: "set[int]" = set()
-
-
-def _configure(lib: ctypes.CDLL) -> None:
-    if id(lib) in _configured_libs:
-        return
-    lib.repro_memsim.restype = ctypes.c_int
-    lib.repro_memsim.argtypes = [
+_UNIT = Unit(
+    "memsim",
+    _MemParams,
+    {"NUM_COLUMNS": len(_COLUMN_NAMES)},
+    "repro_memsim",
+    [
         ctypes.POINTER(_MemParams),
         _u8, _i64, _u8,   # has_address, address, is_load
         _f64, _f64,       # out_rows, out_ipc
         ctypes.c_int64,   # max_rows
         _f64, _i64,       # out_totals, out_counts
         ctypes.c_void_p,  # workspace
-    ]
-    _configured_libs.add(id(lib))
+    ],
+)
 
 
 def _check_addresses(low: int, high: int) -> None:
@@ -263,12 +265,9 @@ def simulate_memory_native(
 
     Bit-identical to :func:`~repro.memsim.simulator.simulate_memory_python`.
     Raises :class:`NativeKernelUnavailable` when the library is missing or
-    the request is past a kernel limit (see the module docstring).
+    skewed or the request is past a kernel limit (see the module docstring).
     """
-    lib = load_library()
-    if lib is None:
-        raise NativeKernelUnavailable("native kernel library unavailable")
-    _configure(lib)
+    lib = bind(_UNIT)
     try:
         step = operator.index(step_instructions)
     except TypeError:

@@ -13,7 +13,8 @@ loop's.
 
 Inputs the kernel does not take raise
 :class:`~repro.coresim.native.NativeKernelUnavailable`, and ``fit`` runs the
-numpy loop instead: no library, a non-finite training feature (numpy sorts
+numpy loop instead: no library, a build whose ``GbtParams`` layout differs
+from this module's, a non-finite training feature (numpy sorts
 NaN last), targets that are not one per row (the numpy loop broadcasts or
 rejects them), a non-integer tree or round parameter, or a tree that needs
 more nodes than one whose leaves all hold rows.
@@ -26,14 +27,15 @@ import operator
 
 import numpy as np
 
-from ..coresim.native import NativeKernelUnavailable, load_library
+from ..coresim.native import NativeKernelUnavailable
+from ..coresim.native.build import Unit, bind
 from .tree import RegressionTree
 
 __all__ = ["NativeKernelUnavailable", "boost_native"]
 
 
 class _GbtParams(ctypes.Structure):
-    """Mirror of ``GbtParams`` in ``_gbt.c`` (field order must match)."""
+    """``GbtParams`` of ``_gbt.c``, checked against its layout report."""
 
     _fields_ = [
         ("rows", ctypes.c_int64),
@@ -54,14 +56,12 @@ class _GbtParams(ctypes.Structure):
 _i64 = ctypes.POINTER(ctypes.c_int64)
 _f64 = ctypes.POINTER(ctypes.c_double)
 
-_configured_libs: "set[int]" = set()
-
-
-def _configure(lib: ctypes.CDLL) -> None:
-    if id(lib) in _configured_libs:
-        return
-    lib.repro_gbt_fit.restype = ctypes.c_int
-    lib.repro_gbt_fit.argtypes = [
+_UNIT = Unit(
+    "gbt",
+    _GbtParams,
+    {},
+    "repro_gbt_fit",
+    [
         ctypes.POINTER(_GbtParams),
         _f64, _f64, _f64, _f64,  # X, y, X_val, y_val
         _i64,                    # draws (NULL: every row, in order)
@@ -69,8 +69,8 @@ def _configure(lib: ctypes.CDLL) -> None:
         _i64, _i64,              # tree_nodes, tree_depth
         _f64,                    # history
         _i64,                    # out_counts
-    ]
-    _configured_libs.add(id(lib))
+    ],
+)
 
 
 def _integer(value, what: str) -> int:
@@ -96,8 +96,8 @@ def boost_native(
 
     *model* is the :class:`~repro.ml.gbt.GradientBoostedTrees` being fit,
     with its base prediction set.  Raises :class:`NativeKernelUnavailable`
-    when the library is missing or the inputs are past a kernel limit (see
-    the module docstring).
+    when the library is missing or skewed or the inputs are past a kernel
+    limit (see the module docstring).
     """
     # The numpy loop's first round builds this tree, and raises its errors.
     template = RegressionTree(max_depth=model.max_depth,
@@ -112,10 +112,7 @@ def boost_native(
     if y.ndim != 1 or (X_val is not None and (
             X_val.shape[1] != n_features or y_val.shape != (len(X_val),))):
         raise NativeKernelUnavailable("data shaped unlike one row per target")
-    lib = load_library()
-    if lib is None:
-        raise NativeKernelUnavailable("native kernel library unavailable")
-    _configure(lib)
+    lib = bind(_UNIT)
 
     sample_count = max(2, int(round(model.subsample * n_rows)))
     draws = None
