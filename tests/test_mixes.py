@@ -1,5 +1,6 @@
 """Tests for memsynth generators, multi-program mixes and the scorecard."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -193,3 +194,18 @@ class TestMixScorecard:
         assert row["LLC MPKI"] > 0
         assert 0.0 <= row["FPR"] <= 1.0 and 0.0 <= row["TPR"] <= 1.0
         assert first.summary.startswith("mixes=1 ")
+
+    def test_smoke_report_matches_golden(self):
+        """The default smoke scorecard's rows and summary are pinned in
+        ``golden_reports.json``, as every benchmarked experiment is."""
+        from repro.experiments import mixes
+        from repro.experiments.common import ExperimentContext
+
+        spec = importlib.util.spec_from_file_location(
+            "make_golden_reports", DATA_DIR / "make_golden_reports.py"
+        )
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        with ExperimentContext("smoke") as context:
+            result = mixes.run(scale="smoke", context=context)
+        assert golden.report_digest(result) == golden.golden_digest("mixes")
