@@ -1,52 +1,69 @@
 """Performance-counter collection and time-series sampling.
 
 The methodology consumes counter values sampled every *time step* (the paper
-uses 500 k clock cycles).  :class:`TimeSeriesSampler` turns the simulator's
-cumulative counters into per-step deltas plus a set of derived ratio counters
-(branch percentages, miss rates, ...), and records the per-step IPC that the
-stage-1 models learn to infer.
+uses 500 k clock cycles).  A :class:`CounterTimeSeries` holds one run's
+counters as one matrix, a row per counter and a column per step, plus the
+per-step IPC that the stage-1 models learn to infer.  It is built once, by
+:meth:`CounterTimeSeries.from_deltas` from the per-step deltas of the
+simulator's cumulative counters, which adds the step lengths (``cycles``)
+and the derived ratio counters (branch percentages, miss rates, ...).  The
+native kernel calls it on the rows its C loop emits; the Python pipeline's
+:class:`TimeSeriesSampler` calls it on the counter dicts it samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
+#: Derived counters as ``(name, numerator, denominator, form)``: the ratio of
+#: two raw deltas (0 where the denominator is not positive), as it is, as
+#: ``1 - ratio`` ("complement") or as ``1000 * ratio`` ("per_kilo").
+_DERIVED = (
+    ("derived.pct_branches", "commit.branches", "commit.instructions", "ratio"),
+    ("derived.pct_loads", "commit.loads", "commit.instructions", "ratio"),
+    ("derived.pct_stores", "commit.stores", "commit.instructions", "ratio"),
+    ("derived.pct_fp", "commit.fp_instructions", "commit.instructions", "ratio"),
+    ("derived.bp_mispredict_rate", "bp.mispredicts", "bp.lookups", "ratio"),
+    ("derived.pct_correct_indirect", "bp.indirect_mispredicts", "bp.indirect_lookups",
+     "complement"),
+    ("derived.l1d_miss_rate", "cache.l1d.misses", "cache.l1d.accesses", "ratio"),
+    ("derived.l2_miss_rate", "cache.l2.misses", "cache.l2.accesses", "ratio"),
+    ("derived.l3_miss_rate", "cache.l3.misses", "cache.l3.accesses", "ratio"),
+    ("derived.mpki_l1d", "cache.l1d.misses", "commit.instructions", "per_kilo"),
+    ("derived.mpki_l2", "cache.l2.misses", "commit.instructions", "per_kilo"),
+    ("derived.branch_mpki", "bp.mispredicts", "commit.instructions", "per_kilo"),
+    ("derived.fetch_utilization", "fetch.instructions", "fetch.cycles_active", "ratio"),
+    ("derived.issue_utilization", "issue.instructions", "cycles", "ratio"),
+    ("derived.commit_utilization", "commit.instructions", "cycles", "ratio"),
+)
 
-def derived_counters(deltas: dict[str, float]) -> dict[str, float]:
-    """Ratio/derived counters computed from one step's raw counter deltas.
 
-    These mirror the kinds of counters the paper reports as commonly selected:
-    percentage of branch instructions, percentage of correctly predicted
-    indirect branches, cache miss rates, and utilisation ratios.
+def derived_counters(deltas: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Ratio/derived counters of every step, from the steps' raw deltas.
+
+    *deltas* maps a raw counter name to its per-step deltas (or to one
+    step's delta); a name it lacks counts as zero.  These mirror the kinds
+    of counters the paper reports as commonly selected: percentage of branch
+    instructions, percentage of correctly predicted indirect branches, cache
+    miss rates, and utilisation ratios.
     """
-
-    def ratio(num: str, den: str) -> float:
-        d = deltas.get(den, 0.0)
-        return deltas.get(num, 0.0) / d if d > 0 else 0.0
-
-    committed = deltas.get("commit.instructions", 0.0)
-    derived = {
-        "derived.pct_branches": ratio("commit.branches", "commit.instructions"),
-        "derived.pct_loads": ratio("commit.loads", "commit.instructions"),
-        "derived.pct_stores": ratio("commit.stores", "commit.instructions"),
-        "derived.pct_fp": ratio("commit.fp_instructions", "commit.instructions"),
-        "derived.bp_mispredict_rate": ratio("bp.mispredicts", "bp.lookups"),
-        "derived.pct_correct_indirect": 1.0
-        - ratio("bp.indirect_mispredicts", "bp.indirect_lookups"),
-        "derived.l1d_miss_rate": ratio("cache.l1d.misses", "cache.l1d.accesses"),
-        "derived.l2_miss_rate": ratio("cache.l2.misses", "cache.l2.accesses"),
-        "derived.l3_miss_rate": ratio("cache.l3.misses", "cache.l3.accesses"),
-        "derived.mpki_l1d": 1000.0 * ratio("cache.l1d.misses", "commit.instructions"),
-        "derived.mpki_l2": 1000.0 * ratio("cache.l2.misses", "commit.instructions"),
-        "derived.branch_mpki": 1000.0 * ratio("bp.mispredicts", "commit.instructions"),
-        "derived.fetch_utilization": ratio("fetch.instructions", "fetch.cycles_active"),
-        "derived.issue_utilization": ratio("issue.instructions", "cycles"),
-        "derived.commit_utilization": committed / deltas.get("cycles", 1.0)
-        if deltas.get("cycles", 0.0) > 0
-        else 0.0,
-    }
+    zero = np.zeros(np.shape(next(iter(deltas.values()))))
+    numerators = np.array([deltas.get(num, zero) for _, num, _, _ in _DERIVED], dtype=float)
+    denominators = np.array([deltas.get(den, zero) for _, _, den, _ in _DERIVED], dtype=float)
+    ratios = np.zeros_like(denominators)
+    np.divide(numerators, denominators, out=ratios, where=denominators > 0)
+    derived = {}
+    for (name, _, _, form), ratio in zip(_DERIVED, ratios):
+        if form == "complement":
+            ratio = 1.0 - ratio
+        elif form == "per_kilo":
+            ratio = 1000.0 * ratio
+        derived[name] = ratio
     return derived
 
 
@@ -58,38 +75,81 @@ class CounterTimeSeries:
     ----------
     step_cycles:
         Size of the sampling step in clock cycles.
-    counters:
-        Mapping of counter name to an array with one value per time step.
+    names:
+        The counter names, one per row of *values*, in sorted order.
+    values:
+        The ``(counters x steps)`` float64 matrix of per-step values.
     ipc:
         Committed-instructions-per-cycle of every time step.
     """
 
     step_cycles: int
-    counters: dict[str, np.ndarray]
+    names: tuple[str, ...]
+    values: np.ndarray
     ipc: np.ndarray
+
+    @classmethod
+    def from_deltas(
+        cls, step_cycles: int, deltas: Mapping[str, np.ndarray], cycles: np.ndarray
+    ) -> "CounterTimeSeries":
+        """The series of a run's per-step raw counter *deltas* and step
+        lengths: adds the ``cycles`` row and the derived counters, and the
+        IPC of each step."""
+        rows = dict(deltas, cycles=cycles)
+        rows.update(derived_counters(rows))
+        names = tuple(sorted(rows))
+        committed = rows.get("commit.instructions", np.zeros(len(cycles)))
+        return cls(step_cycles, names, np.array([rows[n] for n in names]), committed / cycles)
+
+    @classmethod
+    def from_rows(
+        cls, step_cycles: int, rows: "list[dict[str, float]]", ipc: "list[float]"
+    ) -> "CounterTimeSeries":
+        """The series of per-step counter dicts; a counter a step lacks is
+        zero there."""
+        names = tuple(sorted({name for row in rows for name in row}))
+        values = np.array([[row.get(n, 0.0) for row in rows] for n in names], dtype=float)
+        return cls(step_cycles, names, values.reshape(len(names), len(rows)),
+                   np.array(ipc, dtype=float))
 
     @property
     def num_steps(self) -> int:
         return len(self.ipc)
 
-    def matrix(self, names: list[str]) -> np.ndarray:
-        """Feature matrix (steps x len(names)) for the requested counters.
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: row for row, name in enumerate(self.names)}
+
+    @property
+    def counters(self) -> Mapping[str, np.ndarray]:
+        """Read-only ``{name: row}`` view of the matrix."""
+        return MappingProxyType(dict(zip(self.names, self.values)))
+
+    def row(self, name: str) -> np.ndarray:
+        """The per-step values of counter *name* (``KeyError`` if absent)."""
+        return self.values[self._index[name]]
+
+    def rows(self, names: Sequence[str]) -> np.ndarray:
+        """``(len(names) x steps)`` rows of the requested counters.
 
         Counters that never fired during a run are simply absent from the
-        sampled deltas; they are semantically zero, so missing names are
-        filled with zero columns rather than treated as errors.
+        sampled deltas; they are semantically zero, so missing names get
+        zero rows rather than raising.
         """
-        zeros = np.zeros(self.num_steps, dtype=float)
-        return np.column_stack([self.counters.get(n, zeros) for n in names])
+        index = self._index
+        positions = [index.get(name, -1) for name in names]
+        if -1 not in positions:
+            return self.values[positions]
+        gathered = np.zeros((len(names), self.num_steps))
+        for row, position in enumerate(positions):
+            if position >= 0:
+                gathered[row] = self.values[position]
+        return gathered
 
-    def with_static_features(self, features: dict[str, float]) -> "CounterTimeSeries":
-        """Return a copy with constant (per-design) features appended."""
-        counters = dict(self.counters)
-        for name, value in features.items():
-            counters[name] = np.full(self.num_steps, value, dtype=float)
-        return CounterTimeSeries(
-            step_cycles=self.step_cycles, counters=counters, ipc=self.ipc.copy()
-        )
+    def matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Feature matrix (steps x len(names)) for the requested counters,
+        with a zero column for each name the run lacks."""
+        return self.rows(names).T
 
 
 @dataclass
@@ -99,20 +159,18 @@ class TimeSeriesSampler:
     step_cycles: int
     _previous: dict[str, float] = field(default_factory=dict)
     _rows: list[dict[str, float]] = field(default_factory=list)
-    _ipc: list[float] = field(default_factory=list)
+    _cycles: list[float] = field(default_factory=list)
+
+    def _record(self, cumulative: dict[str, float], cycles: int) -> None:
+        self._rows.append(
+            {name: cumulative[name] - self._previous.get(name, 0.0) for name in cumulative}
+        )
+        self._cycles.append(float(cycles))
+        self._previous = dict(cumulative)
 
     def sample(self, cumulative: dict[str, float]) -> None:
         """Record one completed time step given cumulative counters."""
-        deltas = {
-            name: cumulative.get(name, 0.0) - self._previous.get(name, 0.0)
-            for name in cumulative
-        }
-        deltas["cycles"] = float(self.step_cycles)
-        deltas.update(derived_counters(deltas))
-        committed = deltas.get("commit.instructions", 0.0)
-        self._rows.append(deltas)
-        self._ipc.append(committed / float(self.step_cycles))
-        self._previous = dict(cumulative)
+        self._record(cumulative, self.step_cycles)
 
     def finalize(self, cumulative: dict[str, float], leftover_cycles: int) -> None:
         """Account for a trailing partial step.
@@ -124,28 +182,17 @@ class TimeSeriesSampler:
         if leftover_cycles > 0 and (
             leftover_cycles >= self.step_cycles // 2 or not self._rows
         ):
-            deltas = {
-                name: cumulative.get(name, 0.0) - self._previous.get(name, 0.0)
-                for name in cumulative
-            }
-            deltas["cycles"] = float(leftover_cycles)
-            deltas.update(derived_counters(deltas))
-            committed = deltas.get("commit.instructions", 0.0)
-            self._rows.append(deltas)
-            self._ipc.append(committed / float(leftover_cycles))
-            self._previous = dict(cumulative)
+            self._record(cumulative, leftover_cycles)
 
     def build(self) -> CounterTimeSeries:
         """Assemble the collected steps into a :class:`CounterTimeSeries`."""
         if not self._rows:
             raise ValueError("no time steps were sampled; trace may be too short")
-        names = sorted({name for row in self._rows for name in row})
-        counters = {
+        names = {name for row in self._rows for name in row}
+        deltas = {
             name: np.array([row.get(name, 0.0) for row in self._rows], dtype=float)
             for name in names
         }
-        return CounterTimeSeries(
-            step_cycles=self.step_cycles,
-            counters=counters,
-            ipc=np.array(self._ipc, dtype=float),
+        return CounterTimeSeries.from_deltas(
+            self.step_cycles, deltas, np.array(self._cycles)
         )

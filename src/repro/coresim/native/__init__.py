@@ -18,7 +18,7 @@ from .build import (
     find_compiler,
     load_library,
 )
-from .kernel import native_available, simulate_batch_native
+from .kernel import core_kernel, native_available, simulate_batch_native
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -26,6 +26,7 @@ __all__ = [
     "NativeKernelUnavailable",
     "cache_dir",
     "compiler_info",
+    "core_kernel",
     "find_compiler",
     "load_library",
     "native_available",

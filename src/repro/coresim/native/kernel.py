@@ -3,12 +3,13 @@
 :func:`simulate_batch_native` runs probe traces through the compiled cycle
 loop in ``_core.c``: the :class:`~repro.workloads.decoded.DecodedTrace`
 columns go in as flat zero-copy-widened arrays, one cumulative counter row
-per sampling boundary comes back out, and the rows are replayed through the
-real :class:`~repro.coresim.counters.TimeSeriesSampler` so the resulting
-:class:`~repro.coresim.simulator.SimulationResult` is **bit-identical** to
-the Python fallback (same cycles, same counter name sets, same values —
-pinned by the differential oracle).  The C loop keeps its cache tables in a
-workspace that :mod:`~repro.coresim.native.workspace` lends it for the call.
+per sampling boundary comes back out, and those rows are differenced into
+the :class:`~repro.coresim.counters.CounterTimeSeries` matrix, so the
+resulting :class:`~repro.coresim.simulator.SimulationResult` is
+**bit-identical** to the Python fallback (same cycles, same counter name
+sets, same values — pinned by the differential oracle).  The C loop keeps
+its cache tables in a workspace that :mod:`~repro.coresim.native.workspace`
+lends it for the call.
 
 Every core bug model runs here.  Its structural hooks
 (``on_simulation_start``, ``register_reduction``, ``bp_table_entries``) are
@@ -31,7 +32,7 @@ import numpy as np
 from ...uarch.config import MicroarchConfig
 from ...workloads.decoded import DecodedTrace, decode_trace
 from ...workloads.isa import NUM_ARCH_REGS, OPCODE_CLASS, MicroOp, OpClass
-from ..counters import TimeSeriesSampler
+from ..counters import CounterTimeSeries
 from ..hooks import BUG_FREE, BugRecord, CoreBugModel
 from .._reference import BASE_REDIRECT_PENALTY, MAX_CYCLES_PER_INSTRUCTION, PipelineError
 from . import workspace
@@ -77,7 +78,7 @@ _LAZY_SLOT_NAMES = (
     "lsq.forwarded_loads",
 ) + tuple(f"issue.class.{op_class.name}" for op_class in OpClass)
 
-#: Slots 39..48: always present in every cumulative sample.
+#: Slots 39..48: always present in every sample.
 _ALWAYS_SLOT_NAMES = (
     "rob.occupancy_sum",
     "iq.occupancy_sum",
@@ -95,6 +96,17 @@ _N_LAZY = len(_LAZY_SLOT_NAMES)          # 39
 _N_ALWAYS = len(_ALWAYS_SLOT_NAMES)      # 10
 _S_L1_ACC = _N_LAZY + _N_ALWAYS          # 49
 NUM_SLOTS = _S_L1_ACC + 2 * _MAX_LEVELS  # 55
+
+#: Every slot's counter name, in slot order; the L3 pair (the last two
+#: slots) is sampled only on a design with an L3.
+_SLOT_NAMES = _LAZY_SLOT_NAMES + _ALWAYS_SLOT_NAMES + (
+    "cache.l1d.accesses",
+    "cache.l1d.misses",
+    "cache.l2.accesses",
+    "cache.l2.misses",
+    "cache.l3.accesses",
+    "cache.l3.misses",
+)
 
 
 class _SimParams(ctypes.Structure):
@@ -140,6 +152,16 @@ def native_available() -> bool:
     return load_library() is not None
 
 
+def core_kernel() -> str:
+    """The kernel core jobs run on: ``"native"`` when the core unit binds
+    (the library loads and its layout check passes), else ``"scalar"``."""
+    try:
+        bind(_UNIT)
+    except NativeKernelUnavailable:
+        return "scalar"
+    return "native"
+
+
 _u8 = ctypes.POINTER(ctypes.c_uint8)
 _i8 = ctypes.POINTER(ctypes.c_int8)
 _i32 = ctypes.POINTER(ctypes.c_int32)
@@ -171,55 +193,49 @@ _OPCLASS_BY_OPCODE[list(OPCODE_CLASS)] = list(OPCODE_CLASS.values())
 
 
 class _NativeTrace:
-    """Per-trace columns widened to the exact C dtypes, content-cached."""
+    """Per-trace columns widened to the exact C dtypes, and the pointers to
+    them that the C call takes, content-cached."""
 
-    __slots__ = (
-        "n",
-        "op_class",
-        "has_dest",
-        "dest",
-        "has_address",
-        "address",
-        "taken",
-        "pc",
-        "target",
-        "has_target",
-        "indirect",
-        "srcs_flat",
-        "srcs_offset",
-        "num_regs",
-    )
+    __slots__ = ("n", "num_regs", "columns", "pointers")
 
 
 def _build_native_trace(decoded: DecodedTrace) -> _NativeTrace:
     columns = decoded.columns
     n = int(columns["opcode"].shape[0])
+    has_dest = columns["has_dest"].astype(np.uint8)
+    has_address = columns["has_address"].astype(np.uint8)
+    has_target = columns["has_target"].astype(np.uint8)
+    dest = np.where(has_dest.astype(bool), columns["dest"].astype(np.int32), 0)
+    srcs_flat = columns["srcs_flat"].astype(np.int32)
+    # In the order of repro_simulate's trace-column arguments.
+    widened = (
+        (_OPCLASS_BY_OPCODE[columns["opcode"].astype(np.int64)].astype(np.uint8),
+         ctypes.c_uint8),
+        (has_dest, ctypes.c_uint8),
+        (dest, ctypes.c_int32),
+        (has_address, ctypes.c_uint8),
+        (np.where(has_address.astype(bool), columns["address"].astype(np.int64), 0),
+         ctypes.c_int64),
+        (columns["taken"].astype(np.int8), ctypes.c_int8),
+        (columns["pc"].astype(np.int64), ctypes.c_int64),
+        (np.where(has_target.astype(bool), columns["target"].astype(np.int64), 0),
+         ctypes.c_int64),
+        (has_target, ctypes.c_uint8),
+        (columns["indirect"].astype(np.uint8), ctypes.c_uint8),
+        (srcs_flat, ctypes.c_int32),
+        (columns["srcs_offset"].astype(np.int32), ctypes.c_int32),
+    )
     t = _NativeTrace()
     t.n = n
-    opcode = columns["opcode"].astype(np.int64)
-    t.op_class = np.ascontiguousarray(_OPCLASS_BY_OPCODE[opcode].astype(np.uint8))
-    t.has_dest = np.ascontiguousarray(columns["has_dest"].astype(np.uint8))
-    t.dest = np.ascontiguousarray(
-        np.where(t.has_dest.astype(bool), columns["dest"].astype(np.int32), 0)
+    t.columns = tuple(np.ascontiguousarray(array) for array, _ in widened)
+    t.pointers = tuple(
+        _ptr(array, ctype) for array, (_, ctype) in zip(t.columns, widened)
     )
-    t.has_address = np.ascontiguousarray(columns["has_address"].astype(np.uint8))
-    t.address = np.ascontiguousarray(
-        np.where(t.has_address.astype(bool), columns["address"].astype(np.int64), 0)
-    )
-    t.taken = np.ascontiguousarray(columns["taken"].astype(np.int8))
-    t.pc = np.ascontiguousarray(columns["pc"].astype(np.int64))
-    t.has_target = np.ascontiguousarray(columns["has_target"].astype(np.uint8))
-    t.target = np.ascontiguousarray(
-        np.where(t.has_target.astype(bool), columns["target"].astype(np.int64), 0)
-    )
-    t.indirect = np.ascontiguousarray(columns["indirect"].astype(np.uint8))
-    t.srcs_flat = np.ascontiguousarray(columns["srcs_flat"].astype(np.int32))
-    t.srcs_offset = np.ascontiguousarray(columns["srcs_offset"].astype(np.int32))
     max_reg = NUM_ARCH_REGS - 1
-    if t.srcs_flat.size:
-        max_reg = max(max_reg, int(t.srcs_flat.max()))
-    if n and t.has_dest.any():
-        max_reg = max(max_reg, int(t.dest.max()))
+    if srcs_flat.size:
+        max_reg = max(max_reg, int(srcs_flat.max()))
+    if n and has_dest.any():
+        max_reg = max(max_reg, int(dest.max()))
     t.num_regs = max_reg + 1
     return t
 
@@ -253,24 +269,6 @@ def _ptr(array: np.ndarray, ctype) -> ctypes.POINTER:
     return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _row_to_cumulative(row: "list[int]", has_l3: bool) -> "dict[str, float]":
-    cumulative: dict[str, float] = {}
-    for index in range(_N_LAZY):
-        value = row[index]
-        if value:
-            cumulative[_LAZY_SLOT_NAMES[index]] = float(value)
-    for offset in range(_N_ALWAYS):
-        cumulative[_ALWAYS_SLOT_NAMES[offset]] = float(row[_N_LAZY + offset])
-    cumulative["cache.l1d.accesses"] = float(row[_S_L1_ACC])
-    cumulative["cache.l1d.misses"] = float(row[_S_L1_ACC + 1])
-    cumulative["cache.l2.accesses"] = float(row[_S_L1_ACC + 2])
-    cumulative["cache.l2.misses"] = float(row[_S_L1_ACC + 3])
-    if has_l3:
-        cumulative["cache.l3.accesses"] = float(row[_S_L1_ACC + 4])
-        cumulative["cache.l3.misses"] = float(row[_S_L1_ACC + 5])
-    return cumulative
-
-
 def _bug_columns(
     record: BugRecord, decoded: DecodedTrace, n: int
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -297,20 +295,11 @@ def _bug_columns(
     return flags, np.ascontiguousarray(extra, dtype=np.int64)
 
 
-def _fill_params(
-    config: MicroarchConfig,
-    bug: CoreBugModel,
-    record: BugRecord,
-    native: _NativeTrace,
-    extra: np.ndarray,
-    step_cycles: int,
-    warmup: bool,
+def _config_params(
+    config: MicroarchConfig, step_cycles: int, warmup: bool
 ) -> "tuple[_SimParams, np.ndarray]":
-    """SimParams + flat class->ports array for one run.
-
-    Structural bug hooks are evaluated here (``on_simulation_start`` was
-    already called by the caller, before ``compile``, as on the fallback).
-    """
+    """The configuration-only part of ``SimParams`` and the flat
+    class->ports array, marshalled once per batch (one design)."""
     num_ports = config.ports.num_ports
     if num_ports > 63:
         raise NativeKernelUnavailable(
@@ -320,38 +309,18 @@ def _fill_params(
         raise NativeKernelUnavailable("btb_entries must be >= 1")
 
     params = _SimParams()
-    params.total = native.n
     params.width = config.width
     params.rob_size = config.rob_size
     params.iq_size = config.iq_size
     params.lsq_size = config.lsq_size
     params.fetch_capacity = config.fetch_buffer
-    reduction = max(0, bug.register_reduction())
-    params.free_regs = max(1, config.num_phys_regs - NUM_ARCH_REGS - reduction)
-    params.num_regs = native.num_regs
     params.step_cycles = step_cycles
-    params.max_cycles = native.n * MAX_CYCLES_PER_INSTRUCTION + 10_000
     params.warmup = 1 if warmup else 0
     params.num_ports = num_ports
     params.memory_latency = max(30, int(round(60.0 * config.clock_ghz)))
     params.l1_line_size = config.l1.line_size
-    params.bp_table_entries = max(4, bug.bp_table_entries(config.bp_table_entries))
     params.btb_entries = config.btb_entries
     params.indirect_sets = max(4, config.indirect_predictor_sets)
-    params.redirect_penalty = BASE_REDIRECT_PENALTY + record.mispredict_penalty
-    params.iq_free_below = record.iq_free_below
-    params.iq_delay = record.iq_delay
-    params.rob_free_below = record.rob_free_below
-    params.rob_delay = record.rob_delay
-    params.dep_delay = record.dependency[2] if record.dependency else 0
-    params.wake_span = 2 + max(0, int(extra.max())) + sum(
-        max(0, delay) for delay in (params.iq_delay, params.rob_delay, params.dep_delay)
-    )
-    if params.wake_span > params.max_cycles:
-        raise NativeKernelUnavailable(
-            f"an extra issue delay of {params.wake_span} cycles exceeds the "
-            "native kernel's wake calendar"
-        )
 
     latency_of = {
         OpClass.INT_ALU: 1,
@@ -384,6 +353,46 @@ def _fill_params(
         params.cache_assoc[index] = level.associativity
         params.cache_line_shift[index] = level.line_size.bit_length() - 1
         params.cache_latency[index] = level.latency
+    return params, class_ports_flat
+
+
+def _fill_params(
+    batch: "tuple[_SimParams, np.ndarray]",
+    config: MicroarchConfig,
+    bug: CoreBugModel,
+    record: BugRecord,
+    native: _NativeTrace,
+    extra: np.ndarray,
+) -> "tuple[_SimParams, np.ndarray]":
+    """SimParams + flat class->ports array for one run: a copy of the
+    batch's configuration part (:func:`_config_params`) with the trace and
+    bug fields filled in.
+
+    Structural bug hooks are evaluated here (``on_simulation_start`` was
+    already called by the caller, before ``compile``, as on the fallback).
+    """
+    base, class_ports_flat = batch
+    params = _SimParams.from_buffer_copy(base)
+    params.total = native.n
+    reduction = max(0, bug.register_reduction())
+    params.free_regs = max(1, config.num_phys_regs - NUM_ARCH_REGS - reduction)
+    params.num_regs = native.num_regs
+    params.max_cycles = native.n * MAX_CYCLES_PER_INSTRUCTION + 10_000
+    params.bp_table_entries = max(4, bug.bp_table_entries(config.bp_table_entries))
+    params.redirect_penalty = BASE_REDIRECT_PENALTY + record.mispredict_penalty
+    params.iq_free_below = record.iq_free_below
+    params.iq_delay = record.iq_delay
+    params.rob_free_below = record.rob_free_below
+    params.rob_delay = record.rob_delay
+    params.dep_delay = record.dependency[2] if record.dependency else 0
+    params.wake_span = 2 + max(0, int(extra.max())) + sum(
+        max(0, delay) for delay in (params.iq_delay, params.rob_delay, params.dep_delay)
+    )
+    if params.wake_span > params.max_cycles:
+        raise NativeKernelUnavailable(
+            f"an extra issue delay of {params.wake_span} cycles exceeds the "
+            "native kernel's wake calendar"
+        )
     params.cache_latency[1] += record.l2_extra_latency
     return params, class_ports_flat
 
@@ -397,13 +406,39 @@ def _output_buffers(max_rows: int) -> "tuple[np.ndarray, np.ndarray]":
     )
 
 
+def _series(
+    out_rows: np.ndarray, nrows: int, leftover: int, step_cycles: int, has_l3: bool
+) -> CounterTimeSeries:
+    """The counter matrix of the cumulative rows the C loop emitted: *nrows*
+    full steps, then the row at the end of the run, kept as a partial step of
+    *leftover* cycles when it is at least half a step long or the run's only
+    step (as the Python pipeline's sampler keeps it)."""
+    kept = nrows + int(leftover > 0 and (leftover >= step_cycles // 2 or nrows == 0))
+    if not kept:
+        raise ValueError("no time steps were sampled; trace may be too short")
+    cumulative = np.ascontiguousarray(out_rows[:kept].T, dtype=np.float64)
+    deltas = np.diff(cumulative, axis=1, prepend=0.0)
+    # A lazy slot is sampled once it has fired; the L3 pair on an L3 design.
+    sampled = np.ones(NUM_SLOTS, dtype=bool)
+    sampled[:_N_LAZY] = (cumulative[:_N_LAZY] != 0).any(axis=1)
+    sampled[NUM_SLOTS - 2:] = has_l3
+    cycles = np.full(kept, float(step_cycles))
+    if kept > nrows:
+        cycles[-1] = float(leftover)
+    return CounterTimeSeries.from_deltas(
+        step_cycles,
+        {name: row for name, row, keep in zip(_SLOT_NAMES, deltas, sampled) if keep},
+        cycles,
+    )
+
+
 def _simulate_one(
     lib: ctypes.CDLL,
+    batch: "tuple[_SimParams, np.ndarray]",
     config: MicroarchConfig,
     decoded: DecodedTrace,
     bug: CoreBugModel,
     step_cycles: int,
-    warmup: bool,
 ):
     from ..simulator import SimulationResult  # imported lazily: module cycle
 
@@ -412,9 +447,7 @@ def _simulate_one(
         raise ValueError("cannot simulate an empty trace")
     record = bug.compile(decoded)
     flags, extra = _bug_columns(record, decoded, native.n)
-    params, class_ports_flat = _fill_params(
-        config, bug, record, native, extra, step_cycles, warmup
-    )
+    params, class_ports_flat = _fill_params(batch, config, bug, record, native, extra)
     max_rows = params.max_cycles // step_cycles + 2
     out_rows, out_scalars = _output_buffers(max_rows)
 
@@ -423,18 +456,7 @@ def _simulate_one(
             ctypes.byref(params),
             _ptr(flags, ctypes.c_uint8),
             _ptr(extra, ctypes.c_int64),
-            _ptr(native.op_class, ctypes.c_uint8),
-            _ptr(native.has_dest, ctypes.c_uint8),
-            _ptr(native.dest, ctypes.c_int32),
-            _ptr(native.has_address, ctypes.c_uint8),
-            _ptr(native.address, ctypes.c_int64),
-            _ptr(native.taken, ctypes.c_int8),
-            _ptr(native.pc, ctypes.c_int64),
-            _ptr(native.target, ctypes.c_int64),
-            _ptr(native.has_target, ctypes.c_uint8),
-            _ptr(native.indirect, ctypes.c_uint8),
-            _ptr(native.srcs_flat, ctypes.c_int32),
-            _ptr(native.srcs_offset, ctypes.c_int32),
+            *native.pointers,
             _ptr(class_ports_flat, ctypes.c_int32),
             _ptr(out_rows, ctypes.c_int64),
             ctypes.c_int64(max_rows),
@@ -450,18 +472,14 @@ def _simulate_one(
         raise RuntimeError(f"native simulation kernel failed (rc={rc})")
 
     cycle, committed, last_sample, nrows = (int(v) for v in out_scalars)
-    has_l3 = config.l3 is not None
-    sampler = TimeSeriesSampler(step_cycles)
-    rows = out_rows[: nrows + 1].tolist()
-    for index in range(nrows):
-        sampler.sample(_row_to_cumulative(rows[index], has_l3))
-    sampler.finalize(_row_to_cumulative(rows[nrows], has_l3), cycle - last_sample)
     return SimulationResult(
         config_name=config.name,
         bug_name=bug.name,
         instructions=committed,
         cycles=cycle,
-        series=sampler.build(),
+        series=_series(
+            out_rows, nrows, cycle - last_sample, step_cycles, config.l3 is not None
+        ),
     )
 
 
@@ -481,10 +499,11 @@ def simulate_batch_native(
     """
     lib = bind(_UNIT)
     bug = bug if bug is not None else BUG_FREE
+    batch = _config_params(config, step_cycles, warmup)
     results = []
     for trace in traces:
         bug.on_simulation_start(config)
         results.append(
-            _simulate_one(lib, config, decode_trace(trace), bug, step_cycles, warmup)
+            _simulate_one(lib, batch, config, decode_trace(trace), bug, step_cycles)
         )
     return results

@@ -48,11 +48,8 @@ class SingleStageBaseline:
         observation = self.setup.cache.get(probe, design, bug)
         series = observation.series
         # A counter that never fired on this design is simply absent from the
-        # sampled series; treat it as zero, as the stage-1 feature path does.
-        values = [
-            float(series.counters[name].mean()) if name in series.counters else 0.0
-            for name in probe.counters
-        ]
+        # sampled series and reads as a zero row, as on the stage-1 path.
+        values = [float(row.mean()) for row in series.rows(probe.counters)]
         values.append(float(series.ipc.mean()))
         if self.setup.model_config.use_arch_features:
             features = design.feature_vector()

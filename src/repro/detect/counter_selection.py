@@ -47,9 +47,9 @@ def candidate_counters(series_list: list[CounterTimeSeries]) -> list[str]:
     """Counter names available in every series, minus the excluded ones."""
     if not series_list:
         raise ValueError("at least one series is required")
-    common = set(series_list[0].counters)
+    common = set(series_list[0].names)
     for series in series_list[1:]:
-        common &= set(series.counters)
+        common &= set(series.names)
     return sorted(
         name
         for name in common

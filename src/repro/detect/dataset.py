@@ -30,7 +30,9 @@ from .probe import Probe
 #: Bug key used for bug-free observations.
 BUG_FREE_KEY = "bug-free"
 
-def _bug_key(bug) -> str:
+
+def bug_key(bug) -> str:
+    """The name an observation of *bug* (``None`` for bug-free) is keyed by."""
     return bug.name if bug is not None else BUG_FREE_KEY
 
 
@@ -78,7 +80,7 @@ class SimulationCache:
         return Observation(
             probe_name=probe.name,
             config_name=config.name,
-            bug_name=_bug_key(bug),
+            bug_name=bug_key(bug),
             series=result.series,
             ipc=result.ipc,
             target_metric=result.ipc,
@@ -95,7 +97,7 @@ class SimulationCache:
         meta: list[tuple[tuple[str, str, str], Probe, object, object]] = []
         seen: set[tuple[str, str, str]] = set()
         for probe, config, bug in requests:
-            key = (probe.name, config.name, _bug_key(bug))
+            key = (probe.name, config.name, bug_key(bug))
             if key in self._cache or key in seen:
                 continue
             seen.add(key)
@@ -116,7 +118,7 @@ class SimulationCache:
         bug: CoreBugModel | None = None,
     ) -> Observation:
         """Return the observation, simulating on first use."""
-        key = (probe.name, config.name, _bug_key(bug))
+        key = (probe.name, config.name, bug_key(bug))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -148,14 +150,13 @@ class MemorySimulationCache(SimulationCache):
             # Swap the target series so the generic stage-1 machinery (which
             # regresses ``series.ipc``) models AMAT instead.
             series = CounterTimeSeries(
-                step_cycles=series.step_cycles,
-                counters=dict(series.counters),
-                ipc=series.counters["mem.amat"].copy(),
+                series.step_cycles, series.names, series.values,
+                series.row("mem.amat").copy(),
             )
         return Observation(
             probe_name=probe.name,
             config_name=config.name,
-            bug_name=_bug_key(bug),
+            bug_name=bug_key(bug),
             series=series,
             ipc=result.ipc,
             target_metric=result.amat if self.target_metric == "amat" else result.ipc,

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..bugs.base import Severity
 from .counter_selection import manual_counter_set, select_counters
+from .dataset import bug_key
 from .metrics import DetectionMetrics, compute_metrics
 from .probe import Probe
 from .stage1 import ProbeModel, ProbeModelConfig
@@ -100,6 +101,10 @@ class TwoStageDetector:
         self.setup = setup
         self.models: dict[str, ProbeModel] = {}
         self._prepared = False
+        #: Error vectors by (design name, bug key), the pair the simulation
+        #: caches key observations by; the stage-1 models are fitted once,
+        #: so every fold reads the same vectors.
+        self._errors: dict[tuple[str, str], np.ndarray] = {}
 
     # -- helpers -------------------------------------------------------------------
 
@@ -135,6 +140,7 @@ class TwoStageDetector:
         """Collect bug-free training data, select counters, fit stage-1 models."""
         setup = self.setup
         presumed = self._bugfree_bug()
+        self._errors.clear()
         self._warm((d, presumed) for d in setup.train_designs + setup.val_designs)
         for probe in setup.probes:
             train_series = {
@@ -161,16 +167,25 @@ class TwoStageDetector:
     # -- stage-1 errors -----------------------------------------------------------------
 
     def error_vector(self, design, bug=None) -> np.ndarray:
-        """Equation-(1) errors of every probe for one (design, bug) pair."""
+        """Equation-(1) errors of every probe for one (design, bug) pair,
+        computed once per pair and returned as a copy."""
         if not self._prepared:
             raise RuntimeError("call prepare() before computing error vectors")
-        features = self._design_features(design)
-        errors = []
-        for probe in self.setup.probes:
-            observation = self._observe(probe, design, bug)
-            model = self.models[probe.name]
-            errors.append(model.inference_error(observation.series, features))
-        return np.asarray(errors, dtype=float)
+        key = (design.name, bug_key(bug))
+        errors = self._errors.get(key)
+        if errors is None:
+            features = self._design_features(design)
+            errors = np.asarray(
+                [
+                    self.models[probe.name].inference_error(
+                        self._observe(probe, design, bug).series, features
+                    )
+                    for probe in self.setup.probes
+                ],
+                dtype=float,
+            )
+            self._errors[key] = errors
+        return errors.copy()
 
     # -- severity --------------------------------------------------------------------------
 

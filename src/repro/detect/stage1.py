@@ -47,12 +47,18 @@ class ProbeModel:
         series: CounterTimeSeries,
         arch_features: dict[str, float] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step feature windows and targets for one design's series."""
-        augmented = series
-        if self.config.use_arch_features and arch_features:
-            augmented = series.with_static_features(arch_features)
-        matrix = augmented.matrix(self.feature_names)
-        targets = augmented.ipc
+        """Per-step feature windows and targets for one design's series:
+        the probe's counter rows gathered from the series, then the design's
+        sorted static features (:meth:`_resolve_feature_names`) at every step."""
+        names = self.feature_names
+        static = arch_features if self.config.use_arch_features and arch_features else {}
+        split = len(names)
+        while split and names[split - 1] in static:
+            split -= 1
+        matrix = np.empty((series.num_steps, len(names)))
+        matrix[:, :split] = series.matrix(names[:split])
+        matrix[:, split:] = [static[name] for name in names[split:]]
+        targets = series.ipc
         if len(targets) < self.config.window and len(targets) > 0:
             # Short probes on fast designs can have fewer steps than the
             # window; pad by repeating the first step so one sample exists.

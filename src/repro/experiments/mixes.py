@@ -56,9 +56,9 @@ def _mix_llc_mpki(cache, mix, design) -> float:
     """
     probe = _full_trace_probe(mix)
     cache.warm([(probe, design, None)])
-    counters = cache.get(probe, design).series.counters
-    misses = float(counters["mem.llc.misses"].sum())
-    instructions = float(counters["mem.instructions"].sum())
+    series = cache.get(probe, design).series
+    misses = float(series.row("mem.llc.misses").sum())
+    instructions = float(series.row("mem.instructions").sum())
     return 1000.0 * misses / max(1.0, instructions)
 
 

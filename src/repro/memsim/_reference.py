@@ -16,7 +16,10 @@ from ``MemoryBugModel.compile()``'s record, it is the fallback that
 kernel cannot.  Fed a bug model directly, it is the differential oracle
 of ``tests/test_memsim_differential.py``, which holds every bug type's
 record equal to its hooks.  ``MemSimResult``, ``llc_mpki`` and the
-step constants are ``repro.memsim``'s own.
+step constants are ``repro.memsim``'s own.  The one edit to the code:
+``MemoryHierarchySim.run`` hands its per-step counter dicts to
+``CounterTimeSeries.from_rows``, which builds the series' counter matrix,
+where it used to build a dict of one array per counter itself.
 
 **Never optimise, fix or restyle this file.**  Its value is that it is the
 original code; a change here moves the oracle with the code it checks.
@@ -513,16 +516,7 @@ class MemoryHierarchySim:
             flush_step()
 
         total_cycles += len(measured) / self.config.issue_width
-        names = sorted({name for row in rows for name in row})
-        counters = {
-            name: np.array([row.get(name, 0.0) for row in rows], dtype=float)
-            for name in names
-        }
-        series = CounterTimeSeries(
-            step_cycles=self.step_instructions,
-            counters=counters,
-            ipc=np.array(ipc_values, dtype=float),
-        )
+        series = CounterTimeSeries.from_rows(self.step_instructions, rows, ipc_values)
         amat = (
             total_latency / total_accesses
             if total_accesses

@@ -7,8 +7,9 @@ shared object, built and cached by :mod:`repro.coresim.native.build`).  The
 trace goes in as three columns, memoised per trace digest: an access flag,
 the address and a load flag.  The bug goes in as its
 :class:`~repro.memsim.hooks.MemoryBugRecord`, flattened into
-``MemParams``.  One row of counter deltas per sampled step comes back out,
-and the result is bit-identical to the Python fallback's.  The cache and
+``MemParams``.  One row per counter comes back out, a column per sampled
+step, and its rows in name order are the series' matrix, bit-identical to
+the Python fallback's.  The cache and
 SPP tables live in a workspace that
 :mod:`~repro.coresim.native.workspace` lends the C call.
 
@@ -73,11 +74,10 @@ _COLUMN_NAMES = tuple(
     "mem.stall_cycles",
 )
 
-#: Column indices in counter-name order, the order the Python fallback's
-#: counters dict has.
-_SORTED_COLUMNS = tuple(
-    (name, _COLUMN_NAMES.index(name)) for name in sorted(_COLUMN_NAMES)
-)
+#: The series' counter names (sorted, as the Python fallback's are) and
+#: the output column of each.
+_SORTED_NAMES = tuple(sorted(_COLUMN_NAMES))
+_SORTED_COLUMNS = [_COLUMN_NAMES.index(name) for name in _SORTED_NAMES]
 
 
 class _MemParams(ctypes.Structure):
@@ -307,11 +307,8 @@ def simulate_memory_native(
     rows, total_accesses = (int(v) for v in out_counts)
     total_latency, total_cycles = (float(v) for v in out_totals)
     series = CounterTimeSeries(
-        step_cycles=step_instructions,
-        counters={
-            name: out_rows[column, :rows].copy() for name, column in _SORTED_COLUMNS
-        },
-        ipc=out_ipc[:rows].copy(),
+        step_instructions, _SORTED_NAMES, out_rows[_SORTED_COLUMNS, :rows],
+        out_ipc[:rows].copy(),
     )
     total_cycles += measured / config.issue_width
     amat = (

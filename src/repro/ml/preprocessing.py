@@ -78,6 +78,7 @@ def make_window_dataset(
     steps = len(features)
     if steps < window:
         return np.empty((0, window, features.shape[1])), np.empty((0,))
-    X = np.stack([features[i - window + 1 : i + 1] for i in range(window - 1, steps)])
+    windows = np.lib.stride_tricks.sliding_window_view(features, window, axis=0)
+    X = np.ascontiguousarray(windows.transpose(0, 2, 1))
     y = targets[window - 1 :].copy()
     return X, y

@@ -74,7 +74,9 @@ SHARD_WIDTH = 2
 
 @dataclass
 class StoredResult:
-    """Study-agnostic flattening of one simulation outcome."""
+    """Study-agnostic flattening of one simulation outcome: its scalars and
+    its :class:`~repro.coresim.counters.CounterTimeSeries`, carried as the
+    simulator built it."""
 
     study: str
     config_name: str
@@ -82,9 +84,7 @@ class StoredResult:
     instructions: int
     cycles: float
     amat: float
-    step: int
-    counters: dict[str, np.ndarray]
-    ipc: np.ndarray
+    series: CounterTimeSeries
 
     # -- conversions -----------------------------------------------------------
 
@@ -97,9 +97,7 @@ class StoredResult:
             instructions=result.instructions,
             cycles=float(result.cycles),
             amat=0.0,
-            step=result.series.step_cycles,
-            counters=dict(result.series.counters),
-            ipc=result.series.ipc,
+            series=result.series,
         )
 
     @classmethod
@@ -111,16 +109,7 @@ class StoredResult:
             instructions=result.instructions,
             cycles=result.cycles,
             amat=result.amat,
-            step=result.series.step_cycles,
-            counters=dict(result.series.counters),
-            ipc=result.series.ipc,
-        )
-
-    def _series(self) -> CounterTimeSeries:
-        return CounterTimeSeries(
-            step_cycles=self.step,
-            counters={name: np.asarray(arr) for name, arr in self.counters.items()},
-            ipc=np.asarray(self.ipc),
+            series=result.series,
         )
 
     def to_core(self) -> SimulationResult:
@@ -131,7 +120,7 @@ class StoredResult:
             bug_name=self.bug_name,
             instructions=self.instructions,
             cycles=int(self.cycles),
-            series=self._series(),
+            series=self.series,
         )
 
     def to_memory(self) -> MemSimResult:
@@ -142,8 +131,25 @@ class StoredResult:
             bug_name=self.bug_name,
             instructions=self.instructions,
             cycles=self.cycles,
-            series=self._series(),
+            series=self.series,
             amat=self.amat,
+        )
+
+
+def _check_matrix(series: CounterTimeSeries) -> None:
+    """Raise :class:`ValueError` unless *series* is one float64 matrix with
+    a row per counter name and a column per step of its float64 IPC."""
+    values, ipc = np.asarray(series.values), np.asarray(series.ipc)
+    if (
+        values.dtype != np.float64
+        or ipc.dtype != np.float64
+        or ipc.ndim != 1
+        or values.shape != (len(series.names), len(ipc))
+    ):
+        raise ValueError(
+            f"a {values.dtype} counters matrix of shape {values.shape} with "
+            f"{ipc.dtype} IPC cannot hold {len(series.names)} float64 counters "
+            f"of {len(ipc)} steps"
         )
 
 
@@ -268,6 +274,11 @@ class ResultStore:
                     self.stats.outdated += 1
                     self.stats.misses += 1
                     return None
+                series = CounterTimeSeries(
+                    int(meta["step"]), tuple(meta["counters"]), data["counters"],
+                    data["ipc"],
+                )
+                _check_matrix(series)
                 result = StoredResult(
                     study=meta["study"],
                     config_name=meta["config_name"],
@@ -275,9 +286,7 @@ class ResultStore:
                     instructions=int(meta["instructions"]),
                     cycles=float(meta["cycles"]),
                     amat=float(meta["amat"]),
-                    step=int(meta["step"]),
-                    counters=dict(zip(meta["counters"], data["counters"], strict=True)),
-                    ipc=data["ipc"],
+                    series=series,
                 )
         except Exception:
             # Truncated download, killed writer, disk hiccup: recompute
@@ -301,20 +310,12 @@ class ResultStore:
     def put(self, key: str, result: StoredResult) -> None:
         """Persist *result* under *key* atomically.
 
-        Raises :class:`ValueError`, writing nothing, when the counter series
-        differ in length or dtype: one matrix holds them all, and a cast
-        would not round-trip.
+        Raises :class:`ValueError`, writing nothing, when the series' matrix
+        is not float64 with a row per counter name and a column per IPC
+        step: ``get`` would read back a different series.
         """
-        names = list(result.counters)
-        series = [np.asarray(result.counters[name]) for name in names]
-        for name, values in zip(names, series):
-            if values.shape != series[0].shape or values.dtype != series[0].dtype:
-                raise ValueError(
-                    f"counter {name!r} is {values.dtype} of shape {values.shape}, "
-                    f"but {names[0]!r} is {series[0].dtype} of shape "
-                    f"{series[0].shape}: one counters matrix cannot hold both"
-                )
-        counters = np.stack(series)
+        series = result.series
+        _check_matrix(series)
         meta = json.dumps(
             {
                 "format": ENTRY_FORMAT,
@@ -324,8 +325,8 @@ class ResultStore:
                 "instructions": result.instructions,
                 "cycles": result.cycles,
                 "amat": result.amat,
-                "step": result.step,
-                "counters": names,
+                "step": series.step_cycles,
+                "counters": list(series.names),
             }
         )
         entry = self._entry_path(key)
@@ -337,8 +338,7 @@ class ResultStore:
         try:
             with open(tmp, "wb") as handle:
                 np.savez(
-                    handle, meta=np.array(meta), ipc=np.asarray(result.ipc),
-                    counters=counters,
+                    handle, meta=np.array(meta), ipc=series.ipc, counters=series.values
                 )
             existed = entry.exists()
             os.replace(tmp, entry)

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..coresim.native import native_available
+from ..coresim.native import core_kernel
 from ..runtime import ResultStore, SimulationJob, TraceRegistry
 from ..runtime.execution import _execute_unit, plan_batches
 from ..runtime.job import Fingerprints
@@ -172,9 +172,7 @@ class ServingSession:
                     self._persist(key, stored)
             self.stats.executed += executed
             store_hits = self.stats.store_hits - hits_before
-        series_by_probe = {
-            name: stored.to_core().series for name, stored in results.items()
-        }
+        series_by_probe = {name: stored.series for name, stored in results.items()}
         return series_by_probe, executed, store_hits
 
     def verdict_for(self, index: int, config, bug=None) -> ItemVerdict:
@@ -215,7 +213,7 @@ class ServingSession:
             "step_cycles": self.model.schema.step_cycles,
             "ml_engine": self.model.schema.ml_engine,
             "training_digest": self.model.provenance.get("training_digest"),
-            "kernel": "native" if native_available() else "scalar",
+            "kernel": core_kernel(),
             "memory_entries": len(self._memory),
             "store_entries": len(self.store) if self.store is not None else None,
             "stats": self.stats.snapshot(),

@@ -125,11 +125,10 @@ def _assert_stored_equal(first, second):
         assert a.instructions == b.instructions
         assert a.cycles == b.cycles
         assert a.amat == b.amat
-        assert a.step == b.step
-        assert np.array_equal(a.ipc, b.ipc)
-        assert set(a.counters) == set(b.counters)
-        for name in a.counters:
-            assert np.array_equal(a.counters[name], b.counters[name]), name
+        assert a.series.step_cycles == b.series.step_cycles
+        assert np.array_equal(a.series.ipc, b.series.ipc)
+        assert a.series.names == b.series.names
+        assert a.series.values.tobytes() == b.series.values.tobytes()
 
 
 # -- conformance: serial == local == subprocess ------------------------------

@@ -39,7 +39,12 @@ def _series(num_steps, seed=0, extra=None):
     }
     if extra:
         counters.update(extra)
-    return CounterTimeSeries(step_cycles=512, counters=counters, ipc=ipc)
+    return _from_mapping(counters, ipc)
+
+
+def _from_mapping(counters, ipc):
+    """A series with a row per entry of the ``{name: values}`` *counters*."""
+    return CounterTimeSeries(512, tuple(counters), np.array(list(counters.values())), ipc)
 
 
 class TestCounterSelection:
@@ -57,8 +62,7 @@ class TestCounterSelection:
     def test_falls_back_to_top_counters_when_none_pass(self):
         rng = np.random.default_rng(0)
         counters = {f"c.n{i}": rng.normal(size=30) for i in range(6)}
-        series = CounterTimeSeries(step_cycles=512, counters=counters,
-                                   ipc=rng.uniform(0.5, 1.5, 30))
+        series = _from_mapping(counters, rng.uniform(0.5, 1.5, 30))
         chosen = select_counters([series])
         assert len(chosen) >= MIN_COUNTERS
 
@@ -67,7 +71,7 @@ class TestCounterSelection:
         result = simulate_trace(skylake, gcc_trace[:1500], step_cycles=256)
         manual = manual_counter_set([result.series])
         assert manual
-        assert all(name in result.series.counters for name in manual)
+        assert all(name in result.series.names for name in manual)
 
 
 class TestStage1:
@@ -90,9 +94,10 @@ class TestStage1:
         assert val_mse < 0.05
         clean_error = model.inference_error(_series(30, seed=20))
         # A series whose counter<->IPC relation is destroyed must error more.
-        broken = _series(30, seed=21)
-        broken.counters["c.correlated"] = np.random.default_rng(5).normal(size=30)
-        broken.counters["c.anticorrelated"] = np.random.default_rng(6).normal(size=30)
+        broken = _series(30, seed=21, extra={
+            "c.correlated": np.random.default_rng(5).normal(size=30),
+            "c.anticorrelated": np.random.default_rng(6).normal(size=30),
+        })
         assert model.inference_error(broken) > clean_error
 
     def test_requires_counters(self):
@@ -193,3 +198,58 @@ class TestProbesAndCache:
         assert cache.misses == 1
         assert len(cache) == 1
         assert first.ipc > 0
+
+
+class TestErrorVectorMemo:
+    """Stage 1 is fitted once, in ``prepare()``, so each (design, bug) error
+    vector is computed once per detector and every fold reads it."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.experiments.common import ExperimentContext
+
+        with ExperimentContext("smoke") as context:
+            yield context.detection_setup(probes=context.probes[:2])
+
+    def test_one_inference_per_probe_design_and_bug(self, setup, monkeypatch):
+        from repro.detect.dataset import bug_key
+        from repro.detect.detector import TwoStageDetector, evaluation_design_bug_pairs
+
+        types = list(setup.bug_suite)[:3]
+        calls = []
+        inference_error = ProbeModel.inference_error
+
+        def counted(model, series, features=None):
+            calls.append(model.probe.name)
+            return inference_error(model, series, features)
+
+        monkeypatch.setattr(ProbeModel, "inference_error", counted)
+        memoised = TwoStageDetector(setup)
+        result = memoised.evaluate(types)
+        pairs = {
+            (design.name, bug_key(bug))
+            for design, bug in evaluation_design_bug_pairs(setup, types)
+        }
+        assert len(calls) == len(setup.probes) * len(pairs)
+        assert sorted(set(calls)) == sorted(p.name for p in setup.probes)
+
+        class _Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        recomputing = TwoStageDetector(setup)
+        recomputing._errors = _Forgetful()
+        expected = recomputing.evaluate(types)
+        for bug_type in types:
+            fold, reference = result.folds[bug_type], expected.folds[bug_type]
+            assert fold.bug_names == reference.bug_names
+            assert fold.labels == reference.labels
+            assert fold.predictions == reference.predictions
+            assert [repr(s) for s in fold.scores] == [repr(s) for s in reference.scores]
+
+        design = setup.test_designs[0]
+        vector = memoised.error_vector(design)
+        vector[:] = -1.0
+        assert not np.array_equal(memoised.error_vector(design), vector)
+        memoised.prepare()
+        assert memoised._errors == {}

@@ -93,13 +93,10 @@ def _assert_identical(a, b, context):
     assert a.instructions == b.instructions, context
     sa, sb = a.series, b.series
     assert sa.step_cycles == sb.step_cycles, context
-    assert set(sa.counters) == set(sb.counters), (
-        context,
-        set(sa.counters) ^ set(sb.counters),
-    )
+    assert sa.names == sb.names, (context, set(sa.names) ^ set(sb.names))
     assert np.array_equal(sa.ipc, sb.ipc), context
-    for name in sa.counters:
-        assert np.array_equal(sa.counters[name], sb.counters[name]), (context, name)
+    for name, row, other in zip(sa.names, sa.values, sb.values):
+        assert np.array_equal(row, other), (context, name)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +522,8 @@ class TestCrossKernelEngine:
         native = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, native):
             assert a.cycles == b.cycles
-            assert set(a.counters) == set(b.counters)
-            for name in a.counters:
-                assert np.array_equal(a.counters[name], b.counters[name]), name
+            assert a.series.names == b.series.names
+            assert a.series.values.tobytes() == b.series.values.tobytes()
 
     def test_scalar_store_replays_under_native(
         self, synthetic_registry, tmp_path, no_compiler
@@ -583,8 +579,8 @@ class TestCrossKernelEngine:
         fresh = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, fresh):
             assert a.cycles == b.cycles
-            for name in a.counters:
-                assert np.array_equal(a.counters[name], b.counters[name]), name
+            assert a.series.names == b.series.names
+            assert a.series.values.tobytes() == b.series.values.tobytes()
 
     def test_plan_batches_groups_only_under_native(self, synthetic_registry):
         """Same-(config, bug, step) core jobs form one unit anchored at the

@@ -210,9 +210,9 @@ def _observations(result) -> dict:
         "cycles": repr(result.cycles),
         "amat": repr(result.amat),
         "step": series.step_cycles,
-        "names": list(series.counters),
-        "counters": {name: series.counters[name].tobytes() for name in series.counters},
-        "dtypes": {name: str(series.counters[name].dtype) for name in series.counters},
+        "names": list(series.names),
+        "counters": {name: row.tobytes() for name, row in zip(series.names, series.values)},
+        "dtypes": str(series.values.dtype),
         "ipc": series.ipc.tobytes(),
     }
 
@@ -456,8 +456,7 @@ class TestCrossKernelMemoryStore:
     def _observed(results) -> list:
         return [
             (r.config_name, r.bug_name, r.instructions, repr(r.cycles), repr(r.amat),
-             list(r.counters), [np.asarray(r.counters[n]).tobytes() for n in r.counters],
-             np.asarray(r.ipc).tobytes())
+             r.series.names, r.series.values.tobytes(), r.series.ipc.tobytes())
             for r in results
         ]
 

@@ -36,13 +36,10 @@ from repro.workloads import (
 
 def _assert_identical_series(a, b, context=""):
     assert a.step_cycles == b.step_cycles, context
-    assert set(a.counters) == set(b.counters), (
-        context,
-        set(a.counters) ^ set(b.counters),
-    )
+    assert a.names == b.names, (context, set(a.names) ^ set(b.names))
     assert np.array_equal(a.ipc, b.ipc), context
-    for name in a.counters:
-        assert np.array_equal(a.counters[name], b.counters[name]), (context, name)
+    for name, row, other in zip(a.names, a.values, b.values):
+        assert np.array_equal(row, other), (context, name)
 
 
 def _assert_identical_results(a, b, context=""):
@@ -248,9 +245,7 @@ class TestPersistentPoolDeterminism:
                 actual = persistent.run(batch, registry.traces)
                 for a, b in zip(expected, actual):
                     assert a.cycles == b.cycles
-                    assert np.array_equal(a.ipc, b.ipc)
-                    for name in a.counters:
-                        assert np.array_equal(a.counters[name], b.counters[name])
+                    _assert_identical_series(a.series, b.series)
             stats = persistent.stats
             # Every batch either reused the pool or (re)created it via the
             # delta-rebase policy; at least one batch ran on a reused pool.
@@ -266,8 +261,7 @@ class TestPersistentPoolDeterminism:
             second = engine.run(batch, registry.traces)
         for a, b in zip(first, second):
             assert a.cycles == b.cycles
-            for name in a.counters:
-                assert np.array_equal(a.counters[name], b.counters[name])
+            _assert_identical_series(a.series, b.series)
 
     def test_heavy_delta_traffic_triggers_pool_rebase(self, registry_and_traces):
         registry, (first_id, second_id) = registry_and_traces

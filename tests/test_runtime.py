@@ -14,6 +14,7 @@ import pytest
 import repro.runtime.job as job_module
 from repro.bugs.core_bugs import SerializeOpcode
 from repro.bugs.memory_bugs import EvictMRU
+from repro.coresim.counters import CounterTimeSeries
 from repro.coresim.hooks import CoreBugModel
 from repro.detect.dataset import MemorySimulationCache, SimulationCache
 from repro.detect.probe import build_probes
@@ -83,17 +84,32 @@ def _memory_jobs(registry, tiny_trace, step=200):
 def _put_old_layout(store, key, result):
     """Write *result* as entries were written before the format version:
     one ``counter::<name>`` member per counter and no ``format`` in meta."""
+    series = result.series
     meta = {
         "study": result.study, "config_name": result.config_name,
         "bug_name": result.bug_name, "instructions": result.instructions,
-        "cycles": result.cycles, "amat": result.amat, "step": result.step,
+        "cycles": result.cycles, "amat": result.amat, "step": series.step_cycles,
     }
-    members = {f"counter::{name}": values for name, values in result.counters.items()}
+    members = {
+        f"counter::{name}": row for name, row in zip(series.names, series.values)
+    }
     entry = store._entry_path(key)
     entry.parent.mkdir(exist_ok=True)
     with open(entry, "wb") as handle:
-        np.savez(handle, meta=np.array(json.dumps(meta)), ipc=result.ipc, **members)
+        np.savez(handle, meta=np.array(json.dumps(meta)), ipc=series.ipc, **members)
     return entry
+
+
+def _tiny_result(values=None):
+    """A one-counter core result of four steps (its matrix *values*, if given)."""
+    return StoredResult(
+        study="core", config_name="X", bug_name="bug-free",
+        instructions=8, cycles=16.0, amat=0.0,
+        series=CounterTimeSeries(
+            256, ("c",), np.arange(4.0)[None, :] if values is None else values,
+            np.ones(4),
+        ),
+    )
 
 
 def _plant(store, key, payload):
@@ -109,10 +125,9 @@ def _assert_results_equal(first, second):
     for a, b in zip(first, second):
         assert a.instructions == b.instructions
         assert a.cycles == b.cycles
-        assert np.array_equal(a.ipc, b.ipc)
-        assert set(a.counters) == set(b.counters)
-        for name in a.counters:
-            assert np.array_equal(a.counters[name], b.counters[name]), name
+        assert np.array_equal(a.series.ipc, b.series.ipc)
+        assert a.series.names == b.series.names
+        assert a.series.values.tobytes() == b.series.values.tobytes()
 
 
 class TestJobIdentity:
@@ -260,7 +275,7 @@ class TestEngine:
         serial = JobEngine(jobs=1).run(jobs, registry.traces)
         parallel = JobEngine(jobs=2, chunk_size=1).run(jobs, registry.traces)
         _assert_results_equal(serial, parallel)
-        assert all(r.ipc.min() > 0 for r in serial)
+        assert all(r.series.ipc.min() > 0 for r in serial)
 
     def test_duplicate_jobs_simulated_once(self, registry, tiny_trace):
         jobs = _core_jobs(registry, tiny_trace)
@@ -309,14 +324,15 @@ class TestResultStore:
         assert {entry.study for entry in loaded} == {"core", "memory"}
         for a, b in zip(computed, loaded):
             for field in ("study", "config_name", "bug_name", "instructions",
-                          "cycles", "amat", "step"):
+                          "cycles", "amat"):
                 assert getattr(a, field) == getattr(b, field), field
-            assert list(a.counters) == list(b.counters)  # names, in order
-            for name, series in a.counters.items():
-                assert series.dtype == b.counters[name].dtype, name
-                assert series.tobytes() == b.counters[name].tobytes(), name
-            assert a.ipc.dtype == b.ipc.dtype
-            assert a.ipc.tobytes() == b.ipc.tobytes()
+            sa, sb = a.series, b.series
+            assert sa.step_cycles == sb.step_cycles
+            assert sa.names == sb.names  # names, in order
+            assert sa.values.dtype == sb.values.dtype
+            assert sa.values.tobytes() == sb.values.tobytes()
+            assert sa.ipc.dtype == sb.ipc.dtype
+            assert sa.ipc.tobytes() == sb.ipc.tobytes()
 
     def test_second_run_hits_store_only(self, registry, tiny_trace, tmp_path):
         jobs = _core_jobs(registry, tiny_trace)
@@ -387,25 +403,16 @@ class TestResultStore:
     )
     def test_put_rejects_series_one_matrix_cannot_hold(self, tmp_path, odd):
         store = ResultStore(tmp_path / "store")
-        result = self._tiny_result()
-        result.counters["odd"] = odd
-        with pytest.raises(ValueError, match="counter 'odd'"):
+        result = _tiny_result(values=odd[None, :])
+        with pytest.raises(ValueError, match="cannot hold 1 float64 counters of 4 steps"):
             store.put("aa0", result)
         assert not [p for p in store.path.rglob("*") if p.is_file()]
         assert len(store) == 0
         assert store.stats.puts == 0
 
-    @staticmethod
-    def _tiny_result():
-        return StoredResult(
-            study="core", config_name="X", bug_name="bug-free",
-            instructions=8, cycles=16.0, amat=0.0, step=256,
-            counters={"c": np.arange(4.0)}, ipc=np.ones(4),
-        )
-
     def test_stale_tmp_files_swept_on_init(self, tmp_path):
         first = ResultStore(tmp_path / "store")
-        first.put("aa0", self._tiny_result())
+        first.put("aa0", _tiny_result())
         shard = first._entry_path("aa0").parent
         # Simulate writers killed mid-put long ago: orphaned <key>.tmp<pid>
         # files with old mtimes.
@@ -434,7 +441,7 @@ class TestResultStore:
         from repro.runtime.store_cli import main as store_main
 
         root = tmp_path / "store"
-        ResultStore(root).put("aa0", self._tiny_result())
+        ResultStore(root).put("aa0", _tiny_result())
         weights = root / "weights.npz"
         np.savez(weights, w=np.arange(3.0))
         old_tmp = root / "run.tmp42"
@@ -454,7 +461,7 @@ class TestResultStore:
         """Regression: every put used to glob the whole directory, making N
         writes O(N^2); the count is now tracked incrementally."""
         store = ResultStore(tmp_path / "store")
-        result = self._tiny_result()
+        result = _tiny_result()
         for index in range(1_000):
             store.put(f"k{index:04d}", result)
         assert store.scans == 1  # the __init__ scan, nothing per-put
@@ -469,7 +476,7 @@ class TestResultStore:
 
     def test_count_resyncs_after_corrupt_entry(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.put("aa0", self._tiny_result())
+        store.put("aa0", _tiny_result())
         # An external writer drops in a garbage entry the counter missed.
         garbage = _plant(store, "garbage", b"junk")
         assert store.get("garbage") is None
@@ -480,18 +487,10 @@ class TestResultStore:
 class TestShardedStore:
     """The ``shard=XX/`` layout, GC and the CLI."""
 
-    @staticmethod
-    def _tiny_result():
-        return StoredResult(
-            study="core", config_name="X", bug_name="bug-free",
-            instructions=8, cycles=16.0, amat=0.0, step=256,
-            counters={"c": np.arange(4.0)}, ipc=np.ones(4),
-        )
-
     def test_sharded_entries_land_in_shard_dirs(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02"):
-            store.put(key, self._tiny_result())
+            store.put(key, _tiny_result())
         assert store._entry_path("aa00").parent.name == "shard=aa"
         assert (store.path / "shard=aa" / "aa00.npz").exists()
         assert (store.path / "shard=bb" / "bb02.npz").exists()
@@ -502,7 +501,7 @@ class TestShardedStore:
     def test_gc_prunes_outside_roster(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02", "cc03"):
-            store.put(key, self._tiny_result())
+            store.put(key, _tiny_result())
 
         preview = store.gc({"aa00", "bb02"}, dry_run=True)
         assert preview == ["aa01", "cc03"]
@@ -517,7 +516,7 @@ class TestShardedStore:
 
     def test_gc_with_superset_roster_removes_nothing(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.put("aa00", self._tiny_result())
+        store.put("aa00", _tiny_result())
         assert store.gc({"aa00", "never-computed"}) == []
         assert store.get("aa00") is not None
 
@@ -526,7 +525,7 @@ class TestShardedStore:
 
         store = ResultStore(tmp_path / "store")
         for key in ("aa00", "aa01", "bb02"):
-            store.put(key, self._tiny_result())
+            store.put(key, _tiny_result())
 
         assert store_main(["info", str(tmp_path / "store")]) == 0
         output = capsys.readouterr().out
@@ -550,7 +549,7 @@ class TestShardedStore:
     def test_cli_info_reports_every_missing_store(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
 
-        ResultStore(tmp_path / "store").put("aa00", self._tiny_result())
+        ResultStore(tmp_path / "store").put("aa00", _tiny_result())
         missing = [tmp_path / "nope", tmp_path / "gone"]
         code = store_main(
             ["info", str(missing[0]), str(tmp_path / "store"), str(missing[1])]
@@ -568,7 +567,7 @@ class TestShardedStore:
         root = tmp_path / "store"
         store = ResultStore(root)
         for shard in range(256):
-            store.put(f"{shard:02x}00", self._tiny_result())
+            store.put(f"{shard:02x}00", _tiny_result())
         # Each listing of the 256-shard store prints ~4.6 kB; forty of them
         # outgrow the pipe's buffer, so the command is still writing when
         # the reader closes its end.
@@ -590,7 +589,7 @@ class TestShardedStore:
         from repro.runtime.store_cli import main as store_main
 
         store = ResultStore(tmp_path / "store")
-        store.put("aa00", self._tiny_result())
+        store.put("aa00", _tiny_result())
         roster = tmp_path / "empty.txt"
         roster.write_text("# nothing\n")
         code = store_main(["gc", str(tmp_path / "store"), "--keep", str(roster)])
@@ -601,7 +600,7 @@ class TestShardedStore:
     def test_cli_gc_missing_roster_fails(self, tmp_path, capsys):
         from repro.runtime.store_cli import main as store_main
 
-        ResultStore(tmp_path / "store").put("aa00", self._tiny_result())
+        ResultStore(tmp_path / "store").put("aa00", _tiny_result())
         code = store_main([
             "gc", str(tmp_path / "store"), "--keep", str(tmp_path / "nope"),
         ])
@@ -702,14 +701,6 @@ class TestResumableBatches:
 
 
 class TestStoreMerge:
-    @staticmethod
-    def _tiny_result():
-        return StoredResult(
-            study="core", config_name="X", bug_name="bug-free",
-            instructions=8, cycles=16.0, amat=0.0, step=256,
-            counters={"c": np.arange(4.0)}, ipc=np.ones(4),
-        )
-
     def test_merge_disjoint_stores_then_replay_executes_zero(
         self, registry, tiny_trace, tmp_path
     ):
@@ -735,12 +726,12 @@ class TestStoreMerge:
         from repro.runtime.store_cli import main as store_main
 
         source = ResultStore(tmp_path / "src")
-        source.put("aa0", self._tiny_result())
-        source.put("bb1", self._tiny_result())
+        source.put("aa0", _tiny_result())
+        source.put("bb1", _tiny_result())
         _plant(source, "cc2", b"not a zip archive")
-        _put_old_layout(source, "dd3", self._tiny_result())
+        _put_old_layout(source, "dd3", _tiny_result())
         destination = ResultStore(tmp_path / "dst")
-        destination.put("aa0", self._tiny_result())  # already present
+        destination.put("aa0", _tiny_result())  # already present
 
         merged = destination.merge_from(source)
         # bb1 only: aa0 existed, cc2 was corrupt, dd3 is in the old layout.
@@ -829,7 +820,7 @@ class TestStoreMerge:
         from repro.runtime.store_cli import main as store_main
 
         store = ResultStore(tmp_path / "store")
-        store.put("aa0", self._tiny_result())
+        store.put("aa0", _tiny_result())
         code = store_main(["merge", str(tmp_path / "store"), str(tmp_path / "store")])
         assert code == 2
         assert "cannot merge a store into itself" in capsys.readouterr().out
@@ -857,8 +848,8 @@ class TestCacheIntegration:
             b = parallel.get(probe, design, bug)
             assert a.ipc == b.ipc
             assert np.array_equal(a.series.ipc, b.series.ipc)
-            for name in a.series.counters:
-                assert np.array_equal(a.series.counters[name], b.series.counters[name])
+            assert a.series.names == b.series.names
+            assert a.series.values.tobytes() == b.series.values.tobytes()
         # Everything was warmed: the gets above added no misses.
         assert parallel.misses == len(requests)
 

@@ -12,6 +12,7 @@ garbage ends one connection but never the daemon, and SIGTERM drains a real
 
 import os
 import pickle
+import re
 import signal
 import socket
 import struct
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +28,7 @@ import pytest
 
 from repro.bugs.registry import core_bug_suite
 from repro.coresim import native_available
+from repro.coresim.native import build as native_build
 from repro.detect.dataset import SimulationCache
 from repro.experiments.common import ExperimentContext
 from repro.runtime import JobEngine, ResultStore
@@ -278,15 +281,43 @@ def test_ping_and_stats_report_daemon_state(model, request_items):
     assert stats["store_entries"] is None  # no persistent store attached
 
 
-def test_stats_report_the_kernel_that_runs(model, no_compiler):
+def test_stats_report_the_kernel_that_runs(model, no_compiler, monkeypatch, tmp_path):
     """The stats frame names the kernel probe batches actually run on:
-    scalar where no compiler is found, native where the library loads."""
+    scalar where no compiler is found or the core unit's layout check
+    refuses the library, native where the core unit binds."""
     with DetectionServer(model).start() as server:
         with ServeClient(*server.address) as client:
             with no_compiler():
                 assert client.stats()["kernel"] == "scalar"
             expected = "native" if native_available() else "scalar"
             assert client.stats()["kernel"] == expected
+            if not native_available():
+                return
+            # A library built from a _core.c whose SimParams disagrees with
+            # the ctypes mirror loads, but its core unit is refused.
+            (source,) = [p for p in native_build.SOURCE_PATHS if p.name == "_core.c"]
+            text, count = re.subn(
+                r"X\(i64, rob_size, \)", "X(i32, rob_size, )",
+                source.read_text(encoding="utf-8"),
+            )
+            assert count, "the rob_size field no longer matches _core.c"
+            skewed = tmp_path / "_core.c"
+            skewed.write_text(text, encoding="utf-8")
+            monkeypatch.setattr(native_build, "SOURCE_PATHS", tuple(
+                skewed if path.name == "_core.c" else path
+                for path in native_build.SOURCE_PATHS
+            ))
+            monkeypatch.setenv(native_build.CACHE_ENV_VAR, str(tmp_path / "cache"))
+            native_build._reset_for_tests()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    assert client.stats()["kernel"] == "scalar"
+                    assert native_available()  # loaded: only the core unit is refused
+            finally:
+                monkeypatch.undo()
+                native_build._reset_for_tests()
+            assert client.stats()["kernel"] == "native"
 
 
 class _ConstantModel:
