@@ -4,9 +4,10 @@
  *
  * Bit-identity contract: every counter value, the final cycle count, and the
  * sampling boundaries must match the seed pipeline exactly.  The Python
- * wrapper feeds DecodedTrace columns in as flat arrays and replays the
- * emitted cumulative counter rows through the real TimeSeriesSampler, so any
- * divergence here is caught by the differential oracle.
+ * wrapper feeds DecodedTrace columns in as flat arrays and differences the
+ * emitted cumulative counter rows into the run's counter matrix
+ * (kernel._series), so any divergence here is caught by the differential
+ * oracle.
  *
  * Bugs arrive as data, the BugRecord of repro/coresim/hooks.py: one flag
  * byte per uop (serialising, issue-only-if-oldest, oldest-blocks-others,

@@ -1,6 +1,7 @@
 /* Native gradient-boosting kernel: every round of
- * GradientBoostedTrees.fit (repro/ml/gbt.py) in one call, built into the
- * same shared library as _core.c and _memsim.c.
+ * GradientBoostedTrees.fit (repro/ml/gbt.py) in one call, and its predict
+ * over the fitted forest in another, built into the same shared library as
+ * _core.c and _memsim.c.
  *
  * Exactness contract: each tree's node arrays, every round's train and
  * validation predictions, both losses and the early-stopping decision must
@@ -29,7 +30,12 @@
  * numpy and rejects what this kernel does not take: a non-finite training
  * feature (numpy sorts NaN last).  A tree that needs more node slots than
  * a tree whose leaves all hold rows can have returns rc 3, and the numpy
- * loop runs instead.  The kernel keeps no static state. */
+ * loop runs instead.  The kernel keeps no static state.
+ *
+ * Predict adds each row's leaf values to the base one tree at a time, in
+ * forest order, as np.cumsum over [base; learning_rate * leaves] adds them,
+ * so its predictions equal the numpy walk's bit for bit.  A NaN feature
+ * fails x <= threshold and goes right, as it does in numpy. */
 
 #include <math.h>  /* INFINITY */
 #include <stddef.h>  /* offsetof */
@@ -43,9 +49,9 @@ typedef int64_t i64;
  * report (repro_gbt_layout) are both expanded from this list. */
 #define GBT_PARAMS(X) \
     X(i64, rows)                  /* training rows */ \
-    X(i64, features) \
+    X(i64, features)              /* columns of every row, fit and predict */ \
     X(i64, val_rows)              /* 0: no validation set, no early stopping */ \
-    X(i64, rounds)                /* n_estimators */ \
+    X(i64, rounds)                /* n_estimators; predict: trees kept */ \
     X(i64, sample_rows)           /* rows per tree: the draw size, or rows */ \
     X(i64, node_capacity)         /* node slots per tree in the outputs */ \
     X(i64, max_depth) \
@@ -543,4 +549,37 @@ int repro_gbt_fit(const GbtParams *P,
     out_counts[1] = kept;
     free_work(&w);
     return rc;
+}
+
+/* Predict every row of X (rows x P->features, row-major) through a fitted
+ * forest: P->rounds trees one after another in the five node arrays, tree
+ * k's nodes from slot starts[k] on, child indices local to the tree, as
+ * repro_gbt_fit writes them.  out[i] starts at P->base, and each tree in
+ * order adds P->learning_rate times row i's leaf value.  Of P it reads
+ * features, rounds, learning_rate and base; it writes only out, so calls
+ * may share a forest from several threads.  Returns 0. */
+int repro_gbt_predict(const GbtParams *P,
+                      const i64 *starts,
+                      i64 *feature,
+                      double *threshold,
+                      i64 *left,
+                      i64 *right,
+                      double *value,
+                      const double *X,
+                      i64 rows,
+                      double *out) {
+    i64 i, k;
+    for (i = 0; i < rows; i++) {
+        out[i] = P->base;
+    }
+    for (k = 0; k < P->rounds; k++) {
+        Tree t;
+        t.feature = feature + starts[k];
+        t.threshold = threshold + starts[k];
+        t.left = left + starts[k];
+        t.right = right + starts[k];
+        t.value = value + starts[k];
+        add_tree(P, &t, X, rows, out);
+    }
+    return 0;
 }

@@ -96,9 +96,10 @@ _lib: "ctypes.CDLL | None" = None
 _lib_resolved = False
 #: Guards loading the library and binding its units.
 _load_lock = threading.Lock()
-#: Per library, each unit bound so far: None, or why its check failed.  Keyed
-#: by the object (weakly), not its ``id()``, which a library loaded after
-#: :func:`_reset_for_tests` can reuse while its entry points are untyped.
+#: Per library, each entry point bound so far: None, or why its unit's
+#: check failed.  Keyed by the object (weakly), not its ``id()``, which a
+#: library loaded after :func:`_reset_for_tests` can reuse while its entry
+#: points are untyped.
 _bound: "weakref.WeakKeyDictionary[ctypes.CDLL, dict]" = weakref.WeakKeyDictionary()
 _warned = False
 _compiler_info: "dict[str, str] | None | bool" = False  # False == not probed
@@ -373,7 +374,8 @@ class Unit(NamedTuple):
     """A C unit as its ctypes wrapper declares it: the params struct, the
     constants the wrapper relies on (by C name, in the order the unit
     reports them), and the entry point with its argument types.  The unit
-    reports its side as ``repro_<name>_layout``."""
+    reports its side as ``repro_<name>_layout``; a unit with two entry
+    points is declared once per entry point."""
 
     name: str
     params: "type[ctypes.Structure]"
@@ -447,27 +449,28 @@ def check_layout(lib: ctypes.CDLL, unit: Unit) -> None:
 def bind(unit: Unit) -> ctypes.CDLL:
     """The kernel library with *unit*'s entry point typed, once
     :func:`check_layout` passed for this library object (the outcome is
-    remembered).  Raises :class:`NativeKernelUnavailable` when there is no
-    library or the check failed, and warns the first time it fails."""
+    remembered per entry point).  Raises :class:`NativeKernelUnavailable`
+    when there is no library or the check failed, and warns the first time
+    it fails."""
     lib = load_library()
     if lib is None:
         raise NativeKernelUnavailable("native kernel library unavailable")
-    units = _bound.setdefault(lib, {})
-    if unit.name not in units:
+    entries = _bound.setdefault(lib, {})
+    if unit.entry not in entries:
         with _load_lock:
-            if unit.name not in units:
+            if unit.entry not in entries:
                 try:
                     check_layout(lib, unit)
                 except NativeKernelUnavailable as exc:
                     warnings.warn(f"repro native {unit.name} kernel disabled ({exc}); "
                                   "falling back to its Python loop",
                                   RuntimeWarning, stacklevel=3)
-                    units[unit.name] = str(exc)
+                    entries[unit.entry] = str(exc)
                 else:
                     function = getattr(lib, unit.entry)
                     function.restype, function.argtypes = ctypes.c_int, unit.argtypes
-                    units[unit.name] = None
-    problem = units[unit.name]
+                    entries[unit.entry] = None
+    problem = entries[unit.entry]
     if problem is not None:
         raise NativeKernelUnavailable(problem)
     return lib

@@ -3,22 +3,24 @@
 Least-squares gradient boosting (Friedman 2001) over the CART trees of
 :mod:`repro.ml.tree`, with shrinkage, optional row subsampling and early
 stopping on a validation set.  ``GBT-150`` / ``GBT-250`` in the paper's tables
-correspond to 150 / 250 boosting rounds.  The boosting loop runs in the
-native library (:mod:`repro.ml.native`); the numpy loop here is its
-fallback and gives the same trees bit for bit.
+correspond to 150 / 250 boosting rounds.  The boosting loop and predict run
+in the native library (:mod:`repro.ml.native`); the numpy loop and walk
+are their fallbacks and give the same trees and predictions bit for bit.
+A fitted model's whole state is one :class:`~repro.ml.tree.Forest`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
 
 from .base import FitResult, Regressor, validate_training_inputs
 from .metrics import mean_squared_error
-from .native import NativeKernelUnavailable, boost_native
+from .native import NativeKernelUnavailable, boost_native, predict_native
 from .preprocessing import flatten_windows
-from .tree import RegressionTree, descend
+from .tree import Forest, RegressionTree
 
 
 class GradientBoostedTrees(Regressor):
@@ -48,9 +50,7 @@ class GradientBoostedTrees(Regressor):
         self.early_stopping_rounds = early_stopping_rounds
         self.seed = seed
         self.name = f"GBT-{n_estimators}"
-        self._trees: list[RegressionTree] = []
-        self._base_prediction = 0.0
-        self._forest: Optional[_Forest] = None
+        self._forest: Optional[Forest] = None
 
     def fit(
         self,
@@ -82,21 +82,19 @@ class GradientBoostedTrees(Regressor):
         X_validation = flatten_windows(X_val) if has_val else None
         y_validation = np.asarray(y_val, dtype=float) if has_val else None
 
-        self._trees = []
         self._forest = None
-        self._base_prediction = float(y.mean())
+        base = float(y.mean())
         boosted = None
         if native:
             try:
-                boosted = boost_native(self, X, y, X_validation, y_validation)
+                boosted = boost_native(self, base, X, y, X_validation, y_validation)
             except NativeKernelUnavailable:
                 pass
         if boosted is None:
-            boosted = self._boost_numpy(X, y, X_validation, y_validation)
-        self._trees, history = boosted
-
-        # Early stopping keeps no tree when no validation loss was finite.
-        self._forest = _Forest(self._trees) if self._trees else None
+            boosted = self._boost_numpy(base, X, y, X_validation, y_validation)
+        # Early stopping keeps no tree (no forest) when no validation loss
+        # was finite.
+        self._forest, history = boosted
         final_pred = self.predict(X)
         train_loss = mean_squared_error(y, final_pred)
         val_loss = (
@@ -107,25 +105,25 @@ class GradientBoostedTrees(Regressor):
         return FitResult(
             train_loss=train_loss,
             val_loss=val_loss,
-            epochs_run=len(self._trees),
+            epochs_run=self.n_trees_fitted,
             history=history,
         )
 
     def _boost_numpy(
         self,
+        base: float,
         X: np.ndarray,
         y: np.ndarray,
         X_validation: Optional[np.ndarray],
         y_validation: Optional[np.ndarray],
-    ) -> tuple[list[RegressionTree], list[float]]:
-        """The kept trees and the per-round train losses, boosted in numpy."""
+    ) -> tuple[Optional[Forest], list[float]]:
+        """The forest of kept trees (None when none is kept) and the
+        per-round train losses, boosted in numpy from *base*."""
         rng = np.random.default_rng(self.seed)
         has_val = X_validation is not None
         trees: list[RegressionTree] = []
-        predictions = np.full(len(y), self._base_prediction)
-        val_predictions = (
-            np.full(len(y_validation), self._base_prediction) if has_val else None
-        )
+        predictions = np.full(len(y), base)
+        val_predictions = np.full(len(y_validation), base) if has_val else None
 
         history: list[float] = []
         best_val = np.inf
@@ -161,43 +159,47 @@ class GradientBoostedTrees(Regressor):
                     if rounds_without_improvement >= self.early_stopping_rounds:
                         trees = trees[:best_round]
                         break
-        return trees, history
+        if not trees:
+            return None, history
+        return Forest.from_trees(trees, X.shape[1], base, self.learning_rate), history
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._forest is None:
+        forest = self._forest
+        if forest is None:
             raise RuntimeError("model has not been fitted")
         X = flatten_windows(X)
-        leaves = self._forest.leaf_values(X)
-        # Sequential accumulation adds the trees left to right, as a loop of
-        # ``prediction += learning_rate * tree.predict(X)`` would; np.sum
-        # would add pairwise and round differently.
-        terms = np.vstack([np.full((1, len(X)), self._base_prediction),
-                           self.learning_rate * leaves])
-        return np.cumsum(terms, axis=0)[-1]
+        if X.shape[1] != forest.features:
+            raise ValueError(f"X has {X.shape[1]} features per row, but the model "
+                             f"was fitted on {forest.features}")
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        try:
+            return predict_native(forest, X)
+        except NativeKernelUnavailable:
+            return forest.predict_numpy(X)
+
+    @property
+    def _trees(self) -> "_ForestTrees":
+        """The kept trees, each sliced out of the forest on demand."""
+        return _ForestTrees(self)
 
     @property
     def n_trees_fitted(self) -> int:
-        return len(self._trees)
+        return 0 if self._forest is None else len(self._forest)
 
 
-class _Forest:
-    """The kept trees' node arrays concatenated and walked all at once.
+class _ForestTrees(Sequence):
+    """A read-only view of a model's kept trees, each a
+    :class:`RegressionTree`."""
 
-    Each tree's child indices are shifted by its offset in the concatenated
-    arrays, so one gather per step advances every tree on every row.
-    """
+    def __init__(self, model: GradientBoostedTrees) -> None:
+        self._forest = model._forest
+        self._params = dict(max_depth=model.max_depth,
+                            min_samples_leaf=model.min_samples_leaf)
 
-    def __init__(self, trees: list[RegressionTree]) -> None:
-        offsets = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
-        self.feature = np.concatenate([tree.feature for tree in trees])
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
-        self.left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
-        self.right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
-        self.value = np.concatenate([tree.value for tree in trees])
-        self.roots = offsets[:, None]
-        self.depth = max(tree.depth for tree in trees)
+    def __len__(self) -> int:
+        return 0 if self._forest is None else len(self._forest)
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """``(T, n)`` leaf value of every tree for every row of ``X``."""
-        roots = np.repeat(self.roots, len(X), axis=1)
-        return self.value[descend(self, X, roots, self.depth)]
+    def __getitem__(self, index: int) -> RegressionTree:
+        if not -len(self) <= index < len(self):
+            raise IndexError("tree index out of range")
+        return self._forest.tree(index % len(self), **self._params)

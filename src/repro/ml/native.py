@@ -1,4 +1,4 @@
-"""ctypes marshalling for the native (C) gradient-boosting loop.
+"""ctypes marshalling for the native (C) gradient-boosting loop and predict.
 
 :func:`boost_native` runs every round of
 :meth:`~repro.ml.gbt.GradientBoostedTrees.fit` through ``repro_gbt_fit``, the
@@ -7,9 +7,10 @@ to the native kernel library (one shared object, built and cached by
 :mod:`repro.coresim.native.build`).  Each round's rows are drawn here with
 the fit's own ``rng.choice``; the draws after an early stop go unused, and
 the generator is local to the fit.  The kept trees come back as node
-arrays and are rebuilt as :class:`~repro.ml.tree.RegressionTree` objects, so
-the trees, the losses and early stopping are bit-identical to the numpy
-loop's.
+arrays, packed as they are into one :class:`~repro.ml.tree.Forest`, so the
+trees, the losses and early stopping are bit-identical to the numpy loop's.
+:func:`predict_native` walks that forest in ``repro_gbt_predict`` and adds
+the leaves in the order the numpy walk's ``np.cumsum`` adds them.
 
 Inputs the kernel does not take raise
 :class:`~repro.coresim.native.NativeKernelUnavailable`, and ``fit`` runs the
@@ -17,7 +18,9 @@ numpy loop instead: no library, a build whose ``GbtParams`` layout differs
 from this module's, a non-finite training feature (numpy sorts
 NaN last), targets that are not one per row (the numpy loop broadcasts or
 rejects them), a non-integer tree or round parameter, or a tree that needs
-more nodes than one whose leaves all hold rows.
+more nodes than one whose leaves all hold rows.  Predict takes every row
+its caller checked the width of; only a missing or skewed library sends it
+to the numpy walk.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 
 from ..coresim.native import NativeKernelUnavailable
 from ..coresim.native.build import Unit, bind
-from .tree import RegressionTree
+from .tree import Forest, RegressionTree
 
-__all__ = ["NativeKernelUnavailable", "boost_native"]
+__all__ = ["NativeKernelUnavailable", "boost_native", "predict_native"]
 
 
 class _GbtParams(ctypes.Structure):
@@ -72,6 +75,19 @@ _UNIT = Unit(
     ],
 )
 
+_PREDICT = Unit(
+    "gbt",
+    _GbtParams,
+    {},
+    "repro_gbt_predict",
+    [
+        ctypes.POINTER(_GbtParams),
+        _i64,                          # the trees' offsets
+        _i64, _f64, _i64, _i64, _f64,  # feature, threshold, left, right, value
+        _f64, ctypes.c_int64, _f64,    # X, rows, out
+    ],
+)
+
 
 def _integer(value, what: str) -> int:
     try:
@@ -86,18 +102,19 @@ def _pointer(array: "np.ndarray | None", kind):
 
 def boost_native(
     model,
+    base: float,
     X: np.ndarray,
     y: np.ndarray,
     X_val: "np.ndarray | None",
     y_val: "np.ndarray | None",
-) -> "tuple[list[RegressionTree], list[float]]":
-    """The kept trees and the per-round train losses of *model*'s boosting
-    loop on validated inputs, run in C.
+) -> "tuple[Forest | None, list[float]]":
+    """The forest of kept trees (None when none is kept) and the per-round
+    train losses of *model*'s boosting loop from *base* on validated
+    inputs, run in C.
 
-    *model* is the :class:`~repro.ml.gbt.GradientBoostedTrees` being fit,
-    with its base prediction set.  Raises :class:`NativeKernelUnavailable`
-    when the library is missing or skewed or the inputs are past a kernel
-    limit (see the module docstring).
+    *model* is the :class:`~repro.ml.gbt.GradientBoostedTrees` being fit.
+    Raises :class:`NativeKernelUnavailable` when the library is missing or
+    skewed or the inputs are past a kernel limit (see the module docstring).
     """
     # The numpy loop's first round builds this tree, and raises its errors.
     template = RegressionTree(max_depth=model.max_depth,
@@ -136,7 +153,7 @@ def boost_native(
     params.min_samples_split = min(template.min_samples_split, sample_rows + 1)
     params.early_stopping_rounds = min(max(patience, 1), rounds + 1)
     params.learning_rate = model.learning_rate
-    params.base = model._base_prediction
+    params.base = base
 
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -169,16 +186,37 @@ def boost_native(
         raise RuntimeError(f"native GBT kernel failed (rc={rc})")
 
     rounds_run, kept = (int(v) for v in counts)
-    ends = np.cumsum(tree_nodes[:kept]).tolist()
+    if not kept:
+        return None, history[:rounds_run].tolist()
+    offsets = np.zeros(kept + 1, dtype=np.int64)
+    np.cumsum(tree_nodes[:kept], out=offsets[1:])
     # The kept trees' nodes, copied out so the slot arrays are freed.
-    arrays = [array[:ends[-1] if ends else 0].copy()
-              for array in (feature, threshold, left, right, value)]
-    trees = []
-    for index, (start, end) in enumerate(zip([0] + ends, ends)):
-        tree = RegressionTree(max_depth=model.max_depth,
-                              min_samples_leaf=model.min_samples_leaf)
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value = (
-            array[start:end] for array in arrays)
-        tree.depth = int(tree_depth[index])
-        trees.append(tree)
-    return trees, history[:rounds_run].tolist()
+    nodes = tuple(array[:offsets[-1]].copy()
+                  for array in (feature, threshold, left, right, value))
+    forest = Forest(nodes, offsets, tree_depth[:kept].copy(), n_features, base,
+                    model.learning_rate)
+    return forest, history[:rounds_run].tolist()
+
+
+def predict_native(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """*forest*'s predictions for the rows of *X*, computed in C.
+
+    *X* is C-contiguous float64 with ``forest.features`` columns (the
+    caller checks).  The forest's arguments are marshalled at its first C
+    predict and kept on it: the arrays they point into never change, and
+    the C walk writes only its output, so threads may share them.  Raises
+    :class:`NativeKernelUnavailable` when the library is missing or skewed.
+    """
+    lib = bind(_PREDICT)
+    arguments = forest.native
+    if arguments is None:
+        params = _GbtParams(features=forest.features, rounds=len(forest),
+                            learning_rate=forest.learning_rate, base=forest.base)
+        arguments = forest.native = (
+            ctypes.byref(params), _pointer(forest.offsets, _i64),
+            _pointer(forest.feature, _i64), _pointer(forest.threshold, _f64),
+            _pointer(forest.left, _i64), _pointer(forest.right, _i64),
+            _pointer(forest.value, _f64))
+    out = np.empty(len(X))
+    lib.repro_gbt_predict(*arguments, _pointer(X, _f64), len(X), _pointer(out, _f64))
+    return out

@@ -1,6 +1,9 @@
-"""CART regression tree used as the weak learner for gradient boosting."""
+"""CART regression tree used as the weak learner for gradient boosting, and
+the fitted forest of them that a boosted model predicts with."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,3 +146,78 @@ class RegressionTree:
         return feature, float(
             0.5 * (x_sorted[split, feature] + x_sorted[split + 1, feature])
         )
+
+
+class Forest:
+    """A fitted boosting ensemble: its trees' node arrays, one after another.
+
+    Tree ``k`` is slots ``offsets[k]:offsets[k + 1]`` of ``feature``,
+    ``threshold``, ``left``, ``right`` and ``value``, numbered as in a
+    :class:`RegressionTree` (child indices local to the tree), and
+    ``depths[k]`` deep.  A row's prediction is ``base`` plus
+    ``learning_rate`` times each tree's leaf value, added tree by tree.
+    ``features`` is the column count the trees were fitted on.  ``native``
+    holds the C predict's marshalled arguments (:mod:`repro.ml.native`),
+    made at the first C predict and never pickled.
+    """
+
+    def __init__(self, nodes, offsets, depths, features: int, base: float,
+                 learning_rate: float) -> None:
+        self.feature, self.threshold, self.left, self.right, self.value = nodes
+        self.offsets = offsets
+        self.depths = depths
+        self.features = features
+        self.base = base
+        self.learning_rate = learning_rate
+        self.native = None
+
+    @classmethod
+    def from_trees(cls, trees: "list[RegressionTree]", features: int, base: float,
+                   learning_rate: float) -> "Forest":
+        """The forest of fitted *trees*, in order."""
+        nodes = tuple(
+            np.concatenate([getattr(tree, name) for tree in trees]).astype(dtype)
+            for name, dtype in (("feature", np.int64), ("threshold", np.float64),
+                                ("left", np.int64), ("right", np.int64),
+                                ("value", np.float64)))
+        offsets = np.cumsum([0] + [len(tree.value) for tree in trees], dtype=np.int64)
+        depths = np.array([tree.depth for tree in trees], dtype=np.int64)
+        return cls(nodes, offsets, depths, features, base, learning_rate)
+
+    def __len__(self) -> int:
+        return len(self.depths)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "native": None}
+
+    def tree(self, index: int, **params) -> RegressionTree:
+        """Tree *index* as a :class:`RegressionTree` (built with *params*)
+        whose node arrays are read-only views of the forest's."""
+        start, end = self.offsets[index], self.offsets[index + 1]
+        tree = RegressionTree(**params)
+        nodes = []
+        for array in (self.feature, self.threshold, self.left, self.right, self.value):
+            view = array[start:end]
+            view.flags.writeable = False
+            nodes.append(view)
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value = nodes
+        tree.depth = int(self.depths[index])
+        return tree
+
+    def predict_numpy(self, X: np.ndarray) -> np.ndarray:
+        """The predictions for the rows of *X*, every tree walked at once.
+
+        Each tree's child indices are shifted by its offset, so one gather
+        per level advances every tree on every row.  Sequential accumulation
+        adds the trees left to right, as a loop of ``prediction +=
+        learning_rate * tree.predict(X)`` would; np.sum would add pairwise
+        and round differently.
+        """
+        shift = np.repeat(self.offsets[:-1], np.diff(self.offsets))
+        flat = SimpleNamespace(feature=self.feature, threshold=self.threshold,
+                               left=self.left + shift, right=self.right + shift)
+        roots = np.repeat(self.offsets[:-1, None], len(X), axis=1)
+        leaves = self.value[descend(flat, X, roots, int(self.depths.max()))]
+        terms = np.vstack([np.full((1, len(X)), self.base),
+                           self.learning_rate * leaves])
+        return np.cumsum(terms, axis=0)[-1]

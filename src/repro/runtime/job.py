@@ -39,23 +39,37 @@ MEMORY_STUDY = "memory"
 BUG_FREE_FINGERPRINT = "bug-free"
 
 
+#: Types :func:`_canonical` returns as they are.  Exact types only: a str
+#: or int subclass (an IntEnum among them) takes the branches below.
+_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
+
+#: Per type seen: its instances' dataclass field names, in declaration
+#: order, or None when they are not dataclass instances.
+_FIELD_NAMES: "dict[type, tuple[str, ...] | None]" = {}
+
+
 def _canonical(value: object) -> object:
     """Reduce *value* to JSON-serialisable primitives, deterministically."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return [type(value).__name__, fields]
+    kind = type(value)
+    if kind in _PRIMITIVES:
+        return value
+    try:
+        names = _FIELD_NAMES[kind]
+    except KeyError:
+        names = _FIELD_NAMES[kind] = (
+            tuple(f.name for f in dataclasses.fields(value))
+            if dataclasses.is_dataclass(value) and not isinstance(value, type) else None)
+    if names is not None:
+        return [kind.__name__, {name: _canonical(getattr(value, name)) for name in names}]
     if isinstance(value, enum.Enum):
-        return [type(value).__name__, value.name]
+        return [kind.__name__, value.name]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    raise TypeError(f"cannot canonicalise {type(value).__name__} for job hashing")
+    raise TypeError(f"cannot canonicalise {kind.__name__} for job hashing")
 
 
 def _digest(payload: object) -> str:

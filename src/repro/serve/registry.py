@@ -47,9 +47,12 @@ from ..detect.stage1 import ProbeModel
 from ..detect.stage2 import RuleBasedClassifier
 from ..runtime import SimulationJob, job_keys, trace_digest
 
-#: On-disk registry format; bump on incompatible layout changes.  Format 2:
-#: fitted GBT trees are node arrays plus a packed forest, not ``_Node`` objects.
-REGISTRY_FORMAT_VERSION = 2
+#: On-disk registry format; bump on incompatible layout changes.  Format 3:
+#: the record holds only builtins, the model one pickled blob in it, and a
+#: fitted GBT is one packed forest.  Format 2 pickled the model into the
+#: record itself, with per-tree node arrays beside the forest; format 1
+#: pickled ``_Node`` trees.
+REGISTRY_FORMAT_VERSION = 3
 
 
 class RegistryError(RuntimeError):
@@ -273,9 +276,9 @@ def train_model(
 def save_model(model: RegisteredModel, path: "str | os.PathLike") -> None:
     """Persist *model* atomically (temp file + ``os.replace``).
 
-    The file is one pickled dict: a format version, the schema recorded as
-    plain JSON-able data (checkable without trusting the payload), its
-    digest, and the model payload.
+    The file is one pickled dict of builtins only: a format version, the
+    schema recorded as plain JSON-able data (checkable without trusting the
+    payload), its digest, and the model payload pickled into a bytes blob.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -284,7 +287,7 @@ def save_model(model: RegisteredModel, path: "str | os.PathLike") -> None:
         "format": REGISTRY_FORMAT_VERSION,
         "schema": schema.to_payload(),
         "schema_digest": schema.digest(),
-        "model": model,
+        "model": pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL),
     }
     tmp = target.with_suffix(target.suffix + f".tmp{os.getpid()}")
     try:
@@ -299,8 +302,23 @@ def save_model(model: RegisteredModel, path: "str | os.PathLike") -> None:
                 pass
 
 
+class _ClassInRecord(pickle.UnpicklingError):
+    """The record names a class: it predates format 3."""
+
+
+class _BuiltinsOnly(pickle.Unpickler):
+    """Reads a registry record without importing or calling anything."""
+
+    def find_class(self, module: str, name: str):
+        raise _ClassInRecord(f"{module}.{name}")
+
+
 def load_model(path: "str | os.PathLike") -> RegisteredModel:
     """Load a registry file, refusing anything corrupt or schema-mismatched.
+
+    The record's format is read before any class is unpickled, so a file
+    from another format is refused as such, even one that names a class
+    this build lacks.
 
     Raises
     ------
@@ -310,22 +328,27 @@ def load_model(path: "str | os.PathLike") -> RegisteredModel:
         schema recomputed from the payload (tampering or code drift since
         training — serving such a model would read wrong feature columns).
     """
+    unsupported = "registry format {} unsupported (this build reads format {})"
     try:
         with open(Path(path), "rb") as handle:
-            record = pickle.load(handle)
+            record = _BuiltinsOnly(handle).load()
     except OSError:
         raise
+    except _ClassInRecord as exc:
+        raise RegistryError(
+            unsupported.format(f"before {REGISTRY_FORMAT_VERSION}", REGISTRY_FORMAT_VERSION)
+            + f": its record names {exc}") from None
     except Exception as exc:
         raise RegistryError(f"corrupt registry file {path}: {exc}") from exc
     if not isinstance(record, dict) or "model" not in record:
         raise RegistryError(f"not a model registry file: {path}")
     version = record.get("format")
     if version != REGISTRY_FORMAT_VERSION:
-        raise RegistryError(
-            f"registry format {version!r} unsupported "
-            f"(this build reads format {REGISTRY_FORMAT_VERSION})"
-        )
-    model = record["model"]
+        raise RegistryError(unsupported.format(repr(version), REGISTRY_FORMAT_VERSION))
+    try:
+        model = pickle.loads(record["model"])
+    except Exception as exc:
+        raise RegistryError(f"corrupt registry file {path}: {exc}") from exc
     if not isinstance(model, RegisteredModel):
         raise RegistryError(
             f"registry payload is {type(model).__name__}, expected RegisteredModel"

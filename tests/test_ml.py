@@ -4,7 +4,8 @@
 boosting bit-for-bit against the frozen object-tree copy in
 ``tests/ml_reference.py`` over seeded random inputs.  Every GBT case runs
 three ways, reference == numpy loop (``fit_numpy``) == ``fit``, which boosts
-in the native library when it loads.  The seed comes from
+in the native library when it loads, and predicts three ways too: the
+reference, the numpy walk and the C walk.  The seed comes from
 ``REPRO_FUZZ_SEED`` (CI rotates it per run) and every assertion message names
 it, so a failure replays locally with::
 
@@ -12,6 +13,7 @@ it, so a failure replays locally with::
 """
 
 import os
+import pickle
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -283,7 +285,7 @@ class TestReferenceFuzz:
             with pytest.raises(RuntimeError, match="not been fitted"):
                 model.fit(X[:30], y[:30], X[30:], np.full(10, np.nan))
 
-    def test_gbt_matches_reference(self, native_runs):
+    def test_gbt_matches_reference(self, native_runs, predict_runs):
         row_spans = [(1, 91)] * GBT_FUZZ_CASES + list(GBT_LARGE_ROW_SPANS)
         stopped = 0
         for case, span in enumerate(row_spans):
@@ -292,6 +294,7 @@ class TestReferenceFuzz:
         assert stopped >= 3, (
             f"seed={FUZZ_SEED}: early stopping fired in only {stopped} GBT cases")
         _assert_native_ran(native_runs, len(row_spans))
+        _assert_predicted_in_c(predict_runs)
 
     def test_gbt_overflowing_sse_matches_reference(self, native_runs):
         # Every candidate SSE is NaN, so every tree is one leaf, and the
@@ -331,7 +334,8 @@ class TestReferenceFuzz:
         if load_library() is not None:
             assert native_runs == ["native", "a tree with more nodes than rows allow"]
 
-    def test_gbt_without_a_compiler_matches_native(self, no_compiler, native_runs):
+    def test_gbt_without_a_compiler_matches_native(self, no_compiler, native_runs,
+                                                   predict_runs):
         rng = np.random.default_rng([FUZZ_SEED, 6])
         X = _fuzz_features(rng, 60, 5)
         y = _fuzz_targets(rng, X)
@@ -341,10 +345,16 @@ class TestReferenceFuzz:
         with no_compiler():
             fallback = GradientBoostedTrees(n_estimators=20, seed=9)
             fallback_result = fallback.fit(*data)
+            del predict_runs[:]
+            fallback_rows = fallback.predict(X)
+            native_rows = native.predict(X)
         context = f"seed={FUZZ_SEED} no compiler"
         _assert_same_fit(fallback_result, native_result, context)
         _assert_same_trees(fallback, native, context)
         assert native_runs[-1] == "native kernel library unavailable", native_runs
+        assert predict_runs == ["native kernel library unavailable"] * 2, predict_runs
+        _assert_same_predictions(fallback_rows, native.predict(X), context)
+        _assert_same_predictions(native_rows, native.predict(X), context)
 
     def test_gbt_fits_from_threads_match_serial_fits(self, native_runs):
         # The C loop keeps no static state and ctypes drops the GIL, so fits
@@ -365,6 +375,97 @@ class TestReferenceFuzz:
             _assert_same_fit(result, serial.fit(*data), context)
             _assert_same_trees(model, serial, context)
         _assert_native_ran(native_runs, 8)
+
+    def test_gbt_predict_refuses_another_column_count(self, predict_runs):
+        X, y = _linear_data(n=60, f=4)
+        model = GradientBoostedTrees(n_estimators=5)
+        model.fit(X, y)
+        del predict_runs[:]
+        for columns in (X[:, :3], np.hstack([X, X[:, :1]]), X[:, :0],
+                        X.reshape(len(X), 2, 2)[:, :1]):
+            for predict in (model.predict, lambda rows: _predict_numpy(model, rows)):
+                with pytest.raises(ValueError, match="fitted on 4"):
+                    predict(columns)
+        assert predict_runs == [], predict_runs
+        windows = X.reshape(len(X), 2, 2)
+        _assert_same_predictions(model.predict(windows), model.predict(X), "windows")
+
+    def test_gbt_predicts_from_threads_match_serial_predicts(self, predict_runs):
+        # The C walk writes only its output rows, and ctypes drops the GIL,
+        # so predicts through one forest overlap inside the kernel.  They
+        # start on a freshly loaded forest, whose arguments are not yet
+        # marshalled, in a process whose library is not yet loaded.
+        rng = np.random.default_rng([FUZZ_SEED, 8])
+        X = _fuzz_features(rng, 90, 10)
+        y = _fuzz_targets(rng, X)
+        fitted = GradientBoostedTrees(n_estimators=80, seed=4)
+        fitted.fit(X, y)
+        model = pickle.loads(pickle.dumps(fitted))
+        batches = [_fuzz_features(rng, int(rng.integers(0, 40)), 10) for _ in range(64)]
+        native_build._reset_for_tests()
+        del predict_runs[:]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(model.predict, batches))
+        for index, (rows, predicted) in enumerate(zip(batches, got)):
+            _assert_same_predictions(predicted, _predict_numpy(fitted, rows),
+                                     f"seed={FUZZ_SEED} thread predict {index}")
+        _assert_predicted_in_c(predict_runs, len(batches))
+
+    def test_gbt_pickles_the_same_before_and_after_its_first_predict(self):
+        rng = np.random.default_rng([FUZZ_SEED, 9])
+        X = _fuzz_features(rng, 70, 6)
+        y = _fuzz_targets(rng, X)
+        fitted = GradientBoostedTrees(n_estimators=30, seed=2)
+        fitted.fit(X, y)
+        before = pickle.dumps(fitted)
+        model = pickle.loads(before)
+        unpredicted = pickle.dumps(model)
+        predicted = model.predict(X)
+        after = pickle.dumps(model)
+        assert unpredicted == before == after == pickle.dumps(fitted)
+        context = f"seed={FUZZ_SEED} pickle"
+        _assert_same_trees(pickle.loads(after), fitted, context)
+        _assert_same_predictions(predicted, fitted.predict(X), context)
+        _assert_same_predictions(pickle.loads(after).predict(X), predicted, context)
+
+
+@pytest.fixture()
+def predict_runs(monkeypatch):
+    """What each C predict call did: "native", or why it fell back."""
+    outcomes = []
+    predict_native = gbt_module.predict_native
+
+    def recording(*args):
+        try:
+            predicted = predict_native(*args)
+        except NativeKernelUnavailable as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append("native")
+        return predicted
+
+    monkeypatch.setattr(gbt_module, "predict_native", recording)
+    return outcomes
+
+
+def _unavailable(*_args):
+    raise NativeKernelUnavailable("the numpy walk, by request")
+
+
+def _predict_numpy(model, X):
+    """``model.predict(X)`` on the numpy walk, the C walk's fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbt_module, "predict_native", _unavailable)
+        return model.predict(X)
+
+
+def _assert_predicted_in_c(outcomes, predicts=None):
+    """Every predict (at least one; *predicts* of them when given) ran in C,
+    unless the library is missing (``REPRO_NATIVE_CC=``), when every one
+    fell back."""
+    expected = "native" if load_library() is not None else "native kernel library unavailable"
+    assert outcomes and set(outcomes) == {expected}, outcomes
+    assert predicts is None or len(outcomes) == predicts, outcomes
 
 
 @pytest.fixture()
@@ -427,9 +528,20 @@ def _assert_three_ways(params, data, rows, context):
         _assert_same_fit(got, want, f"{context} {name}")
     assert model.n_trees_fitted == expected.n_trees_fitted, context
     _assert_same_trees(model, numpy_model, context)
-    for name, unseen in (("rows", rows), ("one-row", rows[:1]), ("no-rows", rows[:0])):
+    # Rows sitting exactly on every threshold pin the ``<=`` side, and NaN
+    # and infinite values the side a failed or an infinite comparison takes.
+    on_threshold = np.tile(model._forest.threshold[:, None], (1, rows.shape[1]))
+    special = np.array([np.nan, np.inf, -np.inf])
+    non_finite = rows.copy()
+    non_finite.flat[::2] = np.resize(special, non_finite.flat[::2].size)
+    non_finite = np.vstack([np.repeat(special[:, None], rows.shape[1], axis=1),
+                            non_finite])
+    for name, unseen in (("rows", rows), ("one-row", rows[:1]), ("no-rows", rows[:0]),
+                         ("thresholds", on_threshold), ("non-finite", non_finite)):
         expected_rows = expected.predict(unseen)
         _assert_same_predictions(numpy_model.predict(unseen), expected_rows,
+                                 f"{context} numpy fit, predict={name}")
+        _assert_same_predictions(_predict_numpy(model, unseen), expected_rows,
                                  f"{context} numpy predict={name}")
         _assert_same_predictions(model.predict(unseen), expected_rows,
                                  f"{context} predict={name}")

@@ -276,7 +276,8 @@ class TestLayoutCheck:
     def test_every_unit_binds(self):
         if not native_available():
             pytest.skip("no C compiler on this host")
-        for unit in (kernel._UNIT, memsim_native._UNIT, ml_native._UNIT):
+        for unit in (kernel._UNIT, memsim_native._UNIT, ml_native._UNIT,
+                     ml_native._PREDICT):
             lib = native_build.bind(unit)
             assert list(getattr(lib, unit.entry).argtypes) == unit.argtypes
 

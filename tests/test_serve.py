@@ -30,6 +30,7 @@ from repro.bugs.registry import core_bug_suite
 from repro.coresim import native_available
 from repro.coresim.native import build as native_build
 from repro.detect.dataset import SimulationCache
+from repro.ml import tree as tree_module
 from repro.experiments.common import ExperimentContext
 from repro.runtime import JobEngine, ResultStore
 from repro.runtime.framing import (
@@ -182,6 +183,22 @@ def test_load_rejects_unknown_format_version(model_path, tmp_path, version):
         load_model(path)
 
 
+def test_load_reads_the_format_before_unpickling_a_class(tmp_path):
+    """A format-2 record pickled the model, classes and all, into itself;
+    one naming a class this build lacks is refused for its format."""
+    node = type("_Node", (), {"__module__": "repro.ml.tree"})
+    path = tmp_path / "format-2.pkl"
+    with pytest.MonkeyPatch.context() as patch, open(path, "wb") as handle:
+        patch.setattr(tree_module, "_Node", node, raising=False)
+        pickle.dump({"format": 2, "schema": {}, "schema_digest": "", "model": node()},
+                    handle)
+    assert not hasattr(tree_module, "_Node")
+    with pytest.raises(RegistryError, match=(
+            r"registry format before 3 unsupported \(this build reads format 3\): "
+            r"its record names repro\.ml\.tree\._Node")):
+        load_model(path)
+
+
 def test_load_rejects_tampered_schema(model_path, tmp_path):
     with open(model_path, "rb") as handle:
         record = pickle.load(handle)
@@ -197,8 +214,9 @@ def test_load_rejects_drifted_payload(model_path, tmp_path):
     """Payload drift (a probe's counter set changed) is caught too."""
     with open(model_path, "rb") as handle:
         record = pickle.load(handle)
-    drifted = record["model"]
+    drifted = pickle.loads(record["model"])
     drifted.probes[0].counters.append("core.fake_counter")
+    record["model"] = pickle.dumps(drifted)
     path = tmp_path / "drifted.pkl"
     with open(path, "wb") as handle:
         pickle.dump(record, handle)
